@@ -9,13 +9,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
+from dataclasses import asdict
 from typing import Optional
 
 from .experiment import (
     ConfigError,
     ExperimentConfig,
     build_distribution,
+    build_replication,
     load_case,
     parse_config_file,
     run_experiment,
@@ -23,16 +24,9 @@ from .experiment import (
 )
 from .grid import CaseError, parse_case_file
 from .ptdf import compute_ptdf, ptdf_to_csv
-from .reformulation import build_catalog, participation_factors, solve_dispatch
-from .tuner import TuningConfig, TuningError, trace_to_csv, tune
-from .uncertainty import (
-    MixtureSpec,
-    derive_seed,
-    empirical_moments,
-    sample,
-    sampleset_to_csv,
-    spec_moments,
-)
+from .reformulation import solve_dispatch
+from .tuner import TuningError, trace_to_csv, tune
+from .uncertainty import sample, sampleset_to_csv
 from .violation import evaluate, report_to_json
 
 USAGE_ERROR = 1
@@ -56,32 +50,26 @@ def _write_or_print(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _load_context(args):
-    """Resolve (case, raw config) from --config and --case flags."""
+# Config keys set by command line flags: key -> flag.
+_OVERRIDES = {"case": "case", "distributions": "distribution", "eps": "eps", "modes": "mode", "seed": "seed"}
+
+
+def _config(args) -> ExperimentConfig:
+    """Parse --config, if given, with the command's flags overriding its keys."""
     raw = parse_config_file(args.config) if args.config else {}
-    case_key = getattr(args, "case", None) or raw.get("case", "rts24")
-    return load_case(case_key), raw
+    for key, flag in _OVERRIDES.items():
+        value = getattr(args, flag, None)
+        if value is not None:
+            raw[key] = str(value)
+    return ExperimentConfig.from_mapping(raw)
 
 
-def _distribution(args, raw, case):
-    name = getattr(args, "distribution", None)
-    if name is None:
-        names = [n.strip() for n in raw.get("distributions", "gaussian").split(",")]
-        name = names[0]
-    return name, build_distribution(name, raw, case)
-
-
-def _catalog(case, raw, spec, moment_source: str, samples=None):
-    if moment_source == "auto":
-        use_empirical = samples is not None and isinstance(spec, MixtureSpec)
-        moment_source = "empirical" if use_empirical else "spec"
-    if moment_source == "empirical":
-        if samples is None:
-            raise ConfigError("empirical moments need a sample set")
-        moments = empirical_moments(samples)
-    else:
-        moments = spec_moments(spec, case)
-    return build_catalog(case, compute_ptdf(case), participation_factors(case), moments)
+def _replication(args):
+    """The config, its case, and replication 1 of the first configured
+    distribution, built exactly as the experiment builds it."""
+    config = _config(args)
+    case = load_case(config.case)
+    return config, case, build_replication(case, config, config.distributions[0], 1)
 
 
 def cmd_parse(args) -> int:
@@ -98,28 +86,26 @@ def cmd_parse(args) -> int:
 
 
 def cmd_ptdf(args) -> int:
-    case, _ = _load_context(args)
+    case = load_case(_config(args).case)
     ptdf = compute_ptdf(case, slack=args.slack)
     _write_or_print(ptdf_to_csv(ptdf), args.out)
     return 0
 
 
 def cmd_sample(args) -> int:
-    case, raw = _load_context(args)
-    _, spec = _distribution(args, raw, case)
-    seed = args.seed if args.seed is not None else int(raw.get("seed", 1))
-    samples = sample(spec, args.n, seed, case)
+    config = _config(args)
+    case = load_case(config.case)
+    spec = build_distribution(config.distributions[0], config, case)
+    samples = sample(spec, args.n, config.seed, case)
     _write_or_print(sampleset_to_csv(samples, case), args.out)
     return 0
 
 
 def cmd_solve(args) -> int:
-    case, raw = _load_context(args)
-    _, spec = _distribution(args, raw, case)
-    catalog = _catalog(case, raw, spec, raw.get("moment_source", "spec"))
-    solution = solve_dispatch(case, catalog, args.s)
+    _, case, pair = _replication(args)
+    solution = solve_dispatch(case, pair.catalog, args.s)
     if not solution.feasible:
-        print(f"infeasible at s={args.s:g}", file=sys.stderr)
+        print(f"{solution.status} at s={args.s:g}", file=sys.stderr)
         return SOLVE_ERROR
     lines = [f"s={args.s:.12g}", f"cost={solution.objective:.12g}"]
     for bus, value in enumerate(solution.p_g, start=1):
@@ -130,20 +116,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    case, raw = _load_context(args)
-    _, spec = _distribution(args, raw, case)
-    seed = args.seed if args.seed is not None else int(raw.get("seed", 1))
-    n = int(raw.get("tuning.samples", 10_000))
-    samples = sample(spec, n, derive_seed(seed, 0, 1), case)
-    catalog = _catalog(case, raw, spec, raw.get("moment_source", "auto"), samples)
-    config = TuningConfig(
-        eps_des=args.eps if args.eps is not None else raw.get("eps", "0.1").split(",")[0].strip(),
-        gamma=raw.get("gamma", "1e-4"),
-        mode=args.mode or raw.get("modes", "single").split(",")[0].strip(),
-        width_tol=float(raw.get("width_tol", 1e-6)),
-        max_iterations=int(raw.get("max_iterations", 60)),
-    )
-    result = tune(case, catalog, samples, config)
+    config, case, pair = _replication(args)
+    tuning = config.tuning(config.modes[0], config.eps_values[0])
+    result = tune(case, pair.catalog, pair.tuning_samples, tuning)
     print(
         f"s={result.s:.6g} iterations={result.iterations} "
         f"cost={result.objective:.6g} eps_single={float(result.eps_single):.6g} "
@@ -156,38 +131,26 @@ def cmd_tune(args) -> int:
                 "cost": result.objective,
                 "iterations": result.iterations,
                 "terminated_by": result.terminated_by,
-                "eps_single": float(result.eps_single),
-                "eps_joint": float(result.eps_joint),
-                "trace": [
-                    {
-                        "iteration": it.iteration,
-                        "s": it.s,
-                        "feasible": it.feasible,
-                        "eps_single": None if it.eps_single is None else float(it.eps_single),
-                        "eps_joint": None if it.eps_joint is None else float(it.eps_joint),
-                        "cost": it.cost,
-                    }
-                    for it in result.trace
-                ],
+                "eps_single": result.eps_single,
+                "eps_joint": result.eps_joint,
+                "trace": [asdict(it) for it in result.trace],
             }
-            _write_or_print(json.dumps(payload, indent=2), args.out)
+            # default=float writes the exact Fraction frequencies as floats.
+            _write_or_print(json.dumps(payload, indent=2, default=float), args.out)
         else:
             _write_or_print(trace_to_csv(result), args.out)
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    case, raw = _load_context(args)
-    _, spec = _distribution(args, raw, case)
-    catalog = _catalog(case, raw, spec, raw.get("moment_source", "spec"))
-    solution = solve_dispatch(case, catalog, args.s)
+    config, case, pair = _replication(args)
+    solution = solve_dispatch(case, pair.catalog, args.s)
     if not solution.feasible:
-        print(f"infeasible at s={args.s:g}", file=sys.stderr)
+        print(f"{solution.status} at s={args.s:g}", file=sys.stderr)
         return SOLVE_ERROR
-    seed = args.seed if args.seed is not None else int(raw.get("seed", 1))
-    samples = sample(spec, args.n, seed, case)
-    report = evaluate(solution.p_g, samples, catalog)
-    text = report_to_json(report, catalog)
+    samples = sample(pair.spec, args.n, config.seed, case)
+    report = evaluate(solution.p_g, samples, pair.catalog)
+    text = report_to_json(report, pair.catalog)
     if args.out:
         _write_or_print(text, args.out)
     else:
@@ -199,14 +162,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    raw = parse_config_file(args.config)
-    if args.eps is not None:
-        raw["eps"] = str(args.eps)
-    if args.mode is not None:
-        raw["modes"] = args.mode
-    if args.seed is not None:
-        raw["seed"] = str(args.seed)
-    config = ExperimentConfig.from_mapping(raw)
+    config = _config(args)
     report = run_experiment(config, jobs=args.jobs)
     if report.rows and all(r.failed for r in report.rows):
         print("all replications failed", file=sys.stderr)

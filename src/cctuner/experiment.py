@@ -1,31 +1,35 @@
 """Replicated tuning experiments and their reports.
 
 An experiment sweeps mode x distribution x eps over independent
-replications. Each replication draws its own tuning and out-of-sample
-sets from seed streams that depend only on the replication index, tunes
-s on the tuning set, and scores the tuned dispatch out of sample. Rows
-come out in canonical sweep order regardless of worker scheduling.
+replications. Each (distribution, replication) pair draws its own tuning
+and out-of-sample sets from seed streams that depend only on the
+replication index, builds one tightening catalog, and tunes every
+(mode, eps) cell against them; each tuned dispatch is scored out of
+sample. Rows come out in canonical sweep order regardless of worker
+scheduling.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import csv
+import functools
 import io
 import json
 import logging
-import math
-from dataclasses import dataclass, field, replace
+import sys
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from statistics import NormalDist
+from typing import Dict, Optional, Tuple, Union
 
 from .grid import GridCase, apply_rts_modifications, parse_case_file
 from .ptdf import compute_ptdf
-from .reformulation import build_catalog, participation_factors
+from .reformulation import ConstraintCatalog, build_catalog, participation_factors
 from .tuner import TuningConfig, TuningError, tune
 from .uncertainty import (
-    GaussianSpec,
     MixtureSpec,
+    SampleSet,
     UniformBoxSpec,
     derive_seed,
     empirical_moments,
@@ -43,23 +47,8 @@ logger = logging.getLogger(__name__)
 STREAM_TUNING = 0
 STREAM_OOS = 1
 
-REPORT_COLUMNS = (
-    "mode",
-    "distribution",
-    "eps_des",
-    "replication",
-    "iterations",
-    "cost",
-    "s",
-    "s_true",
-    "eps_obs_single",
-    "eps_oos_single",
-    "eps_obs_joint",
-    "eps_oos_joint",
-)
-
-_SQRT2 = math.sqrt(2.0)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_STANDARD_NORMAL = NormalDist()
+_FLOAT_MAX = Fraction(sys.float_info.max)
 
 
 class ConfigError(ValueError):
@@ -68,74 +57,14 @@ class ConfigError(ValueError):
 
 def normal_cdf(x: float) -> float:
     """Standard normal distribution function."""
-    return 0.5 * (1.0 + math.erf(x / _SQRT2))
-
-
-# Rational approximation coefficients for the standard normal quantile
-# (relative error below 1.2e-9 before refinement).
-_ICDF_A = (
-    -3.969683028665376e01,
-    2.209460984245205e02,
-    -2.759285104469687e02,
-    1.383577518672690e02,
-    -3.066479806614716e01,
-    2.506628277459239e00,
-)
-_ICDF_B = (
-    -5.447609879822406e01,
-    1.615858368580409e02,
-    -1.556989798598866e02,
-    6.680131188771972e01,
-    -1.328068155288572e01,
-)
-_ICDF_C = (
-    -7.784894002430293e-03,
-    -3.223964580411365e-01,
-    -2.400758277161838e00,
-    -2.549732539343734e00,
-    4.374664141464968e00,
-    2.938163982698783e00,
-)
-_ICDF_D = (
-    7.784695709041462e-03,
-    3.224671290700398e-01,
-    2.445134137142996e00,
-    3.754408661907416e00,
-)
-_ICDF_P_LOW = 0.02425
+    return _STANDARD_NORMAL.cdf(x)
 
 
 def inv_normal_cdf(p: float) -> float:
-    """Standard normal quantile, accurate to well below 1e-9.
-
-    Piecewise rational approximation polished by one Newton step on the
-    erf-based distribution function.
-    """
+    """Standard normal quantile."""
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly between 0 and 1")
-    a, b, c, d = _ICDF_A, _ICDF_B, _ICDF_C, _ICDF_D
-    if p < _ICDF_P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    elif p <= 1.0 - _ICDF_P_LOW:
-        q = p - 0.5
-        r = q * q
-        x = (
-            (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5])
-            * q
-            / (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-        )
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -(
-            (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5])
-            / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-        )
-    err = normal_cdf(x) - p
-    x -= err * _SQRT_2PI * math.exp(0.5 * x * x)
-    return x
+    return _STANDARD_NORMAL.inv_cdf(p)
 
 
 def parse_config_text(text: str) -> Dict[str, str]:
@@ -171,50 +100,72 @@ def _split_list(value: str) -> Tuple[str, ...]:
     return tuple(part.strip() for part in value.split(",") if part.strip())
 
 
-def _get(cfg, key, default=None, required=False):
-    if key in cfg:
-        return cfg[key]
-    if required:
-        raise ConfigError(f"missing required key {key!r}")
-    return default
-
-
-def _get_float(cfg, key, default=None, required=False):
-    raw = _get(cfg, key, default=None, required=required)
-    if raw is None:
-        return default
+def _fraction(key: str, text: str, kind: str = "a number") -> Fraction:
+    """Parse one number exactly: an integer, a decimal or p/q."""
     try:
-        return float(Fraction(raw))
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"key {key!r}: {raw!r} is not a number") from exc
+        raise ConfigError(f"key {key!r}: {text!r} is not {kind}") from exc
+    if abs(value) > _FLOAT_MAX:
+        raise ConfigError(f"key {key!r}: {text!r} is beyond the float range")
+    return value
 
 
-def _get_int(cfg, key, default=None, required=False):
-    raw = _get(cfg, key, default=None, required=required)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: {raw!r} is not an integer") from exc
+def _number(cfg, key: str, default: str) -> Fraction:
+    return _fraction(key, cfg.get(key, default))
+
+
+def _numbers(cfg, key: str, default: str) -> Tuple[Fraction, ...]:
+    return tuple(_fraction(key, part) for part in _split_list(cfg.get(key, default)))
+
+
+def _integer(cfg, key: str, default: str) -> int:
+    raw = cfg.get(key, default)
+    value = _fraction(key, raw, "an integer")
+    if value.denominator != 1:
+        raise ConfigError(f"key {key!r}: {raw!r} is not an integer")
+    return int(value)
+
+
+# Numeric keys of the distribution specs: key -> (default, holds a list).
+# gaussian.std_mw has no default; only the Gaussian spec requires it.
+_SPEC_KEYS = {
+    "gaussian.std_mw": (None, True),
+    "gaussian.correlation": ("0", False),
+    "mixture.weights": ("1/3, 1/3, 1/3", True),
+    "mixture.g1.std_mw": ("7, 14", True),
+    "mixture.g1.correlation": ("0.5", False),
+    "mixture.g2.std_mw": ("6, 6", True),
+    "mixture.g2.correlation": ("0.1", False),
+    "mixture.uniform.low_mw": ("-30", False),
+    "mixture.uniform.high_mw": ("30", False),
+}
+
+_SpecNumber = Union[Fraction, Tuple[Fraction, ...]]
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Typed view of a flat experiment configuration."""
+    """Typed view of a flat experiment configuration.
+
+    from_mapping parses every number once, exactly: counts and the seed
+    to int, the rest to Fraction. raw keeps the text it was parsed from
+    for the JSON report.
+    """
 
     case: str = "rts24"
     modes: Tuple[str, ...] = ("single",)
     distributions: Tuple[str, ...] = ("gaussian",)
-    eps_values: Tuple[str, ...] = ("0.1",)
+    eps_values: Tuple[Fraction, ...] = (Fraction(1, 10),)
     replications: int = 1
     n_tuning: int = 10_000
     n_oos: int = 100_000
-    gamma: str = "1e-4"
-    width_tol: float = 1e-6
+    gamma: Fraction = Fraction(1, 10_000)
+    width_tol: Fraction = Fraction(1, 10**6)
     max_iterations: int = 60
     seed: int = 1
     moment_source: str = "auto"
+    spec_numbers: Dict[str, _SpecNumber] = field(default_factory=dict)
     raw: Dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -227,9 +178,19 @@ class ExperimentConfig:
         if self.moment_source not in ("auto", "spec", "empirical"):
             raise ConfigError(f"unknown moment_source {self.moment_source!r}")
         for eps in self.eps_values:
-            value = float(Fraction(eps))
-            if not 0 < value < 1:
-                raise ConfigError(f"eps {eps!r} out of range")
+            if not 0 < eps < 1:
+                raise ConfigError(f"eps {eps} out of range")
+        # An empty axis would run nothing; a repeated entry would run its
+        # cells twice and count each replication twice in the averages.
+        for key, values in (
+            ("modes", self.modes),
+            ("distributions", self.distributions),
+            ("eps", self.eps_values),
+        ):
+            if not values or len(set(values)) != len(values):
+                raise ConfigError(
+                    f"key {key!r} must list distinct entries, got {', '.join(map(str, values))!r}"
+                )
         if self.replications < 0:
             raise ConfigError("replications must be nonnegative")
         if self.n_tuning < 1 or self.n_oos < 1:
@@ -237,19 +198,24 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, cfg: Dict[str, str]) -> "ExperimentConfig":
+        spec_numbers = {}
+        for key, (default, many) in _SPEC_KEYS.items():
+            if key in cfg or default is not None:
+                spec_numbers[key] = (_numbers if many else _number)(cfg, key, default)
         return cls(
-            case=_get(cfg, "case", "rts24"),
-            modes=_split_list(_get(cfg, "modes", "single")),
-            distributions=_split_list(_get(cfg, "distributions", "gaussian")),
-            eps_values=_split_list(_get(cfg, "eps", "0.1")),
-            replications=_get_int(cfg, "replications", 1),
-            n_tuning=_get_int(cfg, "tuning.samples", 10_000),
-            n_oos=_get_int(cfg, "oos.samples", 100_000),
-            gamma=_get(cfg, "gamma", "1e-4"),
-            width_tol=_get_float(cfg, "width_tol", 1e-6),
-            max_iterations=_get_int(cfg, "max_iterations", 60),
-            seed=_get_int(cfg, "seed", 1),
-            moment_source=_get(cfg, "moment_source", "auto"),
+            case=cfg.get("case", "rts24"),
+            modes=_split_list(cfg.get("modes", "single")),
+            distributions=_split_list(cfg.get("distributions", "gaussian")),
+            eps_values=_numbers(cfg, "eps", "0.1"),
+            replications=_integer(cfg, "replications", "1"),
+            n_tuning=_integer(cfg, "tuning.samples", "10000"),
+            n_oos=_integer(cfg, "oos.samples", "100000"),
+            gamma=_number(cfg, "gamma", "1e-4"),
+            width_tol=_number(cfg, "width_tol", "1e-6"),
+            max_iterations=_integer(cfg, "max_iterations", "60"),
+            seed=_integer(cfg, "seed", "1"),
+            moment_source=cfg.get("moment_source", "auto"),
+            spec_numbers=spec_numbers,
             raw=dict(cfg),
         )
 
@@ -261,6 +227,16 @@ class ExperimentConfig:
     def from_file(cls, path) -> "ExperimentConfig":
         return cls.from_mapping(parse_config_file(path))
 
+    def tuning(self, mode: str, eps: Fraction) -> TuningConfig:
+        """Tuning settings of the (mode, eps) cell."""
+        return TuningConfig(
+            eps_des=eps,
+            gamma=self.gamma,
+            mode=mode,
+            width_tol=self.width_tol,
+            max_iterations=self.max_iterations,
+        )
+
 
 def load_case(name_or_path: str) -> GridCase:
     """Resolve the case key: the built-in study network or a file path."""
@@ -271,41 +247,80 @@ def load_case(name_or_path: str) -> GridCase:
     return parse_case_file(name_or_path)
 
 
-def build_distribution(name: str, cfg: Dict[str, str], case: GridCase):
-    """Construct the sampling spec for a configured distribution name."""
+def build_distribution(name: str, config, case: GridCase):
+    """Construct the sampling spec for a configured distribution name.
+
+    config is an ExperimentConfig or the raw key = value mapping it is
+    parsed from.
+    """
+    if not isinstance(config, ExperimentConfig):
+        config = ExperimentConfig.from_mapping(config)
+    numbers = config.spec_numbers
     n_unc = len(case.uncertain_buses)
+
+    def floats(key):
+        if key not in numbers:
+            raise ConfigError(f"missing required key {key!r}")
+        value = numbers[key]
+        return [float(v) for v in value] if isinstance(value, tuple) else float(value)
+
     if name == "gaussian":
-        std = [float(Fraction(v)) for v in _split_list(_get(cfg, "gaussian.std_mw", required=True))]
-        corr = _get_float(cfg, "gaussian.correlation", 0.0)
+        std = floats("gaussian.std_mw")
         if len(std) != n_unc:
             raise ConfigError(
                 f"gaussian.std_mw has {len(std)} entries for {n_unc} uncertain buses"
             )
-        return gaussian_from_std_corr(std, corr)
+        return gaussian_from_std_corr(std, floats("gaussian.correlation"))
     if name == "mixture":
-        weights = [
-            float(Fraction(v))
-            for v in _split_list(_get(cfg, "mixture.weights", "1/3, 1/3, 1/3"))
-        ]
+        weights = floats("mixture.weights")
         if len(weights) != 3:
             raise ConfigError("mixture.weights must have three entries")
-        std1 = [float(Fraction(v)) for v in _split_list(_get(cfg, "mixture.g1.std_mw", "7, 14"))]
-        corr1 = _get_float(cfg, "mixture.g1.correlation", 0.5)
-        std2 = [float(Fraction(v)) for v in _split_list(_get(cfg, "mixture.g2.std_mw", "6, 6"))]
-        corr2 = _get_float(cfg, "mixture.g2.correlation", 0.1)
-        low = _get_float(cfg, "mixture.uniform.low_mw", -30.0)
-        high = _get_float(cfg, "mixture.uniform.high_mw", 30.0)
+        std1 = floats("mixture.g1.std_mw")
+        std2 = floats("mixture.g2.std_mw")
         if len(std1) != n_unc or len(std2) != n_unc:
             raise ConfigError("mixture component std lists must match the uncertain buses")
-        box = UniformBoxSpec(lower_mw=[low] * n_unc, upper_mw=[high] * n_unc)
+        box = UniformBoxSpec(
+            lower_mw=[floats("mixture.uniform.low_mw")] * n_unc,
+            upper_mw=[floats("mixture.uniform.high_mw")] * n_unc,
+        )
         return MixtureSpec(
             components=(
-                (weights[0], gaussian_from_std_corr(std1, corr1)),
-                (weights[1], gaussian_from_std_corr(std2, corr2)),
+                (weights[0], gaussian_from_std_corr(std1, floats("mixture.g1.correlation"))),
+                (weights[1], gaussian_from_std_corr(std2, floats("mixture.g2.correlation"))),
                 (weights[2], box),
             )
         )
     raise ConfigError(f"unknown distribution {name!r}")
+
+
+@dataclass(frozen=True)
+class Replication:
+    """What the (mode, eps) cells of one (distribution, replication) pair
+    share: the spec, the tuning draw and the tightening catalog."""
+
+    spec: object
+    tuning_samples: SampleSet
+    catalog: ConstraintCatalog
+
+
+def build_replication(case: GridCase, config: ExperimentConfig, dist_name: str, rep: int) -> Replication:
+    """Build a pair's spec, tuning draw, moments and catalog.
+
+    This is the one home of the moment_source policy: auto tightens with
+    the exact spec moments for the Gaussian and with the moments of the
+    tuning draw for the mixture.
+    """
+    spec = build_distribution(dist_name, config, case)
+    tuning_samples = sample(spec, config.n_tuning, derive_seed(config.seed, STREAM_TUNING, rep), case)
+    source = config.moment_source
+    if source == "auto":
+        source = "spec" if dist_name == "gaussian" else "empirical"
+    if source == "spec":
+        moments = spec_moments(spec, case)
+    else:
+        moments = empirical_moments(tuning_samples)
+    catalog = build_catalog(case, compute_ptdf(case), participation_factors(case), moments)
+    return Replication(spec, tuning_samples, catalog)
 
 
 @dataclass(frozen=True)
@@ -327,6 +342,15 @@ class ResultRow:
     error: str = ""
 
 
+# The JSON report carries these per-row diagnostics; the CSV does not.
+_DIAGNOSTICS = ("terminated_by", "failed", "error")
+REPORT_COLUMNS = tuple(f.name for f in fields(ResultRow) if f.name not in _DIAGNOSTICS)
+# Columns averaged over a cell's replications: those after the four cell
+# coordinates, except s_true, which belongs to the cell and is copied.
+_MEAN_COLUMNS = tuple(c for c in REPORT_COLUMNS[4:] if c != "s_true")
+_AVERAGE_KEYS = REPORT_COLUMNS[:4] + ("replications",) + REPORT_COLUMNS[4:]
+
+
 @dataclass(frozen=True)
 class AverageRow:
     mode: str
@@ -342,6 +366,9 @@ class AverageRow:
     eps_obs_joint: Optional[float] = None
     eps_oos_joint: Optional[float] = None
 
+    # What the reports print in the replication column.
+    replication = "avg"
+
 
 @dataclass(frozen=True)
 class ExperimentReport:
@@ -350,156 +377,114 @@ class ExperimentReport:
     averages: Tuple[AverageRow, ...]
 
 
-def _run_cell(case, raw_cfg, mode, dist_name, eps, rep, config) -> ResultRow:
-    """Tune one sweep cell and score it out of sample."""
-    spec = build_distribution(dist_name, raw_cfg, case)
-    tuning_seed = derive_seed(config.seed, STREAM_TUNING, rep)
-    oos_seed = derive_seed(config.seed, STREAM_OOS, rep)
-    tuning_samples = sample(spec, config.n_tuning, tuning_seed, case)
+def _run_replication(case, config: ExperimentConfig, dist_name: str, rep: int):
+    """Tune every (mode, eps) cell of one pair and score it out of sample.
 
-    source = config.moment_source
-    if source == "auto":
-        source = "spec" if dist_name == "gaussian" else "empirical"
-    if source == "spec":
-        moments = spec_moments(spec, case)
-    else:
-        moments = empirical_moments(tuning_samples)
-
-    catalog = build_catalog(case, compute_ptdf(case), participation_factors(case), moments)
-    tuning = TuningConfig(
-        eps_des=eps,
-        gamma=config.gamma,
-        mode=mode,
-        width_tol=config.width_tol,
-        max_iterations=config.max_iterations,
-    )
-    s_true = None
-    if dist_name == "gaussian" and mode == "single":
-        s_true = inv_normal_cdf(1.0 - float(Fraction(eps)))
-    try:
-        result = tune(case, catalog, tuning_samples, tuning)
-    except TuningError as exc:
-        return ResultRow(
-            mode=mode,
-            distribution=dist_name,
-            eps_des=float(Fraction(eps)),
-            replication=rep,
-            s_true=s_true,
-            failed=True,
-            error=str(exc),
-        )
-    oos_samples = sample(spec, config.n_oos, oos_seed, case)
-    oos = evaluate(result.p_g, oos_samples, catalog)
-    return ResultRow(
-        mode=mode,
-        distribution=dist_name,
-        eps_des=float(Fraction(eps)),
-        replication=rep,
-        iterations=result.iterations,
-        cost=result.objective,
-        s=result.s,
-        s_true=s_true,
-        eps_obs_single=float(result.eps_single),
-        eps_oos_single=float(oos.eps_single),
-        eps_obs_joint=float(result.eps_joint),
-        eps_oos_joint=float(oos.eps_joint),
-        terminated_by=result.terminated_by,
-    )
-
-
-def _cell_args(case, config):
+    The out-of-sample set is drawn once, after the pair's first
+    successful tune, and is released with the pair. Returns the rows
+    keyed by (mode, eps).
+    """
+    pair = build_replication(case, config, dist_name, rep)
+    oos_samples = None
+    rows = {}
     for mode in config.modes:
-        for dist_name in config.distributions:
-            for eps in config.eps_values:
-                for rep in range(1, config.replications + 1):
-                    yield (case, config.raw, mode, dist_name, eps, rep, config)
+        for eps in config.eps_values:
+            s_true = None
+            if dist_name == "gaussian" and mode == "single":
+                s_true = inv_normal_cdf(1.0 - float(eps))
+            cell = dict(
+                mode=mode, distribution=dist_name, eps_des=float(eps), replication=rep, s_true=s_true
+            )
+            try:
+                result = tune(case, pair.catalog, pair.tuning_samples, config.tuning(mode, eps))
+            except TuningError as exc:
+                rows[mode, eps] = ResultRow(**cell, failed=True, error=str(exc))
+                continue
+            if oos_samples is None:
+                oos_seed = derive_seed(config.seed, STREAM_OOS, rep)
+                oos_samples = sample(pair.spec, config.n_oos, oos_seed, case)
+            oos = evaluate(result.p_g, oos_samples, pair.catalog)
+            rows[mode, eps] = ResultRow(
+                **cell,
+                iterations=result.iterations,
+                cost=result.objective,
+                s=result.s,
+                eps_obs_single=float(result.eps_single),
+                eps_oos_single=float(oos.eps_single),
+                eps_obs_joint=float(result.eps_joint),
+                eps_oos_joint=float(oos.eps_joint),
+                terminated_by=result.terminated_by,
+            )
+    return rows
 
 
-def _run_cell_star(args):
-    return _run_cell(*args)
+def _average(group) -> AverageRow:
+    """Mean of a cell's successful replications."""
+    first = group[0]
+    cell = dict(mode=first.mode, distribution=first.distribution, eps_des=first.eps_des)
+    ok = [r for r in group if not r.failed]
+    if not ok:
+        logger.warning(
+            "all %d replications failed for mode=%s distribution=%s eps=%g",
+            len(group),
+            first.mode,
+            first.distribution,
+            first.eps_des,
+        )
+        return AverageRow(**cell, replications=0)
+
+    def mean(column):
+        values = [getattr(r, column) for r in ok]
+        if any(v is None for v in values):
+            return None
+        return sum(values) / len(values)
+
+    return AverageRow(
+        **cell,
+        replications=len(ok),
+        s_true=ok[0].s_true,
+        **{column: mean(column) for column in _MEAN_COLUMNS},
+    )
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1, case: Optional[GridCase] = None) -> ExperimentReport:
     """Run the full sweep and reduce rows in canonical order.
 
-    jobs > 1 distributes cells over worker processes; the reduction is
-    keyed by cell coordinates, so scheduling order never changes the
-    report.
+    Work is split by (distribution, replication) pair; jobs > 1 runs the
+    pairs in worker processes. The reduction is keyed by cell
+    coordinates, so scheduling order never changes the report.
     """
     if case is None:
         case = load_case(config.case)
-    cells = list(_cell_args(case, config))
-    if jobs > 1 and len(cells) > 1:
+    reps = range(1, config.replications + 1)
+    pairs = [(dist_name, rep) for dist_name in config.distributions for rep in reps]
+    run_pair = functools.partial(_run_replication, case, config)
+    if jobs > 1 and len(pairs) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_cell_star, cells, chunksize=1))
+            results = list(pool.map(run_pair, *zip(*pairs), chunksize=1))
     else:
-        results = [_run_cell(*args) for args in cells]
+        results = [run_pair(*pair) for pair in pairs]
+    by_pair = dict(zip(pairs, results))
 
-    keyed = {
-        (r.mode, r.distribution, r.eps_des, r.replication): r for r in results
-    }
     rows = []
-    for _, _, mode, dist_name, eps, rep, _ in cells:
-        row = keyed[(mode, dist_name, float(Fraction(eps)), rep)]
-        if row.failed:
-            logger.warning(
-                "replication %d of mode=%s distribution=%s eps=%s failed: %s",
-                rep,
-                mode,
-                dist_name,
-                eps,
-                row.error,
-            )
-        rows.append(row)
-
     averages = []
     for mode in config.modes:
         for dist_name in config.distributions:
             for eps in config.eps_values:
-                eps_f = float(Fraction(eps))
-                group = [
-                    r
-                    for r in rows
-                    if (r.mode, r.distribution, r.eps_des) == (mode, dist_name, eps_f)
-                ]
-                if not group:
-                    continue
-                ok = [r for r in group if not r.failed]
-                if not ok:
-                    logger.warning(
-                        "all %d replications failed for mode=%s distribution=%s eps=%s",
-                        len(group),
-                        mode,
-                        dist_name,
-                        eps,
-                    )
-                    averages.append(
-                        AverageRow(mode=mode, distribution=dist_name, eps_des=eps_f, replications=0)
-                    )
-                    continue
-
-                def mean(attr):
-                    values = [getattr(r, attr) for r in ok]
-                    if any(v is None for v in values):
-                        return None
-                    return sum(values) / len(values)
-
-                averages.append(
-                    AverageRow(
-                        mode=mode,
-                        distribution=dist_name,
-                        eps_des=eps_f,
-                        replications=len(ok),
-                        iterations=mean("iterations"),
-                        cost=mean("cost"),
-                        s=mean("s"),
-                        s_true=ok[0].s_true,
-                        eps_obs_single=mean("eps_obs_single"),
-                        eps_oos_single=mean("eps_oos_single"),
-                        eps_obs_joint=mean("eps_obs_joint"),
-                        eps_oos_joint=mean("eps_oos_joint"),
-                    )
-                )
+                group = [by_pair[dist_name, rep][mode, eps] for rep in reps]
+                for row in group:
+                    if row.failed:
+                        logger.warning(
+                            "replication %d of mode=%s distribution=%s eps=%g failed: %s",
+                            row.replication,
+                            mode,
+                            dist_name,
+                            row.eps_des,
+                            row.error,
+                        )
+                rows.extend(group)
+                if group:
+                    averages.append(_average(group))
     return ExperimentReport(config=config, rows=tuple(rows), averages=tuple(averages))
 
 
@@ -517,96 +502,24 @@ def report_to_csv(report: ExperimentReport) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(REPORT_COLUMNS)
-    for r in report.rows:
-        writer.writerow(
-            [
-                r.mode,
-                r.distribution,
-                _fmt(r.eps_des),
-                r.replication,
-                _fmt(r.iterations),
-                _fmt(r.cost),
-                _fmt(r.s),
-                _fmt(r.s_true),
-                _fmt(r.eps_obs_single),
-                _fmt(r.eps_oos_single),
-                _fmt(r.eps_obs_joint),
-                _fmt(r.eps_oos_joint),
-            ]
-        )
-    for a in report.averages:
-        writer.writerow(
-            [
-                a.mode,
-                a.distribution,
-                _fmt(a.eps_des),
-                "avg",
-                _fmt(a.iterations),
-                _fmt(a.cost),
-                _fmt(a.s),
-                _fmt(a.s_true),
-                _fmt(a.eps_obs_single),
-                _fmt(a.eps_oos_single),
-                _fmt(a.eps_obs_joint),
-                _fmt(a.eps_oos_joint),
-            ]
-        )
+    for row in (*report.rows, *report.averages):
+        writer.writerow([_fmt(getattr(row, column)) for column in REPORT_COLUMNS])
     return out.getvalue()
 
 
 def report_to_json(report: ExperimentReport) -> str:
     """JSON mirror of the CSV report, with failure details included."""
-
-    def row_dict(r: ResultRow):
-        return {
-            "mode": r.mode,
-            "distribution": r.distribution,
-            "eps_des": r.eps_des,
-            "replication": r.replication,
-            "iterations": r.iterations,
-            "cost": r.cost,
-            "s": r.s,
-            "s_true": r.s_true,
-            "eps_obs_single": r.eps_obs_single,
-            "eps_oos_single": r.eps_oos_single,
-            "eps_obs_joint": r.eps_obs_joint,
-            "eps_oos_joint": r.eps_oos_joint,
-            "terminated_by": r.terminated_by,
-            "failed": r.failed,
-            "error": r.error,
-        }
-
-    def avg_dict(a: AverageRow):
-        return {
-            "mode": a.mode,
-            "distribution": a.distribution,
-            "eps_des": a.eps_des,
-            "replication": "avg",
-            "replications": a.replications,
-            "iterations": a.iterations,
-            "cost": a.cost,
-            "s": a.s,
-            "s_true": a.s_true,
-            "eps_obs_single": a.eps_obs_single,
-            "eps_oos_single": a.eps_oos_single,
-            "eps_obs_joint": a.eps_obs_joint,
-            "eps_oos_joint": a.eps_oos_joint,
-        }
-
     payload = {
         "config": dict(report.config.raw),
-        "rows": [row_dict(r) for r in report.rows],
-        "averages": [avg_dict(a) for a in report.averages],
+        "rows": [asdict(r) for r in report.rows],
+        "averages": [{key: getattr(a, key) for key in _AVERAGE_KEYS} for a in report.averages],
     }
     return json.dumps(payload, indent=2)
 
 
 def write_report(report: ExperimentReport, path, fmt: str = "csv") -> None:
-    if fmt == "csv":
-        text = report_to_csv(report)
-    elif fmt == "json":
-        text = report_to_json(report)
-    else:
+    writers = {"csv": report_to_csv, "json": report_to_json}
+    if fmt not in writers:
         raise ValueError(f"unknown report format {fmt!r}")
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+        handle.write(writers[fmt](report))

@@ -12,7 +12,8 @@ dense and factored from scratch each iteration.
 
 Infeasibility is reported with a Farkas-type certificate (y, z ≥ 0)
 satisfying Aᵀy + Gᵀz = 0 and bᵀy + hᵀz < 0, extracted from the phase-1
-dual solution.
+dual solution. A phase-1 search that ends at its iteration cap without
+settling feasibility is reported as 'max_iterations', never 'infeasible'.
 """
 
 from __future__ import annotations
@@ -38,8 +39,11 @@ class QpSolution:
 
     kkt_residuals holds (stationarity, primal_feasibility,
     dual_feasibility, complementarity) in infinity norms; at status
-    'optimal' all four are at or below the solve tolerance. At status
-    'infeasible' the certificate dict carries the separating duals.
+    'optimal' all four are at or below the solve tolerance, except for a
+    solve certified at the iteration cap, whose stationarity and
+    complementarity meet it relative to the size of their terms (see
+    _scaled_optimal). At status 'infeasible' the certificate dict
+    carries the separating duals.
     """
 
     status: str
@@ -127,6 +131,24 @@ def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
     return float(min(1.0, np.min(-v[shrink] / dv[shrink])))
 
 
+def _scaled_optimal(p, q, a, g, h, x, y, z, res, tol) -> bool:
+    """KKT test relative to the magnitudes of the terms (as OSQP and ECOS do).
+
+    Near the feasibility boundary of a tightened program the inequality
+    duals grow to ~1e6, and double precision cannot push the absolute
+    stationarity and complementarity residuals below 1e-8 there. Primal
+    and dual feasibility stay absolute.
+    """
+    stat_scale = max(1.0, *(float(np.abs(v).max(initial=0.0)) for v in (p * x, q, a.T @ y, g.T @ z)))
+    gap_scale = max(1.0, abs(float(0.5 * x @ (p * x) + q @ x)))
+    mu = float((h - g @ x) @ z) / g.shape[0]
+    return (
+        res[0] <= tol * stat_scale
+        and max(res[1], res[2]) <= tol
+        and max(res[3], abs(mu)) <= tol * gap_scale
+    )
+
+
 def _ipm(p, q, a, b, g, h, x0, tol, max_iters):
     """Mehrotra predictor-corrector from a strictly feasible primal start."""
     n, k, c = q.size, a.shape[0], g.shape[0]
@@ -180,15 +202,22 @@ def _ipm(p, q, a, b, g, h, x0, tol, max_iters):
         z += alpha * dz
 
     _, x, y, z, res, its = best
-    logger.warning("interior-point method hit iteration cap %d; best residual %.3e", max_iters, max(res))
     obj = float(0.5 * x @ (p * x) + q @ x)
+    if _scaled_optimal(p, q, a, g, h, x, y, z, res, tol):
+        return QpSolution("optimal", x, obj, y, z, res, max_iters)
+    logger.warning("interior-point method hit iteration cap %d; best residual %.3e", max_iters, max(res))
     return QpSolution("max_iterations", x, obj, y, z, res, max_iters)
 
 
 def _phase1(a, b, g, h, x0, tol, max_iters):
     """Minimize the worst constraint violation t over (x, t).
 
-    Returns (strictly feasible x, None) or (None, infeasibility certificate).
+    Returns (strictly feasible x, None), (None, infeasibility certificate),
+    or (None, None) when the iteration cap ends the search undecided. At
+    the cap the best iterate's duals count as a certificate only if they
+    pass OSQP's infeasibility test at threshold sqrt(tol): Farkas
+    stationarity at most that, and the gap below minus that, both
+    relative to the largest dual.
     """
     n, k, c = x0.size, a.shape[0], g.shape[0]
     # Variables (x, t): min t s.t. Ax = b, Gx - t <= h, -t <= 1.
@@ -205,6 +234,8 @@ def _phase1(a, b, g, h, x0, tol, max_iters):
     s = h1 - g1 @ xt
     z = np.ones(c + 1)
     y = np.zeros(k)
+    converged = False
+    best = None
     for _ in range(max_iters):
         t = xt[-1]
         # Early exit: any t comfortably below zero certifies strict feasibility.
@@ -216,7 +247,10 @@ def _phase1(a, b, g, h, x0, tol, max_iters):
         mu = float(s @ z) / (c + 1)
         res = _residuals(p1, q1, a1, b, g1, h1, xt, y, z)
         if max(res[0], res[1], res[3]) <= tol and mu <= tol:
+            converged = True
             break
+        if best is None or max(res) < best[0]:
+            best = (max(res), xt.copy(), y.copy(), z.copy())
         # Slacks pinned on the boundary give extreme z/s ratios; the step
         # length clamp below keeps the iteration finite, so the transient
         # overflow is expected and silenced.
@@ -249,6 +283,9 @@ def _phase1(a, b, g, h, x0, tol, max_iters):
     t_star = float(xt[-1])
     if t_star < -tol:
         return xt[:n], None
+    if not converged:
+        _, xt, y, z = best
+        t_star = float(xt[-1])
     # Farkas-style separating duals from the phase-1 optimum: Aᵀy + Gᵀz = 0,
     # z >= 0, and bᵀy + hᵀz = -t* < 0 when no feasible point exists.
     z_g = z[:c]
@@ -261,6 +298,11 @@ def _phase1(a, b, g, h, x0, tol, max_iters):
         ),
         "infeasibility": t_star,
     }
+    if not converged:
+        farkas_tol = np.sqrt(tol) * max(float(np.abs(y).max(initial=0.0)), float(z_g.max(initial=0.0)))
+        if not (certificate["stationarity"] <= farkas_tol and certificate["farkas_gap"] < -farkas_tol):
+            logger.warning("phase 1 hit iteration cap %d undecided at t=%.3e", max_iters, t_star)
+            return None, None
     return None, certificate
 
 
@@ -301,40 +343,23 @@ def solve(
         res = _residuals(p, q, a_full, b_full, g_full, h_full, sol.x, y, z)
         return QpSolution(sol.status, sol.x, sol.objective, y, z, res, sol.iterations, sol.certificate)
 
+    y = np.zeros(a_full.shape[0])
+    z = np.zeros(g_full.shape[0])
     zero_eq = ~np.any(a_full != 0.0, axis=1)
-    bad = zero_eq & (b_full != 0.0)
-    if np.any(bad):
-        i = int(np.flatnonzero(bad)[0])
-        y = np.zeros(a_full.shape[0])
-        y[i] = -np.sign(b_full[i])
-        cert = {
-            "equality_dual": y,
-            "inequality_dual": np.zeros(g_full.shape[0]),
-            "farkas_gap": -abs(float(b_full[i])),
-            "stationarity": 0.0,
-            "infeasibility": abs(float(b_full[i])),
-        }
-        return QpSolution(
-            "infeasible", np.zeros(n), np.inf, y, np.zeros(g_full.shape[0]),
-            (0.0, abs(float(b_full[i])), 0.0, 0.0), 0, cert,
-        )
     zero_g = ~np.any(g_full != 0.0, axis=1)
-    bad = zero_g & (h_full < 0.0)
-    if np.any(bad):
-        i = int(np.flatnonzero(bad)[0])
-        z = np.zeros(g_full.shape[0])
-        z[i] = 1.0
-        cert = {
-            "equality_dual": np.zeros(a_full.shape[0]),
-            "inequality_dual": z,
-            "farkas_gap": float(h_full[i]),
-            "stationarity": 0.0,
-            "infeasibility": -float(h_full[i]),
-        }
-        return QpSolution(
-            "infeasible", np.zeros(n), np.inf, np.zeros(a_full.shape[0]), z,
-            (0.0, -float(h_full[i]), 0.0, 0.0), 0, cert,
-        )
+    bad_eq = np.flatnonzero(zero_eq & (b_full != 0.0))
+    bad_g = np.flatnonzero(zero_g & (h_full < 0.0))
+    if bad_eq.size or bad_g.size:
+        # A unit dual on the first unsatisfiable all-zero row is a Farkas
+        # certificate on its own.
+        if bad_eq.size:
+            y[bad_eq[0]] = -np.sign(b_full[bad_eq[0]])
+            gap = -abs(float(b_full[bad_eq[0]]))
+        else:
+            z[bad_g[0]] = 1.0
+            gap = float(h_full[bad_g[0]])
+        cert = {"equality_dual": y, "inequality_dual": z, "farkas_gap": gap, "stationarity": 0.0, "infeasibility": -gap}
+        return QpSolution("infeasible", np.zeros(n), np.inf, y, z, (0.0, -gap, 0.0, 0.0), 0, cert)
 
     keep_eq = np.flatnonzero(~zero_eq)
     keep_g = np.flatnonzero(~zero_g)
@@ -353,21 +378,13 @@ def solve(
         x_feas = x0
     else:
         x_feas, certificate = _phase1(a, b, g, h, x0, tol, max_iters)
+        if x_feas is None and certificate is None:
+            return QpSolution("max_iterations", np.zeros(n), np.inf, y, z, (0.0, np.inf, 0.0, 0.0), max_iters)
         if x_feas is None:
-            return QpSolution(
-                "infeasible",
-                np.zeros(n),
-                np.inf,
-                np.zeros(a_full.shape[0]),
-                np.zeros(g_full.shape[0]),
-                (0.0, certificate["infeasibility"], 0.0, 0.0),
-                0,
-                {
-                    **certificate,
-                    "equality_dual": _scatter(certificate["equality_dual"], keep_eq, a_full.shape[0]),
-                    "inequality_dual": _scatter(certificate["inequality_dual"], keep_g, g_full.shape[0]),
-                },
-            )
+            certificate["equality_dual"] = _scatter(certificate["equality_dual"], keep_eq, y.size)
+            certificate["inequality_dual"] = _scatter(certificate["inequality_dual"], keep_g, z.size)
+            primal = (0.0, certificate["infeasibility"], 0.0, 0.0)
+            return QpSolution("infeasible", np.zeros(n), np.inf, y, z, primal, 0, certificate)
     return restore(_ipm(p, q, a, b, g, h, x_feas, tol, max_iters), keep_eq, keep_g)
 
 

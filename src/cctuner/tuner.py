@@ -16,7 +16,6 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass, field
-from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -38,21 +37,13 @@ class TuningError(RuntimeError):
     """Raised when no iterate can be returned as the tuned solution."""
 
 
-def _to_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    # Route floats through their decimal literal so 0.1 means 1/10.
-    return Fraction(Decimal(str(value)))
-
-
 @dataclass(frozen=True)
 class TuningConfig:
     """Target violation probability and stopping rules.
 
     eps_des and gamma are held as exact fractions; floats are converted
-    through their decimal string form, so eps_des=0.1 is exactly 1/10.
+    through their decimal string form, so eps_des=0.1 is exactly 1/10,
+    and strings may be decimals or p/q. width_tol is held as a float.
     """
 
     eps_des: Fraction
@@ -62,8 +53,9 @@ class TuningConfig:
     max_iterations: int = 60
 
     def __post_init__(self):
-        object.__setattr__(self, "eps_des", _to_fraction(self.eps_des))
-        object.__setattr__(self, "gamma", _to_fraction(self.gamma))
+        object.__setattr__(self, "eps_des", Fraction(str(self.eps_des)))
+        object.__setattr__(self, "gamma", Fraction(str(self.gamma)))
+        object.__setattr__(self, "width_tol", float(self.width_tol))
         if not 0 < self.eps_des < 1:
             raise ValueError("eps_des must lie strictly between 0 and 1")
         if self.gamma < 0:
@@ -74,6 +66,10 @@ class TuningConfig:
             raise ValueError("width_tol must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
+
+    def observed(self, eps_single, eps_joint):
+        """The frequency of this config's mode."""
+        return eps_single if self.mode == "single" else eps_joint
 
 
 @dataclass(frozen=True)
@@ -106,7 +102,7 @@ class TuningResult:
 
     @property
     def eps_obs(self) -> Fraction:
-        return self.eps_single if self.config.mode == "single" else self.eps_joint
+        return self.config.observed(self.eps_single, self.eps_joint)
 
 
 def initial_bounds(eps_des, mode: str = "single", n_constraints: Optional[int] = None):
@@ -137,11 +133,13 @@ def bisect_tune(
 ) -> TuningResult:
     """Bisect s on [bounds] against the empirical violation probability.
 
-    solve_at(s) must return an object with feasible, objective and p_g
+    solve_at(s) must return an object with status, objective and p_g
     attributes. evaluate_at(s, solution) must return the pair of exact
     observed frequencies (eps_single, eps_joint). A midpoint whose solve
-    is infeasible contracts the upper end of the bracket, since the
-    tightened feasible set only shrinks as s grows.
+    is certified infeasible contracts the upper end of the bracket, since
+    the tightened feasible set only shrinks as s grows. Any other
+    non-optimal status is a solver failure, not evidence about s, and
+    raises TuningError.
     """
     s_min, s_max = float(bounds[0]), float(bounds[1])
     if not s_min < s_max:
@@ -159,14 +157,16 @@ def bisect_tune(
             break
         s_k = (s_max - s_min) / 2.0 + s_min
         solution = solve_at(s_k)
-        if not solution.feasible:
+        if solution.status == "infeasible":
             trace.append(TuningIterate(iteration, s_k, False, None, None, None))
             solutions.append(solution)
             logger.info("s=%.6g infeasible, contracting upper bound", s_k)
             s_max = s_k
             continue
+        if solution.status != "optimal":
+            raise TuningError(f"QP solve at s={s_k:.6g} ended with status {solution.status!r}")
         eps_single, eps_joint = evaluate_at(s_k, solution)
-        eps_obs = eps_single if config.mode == "single" else eps_joint
+        eps_obs = config.observed(eps_single, eps_joint)
         trace.append(
             TuningIterate(iteration, s_k, True, eps_single, eps_joint, solution.objective)
         )
@@ -197,23 +197,17 @@ def bisect_tune(
 def _select_result(config, trace, solutions, terminated_by) -> TuningResult:
     """Return the final iterate when it is conservative, otherwise the
     cheapest (smallest-s) conservative iterate seen along the way."""
-
-    def eps_of(it: TuningIterate) -> Fraction:
-        return it.eps_single if config.mode == "single" else it.eps_joint
-
-    chosen = None
-    if trace and trace[-1].feasible and eps_of(trace[-1]) <= config.eps_des:
-        chosen = len(trace) - 1
-    else:
-        conservative = [
-            i for i, it in enumerate(trace) if it.feasible and eps_of(it) <= config.eps_des
-        ]
-        if conservative:
-            chosen = min(conservative, key=lambda i: trace[i].s)
-    if chosen is None:
+    conservative = [
+        i for i, it in enumerate(trace)
+        if it.feasible and config.observed(it.eps_single, it.eps_joint) <= config.eps_des
+    ]
+    if not conservative:
         raise TuningError(
             "no feasible conservative anchor: no iterate met the target violation level"
         )
+    chosen = conservative[-1]
+    if chosen != len(trace) - 1:
+        chosen = min(conservative, key=lambda i: trace[i].s)
     it = trace[chosen]
     solution = solutions[chosen]
     return TuningResult(

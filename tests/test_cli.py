@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -161,3 +162,44 @@ def test_experiment_eps_and_mode_overrides(cfg_path, tmp_path):
     ) == 0
     rows = out.read_text().strip().split("\n")[1:]
     assert all(r.split(",")[2] == "0.05" for r in rows)
+
+
+def test_tune_accepts_fraction_eps(cfg_path, capsys):
+    assert main(["tune", "--config", cfg_path, "--eps", "0.1"]) == 0
+    decimal = capsys.readouterr().out
+    assert main(["tune", "--config", cfg_path, "--eps", "1/10"]) == 0
+    assert capsys.readouterr().out == decimal
+
+
+def test_repeated_eps_exits_1(tmp_path, capsys):
+    path = tmp_path / "dup.cfg"
+    path.write_text(SMALL_CFG.replace("eps = 0.1", "eps = 0.1, 0.10"))
+    assert main(["experiment", "--config", str(path)]) == 1
+    assert "distinct" in capsys.readouterr().err
+
+
+def test_solve_reproduces_tuned_mixture_cost(cfg_path, tmp_path, capsys):
+    # Under moment_source = auto the mixture tightens with the moments of
+    # replication 1's tuning draw, in tune and solve alike.
+    trace = tmp_path / "trace.json"
+    assert main(
+        ["tune", "--config", cfg_path, "--distribution", "mixture",
+         "--format", "json", "--out", str(trace)]
+    ) == 0
+    tuned = json.loads(trace.read_text())
+    capsys.readouterr()
+    assert main(
+        ["solve", "--config", cfg_path, "--distribution", "mixture", "--s", repr(tuned["s"])]
+    ) == 0
+    assert f"cost={tuned['cost']:.12g}\n" in capsys.readouterr().out
+
+
+def test_qp_failure_exits_2(cfg_path, monkeypatch, capsys):
+    import cctuner.tuner as tuner
+
+    def stalled(case, catalog, s):
+        return SimpleNamespace(status="max_iterations", objective=None, p_g=None)
+
+    monkeypatch.setattr(tuner, "solve_dispatch", stalled)
+    assert main(["tune", "--config", cfg_path]) == 2
+    assert "max_iterations" in capsys.readouterr().err

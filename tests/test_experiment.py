@@ -6,12 +6,14 @@ import json
 import logging
 import math
 from fractions import Fraction
+from importlib.resources import files
 
 import numpy as np
 import pytest
 import scipy.stats
 
 import cctuner.experiment as experiment
+from cctuner import qp
 from cctuner.experiment import (
     REPORT_COLUMNS,
     ConfigError,
@@ -26,6 +28,7 @@ from cctuner.experiment import (
     run_experiment,
     write_report,
 )
+from cctuner.reformulation import solve_dispatch
 from cctuner.tuner import TuningError
 from cctuner.uncertainty import GaussianSpec, MixtureSpec, UniformBoxSpec
 
@@ -270,3 +273,78 @@ gaussian.correlation = 0.2
             assert a.s_true is not None
         else:
             assert a.s_true is None
+
+
+def test_fraction_syntax_matches_decimals():
+    decimal = ExperimentConfig.from_text(
+        SMALL_GAUSSIAN.replace("replications = 2", "replications = 1") + "gamma = 0.001\n"
+    )
+    fraction = ExperimentConfig.from_text(
+        SMALL_GAUSSIAN.replace("replications = 2", "replications = 1")
+        .replace("eps = 0.1", "eps = 1/10")
+        + "gamma = 1/1000\n"
+    )
+    assert report_to_csv(run_experiment(fraction)) == report_to_csv(run_experiment(decimal))
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["eps = 0.1, 0.10", "modes = single, single", "distributions = gaussian, gaussian", "eps ="],
+)
+def test_sweep_axis_must_list_distinct_entries(line):
+    with pytest.raises(ConfigError, match="distinct"):
+        ExperimentConfig.from_text(line)
+
+
+def test_replication_draws_and_catalogs_once_per_distribution(monkeypatch):
+    counts = {"sample": 0, "build_catalog": 0}
+    for name in counts:
+        real = getattr(experiment, name)
+
+        def spy(*args, _real=real, _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, name, spy)
+    config = ExperimentConfig.from_text(
+        """
+modes = single, joint
+distributions = gaussian, mixture
+eps = 0.1, 0.05, 0.01
+replications = 1
+tuning.samples = 800
+oos.samples = 800
+seed = 7
+gaussian.std_mw = 9.4, 13.1
+"""
+    )
+    report = run_experiment(config)
+    assert len(report.rows) == 12 and not any(r.failed for r in report.rows)
+    # One tuning and one out-of-sample draw, and one catalog, per distribution.
+    assert counts == {"sample": 4, "build_catalog": 2}
+
+
+def test_number_beyond_float_range_rejected():
+    with pytest.raises(ConfigError, match="float range"):
+        ExperimentConfig.from_text("gaussian.std_mw = 1e400, 1")
+
+
+def test_tiny_joint_mixture_tunes_through_a_capped_qp():
+    # At 400 tuning samples this replication's first feasible midpoint is
+    # a joint program whose inequality duals reach ~8e5. The IPM runs to
+    # its iteration cap with absolute stationarity ~2e-7, on a point that
+    # is optimal relative to the size of its KKT terms.
+    raw = experiment.parse_config_file(files("cctuner.data") / "rts24_sweep.cfg")
+    raw.update({"distributions": "mixture", "modes": "joint", "eps": "0.1"})
+    raw.update({"tuning.samples": "400", "seed": "4"})
+    config = ExperimentConfig.from_mapping(raw)
+    case = load_case(config.case)
+    pair = experiment.build_replication(case, config, "mixture", 1)
+    sol = solve_dispatch(case, pair.catalog, 15.483862567202022)
+    assert sol.status == "optimal"
+    assert sol.qp_solution.iterations == qp.DEFAULT_MAX_ITERS
+    stationarity, primal, dual, _ = sol.qp_solution.kkt_residuals
+    assert stationarity > qp.DEFAULT_TOL
+    assert max(primal, dual) <= qp.DEFAULT_TOL
+    result = experiment.tune(case, pair.catalog, pair.tuning_samples, config.tuning("joint", Fraction(1, 10)))
+    assert result.eps_joint <= Fraction(1, 10)

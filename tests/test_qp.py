@@ -70,6 +70,14 @@ def test_crossed_bounds_infeasible_with_certificate():
     assert cert["farkas_gap"] < -1e-6
 
 
+def test_phase1_cap_is_not_reported_infeasible():
+    # Feasible (1 <= x <= 3), but the anchor x = 0 violates a row, so
+    # phase 1 runs; one iteration cannot settle feasibility either way.
+    sol = solve([1.0], [0.0], np.zeros((0, 1)), [], [[-1.0], [1.0]], [-1.0, 3.0], max_iters=1)
+    assert sol.status == "max_iterations"
+    assert solve([1.0], [0.0], np.zeros((0, 1)), [], [[-1.0], [1.0]], [-1.0, 3.0]).optimal
+
+
 def test_zero_row_contradiction_short_circuits():
     sol = solve([2.0], [0.0], np.zeros((0, 1)), [], [[0.0]], [-1.0])
     assert sol.status == "infeasible"

@@ -39,7 +39,10 @@ def stub_solver(feasible=lambda s: True):
     def solve_at(s):
         ok = feasible(s)
         return SimpleNamespace(
-            feasible=ok, objective=(100.0 + s) if ok else None, p_g=None
+            feasible=ok,
+            status="optimal" if ok else "infeasible",
+            objective=(100.0 + s) if ok else None,
+            p_g=None,
         )
 
     return solve_at
@@ -228,3 +231,13 @@ def test_trace_csv_layout():
     first = lines[1].split(",")
     assert first[0] == "1" and first[1] == "1.5" and first[2] == "true"
     assert float(first[3]) == pytest.approx(0.15)
+
+
+def test_solver_failure_is_not_infeasibility():
+    config = TuningConfig(eps_des=Fraction(1, 4), gamma=0)
+
+    def solve_at(s):
+        return SimpleNamespace(status="max_iterations", objective=None, p_g=None)
+
+    with pytest.raises(TuningError, match=r"s=1\.5 .*'max_iterations'"):
+        bisect_tune(config, solve_at, eps_curve(linear_eps), (0.0, 3.0))
