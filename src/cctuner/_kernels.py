@@ -1,43 +1,21 @@
-"""Monte Carlo violation-counting kernels.
+"""Monte Carlo violation-counting kernel.
 
-Two interchangeable backends produce bit-identical counts: a numba JIT
-triple loop and a blocked numpy sweep. Both start each row at the
-precomputed dispatch term and accumulate the uncertainty term over the
-active sample columns in ascending index order, so either backend can be
-compared exactly against a plain Python loop. Set the environment
-variable CCTUNER_NO_NUMBA to any non-empty value to force the numpy
-path; the numpy path is also the automatic fallback when numba is not
-installed.
+A blocked numpy sweep starts each row at the precomputed dispatch term
+and accumulates the uncertainty term over the active sample columns in
+ascending index order, so its counts can be compared exactly against a
+plain Python loop.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-NO_NUMBA_ENV = "CCTUNER_NO_NUMBA"
-
-# Samples per numpy block: keeps the accumulator a few megabytes.
+# Samples per block: keeps the accumulator a few megabytes.
 _BLOCK_SAMPLES = 4096
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    njit = None
-    _HAVE_NUMBA = False
-
-
-def numba_available() -> bool:
-    return _HAVE_NUMBA
 
 
 def active_backend() -> str:
-    """Name of the backend count_violations will dispatch to."""
-    if _HAVE_NUMBA and not os.environ.get(NO_NUMBA_ENV):
-        return "numba"
+    """Name of the counting implementation, for benchmark records."""
     return "numpy"
 
 
@@ -53,16 +31,9 @@ def count_violations(base, sens, limits, xi, cols, active):
 
     Returns (counts, joint): int64 per-row violation counts over all
     rows, and the number of samples violating at least one active row.
+    Each (sample, row, column) takes one multiply and one add, with
+    columns visited in ascending order, as in the scalar loop.
     """
-    if active_backend() == "numba":
-        return numba_count(base, sens, limits, xi, cols, active)
-    return numpy_count(base, sens, limits, xi, cols, active)
-
-
-def numpy_count(base, sens, limits, xi, cols, active):
-    """Blocked numpy backend. Same per-element operation order as the
-    scalar loop: one multiply and one add per (sample, row, column), with
-    columns visited in ascending order."""
     n_rows = base.shape[0]
     counts = np.zeros(n_rows, dtype=np.int64)
     joint = 0
@@ -75,33 +46,3 @@ def numpy_count(base, sens, limits, xi, cols, active):
         counts += hits.sum(axis=0, dtype=np.int64)
         joint += int(np.logical_and(hits, active).any(axis=1).sum())
     return counts, joint
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _count_loop(base, sens, limits, xi, cols, active, counts):
-        joint = 0
-        for k in range(xi.shape[0]):
-            any_hit = False
-            for c in range(base.shape[0]):
-                acc = base[c]
-                for idx in range(cols.shape[0]):
-                    j = cols[idx]
-                    acc += sens[c, j] * xi[k, j]
-                if acc > limits[c]:
-                    counts[c] += 1
-                    if active[c]:
-                        any_hit = True
-            if any_hit:
-                joint += 1
-        return joint
-
-
-def numba_count(base, sens, limits, xi, cols, active):
-    """JIT backend; requires numba."""
-    if not _HAVE_NUMBA:
-        raise RuntimeError("numba is not installed")
-    counts = np.zeros(base.shape[0], dtype=np.int64)
-    joint = _count_loop(base, sens, limits, xi, cols, active, counts)
-    return counts, int(joint)

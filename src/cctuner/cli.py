@@ -13,6 +13,7 @@ from dataclasses import asdict
 from typing import Optional
 
 from .experiment import (
+    DISTRIBUTIONS,
     ConfigError,
     ExperimentConfig,
     build_distribution,
@@ -25,7 +26,7 @@ from .experiment import (
 from .grid import CaseError, parse_case_file
 from .ptdf import compute_ptdf, ptdf_to_csv
 from .reformulation import solve_dispatch
-from .tuner import TuningError, trace_to_csv, tune
+from .tuner import MODES, TuningError, trace_to_csv, tune
 from .uncertainty import sample, sampleset_to_csv
 from .violation import evaluate, report_to_json
 
@@ -200,7 +201,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sample", help="draw uncertainty samples as CSV")
     p.add_argument("--case", default=None)
     p.add_argument("--config", default=None)
-    p.add_argument("--distribution", choices=("gaussian", "mixture"), default=None)
+    p.add_argument("--distribution", choices=DISTRIBUTIONS, default=None)
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
@@ -209,7 +210,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("solve", help="solve the tightened dispatch at a fixed s")
     p.add_argument("--case", default=None)
     p.add_argument("--config", default=None)
-    p.add_argument("--distribution", choices=("gaussian", "mixture"), default=None)
+    p.add_argument("--distribution", choices=DISTRIBUTIONS, default=None)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_solve)
@@ -217,9 +218,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("tune", help="bisect s to the target violation probability")
     p.add_argument("--case", default=None)
     p.add_argument("--config", default=None)
-    p.add_argument("--distribution", choices=("gaussian", "mixture"), default=None)
+    p.add_argument("--distribution", choices=DISTRIBUTIONS, default=None)
     p.add_argument("--eps", default=None)
-    p.add_argument("--mode", choices=("single", "joint"), default=None)
+    p.add_argument("--mode", choices=MODES, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None, help="write the bisection trace here")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -228,7 +229,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("evaluate", help="measure violation frequencies at a fixed s")
     p.add_argument("--case", default=None)
     p.add_argument("--config", default=None)
-    p.add_argument("--distribution", choices=("gaussian", "mixture"), default=None)
+    p.add_argument("--distribution", choices=DISTRIBUTIONS, default=None)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--n", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=None)
@@ -238,7 +239,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("experiment", help="run a replicated tuning sweep")
     p.add_argument("--config", required=True)
     p.add_argument("--eps", default=None)
-    p.add_argument("--mode", choices=("single", "joint"), default=None)
+    p.add_argument("--mode", choices=MODES, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default=None)

@@ -26,7 +26,7 @@ from typing import Dict, Optional, Tuple, Union
 from .grid import GridCase, apply_rts_modifications, parse_case_file
 from .ptdf import compute_ptdf
 from .reformulation import ConstraintCatalog, build_catalog, participation_factors
-from .tuner import TuningConfig, TuningError, tune
+from .tuner import MODES, TuningConfig, TuningError, tune
 from .uncertainty import (
     MixtureSpec,
     SampleSet,
@@ -46,6 +46,8 @@ logger = logging.getLogger(__name__)
 # tuning draw and its out-of-sample draw.
 STREAM_TUNING = 0
 STREAM_OOS = 1
+
+DISTRIBUTIONS = ("gaussian", "mixture")
 
 _STANDARD_NORMAL = NormalDist()
 _FLOAT_MAX = Fraction(sys.float_info.max)
@@ -170,10 +172,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for mode in self.modes:
-            if mode not in ("single", "joint"):
+            if mode not in MODES:
                 raise ConfigError(f"unknown mode {mode!r}")
         for dist in self.distributions:
-            if dist not in ("gaussian", "mixture"):
+            if dist not in DISTRIBUTIONS:
                 raise ConfigError(f"unknown distribution {dist!r}")
         if self.moment_source not in ("auto", "spec", "empirical"):
             raise ConfigError(f"unknown moment_source {self.moment_source!r}")
@@ -195,6 +197,12 @@ class ExperimentConfig:
             raise ConfigError("replications must be nonnegative")
         if self.n_tuning < 1 or self.n_oos < 1:
             raise ConfigError("sample counts must be positive")
+        # The cells differ only in mode and eps, both checked above, so one
+        # cell's tuning settings stand for all of them.
+        try:
+            self.tuning(self.modes[0], self.eps_values[0])
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     @classmethod
     def from_mapping(cls, cfg: Dict[str, str]) -> "ExperimentConfig":

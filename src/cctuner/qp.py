@@ -5,10 +5,12 @@ Solves
     minimize    0.5 xᵀ diag(p) x + qᵀ x
     subject to  A x = b,  G x ≤ h
 
-via an explicit phase-1 feasibility search followed by a Mehrotra
-predictor-corrector primal-dual interior-point method. Problem sizes
-here are tiny (tens of variables, ~100 inequalities), so everything is
-dense and factored from scratch each iteration.
+with one Mehrotra predictor-corrector primal-dual interior-point method,
+run twice: first on the phase-1 linear program that minimizes the worst
+constraint violation, to find a strictly feasible start, then on the QP
+itself. Problem sizes here are tiny (tens of variables, ~100
+inequalities), so everything is dense and factored from scratch each
+iteration.
 
 Infeasibility is reported with a Farkas-type certificate (y, z ≥ 0)
 satisfying Aᵀy + Gᵀz = 0 and bᵀy + hᵀz < 0, extracted from the phase-1
@@ -149,9 +151,16 @@ def _scaled_optimal(p, q, a, g, h, x, y, z, res, tol) -> bool:
     )
 
 
-def _ipm(p, q, a, b, g, h, x0, tol, max_iters):
-    """Mehrotra predictor-corrector from a strictly feasible primal start."""
+def _ipm(p, q, a, b, g, h, x0, tol, max_iters, stop=None):
+    """Mehrotra predictor-corrector from a strictly feasible primal start.
+
+    A linear program (p = 0) moves its primal and dual iterates by
+    separate step lengths, and a tiny ridge keeps its Newton matrix
+    nonsingular. stop(x), if given, ends the search at the first iterate
+    it accepts, which is returned as if converged.
+    """
     n, k, c = q.size, a.shape[0], g.shape[0]
+    linear = not p.any()
     x = x0.copy()
     s = h - g @ x
     if np.any(s <= 0.0):
@@ -166,8 +175,8 @@ def _ipm(p, q, a, b, g, h, x0, tol, max_iters):
         mu = float(s @ z) / c
         res = _residuals(p, q, a, b, g, h, x, y, z)
         if best is None or max(res) < best[0]:
-            best = (max(res), x.copy(), y.copy(), z.copy(), res, it - 1)
-        if max(res[0], res[1], res[3]) <= tol and mu <= tol:
+            best = (max(res), x.copy(), y.copy(), z.copy(), res)
+        if (max(res[0], res[1], res[3]) <= tol and mu <= tol) or (stop is not None and stop(x)):
             obj = float(0.5 * x @ (p * x) + q @ x)
             return QpSolution("optimal", x, obj, y, z, res, it - 1)
 
@@ -177,6 +186,9 @@ def _ipm(p, q, a, b, g, h, x0, tol, max_iters):
         with np.errstate(over="ignore", invalid="ignore"):
             w = z / s
             m11 = np.diag(p) + (g.T * w) @ g
+            if linear:
+                # Columns absent from G would otherwise be singular.
+                m11 += 1e-12 * max(1.0, float(np.abs(m11).max())) * np.eye(n)
 
         def newton_step(rc):
             v = (z * r_ineq - rc) / s
@@ -185,32 +197,33 @@ def _ipm(p, q, a, b, g, h, x0, tol, max_iters):
             ds = -r_ineq - g @ dx
             return dx, dy, ds, dz
 
+        def step_lengths(ds, dz):
+            # The quadratic term couples the dual residual to the primal
+            # step, so a QP moves primal and dual by one common length.
+            alpha_p, alpha_d = _max_step(s, ds), _max_step(z, dz)
+            return (alpha_p, alpha_d) if linear else (min(alpha_p, alpha_d),) * 2
+
         # Predictor: pure Newton step toward complementarity zero.
         dx_a, dy_a, ds_a, dz_a = newton_step(s * z)
-        alpha_aff = min(_max_step(s, ds_a), _max_step(z, dz_a))
-        mu_aff = float((s + alpha_aff * ds_a) @ (z + alpha_aff * dz_a)) / c
+        alpha_p, alpha_d = step_lengths(ds_a, dz_a)
+        mu_aff = float((s + alpha_p * ds_a) @ (z + alpha_d * dz_a)) / c
         sigma = (mu_aff / mu) ** 3 if mu > 0.0 else 0.0
         # Corrector re-targets sigma*mu and compensates the predictor cross term.
         dx, dy, ds, dz = newton_step(s * z + ds_a * dz_a - sigma * mu)
-        # One common step length: the quadratic term couples the dual
-        # residual to the primal step, so primal and dual may not move
-        # by different amounts.
-        alpha = 0.99 * min(_max_step(s, ds), _max_step(z, dz))
-        x += alpha * dx
-        s += alpha * ds
-        y += alpha * dy
-        z += alpha * dz
+        alpha_p, alpha_d = (0.99 * alpha for alpha in step_lengths(ds, dz))
+        x += alpha_p * dx
+        s += alpha_p * ds
+        y += alpha_d * dy
+        z += alpha_d * dz
 
-    _, x, y, z, res, its = best
+    _, x, y, z, res = best
     obj = float(0.5 * x @ (p * x) + q @ x)
-    if _scaled_optimal(p, q, a, g, h, x, y, z, res, tol):
-        return QpSolution("optimal", x, obj, y, z, res, max_iters)
-    logger.warning("interior-point method hit iteration cap %d; best residual %.3e", max_iters, max(res))
-    return QpSolution("max_iterations", x, obj, y, z, res, max_iters)
+    status = "optimal" if _scaled_optimal(p, q, a, g, h, x, y, z, res, tol) else "max_iterations"
+    return QpSolution(status, x, obj, y, z, res, max_iters)
 
 
 def _phase1(a, b, g, h, x0, tol, max_iters):
-    """Minimize the worst constraint violation t over (x, t).
+    """Minimize the worst constraint violation t over (x, t) with _ipm.
 
     Returns (strictly feasible x, None), (None, infeasibility certificate),
     or (None, None) when the iteration cap ends the search undecided. At
@@ -221,74 +234,25 @@ def _phase1(a, b, g, h, x0, tol, max_iters):
     """
     n, k, c = x0.size, a.shape[0], g.shape[0]
     # Variables (x, t): min t s.t. Ax = b, Gx - t <= h, -t <= 1.
-    p1 = np.zeros(n + 1)
     q1 = np.zeros(n + 1)
     q1[-1] = 1.0
     a1 = np.hstack([a, np.zeros((k, 1))]) if k else np.zeros((0, n + 1))
     g1 = np.vstack([np.hstack([g, -np.ones((c, 1))]), np.zeros((1, n + 1))])
     g1[-1, -1] = -1.0
     h1 = np.concatenate([h, [1.0]])
-
     t0 = float(np.max(g @ x0 - h, initial=0.0)) + 1.0
-    xt = np.concatenate([x0, [t0]])
-    s = h1 - g1 @ xt
-    z = np.ones(c + 1)
-    y = np.zeros(k)
-    converged = False
-    best = None
-    for _ in range(max_iters):
-        t = xt[-1]
-        # Early exit: any t comfortably below zero certifies strict feasibility.
-        if t < -1e-3 and (k == 0 or np.abs(a @ xt[:n] - b).max(initial=0.0) <= tol):
-            return xt[:n], None
-        r_dual = q1 + g1.T @ z + (a1.T @ y if k else 0.0)
-        r_eq = a1 @ xt - b if k else np.zeros(0)
-        r_ineq = g1 @ xt + s - h1
-        mu = float(s @ z) / (c + 1)
-        res = _residuals(p1, q1, a1, b, g1, h1, xt, y, z)
-        if max(res[0], res[1], res[3]) <= tol and mu <= tol:
-            converged = True
-            break
-        if best is None or max(res) < best[0]:
-            best = (max(res), xt.copy(), y.copy(), z.copy())
-        # Slacks pinned on the boundary give extreme z/s ratios; the step
-        # length clamp below keeps the iteration finite, so the transient
-        # overflow is expected and silenced.
-        with np.errstate(over="ignore", invalid="ignore"):
-            w = z / s
-            m11 = (g1.T * w) @ g1
-            # Tiny ridge: x-columns absent from G would otherwise be singular.
-            m11 += 1e-12 * max(1.0, float(np.abs(m11).max())) * np.eye(n + 1)
 
-        def newton_step(rc):
-            v = (z * r_ineq - rc) / s
-            dx, dy = _solve_kkt(m11, a1, -(r_dual + g1.T @ v), -r_eq)
-            dz = w * (g1 @ dx) + v
-            ds = -r_ineq - g1 @ dx
-            return dx, dy, ds, dz
+    def strictly_feasible(xt):
+        # Any t comfortably below zero certifies strict feasibility.
+        return xt[-1] < -1e-3 and (k == 0 or np.abs(a @ xt[:n] - b).max(initial=0.0) <= tol)
 
-        dx_a, dy_a, ds_a, dz_a = newton_step(s * z)
-        alpha_p = _max_step(s, ds_a)
-        alpha_d = _max_step(z, dz_a)
-        mu_aff = float((s + alpha_p * ds_a) @ (z + alpha_d * dz_a)) / (c + 1)
-        sigma = (mu_aff / mu) ** 3 if mu > 0.0 else 0.0
-        dx, dy, ds, dz = newton_step(s * z + ds_a * dz_a - sigma * mu)
-        alpha_p = 0.99 * _max_step(s, ds)
-        alpha_d = 0.99 * _max_step(z, dz)
-        xt += alpha_p * dx
-        s += alpha_p * ds
-        y += alpha_d * dy
-        z += alpha_d * dz
-
-    t_star = float(xt[-1])
+    sol = _ipm(np.zeros(n + 1), q1, a1, b, g1, h1, np.append(x0, t0), tol, max_iters, strictly_feasible)
+    t_star = float(sol.x[-1])
     if t_star < -tol:
-        return xt[:n], None
-    if not converged:
-        _, xt, y, z = best
-        t_star = float(xt[-1])
+        return sol.x[:n], None
     # Farkas-style separating duals from the phase-1 optimum: Aᵀy + Gᵀz = 0,
     # z >= 0, and bᵀy + hᵀz = -t* < 0 when no feasible point exists.
-    z_g = z[:c]
+    y, z_g = sol.y, sol.z[:c]
     certificate = {
         "equality_dual": y.copy(),
         "inequality_dual": z_g.copy(),
@@ -298,7 +262,7 @@ def _phase1(a, b, g, h, x0, tol, max_iters):
         ),
         "infeasibility": t_star,
     }
-    if not converged:
+    if sol.iterations == max_iters:  # stopped by the cap, not converged
         farkas_tol = np.sqrt(tol) * max(float(np.abs(y).max(initial=0.0)), float(z_g.max(initial=0.0)))
         if not (certificate["stationarity"] <= farkas_tol and certificate["farkas_gap"] < -farkas_tol):
             logger.warning("phase 1 hit iteration cap %d undecided at t=%.3e", max_iters, t_star)
@@ -385,7 +349,10 @@ def solve(
             certificate["inequality_dual"] = _scatter(certificate["inequality_dual"], keep_g, z.size)
             primal = (0.0, certificate["infeasibility"], 0.0, 0.0)
             return QpSolution("infeasible", np.zeros(n), np.inf, y, z, primal, 0, certificate)
-    return restore(_ipm(p, q, a, b, g, h, x_feas, tol, max_iters), keep_eq, keep_g)
+    sol = _ipm(p, q, a, b, g, h, x_feas, tol, max_iters)
+    if not sol.optimal:
+        logger.warning("interior-point method hit iteration cap %d; best residual %.3e", max_iters, max(sol.kkt_residuals))
+    return restore(sol, keep_eq, keep_g)
 
 
 def _scatter(values: np.ndarray, idx: np.ndarray, size: int) -> np.ndarray:

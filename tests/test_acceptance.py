@@ -18,7 +18,6 @@ import pytest
 
 import cctuner.data
 from cctuner import apply_rts_modifications, load_rts_case, parse_case
-from cctuner._kernels import NO_NUMBA_ENV
 from cctuner.experiment import (
     ExperimentConfig,
     inv_normal_cdf,
@@ -254,7 +253,7 @@ def test_criterion_5_conservatism(sweep, announce):
     assert ok, "; ".join(problems)
 
 
-def test_criterion_6_oracle_agreement(rts_setup, announce, monkeypatch):
+def test_criterion_6_oracle_agreement(rts_setup, announce):
     case, spec, catalog = rts_setup
     problems = []
 
@@ -302,10 +301,6 @@ def test_criterion_6_oracle_agreement(rts_setup, announce, monkeypatch):
     ref_counts, ref_joint = naive_violation_counts(sol.p_g, catalog, samples.samples)
     fast = evaluate(sol.p_g, samples, catalog)
     exact = np.array_equal(fast.counts, ref_counts) and fast.joint_count == ref_joint
-    monkeypatch.setenv(NO_NUMBA_ENV, "1")
-    fallback = evaluate(sol.p_g, samples, catalog)
-    monkeypatch.delenv(NO_NUMBA_ENV)
-    exact = exact and np.array_equal(fallback.counts, ref_counts) and fallback.joint_count == ref_joint
     if not exact:
         problems.append("vectorized violation counts are not bit-identical to the reference loop")
 
@@ -423,7 +418,7 @@ def test_criterion_8_performance(rts_setup, announce):
     case, spec, catalog = rts_setup
     big = sample(spec, 100_000, seed=1234, case=case)
     sol = solve_dispatch(case, catalog, 1.3)
-    evaluate(sol.p_g, big, catalog)  # warm the JIT path
+    evaluate(sol.p_g, big, catalog)  # warm caches before timing
     t0 = time.perf_counter()
     evaluate(sol.p_g, big, catalog)
     eval_time = time.perf_counter() - t0

@@ -113,6 +113,19 @@ def test_experiment_config_validation():
         ExperimentConfig.from_text("width_tol = wide")
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("max_iterations = 0", "max_iterations"),
+        ("width_tol = 0", "width_tol"),
+        ("gamma = -1", "gamma"),
+    ],
+)
+def test_tuning_settings_rejected_at_parse_time(line, message):
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig.from_text(line)
+
+
 def test_build_distribution_shapes():
     case = load_case("rts24")
     raw = parse_config_text(SMALL_GAUSSIAN)

@@ -7,9 +7,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from cctuner import apply_rts_modifications, load_rts_case, parse_case
-from cctuner._kernels import NO_NUMBA_ENV, active_backend, numba_available
+from cctuner._kernels import _BLOCK_SAMPLES
 from cctuner.ptdf import compute_ptdf
 from cctuner.reformulation import build_catalog, participation_factors, solve_dispatch
 from cctuner.uncertainty import gaussian_from_std_corr, sample, spec_moments
@@ -101,20 +103,28 @@ def test_matches_naive_loop_bitwise(rts, rts_catalog):
     assert report_deg.joint_count == joint_deg
 
 
-def test_backends_agree_bitwise(rts, rts_catalog, monkeypatch):
-    if not numba_available():
-        pytest.skip("numba backend unavailable")
-    sol = solve_dispatch(rts, rts_catalog, 1.0)
-    samples = sample(gaussian_from_std_corr([9.4, 13.1], 0.2), 10_000, seed=5, case=rts)
-    monkeypatch.delenv(NO_NUMBA_ENV, raising=False)
-    assert active_backend() == "numba"
-    fast = evaluate(sol.p_g, samples, rts_catalog)
-    monkeypatch.setenv(NO_NUMBA_ENV, "1")
-    assert active_backend() == "numpy"
-    slow = evaluate(sol.p_g, samples, rts_catalog)
-    assert np.array_equal(fast.counts, slow.counts)
-    assert fast.joint_count == slow.joint_count
-    assert fast.per_constraint == slow.per_constraint
+@pytest.mark.parametrize("include_degenerate", [False, True])
+# The oracle loop is slow, so a failure is reported as found, unshrunk.
+@settings(max_examples=6, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(
+    s=st.floats(0.0, 2.5),
+    bus=st.integers(0, 23),
+    shift=st.floats(-0.1, 0.1),
+    n=st.sampled_from([1, 97, _BLOCK_SAMPLES - 1, _BLOCK_SAMPLES, _BLOCK_SAMPLES + 1, _BLOCK_SAMPLES + 613]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kernel_matches_naive_loop_on_any_dispatch(rts, rts_catalog, include_degenerate, s, bus, shift, n, seed):
+    # Shifting a bus without a generator makes its degenerate rows fire on
+    # every sample, so the joint count then depends on include_degenerate.
+    p_g = solve_dispatch(rts, rts_catalog, s).p_g
+    p_g[bus] += shift
+    samples = sample(gaussian_from_std_corr([9.4, 13.1], 0.2), n, seed=seed, case=rts)
+    report = evaluate(p_g, samples, rts_catalog, include_degenerate=include_degenerate)
+    counts, joint = naive_violation_counts(
+        p_g, rts_catalog, samples.samples, include_degenerate=include_degenerate
+    )
+    assert np.array_equal(report.counts, counts)
+    assert report.joint_count == joint
 
 
 def test_ordering_and_boole_bounds(rts, rts_catalog):
