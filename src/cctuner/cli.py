@@ -14,6 +14,8 @@ from typing import Optional
 
 from .experiment import (
     DISTRIBUTIONS,
+    STREAM_OOS,
+    STREAM_TUNING,
     ConfigError,
     ExperimentConfig,
     build_distribution,
@@ -27,7 +29,7 @@ from .grid import CaseError, parse_case_file
 from .ptdf import compute_ptdf, ptdf_to_csv
 from .reformulation import solve_dispatch
 from .tuner import MODES, TuningError, trace_to_csv, tune
-from .uncertainty import sample, sampleset_to_csv
+from .uncertainty import derive_seed, sample, sampleset_to_csv
 from .violation import evaluate, report_to_json
 
 USAGE_ERROR = 1
@@ -97,7 +99,7 @@ def cmd_sample(args) -> int:
     config = _config(args)
     case = load_case(config.case)
     spec = build_distribution(config.distributions[0], config, case)
-    samples = sample(spec, args.n, config.seed, case)
+    samples = sample(spec, args.n, derive_seed(config.seed, STREAM_TUNING, 1), case)
     _write_or_print(sampleset_to_csv(samples, case), args.out)
     return 0
 
@@ -149,7 +151,7 @@ def cmd_evaluate(args) -> int:
     if not solution.feasible:
         print(f"{solution.status} at s={args.s:g}", file=sys.stderr)
         return SOLVE_ERROR
-    samples = sample(pair.spec, args.n, config.seed, case)
+    samples = sample(pair.spec, args.n, derive_seed(config.seed, STREAM_OOS, 1), case)
     report = evaluate(solution.p_g, samples, pair.catalog)
     text = report_to_json(report, pair.catalog)
     if args.out:

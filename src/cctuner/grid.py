@@ -82,7 +82,7 @@ class GridCase:
     Buses are numbered 1..m. ``generators`` holds at most one record per
     bus; buses absent from it implicitly carry a zero-capacity,
     zero-cost generator so that every nodal quantity is a length-m
-    vector (see the ``*_vector`` helpers).
+    vector (see ``_per_bus``).
     """
 
     base_mva: float
@@ -102,37 +102,30 @@ class GridCase:
     def uncertain_buses(self) -> tuple[int, ...]:
         return tuple(b.id for b in self.buses if b.has_uncertainty)
 
-    def _gen_by_bus(self):
-        return {g.bus: g for g in self.generators}
+    def _per_bus(self, attr: str) -> np.ndarray:
+        """One generator attribute per bus; zero where a bus has none."""
+        by_bus = {g.bus: getattr(g, attr) for g in self.generators}
+        return np.array([by_bus.get(b.id, 0.0) for b in self.buses], dtype=float)
 
     def loads_mw(self) -> np.ndarray:
         return np.array([b.load_mw for b in self.buses], dtype=float)
 
     def p_min_mw(self) -> np.ndarray:
-        by_bus = self._gen_by_bus()
-        return np.array(
-            [by_bus[b.id].p_min_mw if b.id in by_bus else 0.0 for b in self.buses]
-        )
+        return self._per_bus("p_min_mw")
 
     def p_max_mw(self) -> np.ndarray:
-        by_bus = self._gen_by_bus()
-        return np.array(
-            [by_bus[b.id].p_max_mw if b.id in by_bus else 0.0 for b in self.buses]
-        )
+        return self._per_bus("p_max_mw")
 
     def line_capacities_mw(self) -> np.ndarray:
         return np.array([ln.capacity_mw for ln in self.lines], dtype=float)
 
     def cost_coefficients(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-bus (c2, c1, c0) arrays in MW terms; zeros where no generator."""
-        by_bus = self._gen_by_bus()
-        m = self.n_buses
-        c2, c1, c0 = np.zeros(m), np.zeros(m), np.zeros(m)
-        for i, b in enumerate(self.buses):
-            g = by_bus.get(b.id)
-            if g is not None:
-                c2[i], c1[i], c0[i] = g.cost_quadratic, g.cost_linear, g.cost_constant
-        return c2, c1, c0
+        return (
+            self._per_bus("cost_quadratic"),
+            self._per_bus("cost_linear"),
+            self._per_bus("cost_constant"),
+        )
 
 
 def _aggregate_units(bus: int, units: list[tuple[float, ...]]) -> Generator:

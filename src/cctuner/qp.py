@@ -21,7 +21,7 @@ settling feasibility is reported as 'max_iterations', never 'infeasible'.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -300,12 +300,10 @@ def solve(
     h_full = np.asarray(h_ineq, dtype=float).reshape(g_full.shape[0])
 
     def restore(sol: QpSolution, keep_eq, keep_g) -> QpSolution:
-        y = np.zeros(a_full.shape[0])
-        z = np.zeros(g_full.shape[0])
-        y[keep_eq] = sol.y
-        z[keep_g] = sol.z
+        y = _scatter(sol.y, keep_eq, a_full.shape[0])
+        z = _scatter(sol.z, keep_g, g_full.shape[0])
         res = _residuals(p, q, a_full, b_full, g_full, h_full, sol.x, y, z)
-        return QpSolution(sol.status, sol.x, sol.objective, y, z, res, sol.iterations, sol.certificate)
+        return replace(sol, y=y, z=z, kkt_residuals=res)
 
     y = np.zeros(a_full.shape[0])
     z = np.zeros(g_full.shape[0])

@@ -15,7 +15,8 @@ rescaling the MW-based coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -84,9 +85,9 @@ class ConstraintRow:
     subject is the bus id for generator rows and the 1-based line
     number for line rows. nominal_limit is the right-hand side of the
     <=-form at s = 0 (pu); sigma is the tightening coefficient
-    ||a Sigma^(1/2)||. Degenerate rows belong to buses with no
-    generation capability: their dispatch is pinned and their
-    sensitivity row is zero, so they can never be violated.
+    ||a Sigma^(1/2)||. Degenerate rows belong to buses with p_max = 0:
+    their participation factor is zero, so their sensitivity row is
+    zero and they can never be violated.
     """
 
     kind: str
@@ -106,15 +107,18 @@ class ConstraintRow:
 
 @dataclass(frozen=True, eq=False)
 class ConstraintCatalog:
-    """Ordered chance constraints plus dense views for vectorized use.
+    """Ordered chance constraints, stored once as dense matrices.
 
     Row order: gen_upper for buses 1..m, gen_lower for buses 1..m,
     line_upper for lines 1..l, line_lower for lines 1..l, so
-    len(catalog) = 2m + 2l. n_active counts the non-degenerate rows
-    (2·m_gen + 2l for m_gen buses with capacity).
+    len(catalog) = 2m + 2l. Row c is described by kinds[c] and
+    subjects[c] and holds row c of each array. n_active counts the
+    non-degenerate rows (2·m_gen + 2l for m_gen buses with capacity);
+    the degenerate ones belong to buses with p_max = 0.
     """
 
-    rows: tuple[ConstraintRow, ...]
+    kinds: tuple[str, ...]
+    subjects: tuple[int, ...]
     dispatch_matrix: np.ndarray
     sensitivity_matrix: np.ndarray
     limits: np.ndarray
@@ -122,11 +126,22 @@ class ConstraintCatalog:
     degenerate: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.kinds)
 
     @property
     def n_active(self) -> int:
         return int((~self.degenerate).sum())
+
+    @cached_property
+    def rows(self) -> tuple[ConstraintRow, ...]:
+        """Per-row records whose arrays are read-only views of the matrices."""
+        return tuple(
+            ConstraintRow(kind, subject, g, a, float(limit), float(sigma), bool(degenerate))
+            for kind, subject, g, a, limit, sigma, degenerate in zip(
+                self.kinds, self.subjects, self.dispatch_matrix, self.sensitivity_matrix,
+                self.limits, self.sigmas, self.degenerate,
+            )
+        )
 
     def __post_init__(self):
         for name in ("dispatch_matrix", "sensitivity_matrix", "limits", "sigmas", "degenerate"):
@@ -140,64 +155,32 @@ def build_catalog(
     moments: MomentEstimate,
 ) -> ConstraintCatalog:
     """Assemble the full constraint catalog for one case and moment set."""
-    n = case.n_buses
+    n, n_lines = case.n_buses, case.n_lines
     if alpha.alpha.shape != (n,):
         raise ValueError("participation factors do not match the case dimension")
-    if m.entries.shape != (case.n_lines, n):
+    if m.entries.shape != (n_lines, n):
         raise ValueError("PTDF shape does not match the case")
 
     base = case.base_mva
-    d = case.loads_mw() / base
-    p_min = case.p_min_mw() / base
-    p_max = case.p_max_mw() / base
+    p_max_mw = case.p_max_mw()
     caps = case.line_capacities_mw() / base
-    ones = np.ones(n)
+    flows_d = m.entries @ (case.loads_mw() / base)
+    eye = np.eye(n)
+    gen_sensitivity = np.outer(alpha.alpha, np.ones(n))
     deltas = constraint_deltas(m, alpha)
-
-    rows: list[ConstraintRow] = []
-    for i in range(n):
-        e_i = np.zeros(n)
-        e_i[i] = 1.0
-        a_row = alpha.alpha[i] * ones
-        sigma = sensitivity_norm(a_row, moments)
-        degenerate = case.p_max_mw()[i] == 0.0
-        rows.append(
-            ConstraintRow(GEN_UPPER, i + 1, e_i, a_row, float(p_max[i]), sigma, degenerate)
-        )
-    for i in range(n):
-        e_i = np.zeros(n)
-        e_i[i] = -1.0
-        a_row = -alpha.alpha[i] * ones
-        sigma = sensitivity_norm(a_row, moments)
-        degenerate = case.p_max_mw()[i] == 0.0
-        rows.append(
-            ConstraintRow(GEN_LOWER, i + 1, e_i, a_row, float(-p_min[i]), sigma, degenerate)
-        )
-    flows_d = m.entries @ d
-    for r in range(case.n_lines):
-        sigma = sensitivity_norm(deltas[r], moments)
-        rows.append(
-            ConstraintRow(
-                LINE_UPPER, r + 1, m.entries[r].copy(), deltas[r].copy(),
-                float(caps[r] + flows_d[r]), sigma,
-            )
-        )
-    for r in range(case.n_lines):
-        sigma = sensitivity_norm(deltas[r], moments)
-        rows.append(
-            ConstraintRow(
-                LINE_LOWER, r + 1, -m.entries[r], -deltas[r],
-                float(caps[r] - flows_d[r]), sigma,
-            )
-        )
-
+    sensitivity = np.vstack([gen_sensitivity, -gen_sensitivity, deltas, -deltas])
+    no_capacity = p_max_mw == 0.0
     return ConstraintCatalog(
-        rows=tuple(rows),
-        dispatch_matrix=np.array([r.dispatch_row for r in rows]),
-        sensitivity_matrix=np.array([r.sensitivity for r in rows]),
-        limits=np.array([r.nominal_limit for r in rows]),
-        sigmas=np.array([r.sigma for r in rows]),
-        degenerate=np.array([r.degenerate for r in rows], dtype=bool),
+        kinds=(GEN_UPPER,) * n + (GEN_LOWER,) * n + (LINE_UPPER,) * n_lines + (LINE_LOWER,) * n_lines,
+        subjects=tuple(range(1, n + 1)) * 2 + tuple(range(1, n_lines + 1)) * 2,
+        # + 0.0 keeps the off-diagonal zeros of the gen_lower rows positive.
+        dispatch_matrix=np.vstack([eye, -eye + 0.0, m.entries, -m.entries]),
+        sensitivity_matrix=sensitivity,
+        limits=np.concatenate(
+            [p_max_mw / base, -(case.p_min_mw() / base), caps + flows_d, caps - flows_d]
+        ),
+        sigmas=np.array([sensitivity_norm(a, moments) for a in sensitivity]),
+        degenerate=np.concatenate([no_capacity, no_capacity, np.zeros(2 * n_lines, dtype=bool)]),
     )
 
 
@@ -288,8 +271,6 @@ def solve_dispatch(
     case: GridCase,
     catalog: ConstraintCatalog,
     s: float,
-    tol: float = qp.DEFAULT_TOL,
-    max_iters: int = qp.DEFAULT_MAX_ITERS,
 ) -> DispatchSolution:
     """Build and solve the tightened program at s.
 
@@ -313,8 +294,6 @@ def solve_dispatch(
         [prog.eq_rhs],
         g_free,
         prog.h,
-        tol=tol,
-        max_iters=max_iters,
     )
 
     n = case.n_buses
@@ -337,16 +316,7 @@ def solve_dispatch(
             z[pinned] = np.maximum(-resid, 0.0)
             z[n + pinned] = np.maximum(resid, 0.0)
     objective = sol.objective if sol.status == "optimal" else np.inf
-    full = qp.QpSolution(
-        status=sol.status,
-        x=p_g,
-        objective=objective,
-        y=y,
-        z=z,
-        kkt_residuals=sol.kkt_residuals,
-        iterations=sol.iterations,
-        certificate=sol.certificate,
-    )
+    full = replace(sol, x=p_g, objective=objective, y=y, z=z)
     return DispatchSolution(sol.status, p_g, objective, float(s), full)
 
 

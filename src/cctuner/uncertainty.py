@@ -14,7 +14,7 @@ platform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -137,7 +137,6 @@ class SampleSet:
 
     samples: np.ndarray
     seed: int
-    source: object = field(compare=False, default=None)
 
     def __post_init__(self):
         arr = np.asarray(self.samples, dtype=float)
@@ -269,7 +268,7 @@ def sample(spec, n: int, seed: int, case) -> SampleSet:
     cols = [b - 1 for b in uncertain]
     if cols:
         full[:, cols] = draws / case.base_mva
-    return SampleSet(samples=full, seed=seed, source=spec)
+    return SampleSet(samples=full, seed=seed)
 
 
 def empirical_moments(s: SampleSet) -> MomentEstimate:
@@ -350,4 +349,4 @@ def sampleset_from_csv(text: str, case) -> SampleSet:
     certain = [b.id - 1 for b in case.buses if not b.has_uncertainty]
     if certain and np.any(mw[:, certain] != 0.0):
         raise ValueError("nonzero disturbance at a bus without an uncertainty source")
-    return SampleSet(samples=mw / case.base_mva, seed=-1, source=None)
+    return SampleSet(samples=mw / case.base_mva, seed=-1)

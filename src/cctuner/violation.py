@@ -18,14 +18,13 @@ from .uncertainty import SampleSet
 class ViolationReport:
     """Exact empirical violation frequencies for one dispatch.
 
-    per_constraint holds one Fraction per catalog row, in catalog order,
-    each an exact count over n_samples. eps_single is the largest per-row
-    frequency and eps_joint the frequency of samples violating at least
-    one row; both are restricted to non-degenerate rows unless the report
-    was built with include_degenerate.
+    counts holds one violation count per catalog row, in catalog order.
+    eps_single is the largest per-row frequency and eps_joint the
+    frequency of samples violating at least one row; both are restricted
+    to non-degenerate rows unless the report was built with
+    include_degenerate.
     """
 
-    per_constraint: Tuple[Fraction, ...]
     eps_single: Fraction
     eps_joint: Fraction
     n_samples: int
@@ -36,6 +35,11 @@ class ViolationReport:
 
     def __post_init__(self):
         self.counts.setflags(write=False)
+
+    @property
+    def per_constraint(self) -> Tuple[Fraction, ...]:
+        """Each row's exact violation frequency count / n_samples."""
+        return tuple(Fraction(int(k), self.n_samples) for k in self.counts)
 
 
 def evaluate(p_g, samples, catalog: ConstraintCatalog, include_degenerate: bool = False) -> ViolationReport:
@@ -76,12 +80,8 @@ def evaluate(p_g, samples, catalog: ConstraintCatalog, include_degenerate: bool 
         base, catalog.sensitivity_matrix, catalog.limits, xi, cols, active
     )
 
-    per = tuple(Fraction(int(k), n) for k in counts)
-    considered = [f for f, keep in zip(per, active) if keep]
-    eps_single = max(considered, default=Fraction(0))
     return ViolationReport(
-        per_constraint=per,
-        eps_single=eps_single,
+        eps_single=Fraction(int(counts[active].max(initial=0)), n),
         eps_joint=Fraction(int(joint), n),
         n_samples=n,
         counts=counts,

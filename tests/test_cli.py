@@ -81,6 +81,24 @@ def test_sample_respects_uncertain_buses(cfg_path, capsys):
     assert nonzero_cols == {8, 15}
 
 
+def test_sample_and_evaluate_draw_from_the_experiment_streams(cfg_path, tmp_path, capsys):
+    from cctuner.experiment import STREAM_OOS, ExperimentConfig, build_replication, load_case
+    from cctuner.uncertainty import derive_seed, sampleset_to_csv
+
+    config = ExperimentConfig.from_file(cfg_path)
+    case = load_case(config.case)
+    pair = build_replication(case, config, "gaussian", 1)
+    assert main(["sample", "--config", cfg_path, "--n", str(config.n_tuning)]) == 0
+    # Compared outside the assert: pytest's diff of two 1,500-line
+    # strings takes minutes.
+    same = capsys.readouterr().out == sampleset_to_csv(pair.tuning_samples, case)
+    assert same, "sample does not print replication 1's tuning draw"
+
+    out = tmp_path / "report.json"
+    assert main(["evaluate", "--config", cfg_path, "--s", "1.3", "--n", "50", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["seed"] == derive_seed(config.seed, STREAM_OOS, 1)
+
+
 def test_solve_and_infeasible_exit(cfg_path, capsys):
     assert main(["solve", "--config", cfg_path, "--s", "1.3"]) == 0
     out = capsys.readouterr().out

@@ -253,3 +253,37 @@ def test_lp_export_tokens(rts, rts_catalog):
     for token in text.split():
         if token[0].isdigit() or token[0] == "-":
             float(token.rstrip("]"))
+
+
+def test_catalog_rows_are_read_only_views_of_the_matrices(rts_catalog):
+    cat = rts_catalog
+    for c, row in enumerate(cat.rows):
+        for arr, matrix in ((row.dispatch_row, cat.dispatch_matrix), (row.sensitivity, cat.sensitivity_matrix)):
+            assert np.shares_memory(arr, matrix[c])
+            assert not arr.flags.writeable
+        assert row.nominal_limit == cat.limits[c]
+        assert row.sigma == cat.sigmas[c]
+        assert row.degenerate == cat.degenerate[c]
+
+
+def test_catalog_signed_zero_layout(rts, rts_catalog):
+    n, n_lines = rts.n_buses, rts.n_lines
+    g, a = rts_catalog.dispatch_matrix, rts_catalog.sensitivity_matrix
+    sign = np.uint64(1 << 63)
+
+    def bits(x):
+        return np.ascontiguousarray(x).view(np.uint64)
+
+    # gen_lower dispatch rows: -1 on the diagonal, +0.0 everywhere else.
+    expect = np.zeros((n, n))
+    np.fill_diagonal(expect, -1.0)
+    assert np.array_equal(bits(g[n : 2 * n]), bits(expect))
+    # Every other lower row is its upper row with the sign bit flipped,
+    # zeros included.
+    lines_up, lines_lo = slice(2 * n, 2 * n + n_lines), slice(2 * n + n_lines, None)
+    assert np.array_equal(bits(a[n : 2 * n]), bits(a[:n]) ^ sign)
+    assert np.array_equal(bits(g[lines_lo]), bits(g[lines_up]) ^ sign)
+    assert np.array_equal(bits(a[lines_lo]), bits(a[lines_up]) ^ sign)
+    # The layout is exercised: zero-capacity buses and the slack column
+    # put zeros in both halves.
+    assert np.any(a[:n] == 0.0) and np.any(g[lines_up] == 0.0)
