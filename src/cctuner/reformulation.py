@@ -44,6 +44,9 @@ GEN_LOWER = "gen_lower"
 LINE_UPPER = "line_upper"
 LINE_LOWER = "line_lower"
 
+# The lower row that mirrors each upper kind, for the same subject.
+MIRRORED = {GEN_UPPER: GEN_LOWER, LINE_UPPER: LINE_LOWER}
+
 
 @dataclass(frozen=True)
 class ParticipationFactors:
@@ -114,7 +117,8 @@ class ConstraintCatalog:
     len(catalog) = 2m + 2l. Row c is described by kinds[c] and
     subjects[c] and holds row c of each array. n_active counts the
     non-degenerate rows (2·m_gen + 2l for m_gen buses with capacity);
-    the degenerate ones belong to buses with p_max = 0.
+    the degenerate ones belong to buses with p_max = 0. pairs matches
+    each upper row with the lower row that mirrors it.
     """
 
     kinds: tuple[str, ...]
@@ -142,6 +146,39 @@ class ConstraintCatalog:
                 self.limits, self.sigmas, self.degenerate,
             )
         )
+
+    @cached_property
+    def pairs(self) -> np.ndarray:
+        """(n_pairs, 2) row indices: each upper row and its mirrored lower row.
+
+        Rows of kind gen_upper or line_upper pair, in catalog order, with
+        the gen_lower or line_lower row of the same subject. Every row
+        belongs to exactly one pair, and a lower row's dispatch and
+        sensitivity rows equal the negated upper ones, so one sum decides
+        both rows of a pair (see _kernels).
+        """
+        index = {(kind, subject): c for c, (kind, subject) in enumerate(zip(self.kinds, self.subjects))}
+        try:
+            pairs = np.array(
+                [
+                    (c, index[MIRRORED[kind], subject])
+                    for c, (kind, subject) in enumerate(zip(self.kinds, self.subjects))
+                    if kind in MIRRORED
+                ],
+                dtype=np.int64,
+            ).reshape(-1, 2)
+        except KeyError as exc:
+            kind, subject = exc.args[0]
+            raise ValueError(f"catalog has no {kind} row for subject {subject}") from None
+        if 2 * len(pairs) != len(self) or len(np.unique(pairs)) != len(self):
+            raise ValueError("catalog rows do not split into upper/lower pairs")
+        upper, lower = pairs.T
+        for name in ("dispatch_matrix", "sensitivity_matrix"):
+            matrix = getattr(self, name)
+            if not np.array_equal(matrix[lower], -matrix[upper]):
+                raise ValueError(f"{name}: a lower row is not its upper row negated")
+        pairs.setflags(write=False)
+        return pairs
 
     def __post_init__(self):
         for name in ("dispatch_matrix", "sensitivity_matrix", "limits", "sigmas", "degenerate"):

@@ -74,7 +74,11 @@ class TuningConfig:
 
 @dataclass(frozen=True)
 class TuningIterate:
-    """One bisection step. eps and cost are None when the solve failed."""
+    """One bisection step. eps and cost are None when the solve failed.
+
+    qp_status and qp_iterations are the status and iteration count of
+    the QP solve at s.
+    """
 
     iteration: int
     s: float
@@ -82,6 +86,8 @@ class TuningIterate:
     eps_single: Optional[Fraction]
     eps_joint: Optional[Fraction]
     cost: Optional[float]
+    qp_status: str
+    qp_iterations: int
 
 
 @dataclass(frozen=True)
@@ -133,9 +139,10 @@ def bisect_tune(
 ) -> TuningResult:
     """Bisect s on [bounds] against the empirical violation probability.
 
-    solve_at(s) must return an object with status, objective and p_g
-    attributes. evaluate_at(s, solution) must return the pair of exact
-    observed frequencies (eps_single, eps_joint). A midpoint whose solve
+    solve_at(s) must return an object with status, objective, p_g and
+    qp_solution (with status and iterations) attributes.
+    evaluate_at(s, solution) must return the pair of exact observed
+    frequencies (eps_single, eps_joint). A midpoint whose solve
     is certified infeasible contracts the upper end of the bracket, since
     the tightened feasible set only shrinks as s grows. Any other
     non-optimal status is a solver failure, not evidence about s, and
@@ -157,18 +164,19 @@ def bisect_tune(
             break
         s_k = (s_max - s_min) / 2.0 + s_min
         solution = solve_at(s_k)
+        if solution.status not in ("optimal", "infeasible"):
+            raise TuningError(f"QP solve at s={s_k:.6g} ended with status {solution.status!r}")
+        qp_run = (solution.qp_solution.status, solution.qp_solution.iterations)
         if solution.status == "infeasible":
-            trace.append(TuningIterate(iteration, s_k, False, None, None, None))
+            trace.append(TuningIterate(iteration, s_k, False, None, None, None, *qp_run))
             solutions.append(solution)
             logger.info("s=%.6g infeasible, contracting upper bound", s_k)
             s_max = s_k
             continue
-        if solution.status != "optimal":
-            raise TuningError(f"QP solve at s={s_k:.6g} ended with status {solution.status!r}")
         eps_single, eps_joint = evaluate_at(s_k, solution)
         eps_obs = config.observed(eps_single, eps_joint)
         trace.append(
-            TuningIterate(iteration, s_k, True, eps_single, eps_joint, solution.objective)
+            TuningIterate(iteration, s_k, True, eps_single, eps_joint, solution.objective, *qp_run)
         )
         solutions.append(solution)
         for s_prev, eps_prev in feasible_history:

@@ -15,6 +15,7 @@ platform.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -132,11 +133,12 @@ class SampleSet:
     """N x m matrix of nodal disturbance samples in per unit.
 
     Columns for buses without an uncertainty source are exactly zero;
-    downstream evaluation relies on that to skip them.
+    downstream evaluation relies on that to skip them. seed is None for
+    a matrix that was not drawn by sample().
     """
 
     samples: np.ndarray
-    seed: int
+    seed: int | None
 
     def __post_init__(self):
         arr = np.asarray(self.samples, dtype=float)
@@ -146,6 +148,13 @@ class SampleSet:
     @property
     def n_samples(self) -> int:
         return self.samples.shape[0]
+
+    @cached_property
+    def nonzero_columns(self) -> np.ndarray:
+        """Ascending int64 indices of the columns holding a nonzero sample."""
+        cols = np.flatnonzero(np.any(self.samples != 0.0, axis=0)).astype(np.int64)
+        cols.setflags(write=False)
+        return cols
 
 
 @dataclass(frozen=True)

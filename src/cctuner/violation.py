@@ -46,17 +46,15 @@ def evaluate(p_g, samples, catalog: ConstraintCatalog, include_degenerate: bool 
     """Count strict violations g.p + a.xi > rhs for every catalog row.
 
     samples may be a SampleSet (per-unit, full bus width) or a plain
-    (n, n_buses) array in per unit. Degenerate rows are always counted
-    individually but only enter eps_single and the joint count when
-    include_degenerate is set.
+    (n, n_buses) array in per unit; a SampleSet finds its nonzero
+    columns once, an array on every call. Degenerate rows are always
+    counted individually but only enter eps_single and the joint count
+    when include_degenerate is set. Each mirrored pair of rows is
+    counted from one sum (see _kernels).
     """
-    if isinstance(samples, SampleSet):
-        xi = samples.samples
-        seed: Optional[int] = samples.seed
-    else:
-        xi = np.array(samples, dtype=np.float64, order="C")
-        xi.setflags(write=False)
-        seed = None
+    if not isinstance(samples, SampleSet):
+        samples = SampleSet(np.array(samples, dtype=np.float64, order="C"), seed=None)
+    xi = samples.samples
     if xi.ndim != 2:
         raise ValueError("samples must be a 2-D array")
     n, m = xi.shape
@@ -70,15 +68,19 @@ def evaluate(p_g, samples, catalog: ConstraintCatalog, include_degenerate: bool 
     if p.shape != (m,):
         raise ValueError(f"dispatch must have shape ({m},), got {p.shape}")
 
-    base = np.array([float(np.dot(row, p)) for row in catalog.dispatch_matrix])
-    cols = np.nonzero(np.any(xi != 0.0, axis=0))[0].astype(np.int64)
+    pairs = catalog.pairs
+    upper = pairs[:, 0]
+    base = np.array([float(np.dot(catalog.dispatch_matrix[c], p)) for c in upper])
     if include_degenerate:
         active = np.ones(len(catalog), dtype=bool)
     else:
         active = ~catalog.degenerate
-    counts, joint = _kernels.count_violations(
-        base, catalog.sensitivity_matrix, catalog.limits, xi, cols, active
+    pair_counts, joint = _kernels.count_violations(
+        base, catalog.sensitivity_matrix[upper], catalog.limits[pairs], xi,
+        samples.nonzero_columns, active[pairs],
     )
+    counts = np.empty(len(catalog), dtype=np.int64)
+    counts[pairs] = pair_counts
 
     return ViolationReport(
         eps_single=Fraction(int(counts[active].max(initial=0)), n),
@@ -87,7 +89,7 @@ def evaluate(p_g, samples, catalog: ConstraintCatalog, include_degenerate: bool 
         counts=counts,
         joint_count=int(joint),
         include_degenerate=bool(include_degenerate),
-        seed=seed,
+        seed=samples.seed,
     )
 
 

@@ -129,6 +129,17 @@ def test_tune_with_trace_outputs(cfg_path, tmp_path, capsys):
     assert payload["terminated_by"] in ("eps_tolerance", "interval_collapse", "iteration_cap")
 
 
+def test_tune_json_trace_records_qp_solves(cfg_path, tmp_path):
+    trace_json = tmp_path / "trace.json"
+    assert main(
+        ["tune", "--config", cfg_path, "--seed", "5", "--format", "json",
+         "--out", str(trace_json)]
+    ) == 0
+    for it in json.loads(trace_json.read_text())["trace"]:
+        assert it["qp_status"] == ("optimal" if it["feasible"] else "infeasible")
+        assert isinstance(it["qp_iterations"], int) and it["qp_iterations"] >= 0
+
+
 def test_tune_failure_maps_to_exit_2(cfg_path, monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise TuningError("no feasible conservative anchor")

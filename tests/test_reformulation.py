@@ -287,3 +287,44 @@ def test_catalog_signed_zero_layout(rts, rts_catalog):
     # The layout is exercised: zero-capacity buses and the slack column
     # put zeros in both halves.
     assert np.any(a[:n] == 0.0) and np.any(g[lines_up] == 0.0)
+
+
+def test_catalog_pairs_mirror_each_upper_row(rts_catalog):
+    # The counting kernel decides both rows of a pair from the upper row's
+    # sum; that is exact only while each lower row mirrors its upper row.
+    cat = rts_catalog
+    g, a = cat.dispatch_matrix, cat.sensitivity_matrix
+    sign = np.uint64(1 << 63)
+
+    def bits(x):
+        return np.ascontiguousarray(x).view(np.uint64)
+
+    mirror = {"gen_upper": "gen_lower", "line_upper": "line_lower"}
+    assert cat.pairs.shape == (len(cat) // 2, 2)
+    assert sorted(cat.pairs.ravel()) == list(range(len(cat)))
+    for up, lo in cat.pairs:
+        assert mirror[cat.kinds[up]] == cat.kinds[lo]
+        assert cat.subjects[up] == cat.subjects[lo]
+        assert np.array_equal(bits(a[lo]), bits(a[up]) ^ sign)
+        assert np.array_equal(g[lo], -g[up])
+        assert cat.degenerate[up] == cat.degenerate[lo]
+
+
+def test_catalog_pairs_reject_unmirrored_rows(rts, rts_catalog):
+    cat = rts_catalog
+    arrays = ("dispatch_matrix", "sensitivity_matrix", "limits", "sigmas", "degenerate")
+
+    def rebuild(order, n_rows=len(cat)):
+        return ConstraintCatalog(
+            cat.kinds[:n_rows], cat.subjects[:n_rows],
+            *(getattr(cat, name)[order] for name in arrays),
+        )
+
+    # Rows of the lower line block shifted by one, their labels kept.
+    order = np.arange(len(cat))
+    lower_lines = slice(2 * rts.n_buses + rts.n_lines, None)
+    order[lower_lines] = np.roll(order[lower_lines], 1)
+    with pytest.raises(ValueError, match="not its upper row negated"):
+        rebuild(order).pairs
+    with pytest.raises(ValueError, match="no line_lower row for subject 38"):
+        rebuild(np.arange(len(cat) - 1), len(cat) - 1).pairs

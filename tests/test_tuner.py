@@ -11,7 +11,7 @@ import pytest
 
 from cctuner import apply_rts_modifications, load_rts_case, parse_case
 from cctuner.ptdf import compute_ptdf
-from cctuner.reformulation import build_catalog, participation_factors
+from cctuner.reformulation import build_catalog, participation_factors, solve_dispatch
 from cctuner.tuner import (
     TERMINATED_CAP,
     TERMINATED_COLLAPSE,
@@ -38,11 +38,13 @@ gen 2 0 300 0.02 20 0
 def stub_solver(feasible=lambda s: True):
     def solve_at(s):
         ok = feasible(s)
+        status = "optimal" if ok else "infeasible"
         return SimpleNamespace(
             feasible=ok,
-            status="optimal" if ok else "infeasible",
+            status=status,
             objective=(100.0 + s) if ok else None,
             p_g=None,
+            qp_solution=SimpleNamespace(status=status, iterations=7),
         )
 
     return solve_at
@@ -211,6 +213,22 @@ def test_live_tune_on_rts():
     for it in result.trace:
         if it.feasible:
             assert 10_000 % it.eps_single.denominator == 0
+
+
+def test_trace_records_each_qp_solve():
+    case = apply_rts_modifications(load_rts_case())
+    spec = gaussian_from_std_corr([9.4, 13.1], 0.2)
+    catalog = build_catalog(
+        case, compute_ptdf(case), participation_factors(case), spec_moments(spec, case)
+    )
+    samples = sample(spec, 2000, seed=5, case=case)
+    result = tune(case, catalog, samples, TuningConfig(eps_des=0.05, gamma=1e-3, mode="joint"))
+    # The joint bracket starts far out, so the first midpoint is infeasible.
+    assert [it.qp_status for it in result.trace[:2]] == ["infeasible", "optimal"]
+    for it in result.trace:
+        solved = solve_dispatch(case, catalog, it.s).qp_solution
+        assert (it.qp_status, it.qp_iterations) == (solved.status, solved.iterations)
+        assert it.feasible == (it.qp_status == "optimal")
 
 
 def test_trace_csv_layout():

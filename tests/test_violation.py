@@ -127,6 +127,24 @@ def test_kernel_matches_naive_loop_on_any_dispatch(rts, rts_catalog, include_deg
     assert report.joint_count == joint
 
 
+def test_sample_set_and_its_array_give_identical_reports(rts, rts_catalog):
+    # A SampleSet finds its nonzero columns once; a raw array is scanned
+    # on every call. Only the seed, which the array lacks, may differ.
+    p_g = solve_dispatch(rts, rts_catalog, 1.2).p_g
+    samples = sample(gaussian_from_std_corr([9.4, 13.1], 0.2), 5000, seed=17, case=rts)
+    assert samples.nonzero_columns is samples.nonzero_columns
+    expect = [j for j in range(24) if np.any(samples.samples[:, j] != 0.0)]
+    assert samples.nonzero_columns.tolist() == expect
+    for include_degenerate in (False, True):
+        from_set = evaluate(p_g, samples, rts_catalog, include_degenerate=include_degenerate)
+        from_array = evaluate(p_g, samples.samples, rts_catalog, include_degenerate=include_degenerate)
+        assert np.array_equal(from_set.counts, from_array.counts)
+        assert from_set.counts.dtype == from_array.counts.dtype
+        for name in ("eps_single", "eps_joint", "n_samples", "joint_count", "include_degenerate"):
+            assert getattr(from_set, name) == getattr(from_array, name)
+        assert (from_set.seed, from_array.seed) == (17, None)
+
+
 def test_ordering_and_boole_bounds(rts, rts_catalog):
     spec = gaussian_from_std_corr([9.4, 13.1], 0.2)
     for seed, s in [(1, 0.3), (2, 0.8), (3, 1.5)]:
