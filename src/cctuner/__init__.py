@@ -19,7 +19,6 @@ from .grid import (
     apply_rts_modifications,
     parse_case,
     parse_case_file,
-    serialize_case,
 )
 
 __version__ = "0.1.0"
@@ -34,7 +33,6 @@ __all__ = [
     "load_rts_case",
     "parse_case",
     "parse_case_file",
-    "serialize_case",
 ]
 
 

@@ -29,7 +29,6 @@ __all__ = [
     "CaseError",
     "parse_case",
     "parse_case_file",
-    "serialize_case",
     "apply_rts_modifications",
 ]
 
@@ -304,22 +303,6 @@ def _validate(case: GridCase) -> None:
 def parse_case_file(path) -> GridCase:
     with open(path, encoding="utf-8") as fh:
         return parse_case(fh.read())
-
-
-def serialize_case(case: GridCase) -> str:
-    """Render a GridCase back to case-file text (round-trips exactly)."""
-    out = [f"base {case.base_mva!r}"]
-    for b in case.buses:
-        flag = " uncertain" if b.has_uncertainty else ""
-        out.append(f"bus {b.id} {b.load_mw!r}{flag}")
-    for ln in case.lines:
-        out.append(f"line {ln.from_bus} {ln.to_bus} {ln.reactance_pu!r} {ln.capacity_mw!r}")
-    for g in case.generators:
-        out.append(
-            f"gen {g.bus} {g.p_min_mw!r} {g.p_max_mw!r} "
-            f"{g.cost_quadratic!r} {g.cost_linear!r} {g.cost_constant!r}"
-        )
-    return "\n".join(out) + "\n"
 
 
 RTS_LINE_CAPACITY_FACTOR = 0.70

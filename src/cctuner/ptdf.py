@@ -1,9 +1,9 @@
 """DC power-flow linear operators.
 
 Builds the power transfer distribution factor (PTDF) matrix M mapping
-balanced nodal injections to line flows under the lossless DC model,
-plus nominal flow evaluation. Dense linear algebra throughout; at a
-couple dozen buses sparsity machinery buys nothing.
+balanced nodal injections to line flows under the lossless DC model.
+Dense linear algebra throughout; at a couple dozen buses sparsity
+machinery buys nothing.
 """
 
 from __future__ import annotations
@@ -14,9 +14,7 @@ import numpy as np
 
 from .grid import GridCase, _check_connected
 
-__all__ = ["PtdfMatrix", "compute_ptdf", "nominal_flows", "ptdf_to_csv"]
-
-BALANCE_TOL = 1e-8
+__all__ = ["PtdfMatrix", "compute_ptdf", "ptdf_to_csv"]
 
 
 @dataclass(frozen=True)
@@ -33,14 +31,6 @@ class PtdfMatrix:
 
     def __post_init__(self):
         self.entries.setflags(write=False)
-
-    @property
-    def n_lines(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def n_buses(self) -> int:
-        return self.entries.shape[1]
 
 
 def _susceptance_maps(case: GridCase) -> tuple[np.ndarray, np.ndarray]:
@@ -76,23 +66,6 @@ def compute_ptdf(case: GridCase, slack: int = 1) -> PtdfMatrix:
     # B_bus is symmetric, so solving on the right transposes cleanly.
     entries[:, keep] = np.linalg.solve(reduced, b_f[:, keep].T).T
     return PtdfMatrix(entries=entries, slack_bus=slack)
-
-
-def nominal_flows(ptdf: PtdfMatrix, p_g: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Line flows M·(p_G − d) in pu for a balanced dispatch.
-
-    Raises ValueError if |Σ(p_G − d)| exceeds 1e-8: without a balanced
-    injection the DC flows are undefined (no slack absorption here).
-    """
-    injection = np.asarray(p_g, dtype=float) - np.asarray(d, dtype=float)
-    if injection.shape != (ptdf.n_buses,):
-        raise ValueError(
-            f"injection length {injection.shape} does not match {ptdf.n_buses} buses"
-        )
-    imbalance = float(injection.sum())
-    if abs(imbalance) > BALANCE_TOL:
-        raise ValueError(f"injection imbalance {imbalance:.3e} exceeds {BALANCE_TOL:.0e}")
-    return ptdf.entries @ injection
 
 
 def ptdf_to_csv(ptdf: PtdfMatrix) -> str:

@@ -109,22 +109,6 @@ def _solve_kkt(m11: np.ndarray, a: np.ndarray, r1: np.ndarray, r2: np.ndarray):
     return sol[:n], sol[n:]
 
 
-def _solve_equality_qp(p, q, a, b, tol):
-    """KKT solve for the inequality-free case."""
-    n, k = q.size, a.shape[0]
-    if k == 0:
-        if np.any((p <= 0.0) & (np.abs(q) > 0.0)):
-            raise ValueError("unbounded: zero curvature along a nonzero linear direction")
-        x = np.where(p > 0.0, -q / np.where(p > 0.0, p, 1.0), 0.0)
-        y = np.zeros(0)
-    else:
-        x, y = _solve_kkt(np.diag(p), a, -q, b)
-    res = _residuals(p, q, a, b, np.zeros((0, n)), np.zeros(0), x, y, np.zeros(0))
-    status = "optimal" if max(res) <= max(tol, 1e-9 * max(1.0, float(np.abs(x).max(initial=0.0)))) else "max_iterations"
-    obj = float(0.5 * x @ (p * x) + q @ x)
-    return QpSolution(status, x, obj, y, np.zeros(0), res, 0)
-
-
 def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
     """Largest alpha in (0, 1] keeping v + alpha*dv positive."""
     shrink = dv < 0.0
@@ -240,7 +224,9 @@ def _phase1(a, b, g, h, x0, tol, max_iters):
     g1 = np.vstack([np.hstack([g, -np.ones((c, 1))]), np.zeros((1, n + 1))])
     g1[-1, -1] = -1.0
     h1 = np.concatenate([h, [1.0]])
-    t0 = float(np.max(g @ x0 - h, initial=0.0)) + 1.0
+    # Relative margin: from |h| ~ 1e16 on, a fixed + 1.0 rounds away.
+    v = float(np.max(g @ x0 - h, initial=0.0))
+    t0 = v + max(1.0, v)
 
     def strictly_feasible(xt):
         # Any t comfortably below zero certifies strict feasibility.
@@ -284,7 +270,8 @@ def solve(
 
     p_diag must be elementwise nonnegative. Vacuous all-zero constraint
     rows are dropped up front (an all-zero row with an unsatisfiable
-    right-hand side short-circuits to 'infeasible'); returned dual
+    right-hand side short-circuits to 'infeasible'), and at least one
+    nonzero inequality row must remain, else ValueError; returned dual
     vectors keep the caller's row indexing, with zeros on dropped rows.
     """
     p = np.asarray(p_diag, dtype=float)
@@ -298,12 +285,6 @@ def solve(
     b_full = np.asarray(b_eq, dtype=float).reshape(a_full.shape[0])
     g_full = _as_2d(g_ineq, n)
     h_full = np.asarray(h_ineq, dtype=float).reshape(g_full.shape[0])
-
-    def restore(sol: QpSolution, keep_eq, keep_g) -> QpSolution:
-        y = _scatter(sol.y, keep_eq, a_full.shape[0])
-        z = _scatter(sol.z, keep_g, g_full.shape[0])
-        res = _residuals(p, q, a_full, b_full, g_full, h_full, sol.x, y, z)
-        return replace(sol, y=y, z=z, kkt_residuals=res)
 
     y = np.zeros(a_full.shape[0])
     z = np.zeros(g_full.shape[0])
@@ -329,7 +310,7 @@ def solve(
     g, h = g_full[keep_g], h_full[keep_g]
 
     if g.shape[0] == 0:
-        return restore(_solve_equality_qp(p, q, a, b, tol), keep_eq, keep_g)
+        raise ValueError("no nonzero inequality row: the interior-point method needs one")
 
     # Minimum-norm equality solution as the phase-1 anchor.
     if a.shape[0]:
@@ -350,7 +331,10 @@ def solve(
     sol = _ipm(p, q, a, b, g, h, x_feas, tol, max_iters)
     if not sol.optimal:
         logger.warning("interior-point method hit iteration cap %d; best residual %.3e", max_iters, max(sol.kkt_residuals))
-    return restore(sol, keep_eq, keep_g)
+    y = _scatter(sol.y, keep_eq, y.size)
+    z = _scatter(sol.z, keep_g, z.size)
+    res = _residuals(p, q, a_full, b_full, g_full, h_full, sol.x, y, z)
+    return replace(sol, y=y, z=z, kkt_residuals=res)
 
 
 def _scatter(values: np.ndarray, idx: np.ndarray, size: int) -> np.ndarray:

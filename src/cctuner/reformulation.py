@@ -1,4 +1,4 @@
-"""Tightened deterministic reformulation of the chance-constrained dispatch.
+"""Constraint catalog and the tightened dispatch solve.
 
 Under the affine balancing recourse, generator i absorbs the fixed
 fraction alpha_i of the total disturbance. Every chance constraint then
@@ -7,14 +7,16 @@ takes the common form
     g·p_G + a·xi <= rhs
 
 with a dispatch row g, a disturbance-sensitivity row a, and a constant
-right-hand side. The deterministic surrogate keeps g·p_G <= rhs - s·sigma
-where sigma = ||a Sigma^(1/2)||_2 and s is the safety parameter being
-tuned. All quantities here are per unit; costs are kept in currency by
+right-hand side; build_catalog stacks these rows. The deterministic
+surrogate that solve_dispatch solves keeps g·p_G <= rhs - s·sigma where
+sigma = ||a Sigma^(1/2)||_2 and s is the safety parameter being tuned.
+All quantities here are per unit; costs are kept in currency by
 rescaling the MW-based coefficients.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -29,14 +31,11 @@ __all__ = [
     "ParticipationFactors",
     "ConstraintRow",
     "ConstraintCatalog",
-    "TightenedQP",
     "DispatchSolution",
     "participation_factors",
     "constraint_deltas",
     "build_catalog",
-    "build_qp",
     "solve_dispatch",
-    "qp_to_lp_text",
 ]
 
 GEN_UPPER = "gen_upper"
@@ -222,75 +221,14 @@ def build_catalog(
 
 
 @dataclass(frozen=True, eq=False)
-class TightenedQP:
-    """Deterministic surrogate program at one safety parameter s.
-
-    minimize   0.5 pᵀ diag(q_diag) p + linᵀ p + constant   ($)
-    subject to 1ᵀ p = total load,  G p <= limits - s·sigmas
-
-    Decision variables are the m nodal generation setpoints in pu;
-    fixed_zero marks buses whose setpoint is pinned to zero (no
-    capacity), which callers eliminate before handing the program to
-    the solver.
-    """
-
-    q_diag: np.ndarray
-    lin: np.ndarray
-    constant: float
-    eq_row: np.ndarray
-    eq_rhs: float
-    g_matrix: np.ndarray
-    h: np.ndarray
-    s: float
-    fixed_zero: np.ndarray
-
-    def __post_init__(self):
-        for name in ("q_diag", "lin", "eq_row", "g_matrix", "h", "fixed_zero"):
-            getattr(self, name).setflags(write=False)
-
-    @property
-    def n_vars(self) -> int:
-        return self.q_diag.size
-
-
-def build_qp(case: GridCase, catalog: ConstraintCatalog, s: float) -> TightenedQP:
-    """Tightened program with right-hand sides limits - s·sigma.
-
-    The generator rows themselves carry the variable bounds; no
-    separate box block exists. s must be nonnegative.
-    """
-    if s < 0.0:
-        raise ValueError(f"safety parameter must be nonnegative, got {s}")
-    base = case.base_mva
-    c2, c1, c0 = case.cost_coefficients()
-    # Objective stays in currency: cost(p_MW) with p in pu needs
-    # c2·base² and c1·base.
-    q_diag = 2.0 * c2 * base * base
-    lin = c1 * base
-    d_total = float(case.loads_mw().sum() / base)
-    return TightenedQP(
-        q_diag=q_diag,
-        lin=lin,
-        constant=float(c0.sum()),
-        eq_row=np.ones(case.n_buses),
-        eq_rhs=d_total,
-        g_matrix=catalog.dispatch_matrix,
-        h=catalog.limits - s * catalog.sigmas,
-        s=float(s),
-        fixed_zero=(case.p_max_mw() == 0.0) & (case.p_min_mw() == 0.0),
-    )
-
-
-@dataclass(frozen=True, eq=False)
 class DispatchSolution:
     """Feasible-or-not outcome of one tightened solve.
 
     p_g is the full-length nodal dispatch (pu, exact zeros at pinned
     buses); objective is the dispatch-dependent cost in $ (quadratic
-    plus linear terms; the constant no-load offsets carried in
-    TightenedQP.constant cannot influence the argmin and stay out of
-    reported costs). Duals and KKT residuals live on the attached
-    QpSolution in full catalog indexing.
+    plus linear terms; the constant no-load offsets cannot influence the
+    argmin and stay out of reported costs). Duals and KKT residuals live
+    on the attached QpSolution in full catalog indexing.
     """
 
     status: str
@@ -309,28 +247,42 @@ def solve_dispatch(
     catalog: ConstraintCatalog,
     s: float,
 ) -> DispatchSolution:
-    """Build and solve the tightened program at s.
+    """Solve the tightened program at a finite, nonnegative s:
 
-    Buses without capacity are eliminated before solving: their pair of
-    generator rows pins them to a point, which leaves an interior-point
-    method no interior. The returned primal and duals are re-inflated
-    to full length, with multipliers for the eliminated rows chosen to
-    close the stationarity conditions of the full system.
+    minimize   0.5 pᵀ diag(q) p + linᵀ p   ($)
+    subject to 1ᵀ p = total load,  G p <= limits - s·sigmas
+
+    over the nodal setpoints p in pu. G is the catalog's dispatch matrix,
+    whose generator rows carry the variable bounds. Buses with p_min =
+    p_max = 0 are eliminated before solving: their pair of generator rows
+    pins them to a point, which leaves an interior-point method no
+    interior. The returned primal and duals are re-inflated to full
+    length, with multipliers for the eliminated rows chosen to close the
+    stationarity conditions of the full system.
     """
-    prog = build_qp(case, catalog, s)
-    free = ~prog.fixed_zero
+    if not (s >= 0.0 and math.isfinite(s)):
+        raise ValueError(f"safety parameter must be finite and nonnegative, got {s}")
+    base = case.base_mva
+    c2, c1, _ = case.cost_coefficients()
+    # Objective stays in currency: cost(p_MW) with p in pu needs
+    # c2·base² and c1·base.
+    q_diag = 2.0 * c2 * base * base
+    lin = c1 * base
+    d_total = float(case.loads_mw().sum() / base)
+    h = catalog.limits - s * catalog.sigmas
+    pinned = (case.p_max_mw() == 0.0) & (case.p_min_mw() == 0.0)
+    free = ~pinned
     if not np.any(free):
         raise ValueError("every bus is pinned; nothing to dispatch")
-    g_free = prog.g_matrix[:, free]
     # Rows touching only pinned variables reduce to constants; solve()
     # drops the all-zero rows this produces.
     sol = qp.solve(
-        prog.q_diag[free],
-        prog.lin[free],
-        prog.eq_row[free].reshape(1, -1),
-        [prog.eq_rhs],
-        g_free,
-        prog.h,
+        q_diag[free],
+        lin[free],
+        np.ones((1, int(free.sum()))),
+        [d_total],
+        catalog.dispatch_matrix[:, free],
+        h,
     )
 
     n = case.n_buses
@@ -346,48 +298,13 @@ def solve_dispatch(
         # bus's own pair of bound rows. The latter two multipliers are
         # unconstrained by complementarity (their slack is zero), so
         # split the residual by sign to keep both nonnegative.
-        pinned = np.flatnonzero(prog.fixed_zero)
-        if pinned.size:
-            stat = prog.q_diag * p_g + prog.lin + y[0] * prog.eq_row + prog.g_matrix.T @ z
-            resid = stat[pinned]
-            z[pinned] = np.maximum(-resid, 0.0)
-            z[n + pinned] = np.maximum(resid, 0.0)
+        idx = np.flatnonzero(pinned)
+        if idx.size:
+            stat = q_diag * p_g + lin + y[0] + catalog.dispatch_matrix.T @ z
+            resid = stat[idx]
+            z[idx] = np.maximum(-resid, 0.0)
+            z[n + idx] = np.maximum(resid, 0.0)
     objective = sol.objective if sol.status == "optimal" else np.inf
     full = replace(sol, x=p_g, objective=objective, y=y, z=z)
     return DispatchSolution(sol.status, p_g, objective, float(s), full)
 
-
-def qp_to_lp_text(prog: TightenedQP) -> str:
-    """Serialize a tightened program in LP text format for cross-checks.
-
-    Quadratic objective terms use the bracketed [ ... ] / 2 block, so
-    the coefficients inside are doubled q_diag entries.
-    """
-    names = [f"p{i + 1}" for i in range(prog.n_vars)]
-
-    def coef(v: float) -> str:
-        return f"{v:.12g}"
-
-    lin_terms = " + ".join(
-        f"{coef(c)} {nm}" for c, nm in zip(prog.lin, names) if c != 0.0
-    )
-    quad_terms = " + ".join(
-        f"{coef(2.0 * c)} {nm}^2" for c, nm in zip(prog.q_diag, names) if c != 0.0
-    )
-    obj = lin_terms or "0 p1"
-    if quad_terms:
-        obj += f" + [ {quad_terms} ] / 2"
-    if prog.constant:
-        obj += f" + {coef(prog.constant)}"
-    out = ["Minimize", f" obj: {obj}", "Subject To"]
-    balance = " + ".join(names)
-    out.append(f" balance: {balance} = {coef(prog.eq_rhs)}")
-    for r, (row, rhs) in enumerate(zip(prog.g_matrix, prog.h), start=1):
-        terms = " + ".join(
-            f"{coef(c)} {nm}" for c, nm in zip(row, names) if c != 0.0
-        )
-        out.append(f" c{r}: {terms or '0 ' + names[0]} <= {coef(rhs)}")
-    out.append("Bounds")
-    out.extend(f" {nm} free" for nm in names)
-    out.append("End")
-    return "\n".join(out) + "\n"

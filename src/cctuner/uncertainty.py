@@ -15,7 +15,6 @@ platform.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -32,7 +31,6 @@ __all__ = [
     "sensitivity_norm",
     "derive_seed",
     "sampleset_to_csv",
-    "sampleset_from_csv",
 ]
 
 # Eigenvalue floor (relative to scale) below which an input covariance is
@@ -132,29 +130,25 @@ def gaussian_from_std_corr(std_mw, correlation: float) -> GaussianSpec:
 class SampleSet:
     """N x m matrix of nodal disturbance samples in per unit.
 
-    Columns for buses without an uncertainty source are exactly zero;
-    downstream evaluation relies on that to skip them. seed is None for
-    a matrix that was not drawn by sample().
+    uncertain_columns holds the ascending indices of the columns that
+    may be nonzero; every other column is exactly zero, and downstream
+    evaluation relies on that to skip them. seed is None for a matrix
+    that was not drawn by sample().
     """
 
     samples: np.ndarray
     seed: int | None
+    uncertain_columns: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "samples", arr)
+        for name, dtype in (("samples", float), ("uncertain_columns", np.int64)):
+            arr = np.asarray(getattr(self, name), dtype=dtype)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def n_samples(self) -> int:
         return self.samples.shape[0]
-
-    @cached_property
-    def nonzero_columns(self) -> np.ndarray:
-        """Ascending int64 indices of the columns holding a nonzero sample."""
-        cols = np.flatnonzero(np.any(self.samples != 0.0, axis=0)).astype(np.int64)
-        cols.setflags(write=False)
-        return cols
 
 
 @dataclass(frozen=True)
@@ -277,7 +271,7 @@ def sample(spec, n: int, seed: int, case) -> SampleSet:
     cols = [b - 1 for b in uncertain]
     if cols:
         full[:, cols] = draws / case.base_mva
-    return SampleSet(samples=full, seed=seed)
+    return SampleSet(samples=full, seed=seed, uncertain_columns=cols)
 
 
 def empirical_moments(s: SampleSet) -> MomentEstimate:
@@ -343,19 +337,3 @@ def sampleset_to_csv(s: SampleSet, case) -> str:
     """One sample per row, columns = buses, MW units, 12 significant digits."""
     mw = s.samples * case.base_mva
     return "\n".join(",".join(f"{v:.12g}" for v in row) for row in mw) + "\n"
-
-
-def sampleset_from_csv(text: str, case) -> SampleSet:
-    """Parse a sample CSV (MW) back to a pu SampleSet.
-
-    Columns of buses without an uncertainty source must be exactly zero;
-    the evaluator's fast path depends on skipping them.
-    """
-    rows = [line for line in text.strip().splitlines() if line.strip()]
-    mw = np.array([[float(v) for v in row.split(",")] for row in rows])
-    if mw.ndim != 2 or mw.shape[1] != case.n_buses:
-        raise ValueError(f"expected {case.n_buses} columns, got {mw.shape}")
-    certain = [b.id - 1 for b in case.buses if not b.has_uncertainty]
-    if certain and np.any(mw[:, certain] != 0.0):
-        raise ValueError("nonzero disturbance at a bus without an uncertainty source")
-    return SampleSet(samples=mw / case.base_mva, seed=-1)

@@ -45,16 +45,17 @@ class ViolationReport:
 def evaluate(p_g, samples, catalog: ConstraintCatalog, include_degenerate: bool = False) -> ViolationReport:
     """Count strict violations g.p + a.xi > rhs for every catalog row.
 
-    samples may be a SampleSet (per-unit, full bus width) or a plain
-    (n, n_buses) array in per unit; a SampleSet finds its nonzero
-    columns once, an array on every call. Degenerate rows are always
-    counted individually but only enter eps_single and the joint count
-    when include_degenerate is set. Each mirrored pair of rows is
-    counted from one sum (see _kernels).
+    samples may be a SampleSet (per-unit, full bus width), which names
+    its uncertain columns, or a plain (n, n_buses) array in per unit,
+    which is scanned for nonzero columns on every call. Degenerate rows
+    are always counted individually but only enter eps_single and the
+    joint count when include_degenerate is set. Each mirrored pair of
+    rows is counted from one sum (see _kernels).
     """
-    if not isinstance(samples, SampleSet):
-        samples = SampleSet(np.array(samples, dtype=np.float64, order="C"), seed=None)
-    xi = samples.samples
+    if isinstance(samples, SampleSet):
+        xi, cols, seed = samples.samples, samples.uncertain_columns, samples.seed
+    else:
+        xi, cols, seed = np.array(samples, dtype=np.float64, order="C"), None, None
     if xi.ndim != 2:
         raise ValueError("samples must be a 2-D array")
     n, m = xi.shape
@@ -68,6 +69,9 @@ def evaluate(p_g, samples, catalog: ConstraintCatalog, include_degenerate: bool 
     if p.shape != (m,):
         raise ValueError(f"dispatch must have shape ({m},), got {p.shape}")
 
+    if cols is None:
+        cols = np.flatnonzero(np.any(xi != 0.0, axis=0))
+
     pairs = catalog.pairs
     upper = pairs[:, 0]
     base = np.array([float(np.dot(catalog.dispatch_matrix[c], p)) for c in upper])
@@ -77,7 +81,7 @@ def evaluate(p_g, samples, catalog: ConstraintCatalog, include_degenerate: bool 
         active = ~catalog.degenerate
     pair_counts, joint = _kernels.count_violations(
         base, catalog.sensitivity_matrix[upper], catalog.limits[pairs], xi,
-        samples.nonzero_columns, active[pairs],
+        cols, active[pairs],
     )
     counts = np.empty(len(catalog), dtype=np.int64)
     counts[pairs] = pair_counts
@@ -89,7 +93,7 @@ def evaluate(p_g, samples, catalog: ConstraintCatalog, include_degenerate: bool 
         counts=counts,
         joint_count=int(joint),
         include_degenerate=bool(include_degenerate),
-        seed=samples.seed,
+        seed=seed,
     )
 
 

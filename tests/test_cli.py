@@ -107,6 +107,13 @@ def test_solve_and_infeasible_exit(cfg_path, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "evaluate"])
+def test_nonfinite_s_exits_1(cfg_path, command, capsys):
+    for s in ("nan", "inf"):
+        assert main([command, "--config", cfg_path, "--s", s]) == 1
+        assert "nonnegative" in capsys.readouterr().err
+
+
 def test_tune_with_trace_outputs(cfg_path, tmp_path, capsys):
     trace = tmp_path / "trace.csv"
     assert main(

@@ -1,4 +1,4 @@
-"""Case parsing, validation, serialization, and the study modifications."""
+"""Case parsing, validation, and the study modifications."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from cctuner import (
     apply_rts_modifications,
     load_rts_case,
     parse_case,
-    serialize_case,
 )
 
 TWO_BUS = """
@@ -156,16 +155,3 @@ def test_rts_modifications_not_idempotent():
 def test_modifications_require_uncertain_buses_present():
     with pytest.raises(CaseError, match="no bus"):
         apply_rts_modifications(parse_case(TWO_BUS))
-
-
-def test_serialize_round_trip_exact():
-    for case in (parse_case(TWO_BUS), load_rts_case(), apply_rts_modifications(load_rts_case())):
-        assert parse_case(serialize_case(case)) == case
-
-
-def test_round_trip_preserves_awkward_floats():
-    text = "base 100\nbus 1 0 uncertain\nbus 2 0.1\nline 1 2 0.0139 122.49999999999999\ngen 1 0 33.3 0.014142 16.0811 212.3076\n"
-    case = parse_case(text)
-    again = parse_case(serialize_case(case))
-    assert again == case
-    assert again.lines[0].capacity_mw == case.lines[0].capacity_mw

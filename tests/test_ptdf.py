@@ -9,7 +9,7 @@ from oracles import angle_solve_flows
 
 from cctuner import CaseError, apply_rts_modifications, load_rts_case, parse_case
 from cctuner.grid import Bus, Generator, GridCase, Line
-from cctuner.ptdf import compute_ptdf, nominal_flows, ptdf_to_csv
+from cctuner.ptdf import compute_ptdf, ptdf_to_csv
 
 TWO_BUS = """
 base 100
@@ -114,23 +114,6 @@ def test_disconnected_case_named_in_error():
     )
     with pytest.raises(CaseError, match=r"unreachable buses \[3, 4\]"):
         compute_ptdf(case)
-
-
-def test_nominal_flows():
-    case = parse_case(TWO_BUS)
-    ptdf = compute_ptdf(case, slack=2)
-    # p_G = d: no net injection anywhere, so no flow.
-    d = np.array([0.0, 0.5])
-    np.testing.assert_allclose(nominal_flows(ptdf, d, d), [0.0])
-    flows = nominal_flows(ptdf, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    np.testing.assert_allclose(flows, [1.0])
-
-
-def test_nominal_flows_rejects_imbalance():
-    case = parse_case(TWO_BUS)
-    ptdf = compute_ptdf(case)
-    with pytest.raises(ValueError, match="imbalance"):
-        nominal_flows(ptdf, np.array([1.0, 0.0]), np.array([0.0, 0.5]))
 
 
 def test_csv_export_round_trips_12_digits():

@@ -9,8 +9,6 @@ from oracles import brute_force_qp
 
 from cctuner.qp import solve
 
-NO_EQ = (np.zeros((0, 2)), [])
-
 
 def kkt_residuals(p, q, a, b, g, h, sol):
     """Recompute the four residuals from the returned vectors only."""
@@ -34,20 +32,14 @@ def kkt_residuals(p, q, a, b, g, h, sol):
     return stat if isinstance(stat, float) else float(np.abs(stat).max()), prim, dual, comp
 
 
-def test_unconstrained_parabola_with_vacuous_equality():
-    # min x^2 - 4x, only a 0 = 0 equality row.
-    sol = solve([2.0], [-4.0], np.zeros((1, 1)), [0.0], np.zeros((0, 1)), [])
-    assert sol.status == "optimal"
-    assert sol.x[0] == pytest.approx(2.0, abs=1e-9)
-    assert sol.objective == pytest.approx(-4.0, abs=1e-9)
-
-
-def test_equality_only():
-    # min x1^2 + 2 x2^2 s.t. x1 + x2 = 3; stationarity gives 2x1 = 4x2.
-    sol = solve([2.0, 4.0], [0.0, 0.0], [[1.0, 1.0]], [3.0], *NO_EQ)
-    assert sol.status == "optimal"
-    np.testing.assert_allclose(sol.x, [2.0, 1.0], atol=1e-9)
-    assert sol.objective == pytest.approx(6.0, abs=1e-9)
+def test_program_without_inequality_rows_rejected():
+    # Every tightened dispatch has two generator rows per free bus, so the
+    # solver keeps no separate equality-only path.
+    with pytest.raises(ValueError, match="no nonzero inequality row"):
+        solve([2.0, 4.0], [0.0, 0.0], [[1.0, 1.0]], [3.0], np.zeros((0, 2)), [])
+    # Vacuous all-zero rows are dropped before the check.
+    with pytest.raises(ValueError, match="no nonzero inequality row"):
+        solve([2.0], [-4.0], np.zeros((1, 1)), [0.0], np.zeros((2, 1)), [0.0, 1.0])
 
 
 def test_active_inequality_and_multiplier():
@@ -76,6 +68,14 @@ def test_phase1_cap_is_not_reported_infeasible():
     sol = solve([1.0], [0.0], np.zeros((0, 1)), [], [[-1.0], [1.0]], [-1.0, 3.0], max_iters=1)
     assert sol.status == "max_iterations"
     assert solve([1.0], [0.0], np.zeros((0, 1)), [], [[-1.0], [1.0]], [-1.0, 3.0]).optimal
+
+
+def test_phase1_start_margin_scales_with_the_violation():
+    # x <= -1e17 and x >= 0: the anchor x = 0 violates the first row by
+    # 1e17, where a fixed start margin of 1.0 rounds away.
+    sol = solve([1.0], [0.0], np.zeros((0, 1)), [], [[1.0], [-1.0]], [-1e17, 0.0])
+    assert sol.status == "infeasible"
+    assert sol.certificate["farkas_gap"] < 0.0
 
 
 def test_zero_row_contradiction_short_circuits():

@@ -1,4 +1,4 @@
-"""Participation factors, constraint catalog, and the tightened program."""
+"""Participation factors, constraint catalog, and the tightened dispatch solve."""
 
 from __future__ import annotations
 
@@ -10,10 +10,8 @@ from cctuner.ptdf import compute_ptdf
 from cctuner.reformulation import (
     ConstraintCatalog,
     build_catalog,
-    build_qp,
     constraint_deltas,
     participation_factors,
-    qp_to_lp_text,
     solve_dispatch,
 )
 from cctuner.uncertainty import (
@@ -189,29 +187,26 @@ def test_constraint_deltas_match_finite_differences():
         np.testing.assert_allclose(fd, deltas[:, j], atol=1e-8)
 
 
-def test_build_qp_rhs_moves_linearly_in_s(rts, rts_catalog):
-    q0 = build_qp(rts, rts_catalog, 0.0)
-    q1 = build_qp(rts, rts_catalog, 1.5)
-    q2 = build_qp(rts, rts_catalog, 3.0)
-    np.testing.assert_array_equal(q0.h, rts_catalog.limits)
-    np.testing.assert_allclose(q1.h, rts_catalog.limits - 1.5 * rts_catalog.sigmas, atol=1e-15)
-    # Monotone tightening, strict wherever uncertainty bites.
-    assert np.all(q2.h <= q1.h)
-    assert np.all(q1.h[rts_catalog.sigmas > 0] < q0.h[rts_catalog.sigmas > 0])
-    with pytest.raises(ValueError, match="nonnegative"):
-        build_qp(rts, rts_catalog, -0.1)
+def test_solve_dispatch_rejects_negative_or_nonfinite_s(rts, rts_catalog):
+    for s in (-0.1, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="nonnegative"):
+            solve_dispatch(rts, rts_catalog, s)
 
 
 def test_dispatch_solution_kkt_and_pinning(rts, rts_catalog):
-    sol = solve_dispatch(rts, rts_catalog, 1.3012)
+    s = 1.3012
+    sol = solve_dispatch(rts, rts_catalog, s)
     assert sol.feasible
-    prog = build_qp(rts, rts_catalog, 1.3012)
+    base = rts.base_mva
+    c2, c1, _ = rts.cost_coefficients()
+    g = rts_catalog.dispatch_matrix
+    h = rts_catalog.limits - s * rts_catalog.sigmas
     q = sol.qp_solution
     # Full-system stationarity, using only returned vectors.
-    stat = prog.q_diag * sol.p_g + prog.lin + q.y[0] * prog.eq_row + prog.g_matrix.T @ q.z
+    stat = 2.0 * c2 * base * base * sol.p_g + c1 * base + q.y[0] + g.T @ q.z
     assert np.abs(stat).max() <= 1e-8
-    assert abs(sol.p_g.sum() - prog.eq_rhs) <= 1e-8
-    slack = prog.h - prog.g_matrix @ sol.p_g
+    assert abs(sol.p_g.sum() - rts.loads_mw().sum() / base) <= 1e-8
+    slack = h - g @ sol.p_g
     assert slack.min() >= -1e-9
     assert np.all(q.z >= 0.0)
     assert np.abs(q.z * slack).max() <= 1e-7
@@ -228,10 +223,10 @@ def test_feasible_set_nesting_and_cost_monotone(rts, rts_catalog):
         assert b >= a - 1e-6
     # Any dispatch feasible at tighter s stays feasible at looser s.
     for s_loose, sol_tight in zip(grid[:-1], sols[1:]):
-        prog = build_qp(rts, rts_catalog, float(s_loose))
-        margins = prog.g_matrix @ sol_tight.p_g - prog.h
+        h = rts_catalog.limits - float(s_loose) * rts_catalog.sigmas
+        margins = rts_catalog.dispatch_matrix @ sol_tight.p_g - h
         assert margins.max() <= 1e-9
-        assert abs(sol_tight.p_g.sum() - prog.eq_rhs) <= 1e-8
+        assert abs(sol_tight.p_g.sum() - rts.loads_mw().sum() / rts.base_mva) <= 1e-8
 
 
 def test_crossed_bounds_infeasible(rts, rts_catalog):
@@ -241,18 +236,13 @@ def test_crossed_bounds_infeasible(rts, rts_catalog):
     assert sol.qp_solution.certificate is not None
 
 
-def test_lp_export_tokens(rts, rts_catalog):
-    prog = build_qp(rts, rts_catalog, 1.0)
-    text = qp_to_lp_text(prog)
-    assert text.startswith("Minimize")
-    assert "Subject To" in text and "Bounds" in text and text.rstrip().endswith("End")
-    assert " balance: " in text
-    assert f" c{len(rts_catalog)}: " in text
-    assert "p24 free" in text
-    # 12-digit coefficients round-trip through float.
-    for token in text.split():
-        if token[0].isdigit() or token[0] == "-":
-            float(token.rstrip("]"))
+def test_huge_s_infeasible_with_certificate(rts, rts_catalog):
+    # From |h| ~ 1e16 on, a fixed phase-1 start margin of 1.0 rounds away
+    # and the start lands on the boundary of the phase-1 program.
+    sol = solve_dispatch(rts, rts_catalog, 1e20)
+    assert sol.status == "infeasible"
+    cert = sol.qp_solution.certificate
+    assert cert is not None and cert["farkas_gap"] < 0.0
 
 
 def test_catalog_rows_are_read_only_views_of_the_matrices(rts_catalog):

@@ -128,13 +128,12 @@ def test_kernel_matches_naive_loop_on_any_dispatch(rts, rts_catalog, include_deg
 
 
 def test_sample_set_and_its_array_give_identical_reports(rts, rts_catalog):
-    # A SampleSet finds its nonzero columns once; a raw array is scanned
-    # on every call. Only the seed, which the array lacks, may differ.
+    # A SampleSet names its uncertain columns; a raw array is scanned on
+    # every call. Only the seed, which the array lacks, may differ.
     p_g = solve_dispatch(rts, rts_catalog, 1.2).p_g
     samples = sample(gaussian_from_std_corr([9.4, 13.1], 0.2), 5000, seed=17, case=rts)
-    assert samples.nonzero_columns is samples.nonzero_columns
     expect = [j for j in range(24) if np.any(samples.samples[:, j] != 0.0)]
-    assert samples.nonzero_columns.tolist() == expect
+    assert samples.uncertain_columns.tolist() == expect == [7, 14]
     for include_degenerate in (False, True):
         from_set = evaluate(p_g, samples, rts_catalog, include_degenerate=include_degenerate)
         from_array = evaluate(p_g, samples.samples, rts_catalog, include_degenerate=include_degenerate)
@@ -143,6 +142,27 @@ def test_sample_set_and_its_array_give_identical_reports(rts, rts_catalog):
         for name in ("eps_single", "eps_joint", "n_samples", "joint_count", "include_degenerate"):
             assert getattr(from_set, name) == getattr(from_array, name)
         assert (from_set.seed, from_array.seed) == (17, None)
+
+
+def test_point_mass_bus_counts_match_naive_loop(rts, rts_catalog):
+    # Bus 15 keeps its uncertainty source but with zero variance, so its
+    # column is uncertain yet all zero. Accumulating it adds only +-0.0,
+    # so the counts equal the oracle's and those of the scanned array,
+    # which skips the column.
+    p_g = solve_dispatch(rts, rts_catalog, 0.4).p_g
+    samples = sample(gaussian_from_std_corr([9.4, 0.0], 0.0), 2000, seed=23, case=rts)
+    assert samples.uncertain_columns.tolist() == [7, 14]
+    assert not np.any(samples.samples[:, 14])
+    for include_degenerate in (False, True):
+        report = evaluate(p_g, samples, rts_catalog, include_degenerate=include_degenerate)
+        counts, joint = naive_violation_counts(
+            p_g, rts_catalog, samples.samples, include_degenerate=include_degenerate
+        )
+        assert counts.sum() > 0
+        assert np.array_equal(report.counts, counts)
+        assert report.joint_count == joint
+        from_array = evaluate(p_g, samples.samples, rts_catalog, include_degenerate=include_degenerate)
+        assert np.array_equal(from_array.counts, counts)
 
 
 def test_ordering_and_boole_bounds(rts, rts_catalog):
