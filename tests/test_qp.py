@@ -32,14 +32,21 @@ def kkt_residuals(p, q, a, b, g, h, sol):
     return stat if isinstance(stat, float) else float(np.abs(stat).max()), prim, dual, comp
 
 
-def test_program_without_inequality_rows_rejected():
-    # Every tightened dispatch has two generator rows per free bus, so the
-    # solver keeps no separate equality-only path.
+def test_unconstrained_parabola_with_vacuous_equality():
+    # min x^2 - 4x with only a 0 = 0 equality row has no inequality row left
+    # for the interior-point method, so it is rejected.
     with pytest.raises(ValueError, match="no nonzero inequality row"):
-        solve([2.0, 4.0], [0.0, 0.0], [[1.0, 1.0]], [3.0], np.zeros((0, 2)), [])
-    # Vacuous all-zero rows are dropped before the check.
+        solve([2.0], [-4.0], np.zeros((1, 1)), [0.0], np.zeros((0, 1)), [])
+    # Vacuous all-zero inequality rows are dropped before the check.
     with pytest.raises(ValueError, match="no nonzero inequality row"):
         solve([2.0], [-4.0], np.zeros((1, 1)), [0.0], np.zeros((2, 1)), [0.0, 1.0])
+
+
+def test_equality_only():
+    # Every tightened dispatch has two generator rows per free bus, so the
+    # solver keeps no separate equality-only path: such a program is rejected.
+    with pytest.raises(ValueError, match="no nonzero inequality row"):
+        solve([2.0, 4.0], [0.0, 0.0], [[1.0, 1.0]], [3.0], np.zeros((0, 2)), [])
 
 
 def test_active_inequality_and_multiplier():
