@@ -16,11 +16,24 @@ Infeasibility is reported with a Farkas-type certificate (y, z ≥ 0)
 satisfying Aᵀy + Gᵀz = 0 and bᵀy + hᵀz < 0, extracted from the phase-1
 dual solution. A phase-1 search that ends at its iteration cap without
 settling feasibility is reported as 'max_iterations', never 'infeasible'.
+
+A caller that expects a particular set of active inequality rows (the
+previous solve of a nearby program, say) can pass that guess as
+`active`. solve then first solves the KKT system with the equality rows
+and the guessed rows held at equality, and returns that point as
+'optimal' with iterations = 0 only if it passes the absolute test the
+interior-point method stops on: all four KKT residuals at or below tol,
+and no negative multiplier. Otherwise, whether the guess was wrong,
+its KKT matrix singular or the program infeasible, solve falls back to
+the phase-1 and interior-point path above. A guess thus never makes a
+solve infeasible or accepts a point the stopping test would reject.
 """
 
 from __future__ import annotations
 
 import logging
+import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -265,15 +278,24 @@ def solve(
     h_ineq,
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
+    active=None,
 ) -> QpSolution:
     """Solve the diagonal-Hessian convex QP; see the module docstring.
 
-    p_diag must be elementwise nonnegative. Vacuous all-zero constraint
-    rows are dropped up front (an all-zero row with an unsatisfiable
+    p_diag must be elementwise nonnegative, tol finite and positive, and
+    max_iters an integer of at least 1. Vacuous all-zero constraint rows
+    are dropped up front (an all-zero row with an unsatisfiable
     right-hand side short-circuits to 'infeasible'), and at least one
     nonzero inequality row must remain, else ValueError; returned dual
     vectors keep the caller's row indexing, with zeros on dropped rows.
+    active, if given, lists the inequality rows guessed to be active at
+    the optimum, as integer indices into the caller's rows; guessed rows
+    that are dropped as vacuous are ignored.
     """
+    if not (isinstance(max_iters, numbers.Integral) and max_iters >= 1):
+        raise ValueError(f"max_iters must be an integer of at least 1, got {max_iters!r}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     p = np.asarray(p_diag, dtype=float)
     q = np.asarray(q, dtype=float)
     n = q.size
@@ -285,6 +307,8 @@ def solve(
     b_full = np.asarray(b_eq, dtype=float).reshape(a_full.shape[0])
     g_full = _as_2d(g_ineq, n)
     h_full = np.asarray(h_ineq, dtype=float).reshape(g_full.shape[0])
+    if active is not None:
+        active = _active_mask(active, g_full.shape[0])
 
     y = np.zeros(a_full.shape[0])
     z = np.zeros(g_full.shape[0])
@@ -312,6 +336,11 @@ def solve(
     if g.shape[0] == 0:
         raise ValueError("no nonzero inequality row: the interior-point method needs one")
 
+    if active is not None:
+        warm = _certified_on_active_set(p, q, a, b, g, h, active[keep_g], tol)
+        if warm is not None:
+            return _in_caller_rows(warm, p, q, a_full, b_full, g_full, h_full, keep_eq, keep_g)
+
     # Minimum-norm equality solution as the phase-1 anchor.
     if a.shape[0]:
         x0 = np.linalg.lstsq(a, b, rcond=None)[0]
@@ -331,8 +360,50 @@ def solve(
     sol = _ipm(p, q, a, b, g, h, x_feas, tol, max_iters)
     if not sol.optimal:
         logger.warning("interior-point method hit iteration cap %d; best residual %.3e", max_iters, max(sol.kkt_residuals))
-    y = _scatter(sol.y, keep_eq, y.size)
-    z = _scatter(sol.z, keep_g, z.size)
+    return _in_caller_rows(sol, p, q, a_full, b_full, g_full, h_full, keep_eq, keep_g)
+
+
+def _active_mask(rows, count: int) -> np.ndarray:
+    """Boolean mask over count rows, set at rows (integers in [0, count))."""
+    mask = np.zeros(count, dtype=bool)
+    idx = np.asarray(rows)
+    if idx.size == 0:
+        return mask
+    if idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer):
+        raise ValueError("active rows must be a flat sequence of integer row indices")
+    if idx.min() < 0 or idx.max() >= count:
+        raise ValueError(f"active row index out of range for {count} inequality rows")
+    mask[idx] = True
+    return mask
+
+
+def _certified_on_active_set(p, q, a, b, g, h, on, tol) -> QpSolution | None:
+    """The KKT point with the rows G[on] held at equality, if it is optimal.
+
+    Returns it as 'optimal' with iterations = 0 when all four residuals
+    are at or below tol and no multiplier is negative, else None.
+    """
+    k = a.shape[0]
+    # A singular or ill-posed guess may produce inf or NaN; the test
+    # below rejects such a point.
+    with np.errstate(all="ignore"):
+        try:
+            x, dual = _solve_kkt(np.diag(p), np.vstack([a, g[on]]), -q, np.concatenate([b, h[on]]))
+        except np.linalg.LinAlgError:
+            return None
+        y, z = dual[:k], np.zeros(g.shape[0])
+        z[on] = dual[k:]
+        res = _residuals(p, q, a, b, g, h, x, y, z)
+    if not (all(r <= tol for r in res) and np.all(z >= 0.0)):
+        return None
+    obj = float(0.5 * x @ (p * x) + q @ x)
+    return QpSolution("optimal", x, obj, y, z, res, 0)
+
+
+def _in_caller_rows(sol, p, q, a_full, b_full, g_full, h_full, keep_eq, keep_g) -> QpSolution:
+    """sol with duals scattered to the caller's rows and residuals recomputed there."""
+    y = _scatter(sol.y, keep_eq, a_full.shape[0])
+    z = _scatter(sol.z, keep_g, g_full.shape[0])
     res = _residuals(p, q, a_full, b_full, g_full, h_full, sol.x, y, z)
     return replace(sol, y=y, z=z, kkt_residuals=res)
 

@@ -246,6 +246,7 @@ def solve_dispatch(
     case: GridCase,
     catalog: ConstraintCatalog,
     s: float,
+    start: DispatchSolution | None = None,
 ) -> DispatchSolution:
     """Solve the tightened program at a finite, nonnegative s:
 
@@ -259,6 +260,12 @@ def solve_dispatch(
     interior. The returned primal and duals are re-inflated to full
     length, with multipliers for the eliminated rows chosen to close the
     stationarity conditions of the full system.
+
+    start, if given, is an earlier solve on the same case and catalog.
+    When it is optimal, the rows it held active, those whose dual
+    exceeds their slack at start.s, are passed to qp.solve as its guess
+    of the active set at s. qp.solve keeps the guessed point only if it
+    certifies it, so a stale start costs time, not accuracy.
     """
     if not (s >= 0.0 and math.isfinite(s)):
         raise ValueError(f"safety parameter must be finite and nonnegative, got {s}")
@@ -274,6 +281,10 @@ def solve_dispatch(
     free = ~pinned
     if not np.any(free):
         raise ValueError("every bus is pinned; nothing to dispatch")
+    active = None
+    if start is not None and start.feasible:
+        slack = catalog.limits - start.s * catalog.sigmas - catalog.dispatch_matrix @ start.p_g
+        active = np.flatnonzero(start.qp_solution.z > slack)
     # Rows touching only pinned variables reduce to constants; solve()
     # drops the all-zero rows this produces.
     sol = qp.solve(
@@ -283,6 +294,7 @@ def solve_dispatch(
         [d_total],
         catalog.dispatch_matrix[:, free],
         h,
+        active=active,
     )
 
     n = case.n_buses

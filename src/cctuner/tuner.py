@@ -76,8 +76,12 @@ class TuningConfig:
 class TuningIterate:
     """One bisection step. eps and cost are None when the solve failed.
 
-    qp_status and qp_iterations are the status and iteration count of
-    the QP solve at s.
+    qp_status and qp_iterations are the status and interior-point
+    iteration count of the QP solve at s; an optimal solve with 0
+    iterations was certified on the previous optimal iterate's active
+    set. kkt_max is the largest of the solve's four KKT residuals: its
+    optimality certificate when optimal, the phase-1 infeasibility
+    measure when infeasible.
     """
 
     iteration: int
@@ -88,6 +92,7 @@ class TuningIterate:
     cost: Optional[float]
     qp_status: str
     qp_iterations: int
+    kkt_max: float
 
 
 @dataclass(frozen=True)
@@ -140,7 +145,7 @@ def bisect_tune(
     """Bisect s on [bounds] against the empirical violation probability.
 
     solve_at(s) must return an object with status, objective, p_g and
-    qp_solution (with status and iterations) attributes.
+    qp_solution (with status, iterations and kkt_residuals) attributes.
     evaluate_at(s, solution) must return the pair of exact observed
     frequencies (eps_single, eps_joint). A midpoint whose solve
     is certified infeasible contracts the upper end of the bracket, since
@@ -166,7 +171,8 @@ def bisect_tune(
         solution = solve_at(s_k)
         if solution.status not in ("optimal", "infeasible"):
             raise TuningError(f"QP solve at s={s_k:.6g} ended with status {solution.status!r}")
-        qp_run = (solution.qp_solution.status, solution.qp_solution.iterations)
+        qp_sol = solution.qp_solution
+        qp_run = (qp_sol.status, qp_sol.iterations, max(qp_sol.kkt_residuals))
         if solution.status == "infeasible":
             trace.append(TuningIterate(iteration, s_k, False, None, None, None, *qp_run))
             solutions.append(solution)
@@ -236,7 +242,8 @@ def tune(case, catalog: ConstraintCatalog, samples, config: TuningConfig, bounds
 
     The same sample set is reused at every iterate, so the observed
     probabilities are a deterministic function of s and bisection sees a
-    fixed (noisy but frozen) response curve.
+    fixed (noisy but frozen) response curve. Each QP solve is offered
+    the active set of the last optimal iterate as a warm start.
     """
     n = samples.samples.shape[0] if hasattr(samples, "samples") else np.asarray(samples).shape[0]
     if config.gamma > 0 and config.gamma < Fraction(1, int(n)):
@@ -249,8 +256,15 @@ def tune(case, catalog: ConstraintCatalog, samples, config: TuningConfig, bounds
     if bounds is None:
         bounds = initial_bounds(config.eps_des, config.mode, catalog.n_active)
 
+    last_optimal = None
+
     def solve_at(s: float):
-        return solve_dispatch(case, catalog, s)
+        # Nearby iterates almost always share one active set.
+        nonlocal last_optimal
+        solution = solve_dispatch(case, catalog, s, start=last_optimal)
+        if solution.status == "optimal":
+            last_optimal = solution
+        return solution
 
     def evaluate_at(s: float, solution):
         report = evaluate(solution.p_g, samples, catalog)

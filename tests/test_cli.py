@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -145,6 +146,11 @@ def test_tune_json_trace_records_qp_solves(cfg_path, tmp_path):
     for it in json.loads(trace_json.read_text())["trace"]:
         assert it["qp_status"] == ("optimal" if it["feasible"] else "infeasible")
         assert isinstance(it["qp_iterations"], int) and it["qp_iterations"] >= 0
+        if it["qp_status"] == "optimal":
+            assert math.isfinite(it["kkt_max"])
+            # 0 IPM iterations: certified on the last optimal active set.
+            if it["qp_iterations"] == 0:
+                assert it["kkt_max"] <= 1e-8
 
 
 def test_tune_failure_maps_to_exit_2(cfg_path, monkeypatch, capsys):
@@ -233,7 +239,7 @@ def test_solve_reproduces_tuned_mixture_cost(cfg_path, tmp_path, capsys):
 def test_qp_failure_exits_2(cfg_path, monkeypatch, capsys):
     import cctuner.tuner as tuner
 
-    def stalled(case, catalog, s):
+    def stalled(case, catalog, s, start=None):
         return SimpleNamespace(status="max_iterations", objective=None, p_g=None)
 
     monkeypatch.setattr(tuner, "solve_dispatch", stalled)

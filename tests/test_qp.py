@@ -187,3 +187,101 @@ def test_input_validation():
         solve([-1.0], [0.0], np.zeros((0, 1)), [], np.zeros((0, 1)), [])
     with pytest.raises(ValueError, match="matching lengths"):
         solve([1.0, 2.0], [0.0], np.zeros((0, 1)), [], np.zeros((0, 1)), [])
+    # min x^2 subject to x <= -1 is feasible, with optimum x = -1.
+    program = ([2.0], [0.0], np.zeros((0, 1)), [], [[1.0]], [-1.0])
+    assert solve(*program).optimal
+    for max_iters in (0, -3, 2.5):
+        with pytest.raises(ValueError, match="max_iters"):
+            solve(*program, max_iters=max_iters)
+    for tol in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tol"):
+            solve(*program, tol=tol)
+    for active in ([1], [-1], [0.0], [True], [[0]]):
+        with pytest.raises(ValueError, match="active row"):
+            solve(*program, active=active)
+
+
+def active_rows(g, h, sol):
+    """The rule solve_dispatch guesses with: rows whose dual exceeds their slack."""
+    return np.flatnonzero(sol.z > h - g @ sol.x)
+
+
+def semidefinite_instance(rng):
+    """Like feasible_instance, but some p_i = 0 with those x_i boxed in.
+
+    The tightened dispatch has three such buses (c2 = 0), held by their
+    generator bound rows. Kept small for brute_force_qp.
+    """
+    n = int(rng.integers(2, 5))
+    p = rng.uniform(0.5, 2.0, n)
+    zero = rng.permutation(n)[: int(rng.integers(1, n))]
+    p[zero] = 0.0
+    q = rng.normal(size=n)
+    anchor = rng.normal(size=n)
+    a = rng.normal(size=(1, n))
+    b = a @ anchor
+    c = int(rng.integers(1, 4))
+    box = np.eye(n)[zero]
+    g = np.vstack([rng.normal(size=(c, n)), box, -box])
+    h = g @ anchor + rng.uniform(0.1, 2.0, g.shape[0])
+    return p, q, a, b, g, h
+
+
+GENERATORS = (feasible_instance, random_instance, semidefinite_instance)
+
+
+@pytest.mark.parametrize("make", GENERATORS)
+def test_warm_start_on_own_active_set_is_certified(make):
+    rng = np.random.default_rng(11)
+    optimal = 0
+    for _ in range(60):
+        p, q, a, b, g, h = make(rng)
+        cold = solve(p, q, a, b, g, h)
+        if not cold.optimal:
+            continue
+        optimal += 1
+        warm = solve(p, q, a, b, g, h, active=active_rows(g, h, cold))
+        assert warm.status == "optimal" and warm.iterations == 0
+        assert max(warm.kkt_residuals) <= 1e-8
+        assert np.all(warm.z >= 0.0)
+        assert kkt_residuals(p, q, a, b, g, h, warm) == pytest.approx(warm.kkt_residuals, abs=1e-10)
+        ref_obj, _ = brute_force_qp(p, q, a, b, g, h)
+        assert warm.objective == pytest.approx(ref_obj, abs=1e-6)
+    assert optimal >= 30
+
+
+@pytest.mark.parametrize("make", GENERATORS)
+def test_wrong_guess_keeps_the_cold_status_and_objective(make):
+    rng = np.random.default_rng(12)
+    statuses = set()
+    fell_back = 0
+    for _ in range(60):
+        p, q, a, b, g, h = make(rng)
+        # Row 0 duplicated as the last row: guessing both copies active
+        # makes the KKT matrix singular.
+        g, h = np.vstack([g, g[:1]]), np.concatenate([h, h[:1]])
+        cold = solve(p, q, a, b, g, h)
+        statuses.add(cold.status)
+        rows = g.shape[0]
+        subset = np.flatnonzero(rng.random(rows) < 0.5)
+        singular = [0, rows - 1]
+        for guess in ([], np.arange(rows), subset, singular):
+            warm = solve(p, q, a, b, g, h, active=guess)
+            # Also: no guess turns a solve infeasible, or an infeasible
+            # one (random_instance makes some) optimal.
+            assert warm.status == cold.status
+            if cold.optimal:
+                assert warm.objective == pytest.approx(cold.objective, abs=1e-6)
+            fell_back += warm.iterations > 0
+    assert "optimal" in statuses and fell_back > 0
+    assert ("infeasible" in statuses) == (make is random_instance)
+
+
+def test_guess_on_a_dropped_zero_row_is_ignored():
+    g = [[0.0, 0.0], [1.0, 0.0]]
+    h = [5.0, 1.0]
+    cold = solve([2.0, 4.0], [0.0, 0.0], [[1.0, 1.0]], [3.0], g, h)
+    warm = solve([2.0, 4.0], [0.0, 0.0], [[1.0, 1.0]], [3.0], g, h, active=[0, 1])
+    assert warm.status == "optimal" and warm.iterations == 0
+    assert warm.z[0] == 0.0 and warm.z[1] == pytest.approx(6.0, abs=1e-12)
+    assert warm.objective == pytest.approx(cold.objective, abs=1e-6)

@@ -24,6 +24,7 @@ from cctuner.tuner import (
     tune,
 )
 from cctuner.uncertainty import gaussian_from_std_corr, sample, spec_moments
+from cctuner.violation import evaluate
 
 TWO_GEN = """
 base 100
@@ -44,7 +45,7 @@ def stub_solver(feasible=lambda s: True):
             status=status,
             objective=(100.0 + s) if ok else None,
             p_g=None,
-            qp_solution=SimpleNamespace(status=status, iterations=7),
+            qp_solution=SimpleNamespace(status=status, iterations=7, kkt_residuals=(0.0,) * 4),
         )
 
     return solve_at
@@ -215,20 +216,57 @@ def test_live_tune_on_rts():
             assert 10_000 % it.eps_single.denominator == 0
 
 
-def test_trace_records_each_qp_solve():
+@pytest.fixture(scope="module")
+def rts_tuning_set():
     case = apply_rts_modifications(load_rts_case())
     spec = gaussian_from_std_corr([9.4, 13.1], 0.2)
     catalog = build_catalog(
         case, compute_ptdf(case), participation_factors(case), spec_moments(spec, case)
     )
-    samples = sample(spec, 2000, seed=5, case=case)
+    return case, catalog, sample(spec, 2000, seed=5, case=case)
+
+
+def test_trace_records_each_qp_solve(rts_tuning_set):
+    case, catalog, samples = rts_tuning_set
     result = tune(case, catalog, samples, TuningConfig(eps_des=0.05, gamma=1e-3, mode="joint"))
     # The joint bracket starts far out, so the first midpoint is infeasible.
     assert [it.qp_status for it in result.trace[:2]] == ["infeasible", "optimal"]
+    # Replay the tuner's warm starts: each solve starts from the last
+    # optimal iterate.
+    start = None
     for it in result.trace:
-        solved = solve_dispatch(case, catalog, it.s).qp_solution
+        replayed = solve_dispatch(case, catalog, it.s, start=start)
+        solved = replayed.qp_solution
         assert (it.qp_status, it.qp_iterations) == (solved.status, solved.iterations)
+        assert it.kkt_max == max(solved.kkt_residuals)
+        assert it.qp_status == solve_dispatch(case, catalog, it.s).qp_solution.status
         assert it.feasible == (it.qp_status == "optimal")
+        if replayed.feasible:
+            start = replayed
+
+
+@pytest.mark.parametrize("mode", ["single", "joint"])
+def test_warm_started_tune_matches_cold_bisection(rts_tuning_set, mode):
+    case, catalog, samples = rts_tuning_set
+    config = TuningConfig(eps_des=0.05, gamma=1e-3, mode=mode)
+
+    def evaluate_at(s, solution):
+        report = evaluate(solution.p_g, samples, catalog)
+        return report.eps_single, report.eps_joint
+
+    warm = tune(case, catalog, samples, config)
+    cold = bisect_tune(
+        config,
+        lambda s: solve_dispatch(case, catalog, s),
+        evaluate_at,
+        initial_bounds(config.eps_des, mode, catalog.n_active),
+    )
+    assert (warm.s, warm.eps_single, warm.eps_joint) == (cold.s, cold.eps_single, cold.eps_joint)
+    assert warm.iterations == cold.iterations
+    assert [it.qp_status for it in warm.trace] == [it.qp_status for it in cold.trace]
+    # The warm path carried some of the solves.
+    assert any(it.qp_status == "optimal" and it.qp_iterations == 0 for it in warm.trace)
+    assert all(it.qp_iterations > 0 for it in cold.trace if it.qp_status == "optimal")
 
 
 def test_trace_csv_layout():
