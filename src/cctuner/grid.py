@@ -18,6 +18,7 @@ that downstream code can treat generation as a length-m vector.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -81,7 +82,8 @@ class GridCase:
     Buses are numbered 1..m. ``generators`` holds at most one record per
     bus; buses absent from it implicitly carry a zero-capacity,
     zero-cost generator so that every nodal quantity is a length-m
-    vector (see ``_per_bus``).
+    vector. The per-bus vectors are built on first use and shared
+    read-only.
     """
 
     base_mva: float
@@ -101,30 +103,37 @@ class GridCase:
     def uncertain_buses(self) -> tuple[int, ...]:
         return tuple(b.id for b in self.buses if b.has_uncertainty)
 
-    def _per_bus(self, attr: str) -> np.ndarray:
-        """One generator attribute per bus; zero where a bus has none."""
-        by_bus = {g.bus: getattr(g, attr) for g in self.generators}
-        return np.array([by_bus.get(b.id, 0.0) for b in self.buses], dtype=float)
+    @cached_property
+    def _bus_vectors(self) -> dict[str, np.ndarray]:
+        """Read-only per-bus vectors, built once: the load and each
+        generator attribute, zero where a bus has no generator."""
+        by_bus = {g.bus: g for g in self.generators}
+        vectors = {"load_mw": np.array([b.load_mw for b in self.buses], dtype=float)}
+        for attr in ("p_min_mw", "p_max_mw", "cost_quadratic", "cost_linear", "cost_constant"):
+            vectors[attr] = np.array(
+                [getattr(by_bus[b.id], attr) if b.id in by_bus else 0.0 for b in self.buses],
+                dtype=float,
+            )
+        for vector in vectors.values():
+            vector.setflags(write=False)
+        return vectors
 
     def loads_mw(self) -> np.ndarray:
-        return np.array([b.load_mw for b in self.buses], dtype=float)
+        return self._bus_vectors["load_mw"]
 
     def p_min_mw(self) -> np.ndarray:
-        return self._per_bus("p_min_mw")
+        return self._bus_vectors["p_min_mw"]
 
     def p_max_mw(self) -> np.ndarray:
-        return self._per_bus("p_max_mw")
+        return self._bus_vectors["p_max_mw"]
 
     def line_capacities_mw(self) -> np.ndarray:
         return np.array([ln.capacity_mw for ln in self.lines], dtype=float)
 
     def cost_coefficients(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-bus (c2, c1, c0) arrays in MW terms; zeros where no generator."""
-        return (
-            self._per_bus("cost_quadratic"),
-            self._per_bus("cost_linear"),
-            self._per_bus("cost_constant"),
-        )
+        vectors = self._bus_vectors
+        return vectors["cost_quadratic"], vectors["cost_linear"], vectors["cost_constant"]
 
 
 def _aggregate_units(bus: int, units: list[tuple[float, ...]]) -> Generator:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import io
 import logging
 import math
+import time
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -22,7 +23,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .reformulation import ConstraintCatalog, solve_dispatch
-from .violation import evaluate
+from .violation import SampleEnvelope, build_envelope, evaluate
 
 logger = logging.getLogger(__name__)
 
@@ -81,7 +82,10 @@ class TuningIterate:
     iterations was certified on the previous optimal iterate's active
     set. kkt_max is the largest of the solve's four KKT residuals: its
     optimality certificate when optimal, the phase-1 infeasibility
-    measure when infeasible.
+    measure when infeasible. solve_s and count_s are the wall-clock
+    seconds of the iterate's QP solve and of its tuning-set count (0.0
+    when infeasible, since nothing is counted); they do not take part in
+    comparisons.
     """
 
     iteration: int
@@ -93,6 +97,8 @@ class TuningIterate:
     qp_status: str
     qp_iterations: int
     kkt_max: float
+    solve_s: float = field(compare=False)
+    count_s: float = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -168,21 +174,28 @@ def bisect_tune(
             terminated_by = TERMINATED_COLLAPSE
             break
         s_k = (s_max - s_min) / 2.0 + s_min
+        started = time.perf_counter()
         solution = solve_at(s_k)
+        solve_s = time.perf_counter() - started
         if solution.status not in ("optimal", "infeasible"):
             raise TuningError(f"QP solve at s={s_k:.6g} ended with status {solution.status!r}")
         qp_sol = solution.qp_solution
         qp_run = (qp_sol.status, qp_sol.iterations, max(qp_sol.kkt_residuals))
         if solution.status == "infeasible":
-            trace.append(TuningIterate(iteration, s_k, False, None, None, None, *qp_run))
+            trace.append(TuningIterate(iteration, s_k, False, None, None, None, *qp_run, solve_s, 0.0))
             solutions.append(solution)
             logger.info("s=%.6g infeasible, contracting upper bound", s_k)
             s_max = s_k
             continue
+        started = time.perf_counter()
         eps_single, eps_joint = evaluate_at(s_k, solution)
+        count_s = time.perf_counter() - started
         eps_obs = config.observed(eps_single, eps_joint)
         trace.append(
-            TuningIterate(iteration, s_k, True, eps_single, eps_joint, solution.objective, *qp_run)
+            TuningIterate(
+                iteration, s_k, True, eps_single, eps_joint, solution.objective, *qp_run,
+                solve_s, count_s,
+            )
         )
         solutions.append(solution)
         for s_prev, eps_prev in feasible_history:
@@ -237,13 +250,23 @@ def _select_result(config, trace, solutions, terminated_by) -> TuningResult:
     )
 
 
-def tune(case, catalog: ConstraintCatalog, samples, config: TuningConfig, bounds=None) -> TuningResult:
+def tune(
+    case,
+    catalog: ConstraintCatalog,
+    samples,
+    config: TuningConfig,
+    bounds=None,
+    envelope: Optional[SampleEnvelope] = None,
+) -> TuningResult:
     """Tune s for a case against a fixed tuning sample set.
 
     The same sample set is reused at every iterate, so the observed
     probabilities are a deterministic function of s and bisection sees a
     fixed (noisy but frozen) response curve. Each QP solve is offered
-    the active set of the last optimal iterate as a warm start.
+    the active set of the last optimal iterate as a warm start. Every
+    iterate is counted through one sample envelope: envelope if given,
+    which must come from build_envelope(samples, catalog), otherwise one
+    built here.
     """
     n = samples.samples.shape[0] if hasattr(samples, "samples") else np.asarray(samples).shape[0]
     if config.gamma > 0 and config.gamma < Fraction(1, int(n)):
@@ -255,6 +278,8 @@ def tune(case, catalog: ConstraintCatalog, samples, config: TuningConfig, bounds
         )
     if bounds is None:
         bounds = initial_bounds(config.eps_des, config.mode, catalog.n_active)
+    if envelope is None:
+        envelope = build_envelope(samples, catalog)
 
     last_optimal = None
 
@@ -267,7 +292,7 @@ def tune(case, catalog: ConstraintCatalog, samples, config: TuningConfig, bounds
         return solution
 
     def evaluate_at(s: float, solution):
-        report = evaluate(solution.p_g, samples, catalog)
+        report = evaluate(solution.p_g, samples, catalog, envelope=envelope)
         return report.eps_single, report.eps_joint
 
     return bisect_tune(config, solve_at, evaluate_at, bounds)

@@ -42,20 +42,16 @@ class ViolationReport:
         return tuple(Fraction(int(k), self.n_samples) for k in self.counts)
 
 
-def evaluate(p_g, samples, catalog: ConstraintCatalog, include_degenerate: bool = False) -> ViolationReport:
-    """Count strict violations g.p + a.xi > rhs for every catalog row.
+def _sample_arrays(samples, catalog: ConstraintCatalog):
+    """(xi, cols, seed) of a SampleSet or a raw (n, n_buses) array.
 
-    samples may be a SampleSet (per-unit, full bus width), which names
-    its uncertain columns, or a plain (n, n_buses) array in per unit,
-    which is scanned for nonzero columns on every call. Degenerate rows
-    are always counted individually but only enter eps_single and the
-    joint count when include_degenerate is set. Each mirrored pair of
-    rows is counted from one sum (see _kernels).
+    A SampleSet names its uncertain columns; a raw array is scanned for
+    nonzero columns. Raises ValueError unless the samples fit the catalog.
     """
     if isinstance(samples, SampleSet):
         xi, cols, seed = samples.samples, samples.uncertain_columns, samples.seed
     else:
-        xi, cols, seed = np.array(samples, dtype=np.float64, order="C"), None, None
+        xi, cols, seed = np.asarray(samples, dtype=np.float64, order="C"), None, None
     if xi.ndim != 2:
         raise ValueError("samples must be a 2-D array")
     n, m = xi.shape
@@ -65,23 +61,99 @@ def evaluate(p_g, samples, catalog: ConstraintCatalog, include_degenerate: bool 
         raise ValueError(
             f"samples have {m} columns but the catalog covers {catalog.dispatch_matrix.shape[1]} buses"
         )
+    if cols is None:
+        cols = np.flatnonzero(np.any(xi != 0.0, axis=0))
+    return xi, cols, seed
+
+
+@dataclass(frozen=True, eq=False)
+class SampleEnvelope:
+    """Per-block bounds of each mirrored pair's uncertainty sum over one
+    sample set and catalog (see _kernels). Build it with build_envelope
+    and pass it to every evaluate on that sample set and catalog: the
+    counts stay exact, and only the blocks and pairs a dispatch can
+    violate are counted. It pays once a sample set is evaluated a few
+    times. It keeps the sample array it describes and the pairs'
+    sensitivities, so evaluate can reject another sample set or catalog.
+    """
+
+    samples: np.ndarray
+    columns: np.ndarray
+    sensitivities: np.ndarray
+    bounds: Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+    def _check(self, xi, cols, sensitivities) -> None:
+        """Raise ValueError unless built from these samples and catalog."""
+        if sensitivities.shape[0] != self.sensitivities.shape[0]:
+            raise ValueError(
+                f"envelope covers {self.sensitivities.shape[0]} row pairs, "
+                f"the catalog has {sensitivities.shape[0]}"
+            )
+        if xi.shape[0] != self.samples.shape[0]:
+            raise ValueError(
+                f"envelope was built from {self.samples.shape[0]} samples, got {xi.shape[0]}"
+            )
+        if not np.array_equal(cols, self.columns):
+            raise ValueError(
+                f"envelope accumulates columns {self.columns.tolist()}, "
+                f"the samples have {np.asarray(cols).tolist()}"
+            )
+        if not np.array_equal(sensitivities, self.sensitivities):
+            raise ValueError("envelope was built for another catalog")
+        if xi is not self.samples and not np.array_equal(xi, self.samples, equal_nan=True):
+            raise ValueError("envelope was built from another sample set")
+
+
+def build_envelope(samples, catalog: ConstraintCatalog) -> SampleEnvelope:
+    """Bound each row pair's uncertainty sum, once per sample set and catalog."""
+    xi, cols, _ = _sample_arrays(samples, catalog)
+    sensitivities = catalog.sensitivity_matrix[catalog.pairs[:, 0]]
+    sensitivities.setflags(write=False)
+    bounds = _kernels.sample_envelope(sensitivities, xi, cols)
+    for array in bounds:
+        array.setflags(write=False)
+    return SampleEnvelope(xi, cols, sensitivities, bounds)
+
+
+def evaluate(
+    p_g,
+    samples,
+    catalog: ConstraintCatalog,
+    include_degenerate: bool = False,
+    envelope: Optional[SampleEnvelope] = None,
+) -> ViolationReport:
+    """Count strict violations g.p + a.xi > rhs for every catalog row.
+
+    samples may be a SampleSet (per-unit, full bus width), which names
+    its uncertain columns, or a plain (n, n_buses) array in per unit,
+    which is scanned for nonzero columns on every call. Degenerate rows
+    are always counted individually but only enter eps_single and the
+    joint count when include_degenerate is set. Each mirrored pair of
+    rows is counted from one sum (see _kernels). envelope, from
+    build_envelope on the same samples and catalog, skips the blocks of
+    samples no row can reach; the report is the same with or without it,
+    and a mismatched envelope raises ValueError.
+    """
+    xi, cols, seed = _sample_arrays(samples, catalog)
+    n, m = xi.shape
     p = np.asarray(p_g, dtype=np.float64)
     if p.shape != (m,):
         raise ValueError(f"dispatch must have shape ({m},), got {p.shape}")
 
-    if cols is None:
-        cols = np.flatnonzero(np.any(xi != 0.0, axis=0))
-
     pairs = catalog.pairs
     upper = pairs[:, 0]
+    sens = catalog.sensitivity_matrix[upper]
+    bounds = None
+    if envelope is not None:
+        envelope._check(xi, cols, sens)
+        bounds = envelope.bounds
     base = np.array([float(np.dot(catalog.dispatch_matrix[c], p)) for c in upper])
     if include_degenerate:
         active = np.ones(len(catalog), dtype=bool)
     else:
         active = ~catalog.degenerate
     pair_counts, joint = _kernels.count_violations(
-        base, catalog.sensitivity_matrix[upper], catalog.limits[pairs], xi,
-        cols, active[pairs],
+        base, sens, catalog.limits[pairs], xi, cols, active[pairs], bounds,
     )
     counts = np.empty(len(catalog), dtype=np.int64)
     counts[pairs] = pair_counts

@@ -151,6 +151,9 @@ def test_tune_json_trace_records_qp_solves(cfg_path, tmp_path):
             # 0 IPM iterations: certified on the last optimal active set.
             if it["qp_iterations"] == 0:
                 assert it["kkt_max"] <= 1e-8
+        # Wall-clock seconds of the solve and of the tuning-set count.
+        assert it["solve_s"] > 0.0
+        assert (it["count_s"] > 0.0) if it["feasible"] else (it["count_s"] == 0.0)
 
 
 def test_tune_failure_maps_to_exit_2(cfg_path, monkeypatch, capsys):

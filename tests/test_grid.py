@@ -32,6 +32,17 @@ def test_minimal_two_bus_case():
     np.testing.assert_allclose(case.p_min_mw(), [0.0, 0.0])
 
 
+def test_per_bus_vectors_are_built_once_and_read_only():
+    case = parse_case(TWO_BUS)
+    vectors = (case.loads_mw(), case.p_min_mw(), case.p_max_mw(), *case.cost_coefficients())
+    again = (case.loads_mw(), case.p_min_mw(), case.p_max_mw(), *case.cost_coefficients())
+    assert all(a is b for a, b in zip(vectors, again))
+    np.testing.assert_allclose(case.cost_coefficients(), [[0.01, 0.0], [10.0, 0.0], [5.0, 0.0]])
+    for vector in vectors:
+        with pytest.raises(ValueError, match="read-only"):
+            vector[0] = 1.0
+
+
 def test_comments_and_blank_lines_ignored():
     text = "# header\n\nbase 100  # trailing\nbus 1 0\nbus 2 10\nline 1 2 0.1 50\ngen 1 0 20 0 1 0\n"
     case = parse_case(text)

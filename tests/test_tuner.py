@@ -24,7 +24,7 @@ from cctuner.tuner import (
     tune,
 )
 from cctuner.uncertainty import gaussian_from_std_corr, sample, spec_moments
-from cctuner.violation import evaluate
+from cctuner.violation import build_envelope, evaluate
 
 TWO_GEN = """
 base 100
@@ -243,6 +243,22 @@ def test_trace_records_each_qp_solve(rts_tuning_set):
         assert it.feasible == (it.qp_status == "optimal")
         if replayed.feasible:
             start = replayed
+
+
+def test_tune_shares_a_given_envelope_and_times_each_iterate(rts_tuning_set):
+    case, catalog, samples = rts_tuning_set
+    config = TuningConfig(eps_des=0.05, gamma=1e-3, mode="joint")
+    shared = tune(case, catalog, samples, config, envelope=build_envelope(samples, catalog))
+    own = tune(case, catalog, samples, config)
+    # Timings do not take part in comparing iterates.
+    assert shared.trace == own.trace and shared.s == own.s
+    assert any(not it.feasible for it in shared.trace)
+    for it in shared.trace:
+        assert it.solve_s > 0.0
+        assert (it.count_s > 0.0) if it.feasible else (it.count_s == 0.0)
+    other = sample(gaussian_from_std_corr([9.4, 13.1], 0.2), 2000, seed=6, case=case)
+    with pytest.raises(ValueError, match="another sample set"):
+        tune(case, catalog, samples, config, envelope=build_envelope(other, catalog))
 
 
 @pytest.mark.parametrize("mode", ["single", "joint"])

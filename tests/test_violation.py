@@ -3,19 +3,26 @@
 from __future__ import annotations
 
 import json
+import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from cctuner import apply_rts_modifications, load_rts_case, parse_case
 from cctuner._kernels import _BLOCK_SAMPLES
 from cctuner.ptdf import compute_ptdf
-from cctuner.reformulation import build_catalog, participation_factors, solve_dispatch
+from cctuner.reformulation import (
+    ConstraintCatalog,
+    build_catalog,
+    participation_factors,
+    solve_dispatch,
+)
 from cctuner.uncertainty import gaussian_from_std_corr, sample, spec_moments
-from cctuner.violation import evaluate, report_to_json
+from cctuner.violation import build_envelope, evaluate, report_to_json
 
 from oracles import naive_violation_counts
 
@@ -253,3 +260,229 @@ def test_report_json_round_trip(rts, rts_catalog):
     assert total == int(report.counts.sum())
     for c in data["constraints"]:
         assert Fraction(c["eps_exact"]) == Fraction(c["count"], 400)
+
+
+# --- Sample envelopes: the same counts, bit for bit, with fewer sums ---
+
+
+def paired_catalog(sens, limits):
+    """A catalog of gen_upper/gen_lower pairs over len(sens[0]) buses.
+
+    Pair c has dispatch row e_c, sensitivity row sens[c] and right-hand
+    sides limits[c] (upper row, lower row); its lower row mirrors it.
+    """
+    n_pairs, m = sens.shape
+    g = np.eye(n_pairs, m)
+    return ConstraintCatalog(
+        kinds=("gen_upper",) * n_pairs + ("gen_lower",) * n_pairs,
+        subjects=tuple(range(1, n_pairs + 1)) * 2,
+        dispatch_matrix=np.vstack([g, -g]),
+        sensitivity_matrix=np.vstack([sens, -sens]),
+        limits=np.concatenate([limits[:, 0], limits[:, 1]]),
+        sigmas=np.ones(2 * n_pairs),
+        degenerate=np.zeros(2 * n_pairs, dtype=bool),
+    )
+
+
+def pair_sums(p, sens, xi, k):
+    """Each pair's upper-row sum at sample k, in the oracle's order."""
+    cols = [j for j in range(xi.shape[1]) if np.any(xi[:, j] != 0.0)]
+    sums = []
+    for c in range(sens.shape[0]):
+        acc = float(p[c])  # g.p for the dispatch row e_c
+        for j in cols:
+            acc += sens[c, j] * xi[k, j]
+        sums.append(acc)
+    return np.array(sums)
+
+
+def ulps_from(x, steps):
+    """x moved by |steps| floats, up for steps > 0."""
+    for _ in range(abs(steps)):
+        x = np.nextafter(x, np.inf if steps > 0 else -np.inf)
+    return x
+
+
+def limits_at_sums(p, sens, xi, rng, spread):
+    """Right-hand sides a few ulps from the sums of some finite samples.
+
+    Each row of pair c sits, with odds 2 in 3, at its sum for a random
+    finite sample, moved by up to spread ulps (0 included), so strict
+    comparisons land on both sides of the limit; otherwise it is far out
+    of reach. A pair with one row far away is accumulated only if its
+    near row's bound reaches the limit.
+    """
+    with np.errstate(all="ignore"):
+        finite = np.flatnonzero(np.all(np.isfinite(xi), axis=1))
+        limits = np.empty((sens.shape[0], 2))
+        for c in range(sens.shape[0]):
+            for side, sign in ((0, 1.0), (1, -1.0)):
+                near = sign * pair_sums(p, sens, xi, rng.choice(finite))[c]
+                if rng.random() < 2 / 3:
+                    limits[c, side] = ulps_from(near, int(rng.integers(-spread, spread + 1)))
+                else:
+                    limits[c, side] = 2.0 * abs(near) + 1.0
+    return limits
+
+
+def assert_envelope_exact(p, xi, catalog):
+    """Envelope path == plain path == oracle loop, with no numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        envelope = build_envelope(xi, catalog)
+        plain = evaluate(p, xi, catalog)
+        fast = evaluate(p, xi, catalog, envelope=envelope)
+    with np.errstate(all="ignore"):
+        counts, joint = naive_violation_counts(p, catalog, xi)
+    assert np.array_equal(plain.counts, counts) and plain.joint_count == joint
+    assert np.array_equal(fast.counts, counts) and fast.joint_count == joint
+    return envelope
+
+
+_ENVELOPE_SETTINGS = settings(
+    max_examples=25, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate]
+)
+
+
+@_ENVELOPE_SETTINGS
+@given(
+    m=st.integers(1, 24),
+    n=st.sampled_from([1, 5, 64, _BLOCK_SAMPLES + 5]),
+    coherent=st.booleans(),
+    spread=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+# Every product just above half an ulp of the start rounds each of the m
+# additions up, so the sum exceeds start + key by about m ulps: a delta
+# sized for two columns would miss it.
+@example(m=24, n=64, coherent=True, spread=1, seed=8)
+@example(m=2, n=_BLOCK_SAMPLES + 5, coherent=True, spread=1, seed=4)
+def test_envelope_exact_at_a_few_ulps_from_the_limit(m, n, coherent, spread, seed):
+    rng = np.random.default_rng(seed)
+    n_pairs = min(m, 3)
+    p = np.zeros(m)
+    p[:n_pairs] = rng.uniform(1.0, 1.9, n_pairs)
+    if coherent:
+        sens = np.ones((n_pairs, m))
+        xi = 2.0**-53 * (1.0 + rng.uniform(2.0**-20, 2.0**-10, (n, m)))
+    else:
+        sens = rng.normal(size=(n_pairs, m))
+        xi = rng.normal(scale=rng.choice([1e-12, 1e-3, 1.0]), size=(n, m))
+    limits = limits_at_sums(p, sens, xi, rng, spread)
+    assert_envelope_exact(p, xi, paired_catalog(sens, limits))
+
+
+@_ENVELOPE_SETTINGS
+@given(m=st.integers(1, 24), n=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
+def test_envelope_exact_on_samples_from_1e_minus_300_to_1e300(m, n, seed):
+    rng = np.random.default_rng(seed)
+    n_pairs = min(m, 3)
+    p = np.zeros(m)
+    p[:n_pairs] = rng.normal(size=n_pairs) * 10.0 ** rng.uniform(-300, 300, n_pairs)
+    sens = rng.normal(size=(n_pairs, m)) * 10.0 ** rng.uniform(-4, 4, (n_pairs, m))
+    xi = rng.choice([-1.0, 1.0], (n, m)) * 10.0 ** rng.uniform(-300, 300, (n, m))
+    # Some samples in the subnormal range too.
+    xi[rng.random((n, m)) < 0.1] *= 1e-20
+    limits = limits_at_sums(p, sens, xi, rng, 3)
+    assert_envelope_exact(p, xi, paired_catalog(sens, limits))
+
+
+@_ENVELOPE_SETTINGS
+@given(m=st.integers(1, 6), n=st.integers(2, 80), seed=st.integers(0, 2**32 - 1))
+def test_nan_sample_keeps_its_block_bounded(m, n, seed):
+    rng = np.random.default_rng(seed)
+    n_pairs = min(m, 3)
+    p = np.zeros(m)
+    p[:n_pairs] = rng.uniform(-1.0, 1.0, n_pairs)
+    sens = rng.normal(size=(n_pairs, m))
+    xi = rng.normal(size=(n, m))
+    xi[rng.integers(n), rng.integers(m)] = np.nan
+    limits = limits_at_sums(p, sens, xi, rng, 2)
+    envelope = assert_envelope_exact(p, xi, paired_catalog(sens, limits))
+    # fmax/fmin skip the NaN sums: the other samples still bound the block.
+    assert all(np.all(np.isfinite(bound)) for bound in envelope.bounds)
+
+
+@_ENVELOPE_SETTINGS
+@given(m=st.integers(2, 6), n=st.integers(4, 80), seed=st.integers(0, 2**32 - 1))
+def test_envelope_exact_with_nan_and_infinite_samples(m, n, seed):
+    rng = np.random.default_rng(seed)
+    n_pairs = min(m, 3)
+    p = np.zeros(m)
+    p[:n_pairs] = rng.uniform(-1.0, 1.0, n_pairs)
+    sens = rng.normal(size=(n_pairs, m))
+    xi = rng.normal(size=(n, m))
+    rows = rng.choice(n, 3, replace=False)
+    cols = rng.integers(m, size=3)
+    xi[rows, cols] = [np.nan, np.inf, -np.inf]
+    # Pair 0 does not see the infinite columns: 0 * inf is NaN there.
+    sens[0, cols[1:]] = 0.0
+    limits = limits_at_sums(p, sens, xi, rng, 2)
+    assert_envelope_exact(p, xi, paired_catalog(sens, limits))
+
+
+@pytest.mark.parametrize("include_degenerate", [False, True])
+@settings(max_examples=6, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(
+    s=st.floats(0.0, 2.5),
+    bus=st.integers(0, 23),
+    shift=st.floats(-0.1, 0.1),
+    n=st.sampled_from([1, 97, _BLOCK_SAMPLES, _BLOCK_SAMPLES + 613]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_envelope_matches_naive_loop_on_any_dispatch(rts, rts_catalog, include_degenerate, s, bus, shift, n, seed):
+    p_g = solve_dispatch(rts, rts_catalog, s).p_g
+    p_g[bus] += shift
+    samples = sample(gaussian_from_std_corr([9.4, 13.1], 0.2), n, seed=seed, case=rts)
+    envelope = build_envelope(samples, rts_catalog)
+    report = evaluate(p_g, samples, rts_catalog, include_degenerate, envelope=envelope)
+    counts, joint = naive_violation_counts(
+        p_g, rts_catalog, samples.samples, include_degenerate=include_degenerate
+    )
+    assert np.array_equal(report.counts, counts)
+    assert report.joint_count == joint
+    assert report.seed == seed
+
+
+def test_envelope_accepts_an_equal_copy_of_its_samples(rts, rts_catalog):
+    p_g = solve_dispatch(rts, rts_catalog, 1.0).p_g
+    spec = gaussian_from_std_corr([9.4, 13.1], 0.2)
+    envelope = build_envelope(sample(spec, 500, seed=8, case=rts), rts_catalog)
+    redrawn = sample(spec, 500, seed=8, case=rts)
+    assert redrawn.samples is not envelope.samples
+    report = evaluate(p_g, redrawn, rts_catalog, envelope=envelope)
+    assert np.array_equal(report.counts, evaluate(p_g, redrawn, rts_catalog).counts)
+
+
+def test_mismatched_envelope_raises(rts, rts_catalog):
+    p_g = solve_dispatch(rts, rts_catalog, 1.0).p_g
+    spec = gaussian_from_std_corr([9.4, 13.1], 0.2)
+    samples = sample(spec, 500, seed=8, case=rts)
+    envelope = build_envelope(samples, rts_catalog)
+    # Another sample count, another draw of the same size, and another
+    # column set (bus 15's column dropped from the same values).
+    with pytest.raises(ValueError, match="500 samples"):
+        evaluate(p_g, sample(spec, 499, seed=8, case=rts), rts_catalog, envelope=envelope)
+    with pytest.raises(ValueError, match="another sample set"):
+        evaluate(p_g, sample(spec, 500, seed=9, case=rts), rts_catalog, envelope=envelope)
+    one_column = samples.samples.copy()
+    one_column[:, 14] = 0.0
+    with pytest.raises(ValueError, match="columns"):
+        evaluate(p_g, one_column, rts_catalog, envelope=envelope)
+    # Another row count: the catalog without its last line's pair.
+    keep = np.ones(len(rts_catalog), dtype=bool)
+    keep[rts_catalog.pairs[-1]] = False
+    fewer = ConstraintCatalog(
+        kinds=tuple(k for k, kept in zip(rts_catalog.kinds, keep) if kept),
+        subjects=tuple(s for s, kept in zip(rts_catalog.subjects, keep) if kept),
+        **{
+            name: getattr(rts_catalog, name)[keep]
+            for name in ("dispatch_matrix", "sensitivity_matrix", "limits", "sigmas", "degenerate")
+        },
+    )
+    with pytest.raises(ValueError, match="row pairs"):
+        evaluate(p_g, samples, fewer, envelope=envelope)
+    # Same rows, other sensitivities.
+    scaled = replace(rts_catalog, sensitivity_matrix=2.0 * rts_catalog.sensitivity_matrix)
+    with pytest.raises(ValueError, match="another catalog"):
+        evaluate(p_g, samples, scaled, envelope=envelope)
