@@ -471,8 +471,11 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1, case: Optional[GridC
 
     Work is split by (distribution, replication) pair; jobs > 1 runs the
     pairs in worker processes. The reduction is keyed by cell
-    coordinates, so scheduling order never changes the report.
+    coordinates, so scheduling order never changes the report. jobs
+    below 1 raises ValueError before any work starts.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if case is None:
         case = load_case(config.case)
     reps = range(1, config.replications + 1)

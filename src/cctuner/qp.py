@@ -5,28 +5,34 @@ Solves
     minimize    0.5 xᵀ diag(p) x + qᵀ x
     subject to  A x = b,  G x ≤ h
 
-with one Mehrotra predictor-corrector primal-dual interior-point method,
-run twice: first on the phase-1 linear program that minimizes the worst
-constraint violation, to find a strictly feasible start, then on the QP
-itself. Problem sizes here are tiny (tens of variables, ~100
-inequalities), so everything is dense and factored from scratch each
-iteration.
+with one primal active-set method (Nocedal & Wright 2006, Numerical
+Optimization, §16.5), run twice: first on the phase-1 linear program
+that minimizes the worst constraint violation t, until t < 0 gives a
+feasible start, then on the QP itself. Each pivot either steps in the
+null space of the working rows (the equalities and the inequalities
+held at equality), adding the first row that blocks the step, or drops
+the working row with the most negative multiplier. Along directions
+without curvature (p_i = 0, and all of phase 1) the step is a descent
+ray that only a blocking row ends. Problem sizes here are tiny (tens of
+variables, ~100 inequalities), so everything is dense and factored from
+scratch each pivot.
 
-Infeasibility is reported with a Farkas-type certificate (y, z ≥ 0)
-satisfying Aᵀy + Gᵀz = 0 and bᵀy + hᵀz < 0, extracted from the phase-1
-dual solution. A phase-1 search that ends at its iteration cap without
-settling feasibility is reported as 'max_iterations', never 'infeasible'.
+A point is 'optimal' only if no multiplier is negative and all four KKT
+residuals are at or below tol; otherwise a search that stops, at a
+stationary point or at the pivot cap, ends as 'max_iterations'. A
+descent ray that no row blocks is 'unbounded'. Infeasibility is reported
+with the working-set multipliers of a phase-1 optimum t* > tol, a Farkas
+certificate (y, z ≥ 0) with Aᵀy + Gᵀz = 0 and bᵀy + hᵀz = -t* < 0. A
+phase 1 that ends without one is 'max_iterations', never 'infeasible'.
 
 A caller that expects a particular set of active inequality rows (the
 previous solve of a nearby program, say) can pass that guess as
 `active`. solve then first solves the KKT system with the equality rows
 and the guessed rows held at equality, and returns that point as
-'optimal' with iterations = 0 only if it passes the absolute test the
-interior-point method stops on: all four KKT residuals at or below tol,
-and no negative multiplier. Otherwise, whether the guess was wrong,
-its KKT matrix singular or the program infeasible, solve falls back to
-the phase-1 and interior-point path above. A guess thus never makes a
-solve infeasible or accepts a point the stopping test would reject.
+'optimal' with iterations = 0 only if it passes the same test. Otherwise,
+whether the guess was wrong, its KKT matrix singular or the program
+infeasible, solve falls back to the two phases above. A guess thus never
+makes a solve infeasible or accepts a point the test would reject.
 """
 
 from __future__ import annotations
@@ -54,11 +60,9 @@ class QpSolution:
 
     kkt_residuals holds (stationarity, primal_feasibility,
     dual_feasibility, complementarity) in infinity norms; at status
-    'optimal' all four are at or below the solve tolerance, except for a
-    solve certified at the iteration cap, whose stationarity and
-    complementarity meet it relative to the size of their terms (see
-    _scaled_optimal). At status 'infeasible' the certificate dict
-    carries the separating duals.
+    'optimal' all four are at or below the solve tolerance. iterations
+    counts active-set pivots, phase 1 and phase 2 together. At status
+    'infeasible' the certificate dict carries the separating duals.
     """
 
     status: str
@@ -85,188 +89,131 @@ def _as_2d(a, n: int) -> np.ndarray:
 
 
 def _residuals(p, q, a, b, g, h, x, y, z) -> tuple[float, float, float, float]:
-    stat = p * x + q
-    if a.shape[0]:
-        stat = stat + a.T @ y
-    if g.shape[0]:
-        stat = stat + g.T @ z
-    stationarity = float(np.abs(stat).max(initial=0.0))
-    prim = 0.0
-    if a.shape[0]:
-        prim = float(np.abs(a @ x - b).max(initial=0.0))
-    comp = 0.0
-    if g.shape[0]:
-        slack = h - g @ x
-        prim = max(prim, float(np.maximum(-slack, 0.0).max(initial=0.0)))
-        comp = float(np.abs(z * slack).max(initial=0.0))
-    dual = float(np.maximum(-z, 0.0).max(initial=0.0)) if z.size else 0.0
+    slack = h - g @ x
+    stationarity = float(np.abs(p * x + q + a.T @ y + g.T @ z).max(initial=0.0))
+    prim = max(float(np.abs(a @ x - b).max(initial=0.0)), float(np.maximum(-slack, 0.0).max(initial=0.0)))
+    comp = float(np.abs(z * slack).max(initial=0.0))
+    dual = float(np.maximum(-z, 0.0).max(initial=0.0))
     return stationarity, prim, dual, comp
 
 
-def _solve_kkt(m11: np.ndarray, a: np.ndarray, r1: np.ndarray, r2: np.ndarray):
-    """Solve [[M, Aᵀ], [A, 0]] [dx, dy] = [r1, r2], regularizing if singular."""
-    n, k = m11.shape[0], a.shape[0]
-    kkt = np.zeros((n + k, n + k))
-    kkt[:n, :n] = m11
-    if k:
-        kkt[:n, n:] = a.T
-        kkt[n:, :n] = a
-    rhs = np.concatenate([r1, r2])
-    try:
-        sol = np.linalg.solve(kkt, rhs)
-    except np.linalg.LinAlgError:
-        reg = 1e-12 * max(1.0, float(np.abs(m11).max(initial=0.0)))
-        kkt[:n, :n] += reg * np.eye(n)
-        kkt[n:, n:] -= reg * np.eye(k)
-        sol = np.linalg.solve(kkt, rhs)
-    return sol[:n], sol[n:]
+def _step(p, rows, grad):
+    """(d, ray): a step from a point with gradient grad that keeps rows·x fixed.
 
-
-def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
-    """Largest alpha in (0, 1] keeping v + alpha*dv positive."""
-    shrink = dv < 0.0
-    if not np.any(shrink):
-        return 1.0
-    return float(min(1.0, np.min(-v[shrink] / dv[shrink])))
-
-
-def _scaled_optimal(p, q, a, g, h, x, y, z, res, tol) -> bool:
-    """KKT test relative to the magnitudes of the terms (as OSQP and ECOS do).
-
-    Near the feasibility boundary of a tightened program the inequality
-    duals grow to ~1e6, and double precision cannot push the absolute
-    stationarity and complementarity residuals below 1e-8 there. Primal
-    and dual feasibility stay absolute.
+    The null space of rows comes from an SVD, and the reduced Hessian is
+    eigendecomposed on it. Where grad slopes along a direction without
+    curvature, d is the descent ray along those directions (ray = True).
+    Otherwise d is the Newton step to the minimizer on the null space,
+    all zeros at that minimizer.
     """
-    stat_scale = max(1.0, *(float(np.abs(v).max(initial=0.0)) for v in (p * x, q, a.T @ y, g.T @ z)))
-    gap_scale = max(1.0, abs(float(0.5 * x @ (p * x) + q @ x)))
-    mu = float((h - g @ x) @ z) / g.shape[0]
-    return (
-        res[0] <= tol * stat_scale
-        and max(res[1], res[2]) <= tol
-        and max(res[3], abs(mu)) <= tol * gap_scale
-    )
+    if rows.shape[0]:
+        _, sv, vt = np.linalg.svd(rows)
+        null = vt[np.count_nonzero(sv > sv[0] * max(rows.shape) * np.finfo(float).eps) :].T
+    else:
+        null = np.eye(grad.size)
+    curvature, v = np.linalg.eigh((null.T * p) @ null)
+    basis = null @ v
+    slope = basis.T @ grad
+    # Slopes at rounding level count as zero: stepping on them would let
+    # a degenerate row block at length 0, again and again.
+    steep = np.abs(slope) > 1e-12 * max(1.0, float(np.abs(grad).max()))
+    flat = curvature <= 1e-12 * max(1.0, float(p.max()))
+    if np.any(steep & flat):
+        return -(basis[:, flat] @ slope[flat]), True
+    return -(basis[:, steep] @ (slope[steep] / curvature[steep])), False
 
 
-def _ipm(p, q, a, b, g, h, x0, tol, max_iters, stop=None):
-    """Mehrotra predictor-corrector from a strictly feasible primal start.
+def _active_set(p, q, a, b, g, h, x, work, tol, max_iters, stop=None):
+    """Primal active-set method from x, where Ax = b, G[work] x = h[work]
+    and every other row of G holds.
 
-    A linear program (p = 0) moves its primal and dual iterates by
-    separate step lengths, and a tiny ridge keeps its Newton matrix
-    nonsingular. stop(x), if given, ends the search at the first iterate
-    it accepts, which is returned as if converged.
+    Each pivot either takes the _step, adding the first row that blocks
+    it, or, at the minimizer on the working rows, drops the row with the
+    most negative multiplier. stop(x), if given, ends the search at the
+    first iterate it accepts, which is returned as if converged.
     """
-    n, k, c = q.size, a.shape[0], g.shape[0]
-    linear = not p.any()
-    x = x0.copy()
-    s = h - g @ x
-    if np.any(s <= 0.0):
-        raise ValueError("interior-point start is not strictly feasible")
-    z = np.ones(c)
-    y = np.zeros(k)
-    best = None
-    for it in range(1, max_iters + 1):
-        r_dual = p * x + q + g.T @ z + (a.T @ y if k else 0.0)
-        r_eq = a @ x - b if k else np.zeros(0)
-        r_ineq = g @ x + s - h
-        mu = float(s @ z) / c
-        res = _residuals(p, q, a, b, g, h, x, y, z)
-        if best is None or max(res) < best[0]:
-            best = (max(res), x.copy(), y.copy(), z.copy(), res)
-        if (max(res[0], res[1], res[3]) <= tol and mu <= tol) or (stop is not None and stop(x)):
-            obj = float(0.5 * x @ (p * x) + q @ x)
-            return QpSolution("optimal", x, obj, y, z, res, it - 1)
-
-        # Slacks pinned on the boundary give extreme z/s ratios; the step
-        # length clamp below keeps the iteration finite, so the transient
-        # overflow is expected and silenced.
-        with np.errstate(over="ignore", invalid="ignore"):
-            w = z / s
-            m11 = np.diag(p) + (g.T * w) @ g
-            if linear:
-                # Columns absent from G would otherwise be singular.
-                m11 += 1e-12 * max(1.0, float(np.abs(m11).max())) * np.eye(n)
-
-        def newton_step(rc):
-            v = (z * r_ineq - rc) / s
-            dx, dy = _solve_kkt(m11, a, -(r_dual + g.T @ v), -r_eq)
-            dz = w * (g @ dx) + v
-            ds = -r_ineq - g @ dx
-            return dx, dy, ds, dz
-
-        def step_lengths(ds, dz):
-            # The quadratic term couples the dual residual to the primal
-            # step, so a QP moves primal and dual by one common length.
-            alpha_p, alpha_d = _max_step(s, ds), _max_step(z, dz)
-            return (alpha_p, alpha_d) if linear else (min(alpha_p, alpha_d),) * 2
-
-        # Predictor: pure Newton step toward complementarity zero.
-        dx_a, dy_a, ds_a, dz_a = newton_step(s * z)
-        alpha_p, alpha_d = step_lengths(ds_a, dz_a)
-        mu_aff = float((s + alpha_p * ds_a) @ (z + alpha_d * dz_a)) / c
-        sigma = (mu_aff / mu) ** 3 if mu > 0.0 else 0.0
-        # Corrector re-targets sigma*mu and compensates the predictor cross term.
-        dx, dy, ds, dz = newton_step(s * z + ds_a * dz_a - sigma * mu)
-        alpha_p, alpha_d = (0.99 * alpha for alpha in step_lengths(ds, dz))
-        x += alpha_p * dx
-        s += alpha_p * ds
-        y += alpha_d * dy
-        z += alpha_d * dz
-
-    _, x, y, z, res = best
-    obj = float(0.5 * x @ (p * x) + q @ x)
-    status = "optimal" if _scaled_optimal(p, q, a, g, h, x, y, z, res, tol) else "max_iterations"
-    return QpSolution(status, x, obj, y, z, res, max_iters)
+    k, c = a.shape[0], g.shape[0]
+    work = work.copy()
+    y, z = np.zeros(k), np.zeros(c)
+    status, at_minimizer = "max_iterations", False
+    for it in range(max_iters + 1):
+        if stop is not None and stop(x):
+            status = "optimal"
+            break
+        rows = np.vstack([a, g[work]])
+        grad = p * x + q
+        if not at_minimizer:
+            d, ray = _step(p, rows, grad)
+            at_minimizer = not d.any()
+        if at_minimizer:
+            dual = np.linalg.lstsq(rows.T, -grad, rcond=None)[0]
+            y, z = dual[:k], _scatter(dual[k:], np.flatnonzero(work), c)
+            if not np.any(z < 0.0):
+                res = _residuals(p, q, a, b, g, h, x, y, z)
+                status = "optimal" if max(res) <= tol else "max_iterations"
+                break
+        if it == max_iters:
+            break
+        if at_minimizer:
+            work[np.argmin(z)] = False
+            at_minimizer = False
+            continue
+        # Ratio test. Rows the step runs along (g·d at rounding level, as
+        # for a duplicate of a working row) never block.
+        gd = g @ d
+        blocking = ~work & (gd > 1e-12 * (np.abs(g) @ np.abs(d)))
+        ratios = np.full(c, np.inf)
+        ratios[blocking] = np.maximum(h - g @ x, 0.0)[blocking] / gd[blocking]
+        j = int(np.argmin(ratios))
+        if ray and ratios[j] == np.inf:
+            status = "unbounded"
+            break
+        if ray or ratios[j] < 1.0:
+            x = x + ratios[j] * d
+            work[j] = True
+        else:
+            x = x + d
+            at_minimizer = True
+    objective = -np.inf if status == "unbounded" else float(0.5 * x @ (p * x) + q @ x)
+    return QpSolution(status, x, objective, y, z, _residuals(p, q, a, b, g, h, x, y, z), it)
 
 
 def _phase1(a, b, g, h, x0, tol, max_iters):
-    """Minimize the worst constraint violation t over (x, t) with _ipm.
+    """Minimize the worst violation t over (x, t) with _active_set, from x0.
 
-    Returns (strictly feasible x, None), (None, infeasibility certificate),
-    or (None, None) when the iteration cap ends the search undecided. At
-    the cap the best iterate's duals count as a certificate only if they
-    pass OSQP's infeasibility test at threshold sqrt(tol): Farkas
-    stationarity at most that, and the gap below minus that, both
-    relative to the largest dual.
+    Starts with t at the worst violation and that row working, and stops
+    as soon as t < 0. Returns (solution over (x, t), certificate), where
+    the certificate is None unless the search ends at a minimizer whose
+    multipliers are Farkas duals: nonnegative, stationarity at most tol
+    and a gap below -tol.
     """
     n, k, c = x0.size, a.shape[0], g.shape[0]
     # Variables (x, t): min t s.t. Ax = b, Gx - t <= h, -t <= 1.
     q1 = np.zeros(n + 1)
     q1[-1] = 1.0
-    a1 = np.hstack([a, np.zeros((k, 1))]) if k else np.zeros((0, n + 1))
+    a1 = np.hstack([a, np.zeros((k, 1))])
     g1 = np.vstack([np.hstack([g, -np.ones((c, 1))]), np.zeros((1, n + 1))])
     g1[-1, -1] = -1.0
-    h1 = np.concatenate([h, [1.0]])
-    # Relative margin: from |h| ~ 1e16 on, a fixed + 1.0 rounds away.
-    v = float(np.max(g @ x0 - h, initial=0.0))
-    t0 = v + max(1.0, v)
-
-    def strictly_feasible(xt):
-        # Any t comfortably below zero certifies strict feasibility.
-        return xt[-1] < -1e-3 and (k == 0 or np.abs(a @ xt[:n] - b).max(initial=0.0) <= tol)
-
-    sol = _ipm(np.zeros(n + 1), q1, a1, b, g1, h1, np.append(x0, t0), tol, max_iters, strictly_feasible)
-    t_star = float(sol.x[-1])
-    if t_star < -tol:
-        return sol.x[:n], None
-    # Farkas-style separating duals from the phase-1 optimum: Aᵀy + Gᵀz = 0,
-    # z >= 0, and bᵀy + hᵀz = -t* < 0 when no feasible point exists.
+    violation = g @ x0 - h
+    work = np.zeros(c + 1, dtype=bool)
+    work[np.argmax(violation)] = True
+    start = np.append(x0, violation.max())
+    sol = _active_set(np.zeros(n + 1), q1, a1, b, g1, np.append(h, 1.0), start, work, tol, max_iters, lambda xt: xt[-1] < 0.0)
+    # At a minimizer with t* > 0 the t column of stationarity gives
+    # sum(z) = 1, and complementarity on the working rows gives
+    # bᵀy + hᵀz = -t*. The test is on (y, z) alone, which stay exact
+    # where x is known only to its last digits.
     y, z_g = sol.y, sol.z[:c]
     certificate = {
         "equality_dual": y.copy(),
         "inequality_dual": z_g.copy(),
-        "farkas_gap": float((b @ y if k else 0.0) + h @ z_g),
-        "stationarity": float(
-            np.abs((a.T @ y if k else 0.0) + g.T @ z_g).max(initial=0.0)
-        ),
-        "infeasibility": t_star,
+        "farkas_gap": float(b @ y + h @ z_g),
+        "stationarity": float(np.abs(a.T @ y + g.T @ z_g).max(initial=0.0)),
+        "infeasibility": float(sol.x[-1]),
     }
-    if sol.iterations == max_iters:  # stopped by the cap, not converged
-        farkas_tol = np.sqrt(tol) * max(float(np.abs(y).max(initial=0.0)), float(z_g.max(initial=0.0)))
-        if not (certificate["stationarity"] <= farkas_tol and certificate["farkas_gap"] < -farkas_tol):
-            logger.warning("phase 1 hit iteration cap %d undecided at t=%.3e", max_iters, t_star)
-            return None, None
-    return None, certificate
+    if np.all(z_g >= 0.0) and certificate["stationarity"] <= tol and certificate["farkas_gap"] < -tol:
+        return sol, certificate
+    return sol, None
 
 
 def solve(
@@ -334,7 +281,7 @@ def solve(
     g, h = g_full[keep_g], h_full[keep_g]
 
     if g.shape[0] == 0:
-        raise ValueError("no nonzero inequality row: the interior-point method needs one")
+        raise ValueError("no nonzero inequality row: phase 1 starts on the most violated one")
 
     if active is not None:
         warm = _certified_on_active_set(p, q, a, b, g, h, active[keep_g], tol)
@@ -346,20 +293,21 @@ def solve(
         x0 = np.linalg.lstsq(a, b, rcond=None)[0]
     else:
         x0 = np.zeros(n)
-    if float(np.max(g @ x0 - h)) < -1e-9:
-        x_feas = x0
-    else:
-        x_feas, certificate = _phase1(a, b, g, h, x0, tol, max_iters)
-        if x_feas is None and certificate is None:
-            return QpSolution("max_iterations", np.zeros(n), np.inf, y, z, (0.0, np.inf, 0.0, 0.0), max_iters)
-        if x_feas is None:
-            certificate["equality_dual"] = _scatter(certificate["equality_dual"], keep_eq, y.size)
-            certificate["inequality_dual"] = _scatter(certificate["inequality_dual"], keep_g, z.size)
-            primal = (0.0, certificate["infeasibility"], 0.0, 0.0)
-            return QpSolution("infeasible", np.zeros(n), np.inf, y, z, primal, 0, certificate)
-    sol = _ipm(p, q, a, b, g, h, x_feas, tol, max_iters)
+    start, certificate = _phase1(a, b, g, h, x0, tol, max_iters)
+    if certificate is not None:
+        certificate["equality_dual"] = _scatter(certificate["equality_dual"], keep_eq, y.size)
+        certificate["inequality_dual"] = _scatter(certificate["inequality_dual"], keep_g, z.size)
+        primal = (0.0, certificate["infeasibility"], 0.0, 0.0)
+        return QpSolution("infeasible", np.zeros(n), np.inf, y, z, primal, start.iterations, certificate)
+    # Any x within tol of every row is a start; phase 1 need not be optimal.
+    if start.x[-1] > tol:
+        logger.warning("phase 1 ended %s after %d pivots at t=%.3e", start.status, start.iterations, start.x[-1])
+        return QpSolution("max_iterations", np.zeros(n), np.inf, y, z, (0.0, np.inf, 0.0, 0.0), start.iterations)
+    x = start.x[:n]
+    sol = _active_set(p, q, a, b, g, h, x, g @ x >= h, tol, max_iters - start.iterations)
+    sol = replace(sol, iterations=start.iterations + sol.iterations)
     if not sol.optimal:
-        logger.warning("interior-point method hit iteration cap %d; best residual %.3e", max_iters, max(sol.kkt_residuals))
+        logger.warning("active-set method ended %s after %d pivots; residual %.3e", sol.status, sol.iterations, max(sol.kkt_residuals))
     return _in_caller_rows(sol, p, q, a_full, b_full, g_full, h_full, keep_eq, keep_g)
 
 
@@ -383,21 +331,21 @@ def _certified_on_active_set(p, q, a, b, g, h, on, tol) -> QpSolution | None:
     Returns it as 'optimal' with iterations = 0 when all four residuals
     are at or below tol and no multiplier is negative, else None.
     """
-    k = a.shape[0]
+    n, k = q.size, a.shape[0]
+    rows = np.vstack([a, g[on]])
+    kkt = np.block([[np.diag(p), rows.T], [rows, np.zeros((rows.shape[0],) * 2)]])
     # A singular or ill-posed guess may produce inf or NaN; the test
     # below rejects such a point.
     with np.errstate(all="ignore"):
         try:
-            x, dual = _solve_kkt(np.diag(p), np.vstack([a, g[on]]), -q, np.concatenate([b, h[on]]))
+            sol = np.linalg.solve(kkt, np.concatenate([-q, b, h[on]]))
         except np.linalg.LinAlgError:
             return None
-        y, z = dual[:k], np.zeros(g.shape[0])
-        z[on] = dual[k:]
+        x, y, z = sol[:n], sol[n : n + k], _scatter(sol[n + k :], np.flatnonzero(on), g.shape[0])
         res = _residuals(p, q, a, b, g, h, x, y, z)
     if not (all(r <= tol for r in res) and np.all(z >= 0.0)):
         return None
-    obj = float(0.5 * x @ (p * x) + q @ x)
-    return QpSolution("optimal", x, obj, y, z, res, 0)
+    return QpSolution("optimal", x, float(0.5 * x @ (p * x) + q @ x), y, z, res, 0)
 
 
 def _in_caller_rows(sol, p, q, a_full, b_full, g_full, h_full, keep_eq, keep_g) -> QpSolution:

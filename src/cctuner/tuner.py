@@ -77,9 +77,9 @@ class TuningConfig:
 class TuningIterate:
     """One bisection step. eps and cost are None when the solve failed.
 
-    qp_status and qp_iterations are the status and interior-point
-    iteration count of the QP solve at s; an optimal solve with 0
-    iterations was certified on the previous optimal iterate's active
+    qp_status and qp_iterations are the status and active-set pivot
+    count (phase 1 plus phase 2) of the QP solve at s; an optimal solve
+    with 0 pivots was certified on the previous optimal iterate's active
     set. kkt_max is the largest of the solve's four KKT residuals: its
     optimality certificate when optimal, the phase-1 infeasibility
     measure when infeasible. solve_s and count_s are the wall-clock

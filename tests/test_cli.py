@@ -148,7 +148,7 @@ def test_tune_json_trace_records_qp_solves(cfg_path, tmp_path):
         assert isinstance(it["qp_iterations"], int) and it["qp_iterations"] >= 0
         if it["qp_status"] == "optimal":
             assert math.isfinite(it["kkt_max"])
-            # 0 IPM iterations: certified on the last optimal active set.
+            # 0 pivots: certified on the last optimal active set.
             if it["qp_iterations"] == 0:
                 assert it["kkt_max"] <= 1e-8
         # Wall-clock seconds of the solve and of the tuning-set count.
@@ -197,6 +197,16 @@ def test_experiment_end_to_end(cfg_path, tmp_path, capsys):
     data = json.loads(out_json.read_text())
     assert data["config"]["seed"] == "12"
     assert len(data["rows"]) == 2
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_experiment_rejects_jobs_below_one(cfg_path, monkeypatch, capsys, jobs):
+    def must_not_run(*args):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr("cctuner.experiment._run_replication", must_not_run)
+    assert main(["experiment", "--config", cfg_path, "--jobs", jobs]) == 1
+    assert "jobs must be at least 1" in capsys.readouterr().err
 
 
 def test_experiment_eps_and_mode_overrides(cfg_path, tmp_path):

@@ -345,9 +345,9 @@ def test_number_beyond_float_range_rejected():
 
 def test_tiny_joint_mixture_tunes_through_a_capped_qp():
     # At 400 tuning samples this replication's first feasible midpoint is
-    # a joint program whose inequality duals reach ~8e5. The IPM runs to
-    # its iteration cap with absolute stationarity ~2e-7, on a point that
-    # is optimal relative to the size of its KKT terms.
+    # a joint program whose inequality duals reach ~8e5, where an
+    # interior-point method stalls at absolute stationarity ~2e-7. The
+    # active-set method certifies it on the absolute test, below the cap.
     raw = experiment.parse_config_file(files("cctuner.data") / "rts24_sweep.cfg")
     raw.update({"distributions": "mixture", "modes": "joint", "eps": "0.1"})
     raw.update({"tuning.samples": "400", "seed": "4"})
@@ -356,9 +356,7 @@ def test_tiny_joint_mixture_tunes_through_a_capped_qp():
     pair = experiment.build_replication(case, config, "mixture", 1)
     sol = solve_dispatch(case, pair.catalog, 15.483862567202022)
     assert sol.status == "optimal"
-    assert sol.qp_solution.iterations == qp.DEFAULT_MAX_ITERS
-    stationarity, primal, dual, _ = sol.qp_solution.kkt_residuals
-    assert stationarity > qp.DEFAULT_TOL
-    assert max(primal, dual) <= qp.DEFAULT_TOL
+    assert sol.qp_solution.iterations < qp.DEFAULT_MAX_ITERS
+    assert max(sol.qp_solution.kkt_residuals) <= qp.DEFAULT_TOL
     result = experiment.tune(case, pair.catalog, pair.tuning_samples, config.tuning("joint", Fraction(1, 10)))
     assert result.eps_joint <= Fraction(1, 10)

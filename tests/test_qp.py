@@ -1,4 +1,4 @@
-"""Interior-point QP solver against hand KKT systems and brute force."""
+"""Active-set QP solver against hand KKT systems, brute force and Farkas certificates."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import pytest
 
 from oracles import brute_force_qp
 
-from cctuner.qp import solve
+from cctuner.qp import DEFAULT_TOL, solve
 
 
 def kkt_residuals(p, q, a, b, g, h, sol):
@@ -34,7 +34,7 @@ def kkt_residuals(p, q, a, b, g, h, sol):
 
 def test_unconstrained_parabola_with_vacuous_equality():
     # min x^2 - 4x with only a 0 = 0 equality row has no inequality row left
-    # for the interior-point method, so it is rejected.
+    # for phase 1 to start on, so it is rejected.
     with pytest.raises(ValueError, match="no nonzero inequality row"):
         solve([2.0], [-4.0], np.zeros((1, 1)), [0.0], np.zeros((0, 1)), [])
     # Vacuous all-zero inequality rows are dropped before the check.
@@ -83,6 +83,61 @@ def test_phase1_start_margin_scales_with_the_violation():
     sol = solve([1.0], [0.0], np.zeros((0, 1)), [], [[1.0], [-1.0]], [-1e17, 0.0])
     assert sol.status == "infeasible"
     assert sol.certificate["farkas_gap"] < 0.0
+
+
+def test_infeasible_results_carry_exact_certificates():
+    # The instance sequence of criterion 6's battery (tests/test_acceptance.py).
+    # Instance 123 is infeasible (t* = 0.80); an interior-point phase 1
+    # stalled there at certificate stationarity ~6e-7.
+    rng = np.random.default_rng(20240819)
+    infeasible = 0
+    for k in range(1000):
+        sol = solve(*(feasible_instance if k % 2 == 0 else random_instance)(rng))
+        if sol.status != "infeasible":
+            continue
+        infeasible += 1
+        cert = sol.certificate
+        assert cert["stationarity"] <= DEFAULT_TOL, k
+        assert cert["farkas_gap"] < 0.0, k
+        assert np.all(cert["inequality_dual"] >= 0.0), k
+    assert infeasible > 0
+
+
+def test_degenerate_vertex_matches_brute_force():
+    # Three rows through (1, 1) in 2-D, the first one twice. The anchor
+    # x = 0 violates all four, so phase 1 also pivots at the vertex.
+    g = [[-1.0, 0.0], [0.0, -1.0], [-1.0, -1.0], [-1.0, 0.0]]
+    h = [-1.0, -1.0, -2.0, -1.0]
+    for angle in np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False):
+        q = 3.0 * np.array([np.cos(angle), np.sin(angle)])
+        sol = solve([1.0, 1.0], q, np.zeros((0, 2)), [], g, h)
+        ref_obj, _ = brute_force_qp([1.0, 1.0], q, np.zeros((0, 2)), [], g, h)
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(ref_obj, abs=1e-9)
+        assert max(sol.kkt_residuals) <= DEFAULT_TOL
+        assert sol.iterations <= 10
+
+
+def test_feasible_set_without_interior_is_solved():
+    # x1 = 1 held by a pair of rows, as a pinned generator's bounds hold
+    # it: phase 1 ends at t* = 0 and phase 2 starts on the pair.
+    g = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]
+    h = [1.0, -1.0, 5.0]
+    sol = solve([1.0, 2.0], [0.0, -1.0], np.zeros((0, 2)), [], g, h)
+    ref_obj, _ = brute_force_qp([1.0, 2.0], [0.0, -1.0], np.zeros((0, 2)), [], g, h)
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(ref_obj, abs=1e-12)
+    np.testing.assert_allclose(sol.x, [1.0, 0.5], atol=1e-12)
+
+
+def test_descent_ray_no_row_blocks_is_unbounded():
+    # min -x subject to x >= 0: the oracle finds no KKT point, and the
+    # solver must say why, in a few pivots.
+    program = ([0.0], [-1.0], np.zeros((0, 1)), [], [[-1.0]], [0.0])
+    assert brute_force_qp(*program) == (None, None)
+    sol = solve(*program)
+    assert sol.status == "unbounded"
+    assert sol.iterations <= 3
 
 
 def test_zero_row_contradiction_short_circuits():
