@@ -20,7 +20,6 @@ import logging
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
-from functools import cached_property
 from statistics import NormalDist
 from typing import Dict, Optional, Tuple, Union
 
@@ -38,7 +37,7 @@ from .uncertainty import (
     sample,
     spec_moments,
 )
-from .violation import SampleEnvelope, build_envelope, evaluate
+from .violation import evaluate
 
 logger = logging.getLogger(__name__)
 
@@ -305,16 +304,11 @@ def build_distribution(name: str, config, case: GridCase):
 @dataclass(frozen=True)
 class Replication:
     """What the (mode, eps) cells of one (distribution, replication) pair
-    share: the spec, the tuning draw, the tightening catalog and, built
-    on first use, the tuning draw's sample envelope."""
+    share: the spec, the tuning draw and the tightening catalog."""
 
     spec: object
     tuning_samples: SampleSet
     catalog: ConstraintCatalog
-
-    @cached_property
-    def tuning_envelope(self) -> SampleEnvelope:
-        return build_envelope(self.tuning_samples, self.catalog)
 
 
 def build_replication(case: GridCase, config: ExperimentConfig, dist_name: str, rep: int) -> Replication:
@@ -394,13 +388,13 @@ class ExperimentReport:
 def _run_replication(case, config: ExperimentConfig, dist_name: str, rep: int):
     """Tune every (mode, eps) cell of one pair and score it out of sample.
 
-    The cells share the pair's tuning envelope. The out-of-sample set
-    and its envelope are built once, after the pair's first successful
-    tune, and are released with the pair. Returns the rows keyed by
+    The cells share the pair's tuning draw and catalog. The
+    out-of-sample set is drawn once, after the pair's first successful
+    tune, and is released with the pair. Returns the rows keyed by
     (mode, eps).
     """
     pair = build_replication(case, config, dist_name, rep)
-    oos_samples = oos_envelope = None
+    oos_samples = None
     rows = {}
     for mode in config.modes:
         for eps in config.eps_values:
@@ -411,18 +405,14 @@ def _run_replication(case, config: ExperimentConfig, dist_name: str, rep: int):
                 mode=mode, distribution=dist_name, eps_des=float(eps), replication=rep, s_true=s_true
             )
             try:
-                result = tune(
-                    case, pair.catalog, pair.tuning_samples, config.tuning(mode, eps),
-                    envelope=pair.tuning_envelope,
-                )
+                result = tune(case, pair.catalog, pair.tuning_samples, config.tuning(mode, eps))
             except TuningError as exc:
                 rows[mode, eps] = ResultRow(**cell, failed=True, error=str(exc))
                 continue
             if oos_samples is None:
                 oos_seed = derive_seed(config.seed, STREAM_OOS, rep)
                 oos_samples = sample(pair.spec, config.n_oos, oos_seed, case)
-                oos_envelope = build_envelope(oos_samples, pair.catalog)
-            oos = evaluate(result.p_g, oos_samples, pair.catalog, envelope=oos_envelope)
+            oos = evaluate(result.p_g, oos_samples, pair.catalog)
             rows[mode, eps] = ResultRow(
                 **cell,
                 iterations=result.iterations,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import io
 import logging
 import math
+import numbers
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -23,7 +24,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .reformulation import ConstraintCatalog, solve_dispatch
-from .violation import SampleEnvelope, build_envelope, evaluate
+from .violation import evaluate
 
 logger = logging.getLogger(__name__)
 
@@ -44,7 +45,9 @@ class TuningConfig:
 
     eps_des and gamma are held as exact fractions; floats are converted
     through their decimal string form, so eps_des=0.1 is exactly 1/10,
-    and strings may be decimals or p/q. width_tol is held as a float.
+    and strings may be decimals or p/q. width_tol is held as a float and
+    must be positive and finite; max_iterations must be an int (not a
+    bool) of at least 1.
     """
 
     eps_des: Fraction
@@ -63,9 +66,14 @@ class TuningConfig:
             raise ValueError("gamma must be nonnegative")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if self.width_tol <= 0:
-            raise ValueError("width_tol must be positive")
-        if self.max_iterations < 1:
+        # NaN never collapses the bracket and inf collapses it before the
+        # first iterate, so both are rejected here rather than in the loop.
+        if not (0 < self.width_tol < math.inf):
+            raise ValueError("width_tol must be positive and finite")
+        cap = self.max_iterations
+        if isinstance(cap, bool) or not isinstance(cap, numbers.Integral):
+            raise ValueError(f"max_iterations must be an integer, got {cap!r}")
+        if cap < 1:
             raise ValueError("max_iterations must be at least 1")
 
     def observed(self, eps_single, eps_joint):
@@ -256,17 +264,15 @@ def tune(
     samples,
     config: TuningConfig,
     bounds=None,
-    envelope: Optional[SampleEnvelope] = None,
 ) -> TuningResult:
     """Tune s for a case against a fixed tuning sample set.
 
     The same sample set is reused at every iterate, so the observed
     probabilities are a deterministic function of s and bisection sees a
     fixed (noisy but frozen) response curve. Each QP solve is offered
-    the active set of the last optimal iterate as a warm start. Every
-    iterate is counted through one sample envelope: envelope if given,
-    which must come from build_envelope(samples, catalog), otherwise one
-    built here.
+    the active set of the last optimal iterate as a warm start. Each
+    count sums only the blocks and rows its bounds cannot clear (see
+    _kernels).
     """
     n = samples.samples.shape[0] if hasattr(samples, "samples") else np.asarray(samples).shape[0]
     if config.gamma > 0 and config.gamma < Fraction(1, int(n)):
@@ -278,8 +284,6 @@ def tune(
         )
     if bounds is None:
         bounds = initial_bounds(config.eps_des, config.mode, catalog.n_active)
-    if envelope is None:
-        envelope = build_envelope(samples, catalog)
 
     last_optimal = None
 
@@ -292,7 +296,7 @@ def tune(
         return solution
 
     def evaluate_at(s: float, solution):
-        report = evaluate(solution.p_g, samples, catalog, envelope=envelope)
+        report = evaluate(solution.p_g, samples, catalog)
         return report.eps_single, report.eps_joint
 
     return bisect_tune(config, solve_at, evaluate_at, bounds)

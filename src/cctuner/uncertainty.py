@@ -130,10 +130,11 @@ def gaussian_from_std_corr(std_mw, correlation: float) -> GaussianSpec:
 class SampleSet:
     """N x m matrix of nodal disturbance samples in per unit.
 
-    uncertain_columns holds the ascending indices of the columns that
-    may be nonzero; every other column is exactly zero, and downstream
-    evaluation relies on that to skip them. seed is None for a matrix
-    that was not drawn by sample().
+    uncertain_columns holds the strictly ascending indices of the
+    columns that may be nonzero; every other column is exactly zero, and
+    downstream evaluation relies on that to skip them, so a repeated or
+    out-of-range index raises ValueError. seed is None for a matrix that
+    was not drawn by sample().
     """
 
     samples: np.ndarray
@@ -145,6 +146,18 @@ class SampleSet:
             arr = np.asarray(getattr(self, name), dtype=dtype)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        cols = self.uncertain_columns
+        if self.samples.ndim != 2:
+            raise ValueError("samples must be a 2-D array")
+        if cols.ndim != 1:
+            raise ValueError("uncertain_columns must be 1-D")
+        if cols.size and not (
+            cols[0] >= 0 and cols[-1] < self.samples.shape[1] and np.all(cols[1:] > cols[:-1])
+        ):
+            raise ValueError(
+                f"uncertain_columns must be strictly ascending indices below "
+                f"{self.samples.shape[1]}, got {cols.tolist()}"
+            )
 
     @property
     def n_samples(self) -> int:

@@ -66,61 +66,11 @@ def _sample_arrays(samples, catalog: ConstraintCatalog):
     return xi, cols, seed
 
 
-@dataclass(frozen=True, eq=False)
-class SampleEnvelope:
-    """Per-block bounds of each mirrored pair's uncertainty sum over one
-    sample set and catalog (see _kernels). Build it with build_envelope
-    and pass it to every evaluate on that sample set and catalog: the
-    counts stay exact, and only the blocks and pairs a dispatch can
-    violate are counted. It pays once a sample set is evaluated a few
-    times. It keeps the sample array it describes and the pairs'
-    sensitivities, so evaluate can reject another sample set or catalog.
-    """
-
-    samples: np.ndarray
-    columns: np.ndarray
-    sensitivities: np.ndarray
-    bounds: Tuple[np.ndarray, np.ndarray, np.ndarray]
-
-    def _check(self, xi, cols, sensitivities) -> None:
-        """Raise ValueError unless built from these samples and catalog."""
-        if sensitivities.shape[0] != self.sensitivities.shape[0]:
-            raise ValueError(
-                f"envelope covers {self.sensitivities.shape[0]} row pairs, "
-                f"the catalog has {sensitivities.shape[0]}"
-            )
-        if xi.shape[0] != self.samples.shape[0]:
-            raise ValueError(
-                f"envelope was built from {self.samples.shape[0]} samples, got {xi.shape[0]}"
-            )
-        if not np.array_equal(cols, self.columns):
-            raise ValueError(
-                f"envelope accumulates columns {self.columns.tolist()}, "
-                f"the samples have {np.asarray(cols).tolist()}"
-            )
-        if not np.array_equal(sensitivities, self.sensitivities):
-            raise ValueError("envelope was built for another catalog")
-        if xi is not self.samples and not np.array_equal(xi, self.samples, equal_nan=True):
-            raise ValueError("envelope was built from another sample set")
-
-
-def build_envelope(samples, catalog: ConstraintCatalog) -> SampleEnvelope:
-    """Bound each row pair's uncertainty sum, once per sample set and catalog."""
-    xi, cols, _ = _sample_arrays(samples, catalog)
-    sensitivities = catalog.sensitivity_matrix[catalog.pairs[:, 0]]
-    sensitivities.setflags(write=False)
-    bounds = _kernels.sample_envelope(sensitivities, xi, cols)
-    for array in bounds:
-        array.setflags(write=False)
-    return SampleEnvelope(xi, cols, sensitivities, bounds)
-
-
 def evaluate(
     p_g,
     samples,
     catalog: ConstraintCatalog,
     include_degenerate: bool = False,
-    envelope: Optional[SampleEnvelope] = None,
 ) -> ViolationReport:
     """Count strict violations g.p + a.xi > rhs for every catalog row.
 
@@ -129,10 +79,8 @@ def evaluate(
     which is scanned for nonzero columns on every call. Degenerate rows
     are always counted individually but only enter eps_single and the
     joint count when include_degenerate is set. Each mirrored pair of
-    rows is counted from one sum (see _kernels). envelope, from
-    build_envelope on the same samples and catalog, skips the blocks of
-    samples no row can reach; the report is the same with or without it,
-    and a mismatched envelope raises ValueError.
+    rows is counted from one sum, and only where a bound on the sum
+    over a block of samples reaches a limit (see _kernels).
     """
     xi, cols, seed = _sample_arrays(samples, catalog)
     n, m = xi.shape
@@ -143,17 +91,13 @@ def evaluate(
     pairs = catalog.pairs
     upper = pairs[:, 0]
     sens = catalog.sensitivity_matrix[upper]
-    bounds = None
-    if envelope is not None:
-        envelope._check(xi, cols, sens)
-        bounds = envelope.bounds
     base = np.array([float(np.dot(catalog.dispatch_matrix[c], p)) for c in upper])
     if include_degenerate:
         active = np.ones(len(catalog), dtype=bool)
     else:
         active = ~catalog.degenerate
     pair_counts, joint = _kernels.count_violations(
-        base, sens, catalog.limits[pairs], xi, cols, active[pairs], bounds,
+        base, sens, catalog.limits[pairs], xi, cols, active[pairs]
     )
     counts = np.empty(len(catalog), dtype=np.int64)
     counts[pairs] = pair_counts

@@ -210,11 +210,11 @@ def test_failed_replication_excluded_from_average(monkeypatch, caplog):
     real_tune = experiment.tune
     calls = {"n": 0}
 
-    def flaky(case, catalog, samples, config, bounds=None, envelope=None):
+    def flaky(case, catalog, samples, config, bounds=None):
         calls["n"] += 1
         if calls["n"] == 1:
             raise TuningError("no feasible conservative anchor")
-        return real_tune(case, catalog, samples, config, bounds, envelope)
+        return real_tune(case, catalog, samples, config, bounds)
 
     monkeypatch.setattr(experiment, "tune", flaky)
     config = ExperimentConfig.from_text(SMALL_GAUSSIAN)
@@ -310,7 +310,7 @@ def test_sweep_axis_must_list_distinct_entries(line):
 
 
 def test_replication_draws_and_catalogs_once_per_distribution(monkeypatch):
-    counts = {"sample": 0, "build_catalog": 0, "build_envelope": 0}
+    counts = {"sample": 0, "build_catalog": 0, "evaluate": 0}
     for name in counts:
         real = getattr(experiment, name)
 
@@ -333,9 +333,9 @@ gaussian.std_mw = 9.4, 13.1
     )
     report = run_experiment(config)
     assert len(report.rows) == 12 and not any(r.failed for r in report.rows)
-    # One tuning and one out-of-sample draw, one catalog, and one envelope
-    # of each draw, per distribution.
-    assert counts == {"sample": 4, "build_catalog": 2, "build_envelope": 4}
+    # One tuning and one out-of-sample draw and one catalog per
+    # distribution, and one out-of-sample count per cell.
+    assert counts == {"sample": 4, "build_catalog": 2, "evaluate": 12}
 
 
 def test_number_beyond_float_range_rejected():

@@ -24,7 +24,7 @@ from cctuner.tuner import (
     tune,
 )
 from cctuner.uncertainty import gaussian_from_std_corr, sample, spec_moments
-from cctuner.violation import build_envelope, evaluate
+from cctuner.violation import evaluate
 
 TWO_GEN = """
 base 100
@@ -177,6 +177,23 @@ def test_config_fraction_coercion_and_validation():
         TuningConfig(eps_des=0.1, gamma=0, width_tol=0.0)
     with pytest.raises(ValueError, match="max_iterations"):
         TuningConfig(eps_des=0.1, gamma=0, max_iterations=0)
+    assert TuningConfig(eps_des=0.1, gamma=0, max_iterations=np.int64(5)).max_iterations == 5
+
+
+# NaN never collapses the bracket and inf collapses it before the first
+# iterate; a fractional or boolean cap is not an iteration count.
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("width_tol", float("nan")),
+        ("width_tol", float("inf")),
+        ("max_iterations", 2.5),
+        ("max_iterations", True),
+    ],
+)
+def test_config_rejects_unusable_stopping_rules(field, value):
+    with pytest.raises(ValueError, match=field):
+        TuningConfig(eps_des=0.1, gamma=0, **{field: value})
 
 
 def test_gamma_below_sample_resolution_warns():
@@ -245,20 +262,17 @@ def test_trace_records_each_qp_solve(rts_tuning_set):
             start = replayed
 
 
-def test_tune_shares_a_given_envelope_and_times_each_iterate(rts_tuning_set):
+def test_tune_times_each_iterate(rts_tuning_set):
     case, catalog, samples = rts_tuning_set
     config = TuningConfig(eps_des=0.05, gamma=1e-3, mode="joint")
-    shared = tune(case, catalog, samples, config, envelope=build_envelope(samples, catalog))
-    own = tune(case, catalog, samples, config)
+    first = tune(case, catalog, samples, config)
+    again = tune(case, catalog, samples, config)
     # Timings do not take part in comparing iterates.
-    assert shared.trace == own.trace and shared.s == own.s
-    assert any(not it.feasible for it in shared.trace)
-    for it in shared.trace:
+    assert first.trace == again.trace and first.s == again.s
+    assert any(not it.feasible for it in first.trace)
+    for it in first.trace:
         assert it.solve_s > 0.0
         assert (it.count_s > 0.0) if it.feasible else (it.count_s == 0.0)
-    other = sample(gaussian_from_std_corr([9.4, 13.1], 0.2), 2000, seed=6, case=case)
-    with pytest.raises(ValueError, match="another sample set"):
-        tune(case, catalog, samples, config, envelope=build_envelope(other, catalog))
 
 
 @pytest.mark.parametrize("mode", ["single", "joint"])

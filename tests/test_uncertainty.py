@@ -223,3 +223,17 @@ def test_spec_validation_errors(rts):
         sample(gaussian_from_std_corr([1.0], 0.0), 10, 0, rts)
     with pytest.raises(ValueError, match="at least one sample"):
         sample(gaussian_from_std_corr([1.0, 1.0], 0.0), 0, 0, rts)
+
+
+def test_sample_set_columns_must_be_strictly_ascending_and_in_range():
+    # A repeated column would be summed twice by every count.
+    samples = np.zeros((4, 24))
+    assert SampleSet(samples, None, [7, 14]).uncertain_columns.tolist() == [7, 14]
+    assert SampleSet(samples, None, []).uncertain_columns.size == 0
+    for cols in ([7, 7, 14], [14, 7], [-1], [24]):
+        with pytest.raises(ValueError, match="strictly ascending"):
+            SampleSet(samples, None, cols)
+    with pytest.raises(ValueError, match="1-D"):
+        SampleSet(samples, None, [[7, 14]])
+    with pytest.raises(ValueError, match="2-D"):
+        SampleSet(np.zeros(24), None, [7])

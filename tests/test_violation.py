@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +12,7 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from cctuner import apply_rts_modifications, load_rts_case, parse_case
+from cctuner import _kernels
 from cctuner._kernels import _BLOCK_SAMPLES
 from cctuner.ptdf import compute_ptdf
 from cctuner.reformulation import (
@@ -22,7 +22,7 @@ from cctuner.reformulation import (
     solve_dispatch,
 )
 from cctuner.uncertainty import gaussian_from_std_corr, sample, spec_moments
-from cctuner.violation import build_envelope, evaluate, report_to_json
+from cctuner.violation import evaluate, report_to_json
 
 from oracles import naive_violation_counts
 
@@ -262,7 +262,7 @@ def test_report_json_round_trip(rts, rts_catalog):
         assert Fraction(c["eps_exact"]) == Fraction(c["count"], 400)
 
 
-# --- Sample envelopes: the same counts, bit for bit, with fewer sums ---
+# --- Per-block bounds: the same counts, bit for bit, with fewer sums ---
 
 
 def paired_catalog(sens, limits):
@@ -326,25 +326,22 @@ def limits_at_sums(p, sens, xi, rng, spread):
 
 
 def assert_envelope_exact(p, xi, catalog):
-    """Envelope path == plain path == oracle loop, with no numpy warning."""
+    """evaluate, which skips the cells its bounds clear, == oracle loop,
+    with no numpy warning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        envelope = build_envelope(xi, catalog)
-        plain = evaluate(p, xi, catalog)
-        fast = evaluate(p, xi, catalog, envelope=envelope)
+        report = evaluate(p, xi, catalog)
     with np.errstate(all="ignore"):
         counts, joint = naive_violation_counts(p, catalog, xi)
-    assert np.array_equal(plain.counts, counts) and plain.joint_count == joint
-    assert np.array_equal(fast.counts, counts) and fast.joint_count == joint
-    return envelope
+    assert np.array_equal(report.counts, counts) and report.joint_count == joint
 
 
-_ENVELOPE_SETTINGS = settings(
+_BOUND_SETTINGS = settings(
     max_examples=25, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate]
 )
 
 
-@_ENVELOPE_SETTINGS
+@_BOUND_SETTINGS
 @given(
     m=st.integers(1, 24),
     n=st.sampled_from([1, 5, 64, _BLOCK_SAMPLES + 5]),
@@ -353,7 +350,7 @@ _ENVELOPE_SETTINGS = settings(
     seed=st.integers(0, 2**32 - 1),
 )
 # Every product just above half an ulp of the start rounds each of the m
-# additions up, so the sum exceeds start + key by about m ulps: a delta
+# additions up, so the sum exceeds start + hi by about m ulps: a delta
 # sized for two columns would miss it.
 @example(m=24, n=64, coherent=True, spread=1, seed=8)
 @example(m=2, n=_BLOCK_SAMPLES + 5, coherent=True, spread=1, seed=4)
@@ -372,7 +369,7 @@ def test_envelope_exact_at_a_few_ulps_from_the_limit(m, n, coherent, spread, see
     assert_envelope_exact(p, xi, paired_catalog(sens, limits))
 
 
-@_ENVELOPE_SETTINGS
+@_BOUND_SETTINGS
 @given(m=st.integers(1, 24), n=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
 def test_envelope_exact_on_samples_from_1e_minus_300_to_1e300(m, n, seed):
     rng = np.random.default_rng(seed)
@@ -387,7 +384,7 @@ def test_envelope_exact_on_samples_from_1e_minus_300_to_1e300(m, n, seed):
     assert_envelope_exact(p, xi, paired_catalog(sens, limits))
 
 
-@_ENVELOPE_SETTINGS
+@_BOUND_SETTINGS
 @given(m=st.integers(1, 6), n=st.integers(2, 80), seed=st.integers(0, 2**32 - 1))
 def test_nan_sample_keeps_its_block_bounded(m, n, seed):
     rng = np.random.default_rng(seed)
@@ -398,12 +395,13 @@ def test_nan_sample_keeps_its_block_bounded(m, n, seed):
     xi = rng.normal(size=(n, m))
     xi[rng.integers(n), rng.integers(m)] = np.nan
     limits = limits_at_sums(p, sens, xi, rng, 2)
-    envelope = assert_envelope_exact(p, xi, paired_catalog(sens, limits))
-    # fmax/fmin skip the NaN sums: the other samples still bound the block.
-    assert all(np.all(np.isfinite(bound)) for bound in envelope.bounds)
+    assert_envelope_exact(p, xi, paired_catalog(sens, limits))
+    # fmax/fmin skip the NaN sample: the other samples still bound the block.
+    bound = _kernels._block_bound(np.ascontiguousarray(sens.T), np.ascontiguousarray(xi.T))
+    assert all(np.all(np.isfinite(part)) for part in bound)
 
 
-@_ENVELOPE_SETTINGS
+@_BOUND_SETTINGS
 @given(m=st.integers(2, 6), n=st.integers(4, 80), seed=st.integers(0, 2**32 - 1))
 def test_envelope_exact_with_nan_and_infinite_samples(m, n, seed):
     rng = np.random.default_rng(seed)
@@ -421,6 +419,54 @@ def test_envelope_exact_with_nan_and_infinite_samples(m, n, seed):
     assert_envelope_exact(p, xi, paired_catalog(sens, limits))
 
 
+def block_sums(base, sens, block):
+    """(n_pairs, width) sums of a block, the oracle's order, by array ops."""
+    acc = np.repeat(base[:, None], block.shape[0], axis=1)
+    for j in range(block.shape[1]):
+        acc = acc + sens[:, j, None] * block[None, :, j]
+    return acc
+
+
+@_BOUND_SETTINGS
+@given(
+    m=st.integers(0, 6),
+    n=st.one_of(st.integers(1, 80), st.just(_BLOCK_SAMPLES + 5)),
+    coherent=st.booleans(),
+    special=st.booleans(),
+    spread=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(m=0, n=3, coherent=False, special=False, spread=0, seed=1)
+@example(m=6, n=64, coherent=True, spread=1, special=False, seed=8)
+def test_every_cell_with_a_hit_is_a_candidate(m, n, coherent, special, spread, seed):
+    rng = np.random.default_rng(seed)
+    n_pairs = 3
+    base = rng.uniform(1.0, 1.9, n_pairs)
+    if coherent:
+        sens = np.ones((n_pairs, m))
+        xi = 2.0**-53 * (1.0 + rng.uniform(2.0**-20, 2.0**-10, (n, m)))
+    else:
+        sens = rng.normal(size=(n_pairs, m))
+        xi = rng.normal(scale=rng.choice([1e-12, 1e-3, 1.0]), size=(n, m))
+    if special and m and n > 1:
+        # NaN and infinite samples, all but the last sample's row: the
+        # limits need one finite sample to sit next to.
+        at = rng.integers(n - 1, size=3), rng.integers(m, size=3)
+        xi[at] = [np.nan, np.inf, -np.inf]
+        sens[0, at[1][1:]] = 0.0
+    limits = limits_at_sums(base, sens, xi, rng, spread)
+    upper, lower = limits[:, 0], -limits[:, 1]
+    sens_t = np.ascontiguousarray(sens.T)
+    with np.errstate(all="ignore"):
+        for start in range(0, n, _BLOCK_SAMPLES):
+            block = xi[start : start + _BLOCK_SAMPLES]
+            bound = _kernels._block_bound(sens_t, np.ascontiguousarray(block.T))
+            candidate = _kernels._candidates(base, upper, lower, m, bound)
+            sums = block_sums(base, sens, block)
+            hit = np.any(sums > upper[:, None], axis=1) | np.any(sums < lower[:, None], axis=1)
+            assert not np.any(hit & ~candidate)
+
+
 @pytest.mark.parametrize("include_degenerate", [False, True])
 @settings(max_examples=6, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(
@@ -434,55 +480,10 @@ def test_envelope_matches_naive_loop_on_any_dispatch(rts, rts_catalog, include_d
     p_g = solve_dispatch(rts, rts_catalog, s).p_g
     p_g[bus] += shift
     samples = sample(gaussian_from_std_corr([9.4, 13.1], 0.2), n, seed=seed, case=rts)
-    envelope = build_envelope(samples, rts_catalog)
-    report = evaluate(p_g, samples, rts_catalog, include_degenerate, envelope=envelope)
+    report = evaluate(p_g, samples, rts_catalog, include_degenerate)
     counts, joint = naive_violation_counts(
         p_g, rts_catalog, samples.samples, include_degenerate=include_degenerate
     )
     assert np.array_equal(report.counts, counts)
     assert report.joint_count == joint
     assert report.seed == seed
-
-
-def test_envelope_accepts_an_equal_copy_of_its_samples(rts, rts_catalog):
-    p_g = solve_dispatch(rts, rts_catalog, 1.0).p_g
-    spec = gaussian_from_std_corr([9.4, 13.1], 0.2)
-    envelope = build_envelope(sample(spec, 500, seed=8, case=rts), rts_catalog)
-    redrawn = sample(spec, 500, seed=8, case=rts)
-    assert redrawn.samples is not envelope.samples
-    report = evaluate(p_g, redrawn, rts_catalog, envelope=envelope)
-    assert np.array_equal(report.counts, evaluate(p_g, redrawn, rts_catalog).counts)
-
-
-def test_mismatched_envelope_raises(rts, rts_catalog):
-    p_g = solve_dispatch(rts, rts_catalog, 1.0).p_g
-    spec = gaussian_from_std_corr([9.4, 13.1], 0.2)
-    samples = sample(spec, 500, seed=8, case=rts)
-    envelope = build_envelope(samples, rts_catalog)
-    # Another sample count, another draw of the same size, and another
-    # column set (bus 15's column dropped from the same values).
-    with pytest.raises(ValueError, match="500 samples"):
-        evaluate(p_g, sample(spec, 499, seed=8, case=rts), rts_catalog, envelope=envelope)
-    with pytest.raises(ValueError, match="another sample set"):
-        evaluate(p_g, sample(spec, 500, seed=9, case=rts), rts_catalog, envelope=envelope)
-    one_column = samples.samples.copy()
-    one_column[:, 14] = 0.0
-    with pytest.raises(ValueError, match="columns"):
-        evaluate(p_g, one_column, rts_catalog, envelope=envelope)
-    # Another row count: the catalog without its last line's pair.
-    keep = np.ones(len(rts_catalog), dtype=bool)
-    keep[rts_catalog.pairs[-1]] = False
-    fewer = ConstraintCatalog(
-        kinds=tuple(k for k, kept in zip(rts_catalog.kinds, keep) if kept),
-        subjects=tuple(s for s, kept in zip(rts_catalog.subjects, keep) if kept),
-        **{
-            name: getattr(rts_catalog, name)[keep]
-            for name in ("dispatch_matrix", "sensitivity_matrix", "limits", "sigmas", "degenerate")
-        },
-    )
-    with pytest.raises(ValueError, match="row pairs"):
-        evaluate(p_g, samples, fewer, envelope=envelope)
-    # Same rows, other sensitivities.
-    scaled = replace(rts_catalog, sensitivity_matrix=2.0 * rts_catalog.sensitivity_matrix)
-    with pytest.raises(ValueError, match="another catalog"):
-        evaluate(p_g, samples, scaled, envelope=envelope)
