@@ -24,6 +24,8 @@ descent ray that no row blocks is 'unbounded'. Infeasibility is reported
 with the working-set multipliers of a phase-1 optimum t* > tol, a Farkas
 certificate (y, z ≥ 0) with Aᵀy + Gᵀz = 0 and bᵀy + hᵀz = -t* < 0. A
 phase 1 that ends without one is 'max_iterations', never 'infeasible'.
+Rows are solved as given: an all-zero inequality row never blocks a
+step, and phase 1 certifies one with h < 0 infeasible.
 
 A caller that expects a particular set of active inequality rows (the
 previous solve of a nearby program, say) can pass that guess as
@@ -230,14 +232,12 @@ def solve(
     """Solve the diagonal-Hessian convex QP; see the module docstring.
 
     p_diag must be elementwise nonnegative, tol finite and positive, and
-    max_iters an integer of at least 1. Vacuous all-zero constraint rows
-    are dropped up front (an all-zero row with an unsatisfiable
-    right-hand side short-circuits to 'infeasible'), and at least one
-    nonzero inequality row must remain, else ValueError; returned dual
-    vectors keep the caller's row indexing, with zeros on dropped rows.
+    max_iters an integer of at least 1. At least one inequality row is
+    required, else ValueError: phase 1 starts on the most violated one.
+    Every row is solved as given, all-zero rows included, and an
+    optimal point's kkt_residuals are the ones that certified it.
     active, if given, lists the inequality rows guessed to be active at
-    the optimum, as integer indices into the caller's rows; guessed rows
-    that are dropped as vacuous are ignored.
+    the optimum, as integer indices into h_ineq.
     """
     if not (isinstance(max_iters, numbers.Integral) and max_iters >= 1):
         raise ValueError(f"max_iters must be an integer of at least 1, got {max_iters!r}")
@@ -250,43 +250,17 @@ def solve(
         raise ValueError("p_diag and q must have matching lengths")
     if np.any(p < 0.0):
         raise ValueError("quadratic coefficients must be nonnegative")
-    a_full = _as_2d(a_eq, n)
-    b_full = np.asarray(b_eq, dtype=float).reshape(a_full.shape[0])
-    g_full = _as_2d(g_ineq, n)
-    h_full = np.asarray(h_ineq, dtype=float).reshape(g_full.shape[0])
-    if active is not None:
-        active = _active_mask(active, g_full.shape[0])
-
-    y = np.zeros(a_full.shape[0])
-    z = np.zeros(g_full.shape[0])
-    zero_eq = ~np.any(a_full != 0.0, axis=1)
-    zero_g = ~np.any(g_full != 0.0, axis=1)
-    bad_eq = np.flatnonzero(zero_eq & (b_full != 0.0))
-    bad_g = np.flatnonzero(zero_g & (h_full < 0.0))
-    if bad_eq.size or bad_g.size:
-        # A unit dual on the first unsatisfiable all-zero row is a Farkas
-        # certificate on its own.
-        if bad_eq.size:
-            y[bad_eq[0]] = -np.sign(b_full[bad_eq[0]])
-            gap = -abs(float(b_full[bad_eq[0]]))
-        else:
-            z[bad_g[0]] = 1.0
-            gap = float(h_full[bad_g[0]])
-        cert = {"equality_dual": y, "inequality_dual": z, "farkas_gap": gap, "stationarity": 0.0, "infeasibility": -gap}
-        return QpSolution("infeasible", np.zeros(n), np.inf, y, z, (0.0, -gap, 0.0, 0.0), 0, cert)
-
-    keep_eq = np.flatnonzero(~zero_eq)
-    keep_g = np.flatnonzero(~zero_g)
-    a, b = a_full[keep_eq], b_full[keep_eq]
-    g, h = g_full[keep_g], h_full[keep_g]
-
+    a = _as_2d(a_eq, n)
+    b = np.asarray(b_eq, dtype=float).reshape(a.shape[0])
+    g = _as_2d(g_ineq, n)
+    h = np.asarray(h_ineq, dtype=float).reshape(g.shape[0])
     if g.shape[0] == 0:
-        raise ValueError("no nonzero inequality row: phase 1 starts on the most violated one")
+        raise ValueError("no inequality row: phase 1 starts on the most violated one")
 
     if active is not None:
-        warm = _certified_on_active_set(p, q, a, b, g, h, active[keep_g], tol)
+        warm = _certified_on_active_set(p, q, a, b, g, h, _active_mask(active, g.shape[0]), tol)
         if warm is not None:
-            return _in_caller_rows(warm, p, q, a_full, b_full, g_full, h_full, keep_eq, keep_g)
+            return warm
 
     # Minimum-norm equality solution as the phase-1 anchor.
     if a.shape[0]:
@@ -294,9 +268,8 @@ def solve(
     else:
         x0 = np.zeros(n)
     start, certificate = _phase1(a, b, g, h, x0, tol, max_iters)
+    y, z = np.zeros(a.shape[0]), np.zeros(g.shape[0])
     if certificate is not None:
-        certificate["equality_dual"] = _scatter(certificate["equality_dual"], keep_eq, y.size)
-        certificate["inequality_dual"] = _scatter(certificate["inequality_dual"], keep_g, z.size)
         primal = (0.0, certificate["infeasibility"], 0.0, 0.0)
         return QpSolution("infeasible", np.zeros(n), np.inf, y, z, primal, start.iterations, certificate)
     # Any x within tol of every row is a start; phase 1 need not be optimal.
@@ -308,7 +281,7 @@ def solve(
     sol = replace(sol, iterations=start.iterations + sol.iterations)
     if not sol.optimal:
         logger.warning("active-set method ended %s after %d pivots; residual %.3e", sol.status, sol.iterations, max(sol.kkt_residuals))
-    return _in_caller_rows(sol, p, q, a_full, b_full, g_full, h_full, keep_eq, keep_g)
+    return sol
 
 
 def _active_mask(rows, count: int) -> np.ndarray:
@@ -346,14 +319,6 @@ def _certified_on_active_set(p, q, a, b, g, h, on, tol) -> QpSolution | None:
     if not (all(r <= tol for r in res) and np.all(z >= 0.0)):
         return None
     return QpSolution("optimal", x, float(0.5 * x @ (p * x) + q @ x), y, z, res, 0)
-
-
-def _in_caller_rows(sol, p, q, a_full, b_full, g_full, h_full, keep_eq, keep_g) -> QpSolution:
-    """sol with duals scattered to the caller's rows and residuals recomputed there."""
-    y = _scatter(sol.y, keep_eq, a_full.shape[0])
-    z = _scatter(sol.z, keep_g, g_full.shape[0])
-    res = _residuals(p, q, a_full, b_full, g_full, h_full, sol.x, y, z)
-    return replace(sol, y=y, z=z, kkt_residuals=res)
 
 
 def _scatter(values: np.ndarray, idx: np.ndarray, size: int) -> np.ndarray:

@@ -132,9 +132,9 @@ class SampleSet:
 
     uncertain_columns holds the strictly ascending indices of the
     columns that may be nonzero; every other column is exactly zero, and
-    downstream evaluation relies on that to skip them, so a repeated or
-    out-of-range index raises ValueError. seed is None for a matrix that
-    was not drawn by sample().
+    downstream evaluation relies on that to skip them, so a repeated,
+    fractional or out-of-range index raises ValueError. seed is None for
+    a matrix that was not drawn by sample().
     """
 
     samples: np.ndarray
@@ -142,21 +142,26 @@ class SampleSet:
     uncertain_columns: np.ndarray
 
     def __post_init__(self):
-        for name, dtype in (("samples", float), ("uncertain_columns", np.int64)):
-            arr = np.asarray(getattr(self, name), dtype=dtype)
+        columns = np.asarray(self.uncertain_columns)
+        # A cast that changes a value (7.9 -> 7, NaN) is caught below.
+        with np.errstate(invalid="ignore"):
+            cols = columns.astype(np.int64)
+        for name, arr in (("samples", np.asarray(self.samples, dtype=float)), ("uncertain_columns", cols)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        cols = self.uncertain_columns
         if self.samples.ndim != 2:
             raise ValueError("samples must be a 2-D array")
         if cols.ndim != 1:
             raise ValueError("uncertain_columns must be 1-D")
         if cols.size and not (
-            cols[0] >= 0 and cols[-1] < self.samples.shape[1] and np.all(cols[1:] > cols[:-1])
+            np.array_equal(cols, columns)
+            and cols[0] >= 0
+            and cols[-1] < self.samples.shape[1]
+            and np.all(cols[1:] > cols[:-1])
         ):
             raise ValueError(
-                f"uncertain_columns must be strictly ascending indices below "
-                f"{self.samples.shape[1]}, got {cols.tolist()}"
+                f"uncertain_columns must be strictly ascending integer indices below "
+                f"{self.samples.shape[1]}, got {columns.tolist()}"
             )
 
     @property
@@ -265,6 +270,18 @@ def _draw_mw(spec, n: int, rng: np.random.Generator) -> np.ndarray:
     raise TypeError(f"unknown distribution spec {type(spec).__name__}")
 
 
+def _uncertain_columns(spec, case) -> np.ndarray:
+    """The 0-based columns of the case's uncertain buses, where spec's
+    coordinates embed into the nodal space; ValueError unless spec has
+    one coordinate per uncertain bus."""
+    uncertain = case.uncertain_buses
+    if spec.dim != len(uncertain):
+        raise ValueError(
+            f"spec dimension {spec.dim} does not match {len(uncertain)} uncertain buses"
+        )
+    return np.array(uncertain, dtype=np.int64) - 1
+
+
 def sample(spec, n: int, seed: int, case) -> SampleSet:
     """Draw n disturbance vectors for the case's uncertain buses.
 
@@ -274,16 +291,9 @@ def sample(spec, n: int, seed: int, case) -> SampleSet:
     """
     if n < 1:
         raise ValueError("need at least one sample")
-    uncertain = case.uncertain_buses
-    if spec.dim != len(uncertain):
-        raise ValueError(
-            f"spec dimension {spec.dim} does not match {len(uncertain)} uncertain buses"
-        )
-    draws = _draw_mw(spec, n, _rng(seed))
+    cols = _uncertain_columns(spec, case)
     full = np.zeros((n, case.n_buses))
-    cols = [b - 1 for b in uncertain]
-    if cols:
-        full[:, cols] = draws / case.base_mva
+    full[:, cols] = _draw_mw(spec, n, _rng(seed)) / case.base_mva
     return SampleSet(samples=full, seed=seed, uncertain_columns=cols)
 
 
@@ -319,19 +329,13 @@ def _spec_moments_mw(spec) -> tuple[np.ndarray, np.ndarray]:
 
 def spec_moments(spec, case) -> MomentEstimate:
     """Exact distribution moments embedded into the nodal space, in pu."""
-    uncertain = case.uncertain_buses
-    if spec.dim != len(uncertain):
-        raise ValueError(
-            f"spec dimension {spec.dim} does not match {len(uncertain)} uncertain buses"
-        )
+    cols = _uncertain_columns(spec, case)
     mean_mw, cov_mw = _spec_moments_mw(spec)
     m = case.n_buses
-    cols = [b - 1 for b in uncertain]
     mean = np.zeros(m)
     cov = np.zeros((m, m))
-    if cols:
-        mean[cols] = mean_mw / case.base_mva
-        cov[np.ix_(cols, cols)] = cov_mw / case.base_mva**2
+    mean[cols] = mean_mw / case.base_mva
+    cov[np.ix_(cols, cols)] = cov_mw / case.base_mva**2
     cov, factor = _repair_and_factor(cov, _SPEC_PSD_TOL)
     return MomentEstimate(mean=mean, covariance=cov, chol_factor=factor)
 

@@ -33,19 +33,21 @@ def kkt_residuals(p, q, a, b, g, h, sol):
 
 
 def test_unconstrained_parabola_with_vacuous_equality():
-    # min x^2 - 4x with only a 0 = 0 equality row has no inequality row left
+    # min x^2 - 4x with only a 0 = 0 equality row has no inequality row
     # for phase 1 to start on, so it is rejected.
-    with pytest.raises(ValueError, match="no nonzero inequality row"):
+    with pytest.raises(ValueError, match="no inequality row"):
         solve([2.0], [-4.0], np.zeros((1, 1)), [0.0], np.zeros((0, 1)), [])
-    # Vacuous all-zero inequality rows are dropped before the check.
-    with pytest.raises(ValueError, match="no nonzero inequality row"):
-        solve([2.0], [-4.0], np.zeros((1, 1)), [0.0], np.zeros((2, 1)), [0.0, 1.0])
+    # All-zero inequality rows with h >= 0 are solved as given and never
+    # block a step.
+    sol = solve([2.0], [-4.0], np.zeros((1, 1)), [0.0], np.zeros((2, 1)), [0.0, 1.0])
+    assert sol.status == "optimal"
+    np.testing.assert_allclose(sol.x, [2.0], atol=1e-12)
 
 
 def test_equality_only():
     # Every tightened dispatch has two generator rows per free bus, so the
     # solver keeps no separate equality-only path: such a program is rejected.
-    with pytest.raises(ValueError, match="no nonzero inequality row"):
+    with pytest.raises(ValueError, match="no inequality row"):
         solve([2.0, 4.0], [0.0, 0.0], [[1.0, 1.0]], [3.0], np.zeros((0, 2)), [])
 
 
@@ -140,10 +142,20 @@ def test_descent_ray_no_row_blocks_is_unbounded():
     assert sol.iterations <= 3
 
 
-def test_zero_row_contradiction_short_circuits():
+def test_zero_row_contradiction_is_certified_by_phase_1():
     sol = solve([2.0], [0.0], np.zeros((0, 1)), [], [[0.0]], [-1.0])
     assert sol.status == "infeasible"
     assert sol.certificate["farkas_gap"] < 0
+
+
+def test_contradictory_zero_equality_row_is_never_certified():
+    # Phase 1 holds the equality rows and minimizes only inequality
+    # violations, so 0 = 1 yields no Farkas certificate, and its primal
+    # residual keeps phase 2 from certifying a point: the solve ends
+    # max_iterations, as any inconsistent equality system does.
+    sol = solve([2.0], [-4.0], np.zeros((1, 1)), [1.0], [[1.0]], [5.0])
+    assert sol.status == "max_iterations"
+    assert sol.certificate is None
 
 
 def test_inactive_constraints_get_zero_dual_in_full_indexing():
@@ -333,10 +345,12 @@ def test_wrong_guess_keeps_the_cold_status_and_objective(make):
 
 
 def test_guess_on_a_dropped_zero_row_is_ignored():
+    # Holding a zero row at equality makes the guess's KKT matrix
+    # singular, so the solve falls back to cold.
     g = [[0.0, 0.0], [1.0, 0.0]]
     h = [5.0, 1.0]
     cold = solve([2.0, 4.0], [0.0, 0.0], [[1.0, 1.0]], [3.0], g, h)
     warm = solve([2.0, 4.0], [0.0, 0.0], [[1.0, 1.0]], [3.0], g, h, active=[0, 1])
-    assert warm.status == "optimal" and warm.iterations == 0
+    assert warm.status == "optimal" and warm.iterations > 0
     assert warm.z[0] == 0.0 and warm.z[1] == pytest.approx(6.0, abs=1e-12)
     assert warm.objective == pytest.approx(cold.objective, abs=1e-6)

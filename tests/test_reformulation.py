@@ -245,6 +245,46 @@ def test_huge_s_infeasible_with_certificate(rts, rts_catalog):
     assert cert is not None and cert["farkas_gap"] < 0.0
 
 
+def pinned_load_case(line_2_3_mw: float):
+    # Bus 3 has no generator, so it is pinned; the radial line 2-3
+    # carries its whole 150 MW load, and with bus 3's column eliminated
+    # that line's rows are constant.
+    return parse_case(
+        "base 100\nbus 1 0 uncertain\nbus 2 0\nbus 3 150\n"
+        f"line 1 2 0.1 500\nline 2 3 0.1 {line_2_3_mw}\n"
+        "gen 1 0 100 0.01 10 0\ngen 2 0 300 0.02 20 0\n"
+    )
+
+
+def test_constant_row_to_a_pinned_load_is_certified():
+    for line_mw, expected in ((100.0, "infeasible"), (200.0, "optimal")):
+        case = pinned_load_case(line_mw)
+        catalog = build_catalog(
+            case,
+            compute_ptdf(case),
+            participation_factors(case),
+            spec_moments(gaussian_from_std_corr([10.0], 0.0), case),
+        )
+        for s in (0.0, 1.0):
+            sol = solve_dispatch(case, catalog, s)
+            assert sol.status == expected
+            if expected == "infeasible":
+                cert = sol.qp_solution.certificate
+                assert cert["farkas_gap"] < 0.0
+                z = cert["inequality_dual"]
+                # Catalog indexing, zero on bus 3's own pair of rows.
+                assert z.shape == (len(catalog),)
+                assert z[2] == 0.0 and z[case.n_buses + 2] == 0.0
+
+
+def test_pinned_bus_elimination_keeps_cold_solves_short(rts, rts_catalog):
+    # Cold RTS solves take 13-15 pivots; with the pinned columns kept
+    # they took 59-69.
+    for s in (0.5, 1.5, 3.0, 6.0):
+        sol = solve_dispatch(rts, rts_catalog, s)
+        assert sol.qp_solution.iterations <= 20, (s, sol.status, sol.qp_solution.iterations)
+
+
 def test_catalog_rows_are_read_only_views_of_the_matrices(rts_catalog):
     cat = rts_catalog
     for c, row in enumerate(cat.rows):

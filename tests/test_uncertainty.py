@@ -230,7 +230,7 @@ def test_sample_set_columns_must_be_strictly_ascending_and_in_range():
     samples = np.zeros((4, 24))
     assert SampleSet(samples, None, [7, 14]).uncertain_columns.tolist() == [7, 14]
     assert SampleSet(samples, None, []).uncertain_columns.size == 0
-    for cols in ([7, 7, 14], [14, 7], [-1], [24]):
+    for cols in ([7, 7, 14], [14, 7], [-1], [24], [7.9, 14.2]):
         with pytest.raises(ValueError, match="strictly ascending"):
             SampleSet(samples, None, cols)
     with pytest.raises(ValueError, match="1-D"):
