@@ -85,6 +85,59 @@ would, and skipped cells have no hits, so per-row counts and the joint
 count are bit-identical to a sum over every cell. The bound costs two
 reductions of the block's m columns and O(m) work per pair, and needs no
 state beyond the block.
+
+Reused sample sets
+------------------
+A tuner counts one sample set against one catalog at every iterate, and
+only the dispatch term b changes between those counts. A CountStore
+holds what does not: the active-column copy of the whole set, its
+(hi, lo, tails) bound as one block, and, for each pair that has ever
+been a candidate, the dispatch-free sum of every sample,
+
+    v = fl(...fl(fl(0 + p_1) + p_2) ... + p_m),
+
+the products added from 0.0 in _accumulate's order. A count first takes
+the candidates of the whole set as one block, which the argument above
+covers, and fills v for each candidate not yet filled. It then proves
+most samples of the filled pairs sure misses from v alone, and re-sums
+every other sample of those pairs from b through _accumulate.
+
+Why v decides a sure miss. v adds the same float products p_j as acc,
+so |acc - (b + v)| <= E = gamma_m (|b| + sum |p_j|) + gamma_(m-1) sum
+|p_j|, which is at most 2 gamma_m (|b| + tails) / (1 - gamma_m) by the
+bound on the computed tails. For the upper row the count computes c =
+fl(upper - b), scale = fl(fl(|b| + tails) + |c|), delta = fl(4 (m + 2)
+u * scale) and t = fl(c - delta). A sample with v < t has
+
+    b + v < b + c - delta + u (|c| + delta) <= upper - delta (1 - u) + 2 u |c| / (1 - u),
+
+since |c - (upper - b)| <= u |upper - b| <= u |c| / (1 - u). So acc <=
+b + v + E < upper as soon as delta (1 - u) >= E + 2 u |c| / (1 - u).
+The computed delta is at least 4 (m + 2) u (|b| + tails + |c|) (1 - u)^3,
+more than twice what E and 2 u |c| need for any m far below 1/u, so the
+sample does not violate the upper row. The lower row is the same
+argument negated: t = fl(fl(lower - b) + delta) with c = fl(lower - b),
+and v > t gives acc > lower.
+
+The test is made only where 2^-960 <= scale <= 2^1000. Above, a sum
+could overflow; below, delta could underflow and lose its relative
+bound. Additions need no such care, since one whose result is subnormal
+is exact, and a product that underflows is the same float in acc and in
+v. Outside that range, a NaN scale included, t is +-inf on the side
+that proves nothing (-inf for the upper row), so no sample of the pair
+is a sure miss: every sample of a pair whose tails are infinite is
+re-summed. A NaN v fails both v < t and v > t, so a NaN sample is
+always re-summed. The test holds for any pair, so a filled pair that is
+no candidate at this dispatch is tested like the others. Every sample
+that some filled pair cannot clear is re-summed for all filled pairs in
+_accumulate's order and compared exactly, and pairs never filled were
+never candidates, so the counts are bit-identical to a sum over every
+cell, as in the one-shot count.
+
+The sums cost 8 bytes per sample for each pair that was ever a
+candidate. They are filled once per store, and each later count reads
+them with two comparisons and re-sums, 4,096 at a time, only the
+samples it cannot clear: those near or beyond a limit.
 """
 
 from __future__ import annotations
@@ -98,6 +151,15 @@ _BLOCK_SAMPLES = 4096
 _UNIT_ROUNDOFF = 2.0**-53
 # Largest |b| + tails whose sums cannot overflow (see the module docstring).
 _SCALE_CAP = 2.0**1000
+# Smallest scale a sure miss is decided at ("Reused sample sets").
+_SCALE_FLOOR = 2.0**-960
+# Sign that moves each (upper, lower) limit toward the pair's inside.
+_TOWARD_INSIDE = np.array([-1.0, 1.0])
+# Pairs a count store sizes its buffers for at first. About 10 of the
+# RTS case's 62 pairs ever become candidates in a tune, and buffers
+# sized once kept the tune benchmark's peak RSS lower than buffers
+# grown as pairs fill.
+_STORE_ROWS = 16
 
 
 def active_backend() -> str:
@@ -150,6 +212,128 @@ def _candidates(base, upper, lower, m, bound):
     )
 
 
+def _tally(acc, rows, upper, lower, active, counts):
+    """Add to counts the hits in acc, whose row i holds the sums of pair
+    rows[i], and return the number of samples that hit an active row.
+
+    Only the rows whose extreme sum crosses the limit are compared; most
+    pairs never hit. fmax and fmin skip NaN, which compares false anyway.
+    acc has at most _BLOCK_SAMPLES columns, so a row's count fits in
+    uint16, whose sum numpy runs fastest.
+    """
+    upper_rows, lower_rows = upper[rows], lower[rows]
+    at_up = np.flatnonzero(np.fmax.reduce(acc, axis=1) > upper_rows)
+    at_lo = np.flatnonzero(np.fmin.reduce(acc, axis=1) < lower_rows)
+    up, lo = rows[at_up], rows[at_lo]
+    hits_upper = acc[at_up] > upper_rows[at_up, None]
+    hits_lower = acc[at_lo] < lower_rows[at_lo, None]
+    counts[up, 0] += hits_upper.sum(axis=1, dtype=np.uint16)
+    counts[lo, 1] += hits_lower.sum(axis=1, dtype=np.uint16)
+    hit = hits_upper[active[up, 0]].any(axis=0) | hits_lower[active[lo, 1]].any(axis=0)
+    return int(np.count_nonzero(hit))
+
+
+def _sure_miss_limits(base, bounds, tails, m):
+    """(n, 2) limits (t_up, t_lo) of each pair: a sample whose
+    dispatch-free sum v has t_lo < v < t_up violates neither row of the
+    pair (see "Reused sample sets"). bounds holds (upper, lower)."""
+    c = bounds - base[:, None]
+    scale = (np.abs(base) + tails)[:, None] + np.abs(c)
+    exact = (scale >= _SCALE_FLOOR) & (scale <= _SCALE_CAP)
+    delta = (4 * (m + 2) * _UNIT_ROUNDOFF) * scale
+    return np.where(exact, c + _TOWARD_INSIDE * delta, _TOWARD_INSIDE * np.inf)
+
+
+class CountStore:
+    """One sample set's dispatch-free counting state for one catalog.
+
+    count_violations accepts a store in place of the samples, with the
+    very sens array it was built from, and counts bit for bit as from
+    the samples (see "Reused sample sets"). Building it copies the
+    active columns and bounds them; each pair's sums are kept from the
+    first count in which the pair is a candidate.
+
+    sens: (n_pairs, n_buses) sensitivity of each upper row to each bus.
+    xi: (n_samples, n_buses) samples.
+    cols: ascending int64 indices of the sample columns to accumulate.
+    seed: the seed of the sample set, carried for reports.
+    """
+
+    def __init__(self, sens, xi, cols, seed=None):
+        self.sens = sens
+        self.cols = cols
+        self.seed = seed
+        self.shape = xi.shape
+        n_pairs, n = sens.shape[0], xi.shape[0]
+        self._sens_t = np.ascontiguousarray(sens[:, cols].T)
+        self._columns = np.ascontiguousarray(xi[:, cols].T)
+        with np.errstate(invalid="ignore", over="ignore"):
+            self._bound = _block_bound(self._sens_t, self._columns)
+        # Row r of _sums holds the sums of pair _slot_pair[r]; rows are
+        # taken in the order pairs first become candidates.
+        self._slot_pair = np.empty(n_pairs, dtype=np.int64)
+        self._filled = np.zeros(n_pairs, dtype=bool)
+        self._n_filled = 0
+        self._prod = np.empty(n)
+        self._grow(min(n_pairs, _STORE_ROWS))
+
+    def _grow(self, rows):
+        """Size every buffer for rows filled pairs, keeping the sums."""
+        n = self._prod.shape[0]
+        sums = np.empty((rows, n))
+        if self._n_filled:
+            sums[: self._n_filled] = self._sums[: self._n_filled]
+        self._sums = sums
+        self._miss = np.empty((rows, n), dtype=bool)
+        self._over_lower = np.empty((rows, n), dtype=bool)
+        self._work = np.empty((2, rows * min(n, _BLOCK_SAMPLES)))
+
+    def _fill(self, pair):
+        row = self._n_filled
+        if row == self._sums.shape[0]:
+            self._grow(min(2 * row, len(self._filled)))
+        _accumulate(self._sums[row], self._prod, 0.0, self._sens_t[:, pair], self._columns)
+        self._slot_pair[row] = pair
+        self._filled[pair] = True
+        self._n_filled += 1
+
+    def count(self, base, sens, limits, active):
+        """count_violations of the stored samples; see there."""
+        if sens is not self.sens:
+            raise ValueError("count store was built for other sensitivities")
+        m = len(self.cols)
+        upper = limits[:, 0]
+        lower = -limits[:, 1]
+        counts = np.zeros((base.shape[0], 2), dtype=np.int64)
+        with np.errstate(invalid="ignore", over="ignore"):
+            candidate = _candidates(base, upper, lower, m, self._bound)
+            if not candidate.any():
+                return counts, 0
+            for pair in np.flatnonzero(candidate & ~self._filled):
+                self._fill(pair)
+            f = self._n_filled
+            rows = self._slot_pair[:f]
+            base_rows = base[rows]
+            bounds = np.stack([upper[rows], lower[rows]], axis=1)
+            t = _sure_miss_limits(base_rows, bounds, self._bound[2][rows], m)
+            sums = self._sums[:f]
+            miss = np.less(sums, t[:, :1], out=self._miss[:f])
+            miss &= np.greater(sums, t[:, 1:], out=self._over_lower[:f])
+            near = np.flatnonzero(~np.logical_and.reduce(miss, axis=0))
+            sens_cols = self._sens_t[:, rows, None]
+            joint = 0
+            for start in range(0, near.size, _BLOCK_SAMPLES):
+                chunk = near[start : start + _BLOCK_SAMPLES]
+                size = f * chunk.size
+                acc = _accumulate(
+                    self._work[0, :size].reshape(f, chunk.size),
+                    self._work[1, :size].reshape(f, chunk.size),
+                    base_rows[:, None], sens_cols, np.take(self._columns, chunk, axis=1),
+                )
+                joint += _tally(acc, rows, upper, lower, active, counts)
+        return counts, joint
+
+
 def count_violations(base, sens, limits, xi, cols, active):
     """Count strict violations of each mirrored pair of rows.
 
@@ -160,7 +344,8 @@ def count_violations(base, sens, limits, xi, cols, active):
     base: (n_pairs,) dispatch term of each upper row.
     sens: (n_pairs, m) sensitivity of each upper row to each sample column.
     limits: (n_pairs, 2) right-hand sides of the upper and lower rows.
-    xi: (n_samples, m) samples.
+    xi: (n_samples, m) samples, or a CountStore built from this very
+        sens array, which then uses its own columns.
     cols: ascending int64 indices of the sample columns to accumulate.
     active: (n_pairs, 2) bool mask of rows that count toward the joint hit.
 
@@ -173,12 +358,13 @@ def count_violations(base, sens, limits, xi, cols, active):
     rows whose largest (upper) or smallest (lower) sum in the block
     crosses the limit are compared sample by sample.
     """
+    if isinstance(xi, CountStore):
+        return xi.count(base, sens, limits, active)
     n_pairs = base.shape[0]
     upper = limits[:, 0]
     lower = -limits[:, 1]
     sens_t = np.ascontiguousarray(sens[:, cols].T)
     sens_cols = sens_t[:, :, None]
-    active_upper, active_lower = active[:, 0], active[:, 1]
     counts = np.zeros((n_pairs, 2), dtype=np.int64)
     joint = 0
     acc_buf = np.empty((n_pairs, _BLOCK_SAMPLES))
@@ -193,21 +379,9 @@ def count_violations(base, sens, limits, xi, cols, active):
             if rows.size == 0:
                 continue
             width = columns.shape[1]
-            upper_rows, lower_rows = upper[rows], lower[rows]
             acc = _accumulate(
                 acc_buf[: rows.size, :width], prod_buf[: rows.size, :width],
                 base[rows, None], sens_cols[:, rows], columns,
             )
-            # Compare only the rows whose extreme sum crosses the limit; most
-            # pairs never hit. fmax/fmin skip NaN, which compares false anyway.
-            at_up = np.flatnonzero(np.fmax.reduce(acc, axis=1) > upper_rows)
-            at_lo = np.flatnonzero(np.fmin.reduce(acc, axis=1) < lower_rows)
-            up, lo = rows[at_up], rows[at_lo]
-            hits_upper = acc[at_up] > upper_rows[at_up, None]
-            hits_lower = acc[at_lo] < lower_rows[at_lo, None]
-            # A block's counts fit in uint16, whose sum numpy runs fastest.
-            counts[up, 0] += hits_upper.sum(axis=1, dtype=np.uint16)
-            counts[lo, 1] += hits_lower.sum(axis=1, dtype=np.uint16)
-            hit = hits_upper[active_upper[up]].any(axis=0) | hits_lower[active_lower[lo]].any(axis=0)
-            joint += int(np.count_nonzero(hit))
+            joint += _tally(acc, rows, upper, lower, active, counts)
     return counts, joint

@@ -134,6 +134,7 @@ def cmd_tune(args) -> int:
                 "cost": result.objective,
                 "iterations": result.iterations,
                 "terminated_by": result.terminated_by,
+                "chosen_iteration": result.chosen_iteration,
                 "eps_single": result.eps_single,
                 "eps_joint": result.eps_joint,
                 "trace": [asdict(it) for it in result.trace],

@@ -179,6 +179,33 @@ class ConstraintCatalog:
         pairs.setflags(write=False)
         return pairs
 
+    @cached_property
+    def pair_sensitivity(self) -> np.ndarray:
+        """(n_pairs, n_buses) sensitivity rows of the pairs' upper rows.
+
+        Read-only and built once, so a count store can recognise the
+        catalog it was built for by this array's identity.
+        """
+        sens = self.sensitivity_matrix[self.pairs[:, 0]]
+        sens.setflags(write=False)
+        return sens
+
+    @cached_property
+    def unit_bus(self) -> np.ndarray:
+        """(n_pairs,) the bus whose unit vector is the pair's upper
+        dispatch row, or -1 where that row is no unit vector.
+
+        For a finite dispatch p, a unit row's term g·p is exactly p[bus]
+        up to the sign of a zero, since every other product is a zero.
+        Found from the rows' values, whatever their kinds say.
+        """
+        g = self.dispatch_matrix[self.pairs[:, 0]]
+        pairs, buses = np.nonzero((g == 1.0) & (np.count_nonzero(g, axis=1) == 1)[:, None])
+        bus = np.full(len(g), -1)
+        bus[pairs] = buses
+        bus.setflags(write=False)
+        return bus
+
     def __post_init__(self):
         for name in ("dispatch_matrix", "sensitivity_matrix", "limits", "sigmas", "degenerate"):
             getattr(self, name).setflags(write=False)

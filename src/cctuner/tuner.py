@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .reformulation import ConstraintCatalog, solve_dispatch
-from .violation import evaluate
+from .violation import count_store, evaluate
 
 logger = logging.getLogger(__name__)
 
@@ -85,6 +85,9 @@ class TuningConfig:
 class TuningIterate:
     """One bisection step. eps and cost are None when the solve failed.
 
+    bracket is the interval (s_min, s_max) the step bisected; s is its
+    midpoint.
+
     qp_status and qp_iterations are the status and active-set pivot
     count (phase 1 plus phase 2) of the QP solve at s; an optimal solve
     with 0 pivots was certified on the previous optimal iterate's active
@@ -98,6 +101,7 @@ class TuningIterate:
 
     iteration: int
     s: float
+    bracket: Tuple[float, float]
     feasible: bool
     eps_single: Optional[Fraction]
     eps_joint: Optional[Fraction]
@@ -182,6 +186,7 @@ def bisect_tune(
             terminated_by = TERMINATED_COLLAPSE
             break
         s_k = (s_max - s_min) / 2.0 + s_min
+        bracket = (s_min, s_max)
         started = time.perf_counter()
         solution = solve_at(s_k)
         solve_s = time.perf_counter() - started
@@ -190,7 +195,9 @@ def bisect_tune(
         qp_sol = solution.qp_solution
         qp_run = (qp_sol.status, qp_sol.iterations, max(qp_sol.kkt_residuals))
         if solution.status == "infeasible":
-            trace.append(TuningIterate(iteration, s_k, False, None, None, None, *qp_run, solve_s, 0.0))
+            trace.append(
+                TuningIterate(iteration, s_k, bracket, False, None, None, None, *qp_run, solve_s, 0.0)
+            )
             solutions.append(solution)
             logger.info("s=%.6g infeasible, contracting upper bound", s_k)
             s_max = s_k
@@ -201,8 +208,8 @@ def bisect_tune(
         eps_obs = config.observed(eps_single, eps_joint)
         trace.append(
             TuningIterate(
-                iteration, s_k, True, eps_single, eps_joint, solution.objective, *qp_run,
-                solve_s, count_s,
+                iteration, s_k, bracket, True, eps_single, eps_joint, solution.objective,
+                *qp_run, solve_s, count_s,
             )
         )
         solutions.append(solution)
@@ -270,11 +277,13 @@ def tune(
     The same sample set is reused at every iterate, so the observed
     probabilities are a deterministic function of s and bisection sees a
     fixed (noisy but frozen) response curve. Each QP solve is offered
-    the active set of the last optimal iterate as a warm start. Each
-    count sums only the blocks and rows its bounds cannot clear (see
+    the active set of the last optimal iterate as a warm start. Every
+    count reads one count_store of the samples, built here and dropped
+    on return, so only the dispatch-dependent work repeats (see
     _kernels).
     """
-    n = samples.samples.shape[0] if hasattr(samples, "samples") else np.asarray(samples).shape[0]
+    store = count_store(samples, catalog)
+    n = store.shape[0]
     if config.gamma > 0 and config.gamma < Fraction(1, int(n)):
         warnings.warn(
             f"gamma={float(config.gamma):g} is below the sample resolution 1/{n}; "
@@ -296,7 +305,7 @@ def tune(
         return solution
 
     def evaluate_at(s: float, solution):
-        report = evaluate(solution.p_g, samples, catalog)
+        report = evaluate(solution.p_g, store, catalog)
         return report.eps_single, report.eps_joint
 
     return bisect_tune(config, solve_at, evaluate_at, bounds)

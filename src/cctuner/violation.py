@@ -43,11 +43,16 @@ class ViolationReport:
 
 
 def _sample_arrays(samples, catalog: ConstraintCatalog):
-    """(xi, cols, seed) of a SampleSet or a raw (n, n_buses) array.
+    """(xi, cols, seed) of a SampleSet, a raw (n, n_buses) array or a
+    count store.
 
     A SampleSet names its uncertain columns; a raw array is scanned for
-    nonzero columns. Raises ValueError unless the samples fit the catalog.
+    nonzero columns; a store was checked when it was built, and the
+    kernel checks that it belongs to the catalog. Raises ValueError
+    unless the samples fit the catalog.
     """
+    if isinstance(samples, _kernels.CountStore):
+        return samples, samples.cols, samples.seed
     if isinstance(samples, SampleSet):
         xi, cols, seed = samples.samples, samples.uncertain_columns, samples.seed
     else:
@@ -66,6 +71,19 @@ def _sample_arrays(samples, catalog: ConstraintCatalog):
     return xi, cols, seed
 
 
+def count_store(samples, catalog: ConstraintCatalog) -> _kernels.CountStore:
+    """Counting state for evaluating many dispatches on one sample set.
+
+    evaluate accepts the store in place of samples, for this catalog
+    only, and counts bit for bit as it would from samples. The store
+    keeps a copy of the uncertain columns and, for each mirrored pair
+    of rows that some dispatch brings near a limit, 8 bytes per sample
+    (see _kernels).
+    """
+    xi, cols, seed = _sample_arrays(samples, catalog)
+    return _kernels.CountStore(catalog.pair_sensitivity, xi, cols, seed)
+
+
 def evaluate(
     p_g,
     samples,
@@ -75,29 +93,39 @@ def evaluate(
     """Count strict violations g.p + a.xi > rhs for every catalog row.
 
     samples may be a SampleSet (per-unit, full bus width), which names
-    its uncertain columns, or a plain (n, n_buses) array in per unit,
-    which is scanned for nonzero columns on every call. Degenerate rows
-    are always counted individually but only enter eps_single and the
-    joint count when include_degenerate is set. Each mirrored pair of
-    rows is counted from one sum, and only where a bound on the sum
-    over a block of samples reaches a limit (see _kernels).
+    its uncertain columns, a plain (n, n_buses) array in per unit,
+    which is scanned for nonzero columns on every call, or a
+    count_store of either for this catalog. Degenerate rows are always
+    counted individually but only enter eps_single and the joint count
+    when include_degenerate is set. Each mirrored pair of rows is
+    counted from one sum, and only where a bound on the sum over a
+    block of samples reaches a limit (see _kernels). Raises ValueError
+    on a dispatch that is not finite.
     """
     xi, cols, seed = _sample_arrays(samples, catalog)
     n, m = xi.shape
     p = np.asarray(p_g, dtype=np.float64)
     if p.shape != (m,):
         raise ValueError(f"dispatch must have shape ({m},), got {p.shape}")
+    if not np.all(np.isfinite(p)):
+        raise ValueError("dispatch must be finite")
 
     pairs = catalog.pairs
     upper = pairs[:, 0]
-    sens = catalog.sensitivity_matrix[upper]
-    base = np.array([float(np.dot(catalog.dispatch_matrix[c], p)) for c in upper])
+    # A unit row's term is exactly p[bus]; any other row keeps the per-row
+    # dot product of tests/oracles.py, bit for bit.
+    bus = catalog.unit_bus
+    base = np.empty(len(pairs))
+    unit = bus >= 0
+    base[unit] = p[bus[unit]]
+    for c in np.flatnonzero(~unit):
+        base[c] = float(np.dot(catalog.dispatch_matrix[upper[c]], p))
     if include_degenerate:
         active = np.ones(len(catalog), dtype=bool)
     else:
         active = ~catalog.degenerate
     pair_counts, joint = _kernels.count_violations(
-        base, sens, catalog.limits[pairs], xi, cols, active[pairs]
+        base, catalog.pair_sensitivity, catalog.limits[pairs], xi, cols, active[pairs]
     )
     counts = np.empty(len(catalog), dtype=np.int64)
     counts[pairs] = pair_counts

@@ -143,7 +143,12 @@ def test_tune_json_trace_records_qp_solves(cfg_path, tmp_path):
         ["tune", "--config", cfg_path, "--seed", "5", "--format", "json",
          "--out", str(trace_json)]
     ) == 0
-    for it in json.loads(trace_json.read_text())["trace"]:
+    payload = json.loads(trace_json.read_text())
+    assert payload["trace"][payload["chosen_iteration"] - 1]["feasible"]
+    for it in payload["trace"]:
+        # The bracket the iterate bisected, as a JSON list.
+        s_min, s_max = it["bracket"]
+        assert it["s"] == (s_max - s_min) / 2.0 + s_min
         assert it["qp_status"] == ("optimal" if it["feasible"] else "infeasible")
         assert isinstance(it["qp_iterations"], int) and it["qp_iterations"] >= 0
         if it["qp_status"] == "optimal":

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import logging
 from fractions import Fraction
+from importlib.resources import files
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from cctuner import apply_rts_modifications, load_rts_case, parse_case
+from cctuner.experiment import ExperimentConfig, build_replication, load_case
 from cctuner.ptdf import compute_ptdf
 from cctuner.reformulation import build_catalog, participation_factors, solve_dispatch
 from cctuner.tuner import (
@@ -297,6 +299,44 @@ def test_warm_started_tune_matches_cold_bisection(rts_tuning_set, mode):
     # The warm path carried some of the solves.
     assert any(it.qp_status == "optimal" and it.qp_iterations == 0 for it in warm.trace)
     assert all(it.qp_iterations > 0 for it in cold.trace if it.qp_status == "optimal")
+
+
+@pytest.mark.parametrize("mode", ["single", "joint"])
+def test_each_iterate_bisects_a_nested_bracket(rts_tuning_set, mode):
+    case, catalog, samples = rts_tuning_set
+    result = tune(case, catalog, samples, TuningConfig(eps_des=0.05, gamma=1e-3, mode=mode))
+    bracket = initial_bounds(Fraction(1, 20), mode, catalog.n_active)
+    assert result.iterations >= 2
+    for it in result.trace:
+        # Each bracket is the half of the previous one that the previous
+        # iterate's outcome kept.
+        assert it.bracket == bracket
+        s_min, s_max = it.bracket
+        assert it.s == (s_max - s_min) / 2.0 + s_min
+        assert s_min < it.s < s_max
+        keep_upper = it.feasible and result.config.observed(it.eps_single, it.eps_joint) >= Fraction(1, 20)
+        bracket = (it.s, s_max) if keep_upper else (s_min, it.s)
+
+
+@pytest.mark.parametrize("distribution", ["gaussian", "mixture"])
+@pytest.mark.parametrize("mode", ["single", "joint"])
+def test_store_counts_equal_one_shot_counts_along_a_tune(distribution, mode):
+    # tune counts every iterate from one count store of its tuning set;
+    # replaying its warm-started solves and counting each dispatch from
+    # the samples themselves must give the trace's frequencies.
+    config = ExperimentConfig.from_file(files("cctuner.data") / "rts24_sweep.cfg")
+    case = load_case(config.case)
+    pair = build_replication(case, config, distribution, 1)
+    result = tune(case, pair.catalog, pair.tuning_samples, config.tuning(mode, Fraction(1, 20)))
+    start = None
+    for it in result.trace:
+        solution = solve_dispatch(case, pair.catalog, it.s, start=start)
+        assert solution.feasible == it.feasible
+        if it.feasible:
+            start = solution
+            report = evaluate(solution.p_g, pair.tuning_samples, pair.catalog)
+            assert (report.eps_single, report.eps_joint) == (it.eps_single, it.eps_joint)
+    assert sum(it.feasible for it in result.trace) >= 5
 
 
 def test_trace_csv_layout():

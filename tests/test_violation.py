@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import json
 import warnings
+from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from cctuner.reformulation import (
     solve_dispatch,
 )
 from cctuner.uncertainty import gaussian_from_std_corr, sample, spec_moments
-from cctuner.violation import evaluate, report_to_json
+from cctuner.violation import count_store, evaluate, report_to_json
 
 from oracles import naive_violation_counts
 
@@ -242,6 +244,12 @@ def test_input_validation(rts, rts_catalog):
         evaluate(p, np.zeros((0, 24)), rts_catalog)
     with pytest.raises(ValueError, match="shape"):
         evaluate(np.zeros(23), np.zeros((5, 24)), rts_catalog)
+    # g.p of a unit row is read from p: 0 * inf elsewhere would be NaN.
+    for bad in (np.inf, -np.inf, np.nan):
+        p_bad = np.zeros(24)
+        p_bad[0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            evaluate(p_bad, np.zeros((5, 24)), rts_catalog)
 
 
 def test_report_json_round_trip(rts, rts_catalog):
@@ -265,14 +273,16 @@ def test_report_json_round_trip(rts, rts_catalog):
 # --- Per-block bounds: the same counts, bit for bit, with fewer sums ---
 
 
-def paired_catalog(sens, limits):
+def paired_catalog(sens, limits, g=None):
     """A catalog of gen_upper/gen_lower pairs over len(sens[0]) buses.
 
-    Pair c has dispatch row e_c, sensitivity row sens[c] and right-hand
-    sides limits[c] (upper row, lower row); its lower row mirrors it.
+    Pair c has dispatch row g[c] (e_c by default), sensitivity row
+    sens[c] and right-hand sides limits[c] (upper row, lower row); its
+    lower row mirrors it.
     """
     n_pairs, m = sens.shape
-    g = np.eye(n_pairs, m)
+    if g is None:
+        g = np.eye(n_pairs, m)
     return ConstraintCatalog(
         kinds=("gen_upper",) * n_pairs + ("gen_lower",) * n_pairs,
         subjects=tuple(range(1, n_pairs + 1)) * 2,
@@ -284,12 +294,13 @@ def paired_catalog(sens, limits):
     )
 
 
-def pair_sums(p, sens, xi, k):
+def pair_sums(p, sens, xi, k, g=None):
     """Each pair's upper-row sum at sample k, in the oracle's order."""
     cols = [j for j in range(xi.shape[1]) if np.any(xi[:, j] != 0.0)]
     sums = []
     for c in range(sens.shape[0]):
-        acc = float(p[c])  # g.p for the dispatch row e_c
+        # g.p, which for the default dispatch row e_c is p[c]
+        acc = float(p[c]) if g is None else float(np.dot(g[c], p))
         for j in cols:
             acc += sens[c, j] * xi[k, j]
         sums.append(acc)
@@ -303,7 +314,7 @@ def ulps_from(x, steps):
     return x
 
 
-def limits_at_sums(p, sens, xi, rng, spread):
+def limits_at_sums(p, sens, xi, rng, spread, g=None):
     """Right-hand sides a few ulps from the sums of some finite samples.
 
     Each row of pair c sits, with odds 2 in 3, at its sum for a random
@@ -317,7 +328,7 @@ def limits_at_sums(p, sens, xi, rng, spread):
         limits = np.empty((sens.shape[0], 2))
         for c in range(sens.shape[0]):
             for side, sign in ((0, 1.0), (1, -1.0)):
-                near = sign * pair_sums(p, sens, xi, rng.choice(finite))[c]
+                near = sign * pair_sums(p, sens, xi, rng.choice(finite), g)[c]
                 if rng.random() < 2 / 3:
                     limits[c, side] = ulps_from(near, int(rng.integers(-spread, spread + 1)))
                 else:
@@ -327,13 +338,15 @@ def limits_at_sums(p, sens, xi, rng, spread):
 
 def assert_envelope_exact(p, xi, catalog):
     """evaluate, which skips the cells its bounds clear, == oracle loop,
-    with no numpy warning."""
+    with no numpy warning, counting from the samples and from a fresh
+    count store of them."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        report = evaluate(p, xi, catalog)
+        reports = [evaluate(p, xi, catalog), evaluate(p, count_store(xi, catalog), catalog)]
     with np.errstate(all="ignore"):
         counts, joint = naive_violation_counts(p, catalog, xi)
-    assert np.array_equal(report.counts, counts) and report.joint_count == joint
+    for report in reports:
+        assert np.array_equal(report.counts, counts) and report.joint_count == joint
 
 
 _BOUND_SETTINGS = settings(
@@ -487,3 +500,151 @@ def test_envelope_matches_naive_loop_on_any_dispatch(rts, rts_catalog, include_d
     assert np.array_equal(report.counts, counts)
     assert report.joint_count == joint
     assert report.seed == seed
+
+
+# --- Dispatch terms: a unit row's term is read from p, any other row's
+# is its dot product, as in the oracle ---
+
+
+def test_unit_rows_are_found_by_value(rts_catalog):
+    bus = rts_catalog.unit_bus
+    upper = rts_catalog.pairs[:, 0]
+    eye = np.eye(rts_catalog.dispatch_matrix.shape[1])
+    for c, b in zip(upper, bus):
+        g = rts_catalog.dispatch_matrix[c]
+        assert (b >= 0) == any(np.array_equal(g, e) for e in eye)
+        if b >= 0:
+            assert np.array_equal(g, eye[b])
+        if rts_catalog.kinds[c] == "gen_upper":
+            assert b == rts_catalog.subjects[c] - 1
+    # A line whose flow is one bus's injection has a unit row too.
+    assert any(rts_catalog.kinds[c] == "line_upper" for c in upper[bus >= 0])
+
+
+@_BOUND_SETTINGS
+@given(m=st.integers(1, 6), n=st.integers(1, 80), seed=st.integers(0, 2**32 - 1))
+def test_dispatch_rows_that_are_not_unit_vectors_match_the_oracle(m, n, seed):
+    # Every pair is labelled gen_upper, but only row 0 is a unit vector:
+    # a dense row, a unit row scaled by 2, a negated unit row and a unit
+    # row with a tiny second entry must each keep their dot product.
+    rng = np.random.default_rng(seed)
+    buses = m + 1
+    g = np.zeros((5, buses))
+    at = rng.integers(buses, size=5)
+    g[0, at[0]] = 1.0
+    g[1] = rng.normal(size=buses)
+    g[2, at[2]] = 2.0
+    g[3, at[3]] = -1.0
+    g[4, at[4]] = 1.0
+    g[4, (at[4] + 1) % buses] = 1e-300
+    p = rng.normal(size=buses) * 10.0 ** rng.uniform(-3, 3, buses)
+    sens = rng.normal(size=(5, buses))
+    xi = np.zeros((n, buses))
+    xi[:, :m] = rng.normal(size=(n, m))
+    limits = limits_at_sums(p, sens, xi, rng, 2, g)
+    catalog = paired_catalog(sens, limits, g)
+    assert catalog.unit_bus.tolist() == [at[0], -1, -1, -1, -1]
+    assert_envelope_exact(p, xi, catalog)
+
+
+# --- Count stores: one sample set counted for a sequence of dispatches ---
+
+
+def resummed(spy):
+    """Whether a spied _accumulate re-summed samples from a dispatch term;
+    a store fills its dispatch-free sums from 0.0."""
+    return any(isinstance(call.args[2], np.ndarray) for call in spy.call_args_list)
+
+
+@_BOUND_SETTINGS
+@given(
+    m=st.integers(0, 6),
+    n=st.one_of(st.integers(1, 80), st.just(_BLOCK_SAMPLES + 5)),
+    coherent=st.booleans(),
+    special=st.booleans(),
+    at_max=st.booleans(),
+    spread=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+# at_max puts pair 0's upper limit spread ulps below its largest sum:
+# the samples at the maximum lie within the band of the limit, so only
+# their re-sum can decide them. With spread 0 no sample exceeds it.
+@example(m=2, n=64, coherent=False, special=False, at_max=True, spread=0, seed=3)
+@example(m=0, n=5, coherent=False, special=False, at_max=True, spread=0, seed=4)
+# The exact sums exceed the store's by about m/2 ulps of the dispatch
+# term, so the limit lies below the exact sums but above the store's.
+@example(m=6, n=64, coherent=True, special=False, at_max=True, spread=2, seed=8)
+# An infinite sample makes a pair's tails infinite: none of its sums is
+# a sure miss, so every sample of the pair is re-summed.
+@example(m=1, n=_BLOCK_SAMPLES + 5, coherent=False, special=True, at_max=False, spread=1, seed=2456391)
+def test_store_counts_a_sequence_of_dispatches_exactly(m, n, coherent, special, at_max, spread, seed):
+    rng = np.random.default_rng(seed)
+    n_pairs = 3
+    buses = m + n_pairs
+    p = np.zeros(buses)
+    p[:n_pairs] = rng.uniform(1.0, 1.9, n_pairs)
+    xi = np.zeros((n, buses))
+    if coherent:
+        # Each product just above half an ulp of the dispatch term rounds
+        # every addition of the exact sum up, and none of the store's.
+        sens = np.ones((n_pairs, buses))
+        xi[:, :m] = 2.0**-53 * (1.0 + rng.uniform(2.0**-20, 2.0**-10, (n, m)))
+    else:
+        sens = rng.normal(size=(n_pairs, buses))
+        xi[:, :m] = rng.normal(scale=rng.choice([1e-12, 1e-3, 1.0]), size=(n, m))
+    if special and m and n > 1:
+        # NaN and infinite samples, all but the last sample's row: the
+        # limits need one finite sample to sit next to.
+        at = rng.integers(n - 1, size=3), rng.integers(m, size=3)
+        xi[at] = [np.nan, np.inf, -np.inf]
+        sens[0, at[1][1:]] = 0.0
+    limits = limits_at_sums(p, sens, xi, rng, spread)
+    if at_max:
+        with np.errstate(all="ignore"):
+            sums = [pair_sums(p, sens, xi, k)[0] for k in range(n)]
+        largest = np.nanmax(np.where(np.isfinite(sums), sums, np.nan))
+        limits[0] = ulps_from(largest, -spread), 1e300
+    catalog = paired_catalog(sens, limits)
+    ulp = np.spacing(p)
+    dispatches = [
+        p,
+        p + ulp * rng.integers(-3, 4, buses),
+        p + rng.normal(scale=1e-3, size=buses),
+        p,
+        p + 10.0,
+        p - ulp,
+    ]
+    # Buffers sized for one pair grow, keeping the sums, as pairs fill.
+    with warnings.catch_warnings(), mock.patch.object(_kernels, "_STORE_ROWS", 1):
+        warnings.simplefilter("error")
+        store = count_store(xi, catalog)
+    for k, p_k in enumerate(dispatches):
+        with warnings.catch_warnings(), mock.patch.object(
+            _kernels, "_accumulate", wraps=_kernels._accumulate
+        ) as spy:
+            warnings.simplefilter("error")
+            report = evaluate(p_k, store, catalog)
+        with np.errstate(all="ignore"):
+            counts, joint = naive_violation_counts(p_k, catalog, xi)
+        assert np.array_equal(report.counts, counts) and report.joint_count == joint
+        if at_max and k == 0:
+            assert resummed(spy)
+
+
+def test_store_refuses_another_catalog(rts, rts_catalog):
+    samples = sample(gaussian_from_std_corr([9.4, 13.1], 0.2), 3000, seed=31, case=rts)
+    store = count_store(samples, rts_catalog)
+    p_g = solve_dispatch(rts, rts_catalog, 0.9).p_g
+    own = evaluate(p_g, store, rts_catalog)
+    oneshot = evaluate(p_g, samples, rts_catalog)
+    assert np.array_equal(own.counts, oneshot.counts) and own.joint_count == oneshot.joint_count
+    assert own.seed == oneshot.seed == 31
+    # An equal catalog is still another catalog.
+    with pytest.raises(ValueError, match="other sensitivities"):
+        evaluate(p_g, store, replace(rts_catalog))
+    pairs = rts_catalog.pairs
+    with pytest.raises(ValueError, match="other sensitivities"):
+        _kernels.count_violations(
+            np.zeros(len(pairs)), rts_catalog.pair_sensitivity.copy(),
+            rts_catalog.limits[pairs], store, store.cols, np.ones(pairs.shape, dtype=bool),
+        )
