@@ -90,7 +90,7 @@ Reused sample sets
 ------------------
 A tuner counts one sample set against one catalog at every iterate, and
 only the dispatch term b changes between those counts. A CountStore
-holds what does not: the active-column copy of the whole set, its
+holds what does not: the transposed copy of the whole set, its
 (hi, lo, tails) bound as one block, and, for each pair that has ever
 been a candidate, the dispatch-free sum of every sample,
 
@@ -250,12 +250,12 @@ class CountStore:
     count_violations accepts a store in place of the samples, with the
     very sens array it was built from, and counts bit for bit as from
     the samples (see "Reused sample sets"). Building it copies the
-    active columns and bounds them; each pair's sums are kept from the
-    first count in which the pair is a candidate.
+    samples, transposed, and bounds them; each pair's sums are kept from
+    the first count in which the pair is a candidate.
 
     sens: (n_pairs, n_buses) sensitivity of each upper row to each bus.
-    xi: (n_samples, n_buses) samples.
-    cols: ascending int64 indices of the sample columns to accumulate.
+    xi: (n_samples, k) samples of the columns cols.
+    cols: k ascending int64 indices of the columns of sens to accumulate.
     seed: the seed of the sample set, carried for reports.
     """
 
@@ -266,7 +266,7 @@ class CountStore:
         self.shape = xi.shape
         n_pairs, n = sens.shape[0], xi.shape[0]
         self._sens_t = np.ascontiguousarray(sens[:, cols].T)
-        self._columns = np.ascontiguousarray(xi[:, cols].T)
+        self._columns = np.ascontiguousarray(xi.T)
         with np.errstate(invalid="ignore", over="ignore"):
             self._bound = _block_bound(self._sens_t, self._columns)
         # Row r of _sums holds the sums of pair _slot_pair[r]; rows are
@@ -342,17 +342,17 @@ def count_violations(base, sens, limits, xi, cols, active):
     when the negated sum exceeds limits[c, 1].
 
     base: (n_pairs,) dispatch term of each upper row.
-    sens: (n_pairs, m) sensitivity of each upper row to each sample column.
+    sens: (n_pairs, m) sensitivity of each upper row to each bus.
     limits: (n_pairs, 2) right-hand sides of the upper and lower rows.
-    xi: (n_samples, m) samples, or a CountStore built from this very
-        sens array, which then uses its own columns.
-    cols: ascending int64 indices of the sample columns to accumulate.
+    xi: (n_samples, k) samples of the columns cols, or a CountStore built
+        from this very sens array, which then uses its own samples.
+    cols: k ascending int64 indices of the columns of sens to accumulate.
     active: (n_pairs, 2) bool mask of rows that count toward the joint hit.
 
     Returns (counts, joint): int64 violation counts of shape (n_pairs, 2),
     and the number of samples violating at least one active row. Each
-    block of samples is copied, active columns only, as (columns x
-    samples). Only the pairs whose per-block bound reaches a limit are
+    block of samples is copied, transposed, as (columns x samples).
+    Only the pairs whose per-block bound reaches a limit are
     accumulated, into a (pairs x samples) buffer, column by column in
     ascending order, and a block without such a pair is skipped. Only
     rows whose largest (upper) or smallest (lower) sum in the block
@@ -373,7 +373,7 @@ def count_violations(base, sens, limits, xi, cols, active):
     # like any other, so numpy need not warn about them.
     with np.errstate(invalid="ignore", over="ignore"):
         for start in range(0, xi.shape[0], _BLOCK_SAMPLES):
-            columns = np.ascontiguousarray(xi[start : start + _BLOCK_SAMPLES, cols].T)
+            columns = np.ascontiguousarray(xi[start : start + _BLOCK_SAMPLES].T)
             bound = _block_bound(sens_t, columns)
             rows = np.flatnonzero(_candidates(base, upper, lower, len(cols), bound))
             if rows.size == 0:

@@ -193,8 +193,9 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"key {key!r} must list distinct entries, got {', '.join(map(str, values))!r}"
                 )
-        if self.replications < 0:
-            raise ConfigError("replications must be nonnegative")
+        for key in ("replications", "seed"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"key {key!r} must be nonnegative, got {getattr(self, key)}")
         if self.n_tuning < 1 or self.n_oos < 1:
             raise ConfigError("sample counts must be positive")
         # The cells differ only in mode and eps, both checked above, so one

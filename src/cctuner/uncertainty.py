@@ -1,11 +1,12 @@
 """Uncertainty specification, sampling, and moment estimation.
 
 Distribution specs live in the coordinate space of the uncertain buses
-(length u, MW units); sampling embeds draws into full length-m nodal
-vectors in per unit, with exact zeros at buses that carry no
-uncertainty source. Moments are kept in per unit together with a
-lower-triangular factor of the covariance, which is what the constraint
-tightening consumes.
+(length u, MW units). A sample set keeps its draws in that space, in per
+unit, with the nodal columns they belong to: every other bus is exactly
+zero, and the nodal matrix is built only on request. Moments are taken
+in the same space and embedded into the nodal space, in per unit, with a
+lower-triangular covariance factor, which the constraint tightening
+consumes.
 
 Randomness comes from numpy's Philox counter-based bit generator so a
 (spec, n, seed) triple reproduces bit-identical samples on any
@@ -128,53 +129,61 @@ def gaussian_from_std_corr(std_mw, correlation: float) -> GaussianSpec:
 
 @dataclass(frozen=True)
 class SampleSet:
-    """N x m matrix of nodal disturbance samples in per unit.
+    """n per-unit disturbance samples, kept as their drawn columns.
 
-    uncertain_columns holds the strictly ascending indices of the
-    columns that may be nonzero; every other column is exactly zero, and
-    downstream evaluation relies on that to skip them, so a repeated,
-    fractional or out-of-range index raises ValueError. seed is None for
-    a matrix that was not drawn by sample().
+    Column j of the (n, k) draw is nodal column uncertain_columns[j];
+    every other of the n_buses columns is exactly zero, and samples
+    builds that nodal matrix on request. The columns must be strictly
+    ascending integers below n_buses, one per draw column (ValueError
+    otherwise). seed is None for a set not drawn by sample().
     """
 
-    samples: np.ndarray
-    seed: int | None
+    draw: np.ndarray
     uncertain_columns: np.ndarray
+    n_buses: int
+    seed: int | None = None
 
     def __post_init__(self):
         columns = np.asarray(self.uncertain_columns)
         # A cast that changes a value (7.9 -> 7, NaN) is caught below.
         with np.errstate(invalid="ignore"):
             cols = columns.astype(np.int64)
-        for name, arr in (("samples", np.asarray(self.samples, dtype=float)), ("uncertain_columns", cols)):
+        for name, arr in (("draw", np.asarray(self.draw, dtype=float)), ("uncertain_columns", cols)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if self.samples.ndim != 2:
-            raise ValueError("samples must be a 2-D array")
+        if self.draw.ndim != 2 or self.draw.shape[1] != cols.size:
+            raise ValueError(f"draw must be 2-D with one column per uncertain column, got {self.draw.shape}")
         if cols.ndim != 1:
             raise ValueError("uncertain_columns must be 1-D")
         if cols.size and not (
             np.array_equal(cols, columns)
             and cols[0] >= 0
-            and cols[-1] < self.samples.shape[1]
+            and cols[-1] < self.n_buses
             and np.all(cols[1:] > cols[:-1])
         ):
             raise ValueError(
                 f"uncertain_columns must be strictly ascending integer indices below "
-                f"{self.samples.shape[1]}, got {columns.tolist()}"
+                f"{self.n_buses}, got {columns.tolist()}"
             )
 
     @property
     def n_samples(self) -> int:
-        return self.samples.shape[0]
+        return self.draw.shape[0]
+
+    @property
+    def samples(self) -> np.ndarray:
+        """The (n, n_buses) nodal sample matrix, built on each call."""
+        full = np.zeros((self.n_samples, self.n_buses))
+        full[:, self.uncertain_columns] = self.draw
+        return full
 
 
 @dataclass(frozen=True)
 class MomentEstimate:
     """Mean, covariance, and a lower-triangular covariance factor, in pu.
 
-    chol_factor satisfies chol @ chol.T = covariance on the support
-    subspace, with exactly zero rows and columns elsewhere.
+    chol_factor satisfies chol @ chol.T = covariance; both are exactly
+    zero outside the rows and columns of the uncertain buses.
     """
 
     mean: np.ndarray
@@ -213,11 +222,7 @@ def _triangular_psd_factor(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """
     f = v * np.sqrt(w)
     r = np.linalg.qr(f.T, mode="r")
-    l = r.T.copy()
-    signs = np.sign(np.diag(l))
-    signs[signs == 0.0] = 1.0
-    l *= signs
-    return l
+    return r.T * np.where(np.diag(r) < 0.0, -1.0, 1.0)
 
 
 def _repair_and_factor(cov: np.ndarray, reject_tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -229,21 +234,24 @@ def _repair_and_factor(cov: np.ndarray, reject_tol: float) -> tuple[np.ndarray, 
     sym = 0.5 * (cov + cov.T)
     if sym.size == 0:
         return sym, sym.copy()
-    support = np.flatnonzero(np.any(sym != 0.0, axis=0))
-    repaired = np.zeros_like(sym)
-    factor = np.zeros_like(sym)
-    if support.size:
-        sub = sym[np.ix_(support, support)]
-        w, v = np.linalg.eigh(sub)
-        scale = max(float(w.max(initial=0.0)), 0.0)
-        if float(w.min()) < -(reject_tol * scale + 1e-300):
-            raise ValueError(f"covariance has negative eigenvalue {w.min():.3e}")
-        w = np.clip(w, 0.0, None)
-        sub = (v * w) @ v.T
-        sub = 0.5 * (sub + sub.T)
-        repaired[np.ix_(support, support)] = sub
-        factor[np.ix_(support, support)] = _triangular_psd_factor(w, v)
-    return repaired, factor
+    w, v = np.linalg.eigh(sym)
+    if float(w.min()) < -(reject_tol * max(float(w.max()), 0.0) + 1e-300):
+        raise ValueError(f"covariance has negative eigenvalue {w.min():.3e}")
+    w = np.clip(w, 0.0, None)
+    repaired = (v * w) @ v.T
+    return 0.5 * (repaired + repaired.T), _triangular_psd_factor(w, v)
+
+
+def _nodal_moments(mean, cov, reject_tol: float, cols, n_buses: int) -> MomentEstimate:
+    """Repair and factor a covariance over the uncertain columns cols,
+    and embed it, its factor and mean into the n_buses nodal space."""
+    cov, factor = _repair_and_factor(cov, reject_tol)
+    nodal_mean = np.zeros(n_buses)
+    nodal_cov, nodal_factor = np.zeros((2, n_buses, n_buses))
+    nodal_mean[cols] = mean
+    nodal_cov[np.ix_(cols, cols)] = cov
+    nodal_factor[np.ix_(cols, cols)] = factor
+    return MomentEstimate(mean=nodal_mean, covariance=nodal_cov, chol_factor=nodal_factor)
 
 
 def _draw_mw(spec, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -286,27 +294,24 @@ def sample(spec, n: int, seed: int, case) -> SampleSet:
     """Draw n disturbance vectors for the case's uncertain buses.
 
     Deterministic for fixed (spec, n, seed). The spec's dimension must
-    equal the number of flagged buses; draws are converted MW -> pu and
-    scattered into full-length nodal vectors.
+    equal the number of flagged buses; draws are converted MW -> pu.
     """
     if n < 1:
         raise ValueError("need at least one sample")
     cols = _uncertain_columns(spec, case)
-    full = np.zeros((n, case.n_buses))
-    full[:, cols] = _draw_mw(spec, n, _rng(seed)) / case.base_mva
-    return SampleSet(samples=full, seed=seed, uncertain_columns=cols)
+    draw = _draw_mw(spec, n, _rng(seed)) / case.base_mva
+    return SampleSet(draw=draw, uncertain_columns=cols, n_buses=case.n_buses, seed=seed)
 
 
 def empirical_moments(s: SampleSet) -> MomentEstimate:
     """Sample mean and unbiased (N-1) covariance of a sample set, in pu."""
-    x = s.samples
+    x = s.draw
     if x.shape[0] < 2:
         raise ValueError("need at least two samples for an unbiased covariance")
     mean = x.mean(axis=0)
     centered = x - mean
     cov = centered.T @ centered / (x.shape[0] - 1)
-    cov, factor = _repair_and_factor(cov, _MOMENT_PSD_TOL)
-    return MomentEstimate(mean=mean, covariance=cov, chol_factor=factor)
+    return _nodal_moments(mean, cov, _MOMENT_PSD_TOL, s.uncertain_columns, s.n_buses)
 
 
 def _spec_moments_mw(spec) -> tuple[np.ndarray, np.ndarray]:
@@ -329,15 +334,11 @@ def _spec_moments_mw(spec) -> tuple[np.ndarray, np.ndarray]:
 
 def spec_moments(spec, case) -> MomentEstimate:
     """Exact distribution moments embedded into the nodal space, in pu."""
-    cols = _uncertain_columns(spec, case)
     mean_mw, cov_mw = _spec_moments_mw(spec)
-    m = case.n_buses
-    mean = np.zeros(m)
-    cov = np.zeros((m, m))
-    mean[cols] = mean_mw / case.base_mva
-    cov[np.ix_(cols, cols)] = cov_mw / case.base_mva**2
-    cov, factor = _repair_and_factor(cov, _SPEC_PSD_TOL)
-    return MomentEstimate(mean=mean, covariance=cov, chol_factor=factor)
+    return _nodal_moments(
+        mean_mw / case.base_mva, cov_mw / case.base_mva**2, _SPEC_PSD_TOL,
+        _uncertain_columns(spec, case), case.n_buses,
+    )
 
 
 def sensitivity_norm(a: np.ndarray, moments: MomentEstimate) -> float:

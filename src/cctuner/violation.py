@@ -44,30 +44,29 @@ class ViolationReport:
 
 def _sample_arrays(samples, catalog: ConstraintCatalog):
     """(xi, cols, seed) of a SampleSet, a raw (n, n_buses) array or a
-    count store.
+    count store: xi holds the samples of the nodal columns cols.
 
-    A SampleSet names its uncertain columns; a raw array is scanned for
-    nonzero columns; a store was checked when it was built, and the
-    kernel checks that it belongs to the catalog. Raises ValueError
-    unless the samples fit the catalog.
+    A SampleSet passes its draw and columns through; a raw array is
+    reduced here to its nonzero columns; a store was checked when it was
+    built, and the kernel checks that it belongs to the catalog. Raises
+    ValueError unless the samples fit the catalog.
     """
     if isinstance(samples, _kernels.CountStore):
         return samples, samples.cols, samples.seed
     if isinstance(samples, SampleSet):
-        xi, cols, seed = samples.samples, samples.uncertain_columns, samples.seed
+        xi, cols, seed, width = samples.draw, samples.uncertain_columns, samples.seed, samples.n_buses
     else:
-        xi, cols, seed = np.asarray(samples, dtype=np.float64, order="C"), None, None
-    if xi.ndim != 2:
-        raise ValueError("samples must be a 2-D array")
-    n, m = xi.shape
-    if n < 1:
+        full = np.asarray(samples, dtype=np.float64)
+        if full.ndim != 2:
+            raise ValueError("samples must be a 2-D array")
+        cols = np.flatnonzero(np.any(full != 0.0, axis=0))
+        xi, seed, width = full[:, cols], None, full.shape[1]
+    if xi.shape[0] < 1:
         raise ValueError("need at least one sample")
-    if m != catalog.dispatch_matrix.shape[1]:
+    if width != catalog.dispatch_matrix.shape[1]:
         raise ValueError(
-            f"samples have {m} columns but the catalog covers {catalog.dispatch_matrix.shape[1]} buses"
+            f"samples have {width} columns but the catalog covers {catalog.dispatch_matrix.shape[1]} buses"
         )
-    if cols is None:
-        cols = np.flatnonzero(np.any(xi != 0.0, axis=0))
     return xi, cols, seed
 
 
@@ -76,9 +75,9 @@ def count_store(samples, catalog: ConstraintCatalog) -> _kernels.CountStore:
 
     evaluate accepts the store in place of samples, for this catalog
     only, and counts bit for bit as it would from samples. The store
-    keeps a copy of the uncertain columns and, for each mirrored pair
-    of rows that some dispatch brings near a limit, 8 bytes per sample
-    (see _kernels).
+    keeps a transposed copy of the sample columns and, for each mirrored
+    pair of rows that some dispatch brings near a limit, 8 bytes per
+    sample (see _kernels).
     """
     xi, cols, seed = _sample_arrays(samples, catalog)
     return _kernels.CountStore(catalog.pair_sensitivity, xi, cols, seed)
@@ -92,18 +91,17 @@ def evaluate(
 ) -> ViolationReport:
     """Count strict violations g.p + a.xi > rhs for every catalog row.
 
-    samples may be a SampleSet (per-unit, full bus width), which names
-    its uncertain columns, a plain (n, n_buses) array in per unit,
-    which is scanned for nonzero columns on every call, or a
-    count_store of either for this catalog. Degenerate rows are always
-    counted individually but only enter eps_single and the joint count
-    when include_degenerate is set. Each mirrored pair of rows is
-    counted from one sum, and only where a bound on the sum over a
-    block of samples reaches a limit (see _kernels). Raises ValueError
-    on a dispatch that is not finite.
+    samples may be a SampleSet, whose drawn columns are counted as they
+    are, a plain (n, n_buses) array in per unit, which is scanned for
+    nonzero columns on every call, or a count_store of either for this
+    catalog. Degenerate rows are always counted individually but only
+    enter eps_single and the joint count when include_degenerate is
+    set. Each mirrored pair of rows is counted from one sum, and only
+    where a bound on the sum over a block of samples reaches a limit
+    (see _kernels). Raises ValueError on a dispatch that is not finite.
     """
     xi, cols, seed = _sample_arrays(samples, catalog)
-    n, m = xi.shape
+    n, m = xi.shape[0], catalog.dispatch_matrix.shape[1]
     p = np.asarray(p_g, dtype=np.float64)
     if p.shape != (m,):
         raise ValueError(f"dispatch must have shape ({m},), got {p.shape}")

@@ -182,6 +182,30 @@ def test_evaluate_json_report(cfg_path, tmp_path, capsys):
     assert main(["evaluate", "--config", cfg_path, "--s", "50"]) == 2
 
 
+def test_no_internal_path_builds_the_nodal_sample_matrix(cfg_path, monkeypatch, capsys):
+    # A SampleSet keeps only its drawn columns; the (n, n_buses) matrix
+    # is for the edges (CSV output, reference checks), never for the
+    # sweep or a count.
+    from cctuner.experiment import ExperimentConfig, run_experiment
+    from cctuner.uncertainty import SampleSet
+
+    def refuse(self):
+        raise AssertionError("the nodal sample matrix was built")
+
+    monkeypatch.setattr(SampleSet, "samples", property(refuse))
+    with pytest.raises(AssertionError, match="nodal"):
+        SampleSet(np.zeros((2, 1)), [0], 3).samples
+    config = ExperimentConfig.from_text(
+        SMALL_CFG.replace("distributions = gaussian", "distributions = gaussian, mixture")
+        .replace("replications = 2", "replications = 1")
+        + "moment_source = auto\n"
+    )
+    report = run_experiment(config)
+    assert len(report.rows) == 2 and not any(r.failed for r in report.rows)
+    assert main(["evaluate", "--config", cfg_path, "--s", "1.3", "--n", "500"]) == 0
+    assert "eps_joint=" in capsys.readouterr().out
+
+
 def test_experiment_end_to_end(cfg_path, tmp_path, capsys):
     out = tmp_path / "results.csv"
     assert main(
@@ -229,6 +253,12 @@ def test_tune_accepts_fraction_eps(cfg_path, capsys):
     decimal = capsys.readouterr().out
     assert main(["tune", "--config", cfg_path, "--eps", "1/10"]) == 0
     assert capsys.readouterr().out == decimal
+
+
+def test_negative_seed_exits_1(cfg_path, capsys):
+    assert main(["tune", "--config", cfg_path, "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert "'seed'" in err and "Traceback" not in err
 
 
 def test_repeated_eps_exits_1(tmp_path, capsys):

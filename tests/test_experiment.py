@@ -111,6 +111,10 @@ def test_experiment_config_validation():
         ExperimentConfig.from_text("replications = few")
     with pytest.raises(ConfigError, match="not a number"):
         ExperimentConfig.from_text("width_tol = wide")
+    # numpy would reject it only at the first draw, without naming the key.
+    with pytest.raises(ConfigError, match="'seed' must be nonnegative"):
+        ExperimentConfig.from_text("seed = -1")
+    assert ExperimentConfig.from_text("seed = 0").seed == 0
 
 
 @pytest.mark.parametrize(

@@ -126,7 +126,7 @@ def test_uniform_spec_moments():
 
 
 def test_empirical_moments_all_zero():
-    s = SampleSet(samples=np.zeros((10, 3)), seed=0, uncertain_columns=[0, 1, 2])
+    s = SampleSet(draw=np.zeros((10, 3)), uncertain_columns=[0, 1, 2], n_buses=3, seed=0)
     mom = empirical_moments(s)
     assert np.all(mom.mean == 0.0)
     assert np.all(mom.covariance == 0.0)
@@ -134,7 +134,7 @@ def test_empirical_moments_all_zero():
 
 
 def test_empirical_moments_two_samples_unbiased():
-    s = SampleSet(samples=np.array([[1.0, 0.0], [-1.0, 0.0]]), seed=0, uncertain_columns=[0])
+    s = SampleSet(draw=np.array([[1.0], [-1.0]]), uncertain_columns=[0], n_buses=2, seed=0)
     mom = empirical_moments(s)
     assert np.all(mom.mean == 0.0)
     # Unbiased divisor N-1 = 1 gives variance 2 at the first coordinate.
@@ -227,13 +227,34 @@ def test_spec_validation_errors(rts):
 
 def test_sample_set_columns_must_be_strictly_ascending_and_in_range():
     # A repeated column would be summed twice by every count.
-    samples = np.zeros((4, 24))
-    assert SampleSet(samples, None, [7, 14]).uncertain_columns.tolist() == [7, 14]
-    assert SampleSet(samples, None, []).uncertain_columns.size == 0
+    def sample_set(cols):
+        return SampleSet(np.zeros((4, np.size(cols))), cols, 24)
+
+    assert sample_set([7, 14]).uncertain_columns.tolist() == [7, 14]
+    assert sample_set([]).uncertain_columns.size == 0
     for cols in ([7, 7, 14], [14, 7], [-1], [24], [7.9, 14.2]):
         with pytest.raises(ValueError, match="strictly ascending"):
-            SampleSet(samples, None, cols)
+            sample_set(cols)
     with pytest.raises(ValueError, match="1-D"):
-        SampleSet(samples, None, [[7, 14]])
+        SampleSet(np.zeros((4, 2)), [[7, 14]], 24)
     with pytest.raises(ValueError, match="2-D"):
-        SampleSet(np.zeros(24), None, [7])
+        SampleSet(np.zeros(2), [7, 14], 24)
+
+
+@pytest.mark.parametrize("width", [0, 1, 3])
+def test_sample_set_draw_must_have_one_column_per_uncertain_column(width):
+    with pytest.raises(ValueError, match="one column per uncertain column"):
+        SampleSet(np.zeros((4, width)), [7, 14], 24)
+
+
+def test_nodal_samples_hold_the_draw_and_positive_zeros(rts, gauss_vb):
+    s = sample(gauss_vb, 500, 12, rts)
+    assert s.draw.shape == (500, 2) and s.n_buses == 24
+    full = s.samples
+    assert full.shape == (500, 24)
+    # Bit for bit: the same float64 patterns, signed zeros included.
+    assert full[:, [7, 14]].tobytes() == s.draw.tobytes()
+    rest = np.delete(full, [7, 14], axis=1)
+    assert not np.any(rest) and not np.any(np.signbit(rest))
+    # The nodal matrix is built afresh on each request, from the draw.
+    assert s.samples is not full and np.array_equal(s.samples, full)
