@@ -16,142 +16,108 @@ order, one multiply and one add each (no fused multiply-add), so the
 counts can be compared exactly against a plain Python loop over all
 rows. _accumulate is the one place that order is written down.
 
-Per-block bounds
-----------------
-For a sample of a block, a pair's sum is
+Bound and band
+--------------
+For a sample, a pair's sum and its dispatch-free sum are
 
     acc = fl(...fl(fl(b + p_1) + p_2) ... + p_m),   p_j = fl(a_j * x_j),
+    v = fl(...fl(fl(0 + p_1) + p_2) ... + p_m),
 
-with m = len(cols) and b = g.p the dispatch term. Before it sums a
-block, count_violations takes the NaN-skipping maximum xmax_j and
-minimum xmin_j of each active column over the block, from the column
-copy it sums anyway, and _block_bound turns them into three numbers per
-pair:
+with m = len(cols) and b = g.p the dispatch term: v adds the same
+products from 0.0 in _accumulate's order. _bound takes the NaN-skipping
+maximum xmax_j and minimum xmin_j of each active column over the whole
+sample set and turns them into three numbers per pair:
 
     t_j = max(fl(a_j * xmax_j), fl(a_j * xmin_j)),   s_j = min(same),
-    hi = fl(...fl(t_1 + t_2) ... + t_m),   lo = the same sum of the s_j,
+    hi = fl(...fl(fl(0 + t_1) + t_2) ... + t_m),   lo = the same sum of the s_j,
     tails = sum_j fl(|a_j| * max(|xmax_j|, |xmin_j|)).
 
-a_j * x is monotone in x and rounding is monotone, so every product of
-the block has s_j <= p_j <= t_j, and |p_j| and |t_j| are at most the
-j-th term of tails.
+Monotone sums. a_j * x is monotone in x and rounding is monotone, so
+every finite sample has s_j <= p_j <= t_j, and |p_j| is at most the j-th
+term of tails. fl(x + y) is monotone in each of x and y, so induction
+over the m additions gives lo <= v <= hi exactly, with no error term.
 
-Why a dispatch can skip a (block, pair) cell. Let u = 2^-53 and
-gamma_m = m*u / (1 - m*u). Recursive summation errs by at most gamma
-times the sum of the magnitudes of the terms (Higham 2002, Accuracy and
-Stability of Numerical Algorithms, section 4.2): |acc - (b + sum p_j)|
-<= gamma_m (|b| + sum |p_j|) over m additions, and |hi - sum t_j| <=
-gamma_(m-1) sum |t_j|, because its first addition is exact. Both
-magnitude sums are at most the exact sum of the terms of tails, so for
-every sample of the block
+Why the band decides a sure miss. Let u = 2^-53 and gamma_m = m*u / (1 -
+m*u). Recursive summation errs by at most gamma times the sum of the
+magnitudes of the terms (Higham 2002, Accuracy and Stability of
+Numerical Algorithms, section 4.2), so |acc - (b + v)| <= E = gamma_m
+(|b| + sum |p_j|) + gamma_(m-1) sum |p_j|. The computed tails is at most
+gamma_m below the exact sum of its m nonnegative terms, so E <= 2
+gamma_m (|b| + tails) / (1 - gamma_m). For the upper row,
+_sure_miss_limits computes c = fl(upper - b), scale = fl(fl(|b| +
+tails) + |c|), delta = fl(4 (m + 2) u * scale) and t_up = fl(c - delta).
+A sample with v <= t_up has
 
-    acc <= b + hi + 2 gamma_m (|b| + tails),
+    b + v <= b + c - delta + u (|c| + delta) <= upper - delta (1 - u) + 2 u |c| / (1 - u),
 
-and acc >= b + lo - 2 gamma_m (|b| + tails) likewise.
+since |c - (upper - b)| <= u |upper - b| <= u |c| / (1 - u). So acc <=
+b + v + E < upper as soon as delta (1 - u) > E + 2 u |c| / (1 - u).
+The computed delta is at least 4 (m + 2) u (|b| + tails + |c|) (1 - u)^3,
+more than twice what E and 2 u |c| need for any m far below 1/u, and it
+is positive for a positive scale, so the margin is strict and the sample
+does not violate the upper row. The lower row is the same argument
+negated: t_lo = fl(fl(lower - b) + delta), and v >= t_lo gives acc >
+lower. A sample with t_lo <= v <= t_up is a sure miss of both rows.
 
-The test computes top = fl(fl(b + hi) + delta) and bottom = fl(fl(b +
-lo) - delta). If acc > upper for some sample, then b + hi + 2 gamma_m
-(|b| + tails) >= acc, and because rounding is monotone and acc is a
-float, top >= acc > upper as soon as delta covers that bound plus the
-rounding of fl(b + hi), at most u (|b| + (1 + gamma_m) tails). tails,
-|b| + tails and delta are rounded too: the computed tails is at most
-gamma_m below the exact sum of its m nonnegative terms, and each other
-operation costs a factor (1 - u). With
+The band is used where 2^-960 <= scale <= 2^1000. Above, a sum could
+overflow; below, delta could underflow and lose its relative bound.
+Additions need no such care, since one whose result is subnormal is
+exact, and a product that underflows is the same float in acc and in v.
+At scale == 0 the band is exact as well: then b, tails and c are zeros,
+so every product of a finite sample is a zero, and so are acc, the
+limit and t, and no zero exceeds a zero. Anywhere else, a NaN scale
+included, the band is NaN and proves nothing, since NaN fails every
+comparison. An infinite sample makes the tails of every pair infinite or
+NaN, and so every band NaN; a NaN sample has a NaN v. Neither is ever a
+sure miss.
 
-    delta = 4 (m + 2) u (|b| + tails)
+Candidates. A pair is a candidate unless hi <= t_up and lo >= t_lo. For
+a pair that is not, every finite sample has its v in the band, by the
+monotone-sum lemma, and misses both rows; no sample is infinite, since
+one would leave the band NaN; and a NaN sample's acc is NaN, which no
+strict comparison counts. A NaN hi or lo makes a candidate too, and the
+NaN-skipping extremes keep a NaN sample from opening the bound for the
+others.
 
-the factor 4 (m + 2) u is more than twice the (2m + 1) u the bound
-needs, for any m far below 1/u. Where the product underflows, delta
-loses at most 2^-1075, half the spacing of the subnormals. That cannot
-matter: the shortfall delta must cover, acc - fl(b + hi), is a
-difference of two floats, so it is either at most 0 or at least 2^-1074,
-and it is at most half the unrounded delta. The lower side is the same
-argument negated. So a cell with top <= upper and bottom >= lower has
-no violating sample, and count_violations accumulates only the other,
-candidate, cells.
-
-The bound assumes that no sum overflows. A cell with |b| + tails above
-2^1000 is always a candidate; below it no partial sum can overflow. Any
-non-finite hi, lo, tails or delta makes the cell a candidate too: a
-NaN fails both top <= upper and bottom >= lower, an infinite hi or lo
-gives an infinite top or bottom, and an infinite or NaN tails fails the
-2^1000 test. So an infinite sample opens its block for every pair, as
-does 0 * inf = NaN against a zero sensitivity. A NaN sample makes its
-own sums NaN, which no strict comparison counts; fmax and fmin skip it
-in xmax and xmin, so it does not open its block for the other samples.
-
-Candidate cells run the same accumulate-and-compare sweep as every cell
-would, and skipped cells have no hits, so per-row counts and the joint
-count are bit-identical to a sum over every cell. The bound costs two
-reductions of the block's m columns and O(m) work per pair, and needs no
-state beyond the block.
+Counting. count_violations makes one transposed copy of the samples,
+bounds them, and sums every sample of each candidate pair from b
+through _sum_and_tally, in chunks of _BLOCK_SAMPLES that are slices of
+that copy. Pairs that are not candidates have no hits, so per-row
+counts and the joint count are bit-identical to a sum over every
+(sample, pair) cell.
 
 Reused sample sets
 ------------------
 A tuner counts one sample set against one catalog at every iterate, and
 only the dispatch term b changes between those counts. A CountStore
-holds what does not: the transposed copy of the whole set, its
-(hi, lo, tails) bound as one block, and, for each pair that has ever
-been a candidate, the dispatch-free sum of every sample,
-
-    v = fl(...fl(fl(0 + p_1) + p_2) ... + p_m),
-
-the products added from 0.0 in _accumulate's order. A count first takes
-the candidates of the whole set as one block, which the argument above
-covers, and fills v for each candidate not yet filled. It then proves
-most samples of the filled pairs sure misses from v alone, and re-sums
-every other sample of those pairs from b through _accumulate.
-
-Why v decides a sure miss. v adds the same float products p_j as acc,
-so |acc - (b + v)| <= E = gamma_m (|b| + sum |p_j|) + gamma_(m-1) sum
-|p_j|, which is at most 2 gamma_m (|b| + tails) / (1 - gamma_m) by the
-bound on the computed tails. For the upper row the count computes c =
-fl(upper - b), scale = fl(fl(|b| + tails) + |c|), delta = fl(4 (m + 2)
-u * scale) and t = fl(c - delta). A sample with v < t has
-
-    b + v < b + c - delta + u (|c| + delta) <= upper - delta (1 - u) + 2 u |c| / (1 - u),
-
-since |c - (upper - b)| <= u |upper - b| <= u |c| / (1 - u). So acc <=
-b + v + E < upper as soon as delta (1 - u) >= E + 2 u |c| / (1 - u).
-The computed delta is at least 4 (m + 2) u (|b| + tails + |c|) (1 - u)^3,
-more than twice what E and 2 u |c| need for any m far below 1/u, so the
-sample does not violate the upper row. The lower row is the same
-argument negated: t = fl(fl(lower - b) + delta) with c = fl(lower - b),
-and v > t gives acc > lower.
-
-The test is made only where 2^-960 <= scale <= 2^1000. Above, a sum
-could overflow; below, delta could underflow and lose its relative
-bound. Additions need no such care, since one whose result is subnormal
-is exact, and a product that underflows is the same float in acc and in
-v. Outside that range, a NaN scale included, t is +-inf on the side
-that proves nothing (-inf for the upper row), so no sample of the pair
-is a sure miss: every sample of a pair whose tails are infinite is
-re-summed. A NaN v fails both v < t and v > t, so a NaN sample is
-always re-summed. The test holds for any pair, so a filled pair that is
-no candidate at this dispatch is tested like the others. Every sample
-that some filled pair cannot clear is re-summed for all filled pairs in
-_accumulate's order and compared exactly, and pairs never filled were
-never candidates, so the counts are bit-identical to a sum over every
-cell, as in the one-shot count.
+holds what does not: the transposed copy of the whole set, its bound,
+and, for each pair that has ever been a candidate, the v of every
+sample. A count takes the band and the candidates as above, fills v for
+each candidate not yet filled, and re-sums through _sum_and_tally only
+the samples whose v lies outside the band of some filled pair, for all
+filled pairs. The band holds for any pair, so a filled pair that is no
+candidate at this dispatch is tested like the others, and pairs never
+filled are no candidates now. So the counts are those of the one-shot
+count, bit for bit.
 
 The sums cost 8 bytes per sample for each pair that was ever a
 candidate. They are filled once per store, and each later count reads
-them with two comparisons and re-sums, 4,096 at a time, only the
-samples it cannot clear: those near or beyond a limit.
+them with two comparisons and re-sums only the samples it cannot clear:
+those near or beyond a limit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Samples per block: keeps the accumulator a few megabytes, and a
-# block's per-row counts within uint16.
+# Samples per chunk: keeps the accumulator a few megabytes, and a
+# chunk's per-row counts within uint16.
 _BLOCK_SAMPLES = 4096
 
 _UNIT_ROUNDOFF = 2.0**-53
-# Largest |b| + tails whose sums cannot overflow (see the module docstring).
+# Largest scale whose sums cannot overflow (see the module docstring).
 _SCALE_CAP = 2.0**1000
-# Smallest scale a sure miss is decided at ("Reused sample sets").
+# Smallest positive scale the band is used at.
 _SCALE_FLOOR = 2.0**-960
 # Sign that moves each (upper, lower) limit toward the pair's inside.
 _TOWARD_INSIDE = np.array([-1.0, 1.0])
@@ -180,11 +146,11 @@ def _accumulate(acc, prod, start, sens_cols, columns):
     return acc
 
 
-def _block_bound(sens_t, columns):
-    """(hi, lo, tails) of each pair over one block (module docstring).
+def _bound(sens_t, columns):
+    """(hi, lo, tails) of each pair over a sample set (module docstring).
 
     sens_t: (m, n_pairs) sensitivities, one row per active column.
-    columns: (m, width) the block's samples of those columns.
+    columns: (m, n) the samples of those columns.
     """
     xmax = np.fmax.reduce(columns, axis=1)[:, None]
     xmin = np.fmin.reduce(columns, axis=1)[:, None]
@@ -199,17 +165,21 @@ def _block_bound(sens_t, columns):
     return hi, lo, tails
 
 
-def _candidates(base, upper, lower, m, bound):
-    """(n_pairs,) mask of the pairs a dispatch might violate in a block."""
+def _sure_miss_limits(base, upper, lower, m, bound):
+    """(band, candidate) of each pair, from its bound (module docstring).
+
+    band is (n_pairs, 2): a sample whose dispatch-free sum v has
+    band[c, 1] <= v <= band[c, 0] violates neither row of pair c, and a
+    NaN band clears nothing. candidate marks the pairs whose [lo, hi]
+    does not lie in their band.
+    """
     hi, lo, tails = bound
-    scale = np.abs(base) + tails
+    c = np.stack([upper - base, lower - base], axis=1)
+    scale = (np.abs(base) + tails)[:, None] + np.abs(c)
+    exact = (scale <= _SCALE_CAP) & ((scale >= _SCALE_FLOOR) | (scale == 0.0))
     delta = (4 * (m + 2) * _UNIT_ROUNDOFF) * scale
-    # Written as negated <= and >= so that any NaN makes a candidate.
-    return (
-        ~((base + hi) + delta <= upper)
-        | ~((base + lo) - delta >= lower)
-        | ~(scale <= _SCALE_CAP)
-    )
+    band = np.where(exact, c + _TOWARD_INSIDE * delta, np.nan)
+    return band, ~((hi <= band[:, 0]) & (lo >= band[:, 1]))
 
 
 def _tally(acc, rows, upper, lower, active, counts):
@@ -233,15 +203,24 @@ def _tally(acc, rows, upper, lower, active, counts):
     return int(np.count_nonzero(hit))
 
 
-def _sure_miss_limits(base, bounds, tails, m):
-    """(n, 2) limits (t_up, t_lo) of each pair: a sample whose
-    dispatch-free sum v has t_lo < v < t_up violates neither row of the
-    pair (see "Reused sample sets"). bounds holds (upper, lower)."""
-    c = bounds - base[:, None]
-    scale = (np.abs(base) + tails)[:, None] + np.abs(c)
-    exact = (scale >= _SCALE_FLOOR) & (scale <= _SCALE_CAP)
-    delta = (4 * (m + 2) * _UNIT_ROUNDOFF) * scale
-    return np.where(exact, c + _TOWARD_INSIDE * delta, _TOWARD_INSIDE * np.inf)
+def _sum_and_tally(chunks, rows, base, sens_t, upper, lower, active, work):
+    """(counts, joint) of the pairs rows over the samples of chunks.
+
+    Each chunk is (m, width) samples of the active columns, at most
+    _BLOCK_SAMPLES wide. Its sums start at base and add the products in
+    _accumulate's order; work is (2, >= len(rows) * width) scratch.
+    """
+    counts = np.zeros((base.shape[0], 2), dtype=np.int64)
+    joint = 0
+    start, sens_cols = base[rows, None], sens_t[:, rows, None]
+    for columns in chunks:
+        shape = (rows.size, columns.shape[1])
+        size = shape[0] * shape[1]
+        acc = _accumulate(
+            work[0, :size].reshape(shape), work[1, :size].reshape(shape), start, sens_cols, columns
+        )
+        joint += _tally(acc, rows, upper, lower, active, counts)
+    return counts, joint
 
 
 class CountStore:
@@ -250,8 +229,8 @@ class CountStore:
     count_violations accepts a store in place of the samples, with the
     very sens array it was built from, and counts bit for bit as from
     the samples (see "Reused sample sets"). Building it copies the
-    samples, transposed, and bounds them; each pair's sums are kept from
-    the first count in which the pair is a candidate.
+    samples, transposed, and bounds the whole set once; each pair's sums
+    are kept from the first count in which the pair is a candidate.
 
     sens: (n_pairs, n_buses) sensitivity of each upper row to each bus.
     xi: (n_samples, k) samples of the columns cols.
@@ -268,7 +247,7 @@ class CountStore:
         self._sens_t = np.ascontiguousarray(sens[:, cols].T)
         self._columns = np.ascontiguousarray(xi.T)
         with np.errstate(invalid="ignore", over="ignore"):
-            self._bound = _block_bound(self._sens_t, self._columns)
+            self._bound = _bound(self._sens_t, self._columns)
         # Row r of _sums holds the sums of pair _slot_pair[r]; rows are
         # taken in the order pairs first become candidates.
         self._slot_pair = np.empty(n_pairs, dtype=np.int64)
@@ -301,37 +280,25 @@ class CountStore:
         """count_violations of the stored samples; see there."""
         if sens is not self.sens:
             raise ValueError("count store was built for other sensitivities")
-        m = len(self.cols)
         upper = limits[:, 0]
         lower = -limits[:, 1]
-        counts = np.zeros((base.shape[0], 2), dtype=np.int64)
         with np.errstate(invalid="ignore", over="ignore"):
-            candidate = _candidates(base, upper, lower, m, self._bound)
+            band, candidate = _sure_miss_limits(base, upper, lower, len(self.cols), self._bound)
             if not candidate.any():
-                return counts, 0
+                return np.zeros((base.shape[0], 2), dtype=np.int64), 0
             for pair in np.flatnonzero(candidate & ~self._filled):
                 self._fill(pair)
             f = self._n_filled
             rows = self._slot_pair[:f]
-            base_rows = base[rows]
-            bounds = np.stack([upper[rows], lower[rows]], axis=1)
-            t = _sure_miss_limits(base_rows, bounds, self._bound[2][rows], m)
             sums = self._sums[:f]
-            miss = np.less(sums, t[:, :1], out=self._miss[:f])
-            miss &= np.greater(sums, t[:, 1:], out=self._over_lower[:f])
+            miss = np.less_equal(sums, band[rows, :1], out=self._miss[:f])
+            miss &= np.greater_equal(sums, band[rows, 1:], out=self._over_lower[:f])
             near = np.flatnonzero(~np.logical_and.reduce(miss, axis=0))
-            sens_cols = self._sens_t[:, rows, None]
-            joint = 0
-            for start in range(0, near.size, _BLOCK_SAMPLES):
-                chunk = near[start : start + _BLOCK_SAMPLES]
-                size = f * chunk.size
-                acc = _accumulate(
-                    self._work[0, :size].reshape(f, chunk.size),
-                    self._work[1, :size].reshape(f, chunk.size),
-                    base_rows[:, None], sens_cols, np.take(self._columns, chunk, axis=1),
-                )
-                joint += _tally(acc, rows, upper, lower, active, counts)
-        return counts, joint
+            chunks = (
+                np.take(self._columns, near[start : start + _BLOCK_SAMPLES], axis=1)
+                for start in range(0, near.size, _BLOCK_SAMPLES)
+            )
+            return _sum_and_tally(chunks, rows, base, self._sens_t, upper, lower, active, self._work)
 
 
 def count_violations(base, sens, limits, xi, cols, active):
@@ -350,38 +317,28 @@ def count_violations(base, sens, limits, xi, cols, active):
     active: (n_pairs, 2) bool mask of rows that count toward the joint hit.
 
     Returns (counts, joint): int64 violation counts of shape (n_pairs, 2),
-    and the number of samples violating at least one active row. Each
-    block of samples is copied, transposed, as (columns x samples).
-    Only the pairs whose per-block bound reaches a limit are
-    accumulated, into a (pairs x samples) buffer, column by column in
-    ascending order, and a block without such a pair is skipped. Only
-    rows whose largest (upper) or smallest (lower) sum in the block
-    crosses the limit are compared sample by sample.
+    and the number of samples violating at least one active row. The
+    samples are copied once, transposed, as (columns x samples), and
+    bounded as a whole. Only the pairs whose bound leaves their sure-miss
+    band are accumulated, 4,096 samples at a time, into a (pairs x
+    samples) buffer, column by column in ascending order. Only rows whose
+    largest (upper) or smallest (lower) sum in a chunk crosses the limit
+    are compared sample by sample.
     """
     if isinstance(xi, CountStore):
         return xi.count(base, sens, limits, active)
-    n_pairs = base.shape[0]
     upper = limits[:, 0]
     lower = -limits[:, 1]
     sens_t = np.ascontiguousarray(sens[:, cols].T)
-    sens_cols = sens_t[:, :, None]
-    counts = np.zeros((n_pairs, 2), dtype=np.int64)
-    joint = 0
-    acc_buf = np.empty((n_pairs, _BLOCK_SAMPLES))
-    prod_buf = np.empty((n_pairs, _BLOCK_SAMPLES))
+    columns = np.ascontiguousarray(xi.T)
     # 0 * inf and overflow follow IEEE rules: a NaN or inf sum is compared
     # like any other, so numpy need not warn about them.
     with np.errstate(invalid="ignore", over="ignore"):
-        for start in range(0, xi.shape[0], _BLOCK_SAMPLES):
-            columns = np.ascontiguousarray(xi[start : start + _BLOCK_SAMPLES].T)
-            bound = _block_bound(sens_t, columns)
-            rows = np.flatnonzero(_candidates(base, upper, lower, len(cols), bound))
-            if rows.size == 0:
-                continue
-            width = columns.shape[1]
-            acc = _accumulate(
-                acc_buf[: rows.size, :width], prod_buf[: rows.size, :width],
-                base[rows, None], sens_cols[:, rows], columns,
-            )
-            joint += _tally(acc, rows, upper, lower, active, counts)
-    return counts, joint
+        _, candidate = _sure_miss_limits(base, upper, lower, len(cols), _bound(sens_t, columns))
+        rows = np.flatnonzero(candidate)
+        if rows.size == 0:
+            return np.zeros((base.shape[0], 2), dtype=np.int64), 0
+        n = columns.shape[1]
+        chunks = (columns[:, start : start + _BLOCK_SAMPLES] for start in range(0, n, _BLOCK_SAMPLES))
+        work = np.empty((2, rows.size * min(n, _BLOCK_SAMPLES)))
+        return _sum_and_tally(chunks, rows, base, sens_t, upper, lower, active, work)

@@ -18,7 +18,7 @@ import io
 import json
 import logging
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from statistics import NormalDist
 from typing import Dict, Optional, Tuple, Union
@@ -57,11 +57,6 @@ class ConfigError(ValueError):
     """Raised for malformed experiment configuration."""
 
 
-def normal_cdf(x: float) -> float:
-    """Standard normal distribution function."""
-    return _STANDARD_NORMAL.cdf(x)
-
-
 def inv_normal_cdf(p: float) -> float:
     """Standard normal quantile."""
     if not 0.0 < p < 1.0:
@@ -98,8 +93,12 @@ def parse_config_file(path) -> Dict[str, str]:
         return parse_config_text(handle.read())
 
 
-def _split_list(value: str) -> Tuple[str, ...]:
-    return tuple(part.strip() for part in value.split(",") if part.strip())
+def _text(key: str, text: str) -> str:
+    return text
+
+
+def _names(key: str, text: str) -> Tuple[str, ...]:
+    return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
 def _fraction(key: str, text: str, kind: str = "a number") -> Fraction:
@@ -113,34 +112,45 @@ def _fraction(key: str, text: str, kind: str = "a number") -> Fraction:
     return value
 
 
-def _number(cfg, key: str, default: str) -> Fraction:
-    return _fraction(key, cfg.get(key, default))
+def _numbers(key: str, text: str) -> Tuple[Fraction, ...]:
+    return tuple(_fraction(key, part) for part in _names(key, text))
 
 
-def _numbers(cfg, key: str, default: str) -> Tuple[Fraction, ...]:
-    return tuple(_fraction(key, part) for part in _split_list(cfg.get(key, default)))
-
-
-def _integer(cfg, key: str, default: str) -> int:
-    raw = cfg.get(key, default)
-    value = _fraction(key, raw, "an integer")
+def _integer(key: str, text: str) -> int:
+    value = _fraction(key, text, "an integer")
     if value.denominator != 1:
-        raise ConfigError(f"key {key!r}: {raw!r} is not an integer")
+        raise ConfigError(f"key {key!r}: {text!r} is not an integer")
     return int(value)
 
 
-# Numeric keys of the distribution specs: key -> (default, holds a list).
+# Sweep and tuning keys: key -> (ExperimentConfig field, default, parser).
+_KEYS = {
+    "case": ("case", "rts24", _text),
+    "modes": ("modes", "single", _names),
+    "distributions": ("distributions", "gaussian", _names),
+    "eps": ("eps_values", "0.1", _numbers),
+    "replications": ("replications", "1", _integer),
+    "tuning.samples": ("n_tuning", "10000", _integer),
+    "oos.samples": ("n_oos", "100000", _integer),
+    "gamma": ("gamma", "1e-4", _fraction),
+    "width_tol": ("width_tol", "1e-6", _fraction),
+    "max_iterations": ("max_iterations", "60", _integer),
+    "seed": ("seed", "1", _integer),
+    "moment_source": ("moment_source", "auto", _text),
+}
+
+# Numeric keys of the distribution specs: key -> (default, parser).
 # gaussian.std_mw has no default; only the Gaussian spec requires it.
 _SPEC_KEYS = {
-    "gaussian.std_mw": (None, True),
-    "gaussian.correlation": ("0", False),
-    "mixture.weights": ("1/3, 1/3, 1/3", True),
-    "mixture.g1.std_mw": ("7, 14", True),
-    "mixture.g1.correlation": ("0.5", False),
-    "mixture.g2.std_mw": ("6, 6", True),
-    "mixture.g2.correlation": ("0.1", False),
-    "mixture.uniform.low_mw": ("-30", False),
-    "mixture.uniform.high_mw": ("30", False),
+    "gaussian.std_mw": (None, _numbers),
+    "gaussian.correlation": ("0", _fraction),
+    "mixture.weights": ("1/3, 1/3, 1/3", _numbers),
+    "mixture.g1.std_mw": ("7, 14", _numbers),
+    "mixture.g1.correlation": ("0.5", _fraction),
+    "mixture.g2.std_mw": ("6, 6", _numbers),
+    "mixture.g2.correlation": ("0.1", _fraction),
+    "mixture.uniform.low_mw": ("-30", _fraction),
+    "mixture.uniform.high_mw": ("30", _fraction),
 }
 
 _SpecNumber = Union[Fraction, Tuple[Fraction, ...]]
@@ -151,24 +161,25 @@ class ExperimentConfig:
     """Typed view of a flat experiment configuration.
 
     from_mapping parses every number once, exactly: counts and the seed
-    to int, the rest to Fraction. raw keeps the text it was parsed from
-    for the JSON report.
+    to int, the rest to Fraction. The keys and their defaults are those
+    of _KEYS and _SPEC_KEYS; any other key raises ConfigError. raw keeps
+    the text it was parsed from for the JSON report.
     """
 
-    case: str = "rts24"
-    modes: Tuple[str, ...] = ("single",)
-    distributions: Tuple[str, ...] = ("gaussian",)
-    eps_values: Tuple[Fraction, ...] = (Fraction(1, 10),)
-    replications: int = 1
-    n_tuning: int = 10_000
-    n_oos: int = 100_000
-    gamma: Fraction = Fraction(1, 10_000)
-    width_tol: Fraction = Fraction(1, 10**6)
-    max_iterations: int = 60
-    seed: int = 1
-    moment_source: str = "auto"
-    spec_numbers: Dict[str, _SpecNumber] = field(default_factory=dict)
-    raw: Dict[str, str] = field(default_factory=dict)
+    case: str
+    modes: Tuple[str, ...]
+    distributions: Tuple[str, ...]
+    eps_values: Tuple[Fraction, ...]
+    replications: int
+    n_tuning: int
+    n_oos: int
+    gamma: Fraction
+    width_tol: Fraction
+    max_iterations: int
+    seed: int
+    moment_source: str
+    spec_numbers: Dict[str, _SpecNumber]
+    raw: Dict[str, str]
 
     def __post_init__(self):
         for mode in self.modes:
@@ -207,23 +218,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, cfg: Dict[str, str]) -> "ExperimentConfig":
-        spec_numbers = {}
-        for key, (default, many) in _SPEC_KEYS.items():
-            if key in cfg or default is not None:
-                spec_numbers[key] = (_numbers if many else _number)(cfg, key, default)
+        unknown = sorted(cfg.keys() - _KEYS.keys() - _SPEC_KEYS.keys())
+        if unknown:
+            raise ConfigError("; ".join(f"unknown key {key!r}" for key in unknown))
+        spec_numbers = {
+            key: parse(key, cfg.get(key, default))
+            for key, (default, parse) in _SPEC_KEYS.items()
+            if key in cfg or default is not None
+        }
         return cls(
-            case=cfg.get("case", "rts24"),
-            modes=_split_list(cfg.get("modes", "single")),
-            distributions=_split_list(cfg.get("distributions", "gaussian")),
-            eps_values=_numbers(cfg, "eps", "0.1"),
-            replications=_integer(cfg, "replications", "1"),
-            n_tuning=_integer(cfg, "tuning.samples", "10000"),
-            n_oos=_integer(cfg, "oos.samples", "100000"),
-            gamma=_number(cfg, "gamma", "1e-4"),
-            width_tol=_number(cfg, "width_tol", "1e-6"),
-            max_iterations=_integer(cfg, "max_iterations", "60"),
-            seed=_integer(cfg, "seed", "1"),
-            moment_source=cfg.get("moment_source", "auto"),
+            **{name: parse(key, cfg.get(key, default)) for key, (name, default, parse) in _KEYS.items()},
             spec_numbers=spec_numbers,
             raw=dict(cfg),
         )

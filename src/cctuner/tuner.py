@@ -270,7 +270,6 @@ def tune(
     catalog: ConstraintCatalog,
     samples,
     config: TuningConfig,
-    bounds=None,
 ) -> TuningResult:
     """Tune s for a case against a fixed tuning sample set.
 
@@ -291,8 +290,7 @@ def tune(
             UserWarning,
             stacklevel=2,
         )
-    if bounds is None:
-        bounds = initial_bounds(config.eps_des, config.mode, catalog.n_active)
+    bounds = initial_bounds(config.eps_des, config.mode, catalog.n_active)
 
     last_optimal = None
 

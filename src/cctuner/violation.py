@@ -75,9 +75,9 @@ def count_store(samples, catalog: ConstraintCatalog) -> _kernels.CountStore:
 
     evaluate accepts the store in place of samples, for this catalog
     only, and counts bit for bit as it would from samples. The store
-    keeps a transposed copy of the sample columns and, for each mirrored
-    pair of rows that some dispatch brings near a limit, 8 bytes per
-    sample (see _kernels).
+    keeps a transposed copy of the sample columns, their bound, and, for
+    each mirrored pair of rows that some dispatch brings near a limit,
+    8 bytes per sample (see _kernels).
     """
     xi, cols, seed = _sample_arrays(samples, catalog)
     return _kernels.CountStore(catalog.pair_sensitivity, xi, cols, seed)
@@ -97,8 +97,9 @@ def evaluate(
     catalog. Degenerate rows are always counted individually but only
     enter eps_single and the joint count when include_degenerate is
     set. Each mirrored pair of rows is counted from one sum, and only
-    where a bound on the sum over a block of samples reaches a limit
-    (see _kernels). Raises ValueError on a dispatch that is not finite.
+    where a bound on the sum over the whole sample set leaves the pair's
+    sure-miss band (see _kernels). Raises ValueError on a dispatch that
+    is not finite.
     """
     xi, cols, seed = _sample_arrays(samples, catalog)
     n, m = xi.shape[0], catalog.dispatch_matrix.shape[1]

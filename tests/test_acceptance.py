@@ -13,6 +13,7 @@ import os
 import time
 from fractions import Fraction
 from importlib.resources import files
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from cctuner import apply_rts_modifications, load_rts_case, parse_case
 from cctuner.experiment import (
     ExperimentConfig,
     inv_normal_cdf,
-    normal_cdf,
     report_to_csv,
     run_experiment,
 )
@@ -246,7 +246,7 @@ def test_criterion_5_conservatism(sweep, announce):
         if avg.s < S_TRUE[eps] - 0.02:
             problems.append(f"eps={eps}: avg s {avg.s:.4f} below s_true - 0.02")
     rows_01 = _rows(report, "single", "gaussian", 0.1)
-    eps_s = sum(1.0 - normal_cdf(r.s) for r in rows_01) / len(rows_01)
+    eps_s = sum(1.0 - NormalDist().cdf(r.s) for r in rows_01) / len(rows_01)
     details.append(f"eps_s at eps=0.1: {eps_s:.4f}")
     if not 0.090 <= eps_s <= 0.100:
         problems.append(f"implied violation level {eps_s:.4f} outside 0.095 +/- 0.005")

@@ -261,6 +261,14 @@ def test_negative_seed_exits_1(cfg_path, capsys):
     assert "'seed'" in err and "Traceback" not in err
 
 
+def test_misspelled_key_exits_1(tmp_path, capsys):
+    path = tmp_path / "typo.cfg"
+    path.write_text(SMALL_CFG + "tuning.sample = 500\n")
+    assert main(["tune", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "unknown key 'tuning.sample'" in err and "Traceback" not in err
+
+
 def test_repeated_eps_exits_1(tmp_path, capsys):
     path = tmp_path / "dup.cfg"
     path.write_text(SMALL_CFG.replace("eps = 0.1", "eps = 0.1, 0.10"))

@@ -7,6 +7,7 @@ import logging
 import math
 from fractions import Fraction
 from importlib.resources import files
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from cctuner.experiment import (
     build_distribution,
     inv_normal_cdf,
     load_case,
-    normal_cdf,
     parse_config_text,
     report_to_csv,
     report_to_json,
@@ -77,7 +77,7 @@ def test_normal_quantile_against_scipy():
     worst = max(abs(inv_normal_cdf(float(p)) - scipy.stats.norm.ppf(p)) for p in grid)
     assert worst <= 1e-9
     for p in grid:
-        assert normal_cdf(float(scipy.stats.norm.ppf(p))) == pytest.approx(p, abs=1e-12)
+        assert NormalDist().cdf(float(scipy.stats.norm.ppf(p))) == pytest.approx(p, abs=1e-12)
 
 
 def test_parse_config_text():
@@ -115,6 +115,20 @@ def test_experiment_config_validation():
     with pytest.raises(ConfigError, match="'seed' must be nonnegative"):
         ExperimentConfig.from_text("seed = -1")
     assert ExperimentConfig.from_text("seed = 0").seed == 0
+
+
+@pytest.mark.parametrize(
+    "text, keys",
+    [
+        ("tuning.sample = 500", ["tuning.sample"]),
+        ("repliactions = 3\nmode = joint", ["mode", "repliactions"]),
+        ("mixture.weight = 1/2, 1/4, 1/4", ["mixture.weight"]),
+    ],
+)
+def test_unknown_keys_are_named_not_ignored(text, keys):
+    with pytest.raises(ConfigError) as info:
+        ExperimentConfig.from_text(SMALL_GAUSSIAN + text)
+    assert str(info.value) == "; ".join(f"unknown key {key!r}" for key in keys)
 
 
 @pytest.mark.parametrize(
@@ -214,11 +228,11 @@ def test_failed_replication_excluded_from_average(monkeypatch, caplog):
     real_tune = experiment.tune
     calls = {"n": 0}
 
-    def flaky(case, catalog, samples, config, bounds=None):
+    def flaky(case, catalog, samples, config):
         calls["n"] += 1
         if calls["n"] == 1:
             raise TuningError("no feasible conservative anchor")
-        return real_tune(case, catalog, samples, config, bounds)
+        return real_tune(case, catalog, samples, config)
 
     monkeypatch.setattr(experiment, "tune", flaky)
     config = ExperimentConfig.from_text(SMALL_GAUSSIAN)

@@ -270,7 +270,7 @@ def test_report_json_round_trip(rts, rts_catalog):
         assert Fraction(c["eps_exact"]) == Fraction(c["count"], 400)
 
 
-# --- Per-block bounds: the same counts, bit for bit, with fewer sums ---
+# --- Bound and band: the same counts, bit for bit, with fewer sums ---
 
 
 def paired_catalog(sens, limits, g=None):
@@ -409,8 +409,8 @@ def test_nan_sample_keeps_its_block_bounded(m, n, seed):
     xi[rng.integers(n), rng.integers(m)] = np.nan
     limits = limits_at_sums(p, sens, xi, rng, 2)
     assert_envelope_exact(p, xi, paired_catalog(sens, limits))
-    # fmax/fmin skip the NaN sample: the other samples still bound the block.
-    bound = _kernels._block_bound(np.ascontiguousarray(sens.T), np.ascontiguousarray(xi.T))
+    # fmax/fmin skip the NaN sample: the other samples still bound the set.
+    bound = _kernels._bound(np.ascontiguousarray(sens.T), np.ascontiguousarray(xi.T))
     assert all(np.all(np.isfinite(part)) for part in bound)
 
 
@@ -432,11 +432,11 @@ def test_envelope_exact_with_nan_and_infinite_samples(m, n, seed):
     assert_envelope_exact(p, xi, paired_catalog(sens, limits))
 
 
-def block_sums(base, sens, block):
-    """(n_pairs, width) sums of a block, the oracle's order, by array ops."""
-    acc = np.repeat(base[:, None], block.shape[0], axis=1)
-    for j in range(block.shape[1]):
-        acc = acc + sens[:, j, None] * block[None, :, j]
+def set_sums(base, sens, xi):
+    """(n_pairs, n) sums of every sample, the oracle's order, by array ops."""
+    acc = np.repeat(base[:, None], xi.shape[0], axis=1)
+    for j in range(xi.shape[1]):
+        acc = acc + sens[:, j, None] * xi[None, :, j]
     return acc
 
 
@@ -451,6 +451,9 @@ def block_sums(base, sens, block):
 )
 @example(m=0, n=3, coherent=False, special=False, spread=0, seed=1)
 @example(m=6, n=64, coherent=True, spread=1, special=False, seed=8)
+# 24 additions that each round up by an ulp reach past a delta sized for
+# two columns.
+@example(m=24, n=64, coherent=True, spread=1, special=False, seed=8)
 def test_every_cell_with_a_hit_is_a_candidate(m, n, coherent, special, spread, seed):
     rng = np.random.default_rng(seed)
     n_pairs = 3
@@ -469,15 +472,68 @@ def test_every_cell_with_a_hit_is_a_candidate(m, n, coherent, special, spread, s
         sens[0, at[1][1:]] = 0.0
     limits = limits_at_sums(base, sens, xi, rng, spread)
     upper, lower = limits[:, 0], -limits[:, 1]
-    sens_t = np.ascontiguousarray(sens.T)
     with np.errstate(all="ignore"):
-        for start in range(0, n, _BLOCK_SAMPLES):
-            block = xi[start : start + _BLOCK_SAMPLES]
-            bound = _kernels._block_bound(sens_t, np.ascontiguousarray(block.T))
-            candidate = _kernels._candidates(base, upper, lower, m, bound)
-            sums = block_sums(base, sens, block)
-            hit = np.any(sums > upper[:, None], axis=1) | np.any(sums < lower[:, None], axis=1)
-            assert not np.any(hit & ~candidate)
+        bound = _kernels._bound(np.ascontiguousarray(sens.T), np.ascontiguousarray(xi.T))
+        _, candidate = _kernels._sure_miss_limits(base, upper, lower, m, bound)
+        sums = set_sums(base, sens, xi)
+    hit = np.any(sums > upper[:, None], axis=1) | np.any(sums < lower[:, None], axis=1)
+    assert not np.any(hit & ~candidate)
+
+
+@_BOUND_SETTINGS
+@given(
+    m=st.integers(0, 6),
+    n=st.integers(1, 80),
+    coherent=st.booleans(),
+    special=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(m=6, n=64, coherent=True, special=False, seed=8)
+@example(m=3, n=20, coherent=False, special=True, seed=5)
+def test_dispatch_free_sums_lie_within_the_bound(m, n, coherent, special, seed):
+    # The monotone-sum lemma: every finite sample's products, added from
+    # 0.0 in the kernel's order, sum to a float in [lo, hi], bit for bit.
+    rng = np.random.default_rng(seed)
+    n_pairs = 3
+    if coherent:
+        sens = np.ones((n_pairs, m))
+        xi = 2.0**-53 * (1.0 + rng.uniform(2.0**-20, 2.0**-10, (n, m)))
+    else:
+        sens = rng.normal(size=(n_pairs, m))
+        # 1e-310 puts the samples and their products among the subnormals.
+        xi = rng.normal(scale=rng.choice([1e-310, 1e-12, 1.0, 1e300]), size=(n, m))
+    if special and m and n > 1:
+        at = rng.integers(n, size=3), rng.integers(m, size=3)
+        xi[at] = [np.nan, np.inf, -np.inf]
+        sens[0, at[1][1:]] = 0.0
+    with np.errstate(all="ignore"):
+        hi, lo, _ = _kernels._bound(np.ascontiguousarray(sens.T), np.ascontiguousarray(xi.T))
+    for k in np.flatnonzero(np.all(np.isfinite(xi), axis=1)):
+        for c in range(n_pairs):
+            v = 0.0
+            for j in range(m):
+                v += float(sens[c, j]) * float(xi[k, j])
+            # A NaN bound makes the pair a candidate, whatever v is.
+            assert lo[c] <= v <= hi[c] or np.isnan([lo[c], hi[c]]).any()
+
+
+def test_no_degenerate_pair_is_a_candidate_at_solved_dispatches(rts, rts_catalog):
+    # A degenerate generator pair has b = 0, limits 0 and no sensitivity,
+    # so its scale is 0. Were those 14 pairs summed, a one-shot count on
+    # the RTS case would sum about twice the pairs it needs.
+    pairs = rts_catalog.pairs
+    degenerate = np.flatnonzero(rts_catalog.degenerate[pairs[:, 0]])
+    assert degenerate.size == 14
+    samples = sample(gaussian_from_std_corr([9.4, 13.1], 0.2), 5000, seed=5, case=rts)
+    store = count_store(samples, rts_catalog)
+    with mock.patch.object(_kernels, "_sum_and_tally", wraps=_kernels._sum_and_tally) as spy:
+        for s in (0.0, 0.5, 1.5, 2.5):
+            p_g = solve_dispatch(rts, rts_catalog, s).p_g
+            evaluate(p_g, samples, rts_catalog)
+            evaluate(p_g, store, rts_catalog)
+    summed = [call.args[1] for call in spy.call_args_list]
+    assert len(summed) == 8
+    assert not any(np.isin(degenerate, rows).any() for rows in summed)
 
 
 @pytest.mark.parametrize("include_degenerate", [False, True])
