@@ -8,29 +8,11 @@ machinery buys nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .grid import GridCase, _check_connected
 
-__all__ = ["PtdfMatrix", "compute_ptdf", "ptdf_to_csv"]
-
-
-@dataclass(frozen=True)
-class PtdfMatrix:
-    """Dense l x m PTDF matrix; the slack_bus column is identically zero.
-
-    Row k corresponds to line k in GridCase order, oriented from_bus ->
-    to_bus. For any injection vector p with sum(p) = 0, entries @ p are
-    the DC line flows.
-    """
-
-    entries: np.ndarray
-    slack_bus: int
-
-    def __post_init__(self):
-        self.entries.setflags(write=False)
+__all__ = ["compute_ptdf", "ptdf_to_csv"]
 
 
 def _susceptance_maps(case: GridCase) -> tuple[np.ndarray, np.ndarray]:
@@ -47,13 +29,17 @@ def _susceptance_maps(case: GridCase) -> tuple[np.ndarray, np.ndarray]:
     return b_f, b_bus
 
 
-def compute_ptdf(case: GridCase, slack: int = 1) -> PtdfMatrix:
-    """Compute the PTDF matrix with the given slack bus (default bus 1).
+def compute_ptdf(case: GridCase, slack: int = 1) -> np.ndarray:
+    """The read-only (n_lines, n_buses) PTDF matrix M with the given slack
+    bus (default bus 1).
 
     M = B_f · (reduced B_bus)^-1 with the slack row and column removed,
-    and the slack column of M set to zero. Raises CaseError naming the
-    unreachable buses if the grid is disconnected (the reduced matrix
-    would be singular), ValueError for an invalid slack id.
+    and the slack column of M identically zero. Row k corresponds to
+    line k in GridCase order, oriented from_bus -> to_bus. For any
+    injection vector p with sum(p) = 0, M @ p are the DC line flows.
+    Raises CaseError naming the unreachable buses if the grid is
+    disconnected (the reduced matrix would be singular), ValueError for
+    an invalid slack id.
     """
     if not 1 <= slack <= case.n_buses:
         raise ValueError(f"slack bus {slack} is not a valid bus id (1..{case.n_buses})")
@@ -65,10 +51,11 @@ def compute_ptdf(case: GridCase, slack: int = 1) -> PtdfMatrix:
     entries = np.zeros((case.n_lines, case.n_buses))
     # B_bus is symmetric, so solving on the right transposes cleanly.
     entries[:, keep] = np.linalg.solve(reduced, b_f[:, keep].T).T
-    return PtdfMatrix(entries=entries, slack_bus=slack)
+    entries.setflags(write=False)
+    return entries
 
 
-def ptdf_to_csv(ptdf: PtdfMatrix) -> str:
+def ptdf_to_csv(ptdf: np.ndarray) -> str:
     """Render M as headerless CSV, one row per line, 12 significant digits."""
-    rows = [",".join(f"{v:.12g}" for v in row) for row in ptdf.entries]
+    rows = [",".join(f"{v:.12g}" for v in row) for row in ptdf]
     return "\n".join(rows) + "\n"

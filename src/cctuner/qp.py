@@ -27,14 +27,16 @@ phase 1 that ends without one is 'max_iterations', never 'infeasible'.
 Rows are solved as given: an all-zero inequality row never blocks a
 step, and phase 1 certifies one with h < 0 infeasible.
 
-A caller that expects a particular set of active inequality rows (the
-previous solve of a nearby program, say) can pass that guess as
-`active`. solve then first solves the KKT system with the equality rows
-and the guessed rows held at equality, and returns that point as
-'optimal' with iterations = 0 only if it passes the same test. Otherwise,
-whether the guess was wrong, its KKT matrix singular or the program
-infeasible, solve falls back to the two phases above. A guess thus never
-makes a solve infeasible or accepts a point the test would reject.
+Every returned QpSolution carries its working set `active`: a boolean
+mask over the inequality rows, set where the returned point holds a row
+at equality. Passing that mask back as `active` to a nearby program
+(the next solve at a slightly different right-hand side, say) makes
+solve first solve the KKT system with the equality rows and those rows
+held at equality, and return that point as 'optimal' with iterations =
+0 only if it passes the same test. Otherwise, whether the guess was
+wrong, its KKT matrix singular or the program infeasible, solve falls
+back to the two phases above. A guess thus never makes a solve
+infeasible or accepts a point the test would reject.
 """
 
 from __future__ import annotations
@@ -63,7 +65,11 @@ class QpSolution:
     kkt_residuals holds (stationarity, primal_feasibility,
     dual_feasibility, complementarity) in infinity norms; at status
     'optimal' all four are at or below the solve tolerance. iterations
-    counts active-set pivots, phase 1 and phase 2 together. At status
+    counts active-set pivots, phase 1 and phase 2 together. active is
+    the (n_ineq,) boolean working set of x: the rows held at equality
+    when the search stopped, or the certified guess of a warm solve. It
+    is all False when no point is returned (status 'infeasible', or a
+    phase 1 that ended without a feasible start). At status
     'infeasible' the certificate dict carries the separating duals.
     """
 
@@ -74,6 +80,7 @@ class QpSolution:
     z: np.ndarray
     kkt_residuals: tuple[float, float, float, float]
     iterations: int
+    active: np.ndarray
     certificate: dict | None = field(default=None, compare=False)
 
     @property
@@ -149,7 +156,8 @@ def _active_set(p, q, a, b, g, h, x, work, tol, max_iters, stop=None):
             at_minimizer = not d.any()
         if at_minimizer:
             dual = np.linalg.lstsq(rows.T, -grad, rcond=None)[0]
-            y, z = dual[:k], _scatter(dual[k:], np.flatnonzero(work), c)
+            y, z = dual[:k], np.zeros(c)
+            z[work] = dual[k:]
             if not np.any(z < 0.0):
                 res = _residuals(p, q, a, b, g, h, x, y, z)
                 status = "optimal" if max(res) <= tol else "max_iterations"
@@ -177,7 +185,7 @@ def _active_set(p, q, a, b, g, h, x, work, tol, max_iters, stop=None):
             x = x + d
             at_minimizer = True
     objective = -np.inf if status == "unbounded" else float(0.5 * x @ (p * x) + q @ x)
-    return QpSolution(status, x, objective, y, z, _residuals(p, q, a, b, g, h, x, y, z), it)
+    return QpSolution(status, x, objective, y, z, _residuals(p, q, a, b, g, h, x, y, z), it, work)
 
 
 def _phase1(a, b, g, h, x0, tol, max_iters):
@@ -236,8 +244,9 @@ def solve(
     required, else ValueError: phase 1 starts on the most violated one.
     Every row is solved as given, all-zero rows included, and an
     optimal point's kkt_residuals are the ones that certified it.
-    active, if given, lists the inequality rows guessed to be active at
-    the optimum, as integer indices into h_ineq.
+    active, if given, is a guess of the working set at the optimum: a
+    boolean mask of shape (n_ineq,), such as the active of an earlier
+    solution. Anything else, an index list included, is a ValueError.
     """
     if not (isinstance(max_iters, numbers.Integral) and max_iters >= 1):
         raise ValueError(f"max_iters must be an integer of at least 1, got {max_iters!r}")
@@ -258,7 +267,10 @@ def solve(
         raise ValueError("no inequality row: phase 1 starts on the most violated one")
 
     if active is not None:
-        warm = _certified_on_active_set(p, q, a, b, g, h, _active_mask(active, g.shape[0]), tol)
+        on = np.array(active)
+        if on.dtype != bool or on.shape != h.shape:
+            raise ValueError(f"active rows must be a boolean mask of shape {h.shape}, got {on.dtype} {on.shape}")
+        warm = _certified_on_active_set(p, q, a, b, g, h, on, tol)
         if warm is not None:
             return warm
 
@@ -268,34 +280,20 @@ def solve(
     else:
         x0 = np.zeros(n)
     start, certificate = _phase1(a, b, g, h, x0, tol, max_iters)
-    y, z = np.zeros(a.shape[0]), np.zeros(g.shape[0])
+    y, z, no_rows = np.zeros(a.shape[0]), np.zeros(g.shape[0]), np.zeros(g.shape[0], dtype=bool)
     if certificate is not None:
         primal = (0.0, certificate["infeasibility"], 0.0, 0.0)
-        return QpSolution("infeasible", np.zeros(n), np.inf, y, z, primal, start.iterations, certificate)
+        return QpSolution("infeasible", np.zeros(n), np.inf, y, z, primal, start.iterations, no_rows, certificate)
     # Any x within tol of every row is a start; phase 1 need not be optimal.
     if start.x[-1] > tol:
         logger.warning("phase 1 ended %s after %d pivots at t=%.3e", start.status, start.iterations, start.x[-1])
-        return QpSolution("max_iterations", np.zeros(n), np.inf, y, z, (0.0, np.inf, 0.0, 0.0), start.iterations)
+        return QpSolution("max_iterations", np.zeros(n), np.inf, y, z, (0.0, np.inf, 0.0, 0.0), start.iterations, no_rows)
     x = start.x[:n]
     sol = _active_set(p, q, a, b, g, h, x, g @ x >= h, tol, max_iters - start.iterations)
     sol = replace(sol, iterations=start.iterations + sol.iterations)
     if not sol.optimal:
         logger.warning("active-set method ended %s after %d pivots; residual %.3e", sol.status, sol.iterations, max(sol.kkt_residuals))
     return sol
-
-
-def _active_mask(rows, count: int) -> np.ndarray:
-    """Boolean mask over count rows, set at rows (integers in [0, count))."""
-    mask = np.zeros(count, dtype=bool)
-    idx = np.asarray(rows)
-    if idx.size == 0:
-        return mask
-    if idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer):
-        raise ValueError("active rows must be a flat sequence of integer row indices")
-    if idx.min() < 0 or idx.max() >= count:
-        raise ValueError(f"active row index out of range for {count} inequality rows")
-    mask[idx] = True
-    return mask
 
 
 def _certified_on_active_set(p, q, a, b, g, h, on, tol) -> QpSolution | None:
@@ -314,14 +312,10 @@ def _certified_on_active_set(p, q, a, b, g, h, on, tol) -> QpSolution | None:
             sol = np.linalg.solve(kkt, np.concatenate([-q, b, h[on]]))
         except np.linalg.LinAlgError:
             return None
-        x, y, z = sol[:n], sol[n : n + k], _scatter(sol[n + k :], np.flatnonzero(on), g.shape[0])
+        x, y, z = sol[:n], sol[n : n + k], np.zeros(g.shape[0])
+        z[on] = sol[n + k :]
         res = _residuals(p, q, a, b, g, h, x, y, z)
     if not (all(r <= tol for r in res) and np.all(z >= 0.0)):
         return None
-    return QpSolution("optimal", x, float(0.5 * x @ (p * x) + q @ x), y, z, res, 0)
+    return QpSolution("optimal", x, float(0.5 * x @ (p * x) + q @ x), y, z, res, 0, on)
 
-
-def _scatter(values: np.ndarray, idx: np.ndarray, size: int) -> np.ndarray:
-    out = np.zeros(size)
-    out[idx] = values
-    return out

@@ -24,11 +24,9 @@ import numpy as np
 
 from . import qp
 from .grid import GridCase
-from .ptdf import PtdfMatrix
 from .uncertainty import MomentEstimate, sensitivity_norm
 
 __all__ = [
-    "ParticipationFactors",
     "ConstraintRow",
     "ConstraintCatalog",
     "DispatchSolution",
@@ -47,36 +45,27 @@ LINE_LOWER = "line_lower"
 MIRRORED = {GEN_UPPER: GEN_LOWER, LINE_UPPER: LINE_LOWER}
 
 
-@dataclass(frozen=True)
-class ParticipationFactors:
-    """Capacity-proportional balancing shares; alpha sums to one."""
-
-    alpha: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.alpha, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "alpha", arr)
-
-
-def participation_factors(case: GridCase) -> ParticipationFactors:
-    """alpha_i = p_max,i / sum(p_max); exactly zero without capacity."""
+def participation_factors(case: GridCase) -> np.ndarray:
+    """Read-only capacity-proportional balancing shares alpha, summing
+    to one: alpha_i = p_max,i / sum(p_max), exactly zero without
+    capacity."""
     p_max = case.p_max_mw()
     total = float(p_max.sum())
     if total <= 0.0:
         raise ValueError("no generation capacity to distribute balancing duty over")
-    return ParticipationFactors(alpha=p_max / total)
+    alpha = p_max / total
+    alpha.setflags(write=False)
+    return alpha
 
 
-def constraint_deltas(m: PtdfMatrix, alpha: ParticipationFactors) -> np.ndarray:
+def constraint_deltas(m: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """Per-sample flow sensitivity M(I - alpha·1ᵀ), computed once.
 
     Row r gives the change of flow on line r per unit of nodal
     disturbance after the balancing recourse withdraws the total
     mismatch according to alpha.
     """
-    entries = m.entries
-    return entries - np.outer(entries @ alpha.alpha, np.ones(entries.shape[1]))
+    return m - np.outer(m @ alpha, np.ones(m.shape[1]))
 
 
 @dataclass(frozen=True)
@@ -213,23 +202,24 @@ class ConstraintCatalog:
 
 def build_catalog(
     case: GridCase,
-    m: PtdfMatrix,
-    alpha: ParticipationFactors,
+    m: np.ndarray,
+    alpha: np.ndarray,
     moments: MomentEstimate,
 ) -> ConstraintCatalog:
-    """Assemble the full constraint catalog for one case and moment set."""
+    """Assemble the full constraint catalog for one case and moment set,
+    from the case's PTDF matrix m and participation factors alpha."""
     n, n_lines = case.n_buses, case.n_lines
-    if alpha.alpha.shape != (n,):
+    if alpha.shape != (n,):
         raise ValueError("participation factors do not match the case dimension")
-    if m.entries.shape != (n_lines, n):
+    if m.shape != (n_lines, n):
         raise ValueError("PTDF shape does not match the case")
 
     base = case.base_mva
     p_max_mw = case.p_max_mw()
     caps = case.line_capacities_mw() / base
-    flows_d = m.entries @ (case.loads_mw() / base)
+    flows_d = m @ (case.loads_mw() / base)
     eye = np.eye(n)
-    gen_sensitivity = np.outer(alpha.alpha, np.ones(n))
+    gen_sensitivity = np.outer(alpha, np.ones(n))
     deltas = constraint_deltas(m, alpha)
     sensitivity = np.vstack([gen_sensitivity, -gen_sensitivity, deltas, -deltas])
     no_capacity = p_max_mw == 0.0
@@ -237,7 +227,7 @@ def build_catalog(
         kinds=(GEN_UPPER,) * n + (GEN_LOWER,) * n + (LINE_UPPER,) * n_lines + (LINE_LOWER,) * n_lines,
         subjects=tuple(range(1, n + 1)) * 2 + tuple(range(1, n_lines + 1)) * 2,
         # + 0.0 keeps the off-diagonal zeros of the gen_lower rows positive.
-        dispatch_matrix=np.vstack([eye, -eye + 0.0, m.entries, -m.entries]),
+        dispatch_matrix=np.vstack([eye, -eye + 0.0, m, -m]),
         sensitivity_matrix=sensitivity,
         limits=np.concatenate(
             [p_max_mw / base, -(case.p_min_mw() / base), caps + flows_d, caps - flows_d]
@@ -255,9 +245,11 @@ class DispatchSolution:
     buses); objective is the dispatch-dependent cost in $ (quadratic
     plus linear terms; the constant no-load offsets cannot influence the
     argmin and stay out of reported costs). The attached QpSolution
-    holds the duals, and any infeasibility certificate, in full catalog
-    indexing, and the KKT residuals that certified the program
-    qp.solve was given, without the pinned buses.
+    holds the duals, the working set (active) and any infeasibility
+    certificate in full catalog indexing, and the KKT residuals that
+    certified the program qp.solve was given, without the pinned buses.
+    Passing this solution as start= to the next solve_dispatch offers
+    that working set as its warm start.
     """
 
     status: str
@@ -292,14 +284,15 @@ def solve_dispatch(
     touch only pinned buses reach qp.solve as constant rows. The
     returned primal and duals are re-inflated to full length, with
     multipliers for the pinned buses' rows chosen to close the
-    stationarity conditions of the full system; an infeasibility
-    certificate's inequality_dual is likewise in catalog indexing.
+    stationarity conditions of the full system. The working set and an
+    infeasibility certificate's inequality_dual are likewise in catalog
+    indexing, the working set False on the pinned buses' rows.
 
     start, if given, is an earlier solve on the same case and catalog.
-    When it is optimal, the rows it held active, those whose dual
-    exceeds their slack at start.s, are passed to qp.solve as its guess
-    of the active set at s. qp.solve keeps the guessed point only if it
-    certifies it, so a stale start costs time, not accuracy.
+    When it is optimal, its working set (start.qp_solution.active) is
+    passed to qp.solve as the guess of the rows held at equality at s.
+    qp.solve keeps the guessed point only if it certifies it, so a stale
+    start costs time, not accuracy.
     """
     if not (s >= 0.0 and math.isfinite(s)):
         raise ValueError(f"safety parameter must be finite and nonnegative, got {s}")
@@ -319,10 +312,7 @@ def solve_dispatch(
         raise ValueError("every bus is pinned; nothing to dispatch")
     live = np.ones(len(catalog), dtype=bool)
     live[pinned] = live[n + pinned] = False
-    active = None
-    if start is not None and start.feasible:
-        slack = catalog.limits - start.s * catalog.sigmas - catalog.dispatch_matrix @ start.p_g
-        active = np.flatnonzero((start.qp_solution.z > slack)[live])
+    guess = start.qp_solution.active[live] if start is not None and start.feasible else None
     sol = qp.solve(
         q_diag[free],
         lin[free],
@@ -330,12 +320,14 @@ def solve_dispatch(
         [d_total],
         catalog.dispatch_matrix[np.ix_(live, free)],
         h[live],
-        active=active,
+        active=guess,
     )
 
     p_g = np.zeros(n)
     y = np.zeros(1)
     z = np.zeros(len(catalog))
+    active = np.zeros(len(catalog), dtype=bool)
+    active[live] = sol.active
     certificate = sol.certificate
     if sol.status == "optimal":
         p_g[free] = sol.x
@@ -354,6 +346,6 @@ def solve_dispatch(
         inequality_dual[live] = certificate["inequality_dual"]
         certificate = {**certificate, "inequality_dual": inequality_dual}
     objective = sol.objective if sol.status == "optimal" else np.inf
-    full = replace(sol, x=p_g, objective=objective, y=y, z=z, certificate=certificate)
+    full = replace(sol, x=p_g, objective=objective, y=y, z=z, active=active, certificate=certificate)
     return DispatchSolution(sol.status, p_g, objective, float(s), full)
 

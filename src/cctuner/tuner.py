@@ -90,13 +90,13 @@ class TuningIterate:
 
     qp_status and qp_iterations are the status and active-set pivot
     count (phase 1 plus phase 2) of the QP solve at s; an optimal solve
-    with 0 pivots was certified on the previous optimal iterate's active
-    set. kkt_max is the largest of the solve's four KKT residuals: its
-    optimality certificate when optimal, the phase-1 infeasibility
-    measure when infeasible. solve_s and count_s are the wall-clock
-    seconds of the iterate's QP solve and of its tuning-set count (0.0
-    when infeasible, since nothing is counted); they do not take part in
-    comparisons.
+    with 0 pivots was certified on the working set the previous optimal
+    iterate's solve returned. kkt_max is the largest of the solve's four
+    KKT residuals: its optimality certificate when optimal, the phase-1
+    infeasibility measure when infeasible. solve_s and count_s are the
+    wall-clock seconds of the iterate's QP solve and of its tuning-set
+    count (0.0 when infeasible, since nothing is counted); they do not
+    take part in comparisons.
     """
 
     iteration: int
@@ -276,10 +276,10 @@ def tune(
     The same sample set is reused at every iterate, so the observed
     probabilities are a deterministic function of s and bisection sees a
     fixed (noisy but frozen) response curve. Each QP solve is offered
-    the active set of the last optimal iterate as a warm start. Every
-    count reads one count_store of the samples, built here and dropped
-    on return, so only the dispatch-dependent work repeats (see
-    _kernels).
+    the working set of the last optimal iterate's solve as a warm start
+    (solve_dispatch's start=). Every count reads one count_store of the
+    samples, built here and dropped on return, so only the
+    dispatch-dependent work repeats (see _kernels).
     """
     store = count_store(samples, catalog)
     n = store.shape[0]

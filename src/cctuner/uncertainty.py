@@ -61,11 +61,14 @@ class GaussianSpec:
         if mean.ndim != 1:
             raise ValueError("mean must be a vector")
         cov = _frozen_array(self.covariance_mw2, (mean.size, mean.size))
-        if not np.allclose(cov, cov.T, atol=1e-12 * max(1.0, np.abs(cov).max())):
+        if not np.allclose(cov, cov.T, atol=1e-12 * max(1.0, np.abs(cov).max(initial=0.0))):
             raise ValueError("covariance must be symmetric")
-        scale = max(1.0, float(np.abs(np.diag(cov)).max(initial=0.0)))
-        if float(np.linalg.eigvalsh(cov).min()) < -_SPEC_PSD_TOL * scale:
-            raise ValueError("covariance is not positive semidefinite")
+        # The rule sample() and spec_moments() factor by, so that every
+        # spec that constructs can be drawn from.
+        try:
+            _repair_and_factor(cov, _SPEC_PSD_TOL)
+        except ValueError as exc:
+            raise ValueError(f"covariance is not positive semidefinite: {exc}") from None
         object.__setattr__(self, "mean_mw", mean)
         object.__setattr__(self, "covariance_mw2", cov)
 

@@ -294,7 +294,7 @@ def test_criterion_6_oracle_agreement(rts_setup, announce):
     for _ in range(100):
         inj = flow_rng.normal(size=24)
         inj -= inj.mean()
-        direct = ptdf.entries @ inj
+        direct = ptdf @ inj
         reference = angle_solve_flows(case, inj)
         worst_flow = max(worst_flow, float(np.abs(direct - reference).max()))
     if worst_flow > 1e-9:
@@ -362,8 +362,8 @@ def test_criterion_7_structural_invariants(sweep, rts_setup, announce):
     keep = np.nonzero(p_max > 0)[0]
     eye = np.eye(len(keep))
     ptdf = compute_ptdf(case)
-    g = np.vstack([eye, -eye, ptdf.entries[:, keep], -ptdf.entries[:, keep]])
-    flows_d = ptdf.entries @ d
+    g = np.vstack([eye, -eye, ptdf[:, keep], -ptdf[:, keep]])
+    flows_d = ptdf @ d
     h = np.concatenate([p_max[keep], -p_min[keep], caps + flows_d, caps - flows_d])
     direct_qp = qp_solve(
         (2.0 * c2 * base * base)[keep],

@@ -153,12 +153,26 @@ def test_tune_json_trace_records_qp_solves(cfg_path, tmp_path):
         assert isinstance(it["qp_iterations"], int) and it["qp_iterations"] >= 0
         if it["qp_status"] == "optimal":
             assert math.isfinite(it["kkt_max"])
-            # 0 pivots: certified on the last optimal active set.
+            # 0 pivots: certified on the last optimal iterate's working set.
             if it["qp_iterations"] == 0:
                 assert it["kkt_max"] <= 1e-8
         # Wall-clock seconds of the solve and of the tuning-set count.
         assert it["solve_s"] > 0.0
         assert (it["count_s"] > 0.0) if it["feasible"] else (it["count_s"] == 0.0)
+
+
+def test_tune_without_uncertain_buses(tmp_path, capsys):
+    # An empty Gaussian spec: nothing to tighten against, so the tune
+    # collapses its interval near s = 0 instead of failing to build it.
+    case = tmp_path / "two.case"
+    case.write_text("base 100\nbus 1 0\nbus 2 20\nline 1 2 0.1 100\ngen 1 0 40 0.01 10 0\n")
+    cfg = tmp_path / "certain.cfg"
+    cfg.write_text(
+        SMALL_CFG.replace("case = rts24", f"case = {case}")
+        .replace("gaussian.std_mw = 9.4, 13.1", "gaussian.std_mw =")
+    )
+    assert main(["tune", "--config", str(cfg)]) == 0
+    assert "terminated_by=interval_collapse" in capsys.readouterr().out
 
 
 def test_tune_failure_maps_to_exit_2(cfg_path, monkeypatch, capsys):

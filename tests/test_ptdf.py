@@ -35,7 +35,7 @@ gen 2 0 50 0.01 10 0
 def test_two_bus_single_path():
     case = parse_case(TWO_BUS)
     ptdf = compute_ptdf(case, slack=2)
-    np.testing.assert_allclose(ptdf.entries, [[1.0, 0.0]])
+    np.testing.assert_allclose(ptdf, [[1.0, 0.0]])
 
 
 def test_three_bus_ring_column():
@@ -43,10 +43,10 @@ def test_three_bus_ring_column():
     ptdf = compute_ptdf(case, slack=3)
     # Unit injection at bus 1, withdrawal at slack 3: one third takes the
     # long path 1->2->3, two thirds the direct line 1->3.
-    np.testing.assert_allclose(ptdf.entries[:, 0], [1 / 3, 2 / 3, 1 / 3], atol=1e-12)
+    np.testing.assert_allclose(ptdf[:, 0], [1 / 3, 2 / 3, 1 / 3], atol=1e-12)
     injection = np.array([1.0, 0.0, -1.0])
     oracle = angle_solve_flows(case, injection, slack=3)
-    np.testing.assert_allclose(ptdf.entries @ injection, oracle, atol=1e-12)
+    np.testing.assert_allclose(ptdf @ injection, oracle, atol=1e-12)
 
 
 def test_rts_matches_angle_solve_on_balanced_injections():
@@ -57,7 +57,7 @@ def test_rts_matches_angle_solve_on_balanced_injections():
         p = rng.normal(size=case.n_buses)
         p -= p.mean()
         oracle = angle_solve_flows(case, p, slack=1)
-        assert np.max(np.abs(ptdf.entries @ p - oracle)) <= 1e-9
+        assert np.max(np.abs(ptdf @ p - oracle)) <= 1e-9
 
 
 def test_slack_invariance_for_balanced_injections():
@@ -68,17 +68,17 @@ def test_slack_invariance_for_balanced_injections():
     for _ in range(20):
         p = rng.normal(size=case.n_buses)
         p -= p.mean()
-        assert np.max(np.abs(a.entries @ p - b.entries @ p)) <= 1e-9
+        assert np.max(np.abs(a @ p - b @ p)) <= 1e-9
 
 
 def test_slack_column_is_exactly_zero():
     case = load_rts_case()
     for slack in (1, 8, 24):
         ptdf = compute_ptdf(case, slack=slack)
-        assert np.all(ptdf.entries[:, slack - 1] == 0.0)
+        assert np.all(ptdf[:, slack - 1] == 0.0)
         e_slack = np.zeros(case.n_buses)
         e_slack[slack - 1] = 1.0
-        assert np.all(ptdf.entries @ e_slack == 0.0)
+        assert np.all(ptdf @ e_slack == 0.0)
 
 
 def test_superposition():
@@ -87,15 +87,15 @@ def test_superposition():
     rng = np.random.default_rng(3)
     p = rng.normal(size=case.n_buses)
     q = rng.normal(size=case.n_buses)
-    lhs = ptdf.entries @ (p + q)
-    rhs = ptdf.entries @ p + ptdf.entries @ q
+    lhs = ptdf @ (p + q)
+    rhs = ptdf @ p + ptdf @ q
     assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
 def test_entries_are_read_only():
     ptdf = compute_ptdf(parse_case(TWO_BUS))
     with pytest.raises(ValueError):
-        ptdf.entries[0, 0] = 99.0
+        ptdf[0, 0] = 99.0
 
 
 def test_invalid_slack_rejected():
@@ -121,5 +121,5 @@ def test_csv_export_round_trips_12_digits():
     ptdf = compute_ptdf(case)
     text = ptdf_to_csv(ptdf)
     back = np.array([[float(v) for v in row.split(",")] for row in text.strip().split("\n")])
-    assert back.shape == ptdf.entries.shape
-    np.testing.assert_allclose(back, ptdf.entries, rtol=1e-11, atol=1e-15)
+    assert back.shape == ptdf.shape
+    np.testing.assert_allclose(back, ptdf, rtol=1e-11, atol=1e-15)

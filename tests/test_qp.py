@@ -58,6 +58,7 @@ def test_active_inequality_and_multiplier():
     assert sol.objective == pytest.approx(9.0, abs=1e-6)
     # KKT by hand: multiplier on x1 <= 1 equals 6.
     assert sol.z[0] == pytest.approx(6.0, abs=1e-5)
+    assert sol.active.tolist() == [True]
 
 
 def test_crossed_bounds_infeasible_with_certificate():
@@ -69,6 +70,8 @@ def test_crossed_bounds_infeasible_with_certificate():
     # Farkas: Gᵀz = 0 and hᵀz < 0 prove emptiness.
     assert cert["stationarity"] <= 1e-8
     assert cert["farkas_gap"] < -1e-6
+    # No point is returned, so no row is held at equality.
+    assert sol.active.dtype == bool and not sol.active.any()
 
 
 def test_phase1_cap_is_not_reported_infeasible():
@@ -263,14 +266,12 @@ def test_input_validation():
     for tol in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="tol"):
             solve(*program, tol=tol)
-    for active in ([1], [-1], [0.0], [True], [[0]]):
+    # active is a boolean mask over the inequality rows; an index list
+    # is rejected, not reinterpreted.
+    for active in ([0], np.array([1]), [0.0], [[True]], [True, False], []):
         with pytest.raises(ValueError, match="active row"):
             solve(*program, active=active)
-
-
-def active_rows(g, h, sol):
-    """The rule solve_dispatch guesses with: rows whose dual exceeds their slack."""
-    return np.flatnonzero(sol.z > h - g @ sol.x)
+    assert solve(*program, active=[True]).iterations == 0
 
 
 def semidefinite_instance(rng):
@@ -307,8 +308,9 @@ def test_warm_start_on_own_active_set_is_certified(make):
         if not cold.optimal:
             continue
         optimal += 1
-        warm = solve(p, q, a, b, g, h, active=active_rows(g, h, cold))
+        warm = solve(p, q, a, b, g, h, active=cold.active)
         assert warm.status == "optimal" and warm.iterations == 0
+        assert np.array_equal(warm.active, cold.active)
         assert max(warm.kkt_residuals) <= 1e-8
         assert np.all(warm.z >= 0.0)
         assert kkt_residuals(p, q, a, b, g, h, warm) == pytest.approx(warm.kkt_residuals, abs=1e-10)
@@ -330,9 +332,10 @@ def test_wrong_guess_keeps_the_cold_status_and_objective(make):
         cold = solve(p, q, a, b, g, h)
         statuses.add(cold.status)
         rows = g.shape[0]
-        subset = np.flatnonzero(rng.random(rows) < 0.5)
-        singular = [0, rows - 1]
-        for guess in ([], np.arange(rows), subset, singular):
+        subset = rng.random(rows) < 0.5
+        singular = np.zeros(rows, dtype=bool)
+        singular[[0, rows - 1]] = True
+        for guess in (np.zeros(rows, dtype=bool), np.ones(rows, dtype=bool), subset, singular):
             warm = solve(p, q, a, b, g, h, active=guess)
             # Also: no guess turns a solve infeasible, or an infeasible
             # one (random_instance makes some) optimal.
@@ -350,7 +353,7 @@ def test_guess_on_a_dropped_zero_row_is_ignored():
     g = [[0.0, 0.0], [1.0, 0.0]]
     h = [5.0, 1.0]
     cold = solve([2.0, 4.0], [0.0, 0.0], [[1.0, 1.0]], [3.0], g, h)
-    warm = solve([2.0, 4.0], [0.0, 0.0], [[1.0, 1.0]], [3.0], g, h, active=[0, 1])
+    warm = solve([2.0, 4.0], [0.0, 0.0], [[1.0, 1.0]], [3.0], g, h, active=[True, True])
     assert warm.status == "optimal" and warm.iterations > 0
     assert warm.z[0] == 0.0 and warm.z[1] == pytest.approx(6.0, abs=1e-12)
     assert warm.objective == pytest.approx(cold.objective, abs=1e-6)

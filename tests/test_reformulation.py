@@ -58,19 +58,20 @@ def rts_catalog(rts):
 def test_participation_proportional_split():
     case = parse_case(TWO_GEN)
     alpha = participation_factors(case)
-    np.testing.assert_allclose(alpha.alpha, [0.25, 0.75])
+    np.testing.assert_allclose(alpha, [0.25, 0.75])
+    assert not alpha.flags.writeable
 
 
 def test_participation_single_generator():
     case = parse_case("base 100\nbus 1 0\nbus 2 10\nline 1 2 0.1 50\ngen 1 0 20 0 1 0\n")
     alpha = participation_factors(case)
-    np.testing.assert_allclose(alpha.alpha, [1.0, 0.0])
+    np.testing.assert_allclose(alpha, [1.0, 0.0])
 
 
 def test_participation_sums_to_one_and_scale_invariant(rts):
     plain = load_rts_case()
-    a1 = participation_factors(plain).alpha
-    a2 = participation_factors(rts).alpha  # capacities doubled
+    a1 = participation_factors(plain)
+    a2 = participation_factors(rts)  # capacities doubled
     assert abs(a1.sum() - 1.0) <= 1e-12
     assert np.array_equal(a1, a2)
     assert np.all(a1[plain.p_max_mw() == 0.0] == 0.0)
@@ -104,7 +105,7 @@ def test_catalog_shape_and_order(rts, rts_catalog):
 
 
 def test_catalog_gen_row_structure(rts, rts_catalog):
-    alpha = participation_factors(rts).alpha
+    alpha = participation_factors(rts)
     p_max = rts.p_max_mw() / rts.base_mva
     p_min = rts.p_min_mw() / rts.base_mva
     cat = rts_catalog
@@ -130,7 +131,7 @@ def test_catalog_line_rows_match_quadratic_form(rts, rts_catalog):
         up = cat.rows[48 + r]
         lo = cat.rows[86 + r]
         assert not up.degenerate and not lo.degenerate
-        flow_d = float(ptdf.entries[r] @ d)
+        flow_d = float(ptdf[r] @ d)
         assert up.nominal_limit == pytest.approx(caps[r] + flow_d, rel=1e-12)
         assert lo.nominal_limit == pytest.approx(caps[r] - flow_d, rel=1e-12)
         oracle = float(np.sqrt(up.sensitivity @ moments.covariance @ up.sensitivity))
@@ -155,15 +156,12 @@ def test_constraint_deltas_rank_one_structure():
     rng = np.random.default_rng(0)
     for _ in range(10):
         xi = rng.normal(size=3)
-        adjusted = xi - alpha.alpha * xi.sum()
+        adjusted = xi - alpha * xi.sum()
         assert abs(adjusted.sum()) <= 1e-12
 
     # Single balancer at bus k: row reduces to M_r - M_rk·1.
-    from cctuner.reformulation import ParticipationFactors
-
-    e_2 = ParticipationFactors(alpha=np.array([0.0, 1.0, 0.0]))
-    d2 = constraint_deltas(ptdf, e_2)
-    expect = ptdf.entries - np.outer(ptdf.entries[:, 1], np.ones(3))
+    d2 = constraint_deltas(ptdf, np.array([0.0, 1.0, 0.0]))
+    expect = ptdf - np.outer(ptdf[:, 1], np.ones(3))
     np.testing.assert_allclose(d2, expect, atol=1e-15)
 
 
@@ -177,7 +175,7 @@ def test_constraint_deltas_match_finite_differences():
 
     def flows(xi):
         omega = xi.sum()
-        return ptdf.entries @ (p_g - alpha.alpha * omega + xi - d)
+        return ptdf @ (p_g - alpha * omega + xi - d)
 
     h = 1e-6
     for j in range(3):
@@ -358,3 +356,23 @@ def test_catalog_pairs_reject_unmirrored_rows(rts, rts_catalog):
         rebuild(order).pairs
     with pytest.raises(ValueError, match="no line_lower row for subject 38"):
         rebuild(np.arange(len(cat) - 1), len(cat) - 1).pairs
+
+
+def test_warm_start_reuses_the_returned_working_set(rts, rts_catalog):
+    n = rts.n_buses
+    pinned = np.flatnonzero((rts.p_max_mw() == 0.0) & (rts.p_min_mw() == 0.0))
+    assert pinned.size
+    for s in (0.5, 1.5, 3.0):
+        cold = solve_dispatch(rts, rts_catalog, s)
+        assert cold.feasible and cold.qp_solution.iterations > 0
+        active = cold.qp_solution.active
+        assert active.shape == (len(rts_catalog),) and active.dtype == bool
+        # The working set is in catalog indexing, False on the pinned
+        # buses' own rows and on every row with room to spare.
+        assert not active[pinned].any() and not active[n + pinned].any()
+        slack = rts_catalog.limits - s * rts_catalog.sigmas - rts_catalog.dispatch_matrix @ cold.p_g
+        assert not np.any(active & (slack > 1e-8))
+        warm = solve_dispatch(rts, rts_catalog, s, start=cold)
+        assert warm.feasible and warm.qp_solution.iterations == 0
+        assert np.array_equal(warm.qp_solution.active, active)
+        assert warm.objective == pytest.approx(cold.objective, rel=1e-12)

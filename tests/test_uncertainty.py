@@ -225,6 +225,31 @@ def test_spec_validation_errors(rts):
         sample(gaussian_from_std_corr([1.0, 1.0], 0.0), 0, 0, rts)
 
 
+def test_every_gaussian_spec_that_constructs_can_be_sampled(rts):
+    # Construction checks positive semidefiniteness by the rule sample()
+    # and spec_moments() factor by. Eigenvalues (2e-6, -1e-10) MW² once
+    # passed construction and then failed to sample.
+    rotation = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+
+    def covariance(low):
+        return (rotation * [2e-6, low]) @ rotation.T
+
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        GaussianSpec(mean_mw=[0.0, 0.0], covariance_mw2=covariance(-1e-10))
+    spec = GaussianSpec(mean_mw=[0.0, 0.0], covariance_mw2=covariance(-1e-15))
+    assert sample(spec, 10, 1, rts).draw.shape == (10, 2)
+    assert np.all(np.linalg.eigvalsh(spec_moments(spec, rts).covariance) >= 0.0)
+
+    # No uncertain bus: the empty spec constructs, samples and has
+    # all-zero moments.
+    empty = gaussian_from_std_corr([], 0.0)
+    case = parse_case("base 100\nbus 1 0\nbus 2 20\nline 1 2 0.1 100\ngen 1 0 40 0.01 10 0\n")
+    drawn = sample(empty, 10, 1, case)
+    assert drawn.draw.shape == (10, 0) and not drawn.samples.any()
+    moments = spec_moments(empty, case)
+    assert not moments.covariance.any() and not moments.chol_factor.any()
+
+
 def test_sample_set_columns_must_be_strictly_ascending_and_in_range():
     # A repeated column would be summed twice by every count.
     def sample_set(cols):
