@@ -27,7 +27,6 @@ from .experiment import (
 )
 from .grid import CaseError, parse_case_file
 from .ptdf import compute_ptdf, ptdf_to_csv
-from .reformulation import solve_dispatch
 from .tuner import MODES, TuningError, trace_to_csv, tune
 from .uncertainty import derive_seed, sample, sampleset_to_csv
 from .violation import evaluate, report_to_json
@@ -106,7 +105,7 @@ def cmd_sample(args) -> int:
 
 def cmd_solve(args) -> int:
     _, case, pair = _replication(args)
-    solution = solve_dispatch(case, pair.catalog, args.s)
+    solution = pair.program.solve(args.s)
     if not solution.feasible:
         print(f"{solution.status} at s={args.s:g}", file=sys.stderr)
         return SOLVE_ERROR
@@ -121,7 +120,7 @@ def cmd_solve(args) -> int:
 def cmd_tune(args) -> int:
     config, case, pair = _replication(args)
     tuning = config.tuning(config.modes[0], config.eps_values[0])
-    result = tune(case, pair.catalog, pair.tuning_samples, tuning)
+    result = tune(case, pair.catalog, pair.tuning_samples, tuning, pair.program)
     print(
         f"s={result.s:.6g} iterations={result.iterations} "
         f"cost={result.objective:.6g} eps_single={float(result.eps_single):.6g} "
@@ -148,7 +147,7 @@ def cmd_tune(args) -> int:
 
 def cmd_evaluate(args) -> int:
     config, case, pair = _replication(args)
-    solution = solve_dispatch(case, pair.catalog, args.s)
+    solution = pair.program.solve(args.s)
     if not solution.feasible:
         print(f"{solution.status} at s={args.s:g}", file=sys.stderr)
         return SOLVE_ERROR

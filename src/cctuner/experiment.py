@@ -25,7 +25,7 @@ from typing import Dict, Optional, Tuple, Union
 
 from .grid import GridCase, apply_rts_modifications, parse_case_file
 from .ptdf import compute_ptdf
-from .reformulation import ConstraintCatalog, build_catalog, participation_factors
+from .reformulation import ConstraintCatalog, DispatchProgram, build_catalog, participation_factors
 from .tuner import MODES, TuningConfig, TuningError, tune
 from .uncertainty import (
     MixtureSpec,
@@ -309,11 +309,12 @@ def build_distribution(name: str, config, case: GridCase):
 @dataclass(frozen=True)
 class Replication:
     """What the (mode, eps) cells of one (distribution, replication) pair
-    share: the spec, the tuning draw and the tightening catalog."""
+    share: the spec, the tuning draw, the catalog and its DispatchProgram."""
 
     spec: object
     tuning_samples: SampleSet
     catalog: ConstraintCatalog
+    program: DispatchProgram
 
 
 def build_replication(case: GridCase, config: ExperimentConfig, dist_name: str, rep: int) -> Replication:
@@ -333,7 +334,7 @@ def build_replication(case: GridCase, config: ExperimentConfig, dist_name: str, 
     else:
         moments = empirical_moments(tuning_samples)
     catalog = build_catalog(case, compute_ptdf(case), participation_factors(case), moments)
-    return Replication(spec, tuning_samples, catalog)
+    return Replication(spec, tuning_samples, catalog, DispatchProgram(case, catalog))
 
 
 @dataclass(frozen=True)
@@ -393,7 +394,7 @@ class ExperimentReport:
 def _run_replication(case, config: ExperimentConfig, dist_name: str, rep: int):
     """Tune every (mode, eps) cell of one pair and score it out of sample.
 
-    The cells share the pair's tuning draw and catalog. The
+    The cells share the pair's tuning draw, catalog and program. The
     out-of-sample set is drawn once, after the pair's first successful
     tune, and is released with the pair. Returns the rows keyed by
     (mode, eps).
@@ -410,7 +411,7 @@ def _run_replication(case, config: ExperimentConfig, dist_name: str, rep: int):
                 mode=mode, distribution=dist_name, eps_des=float(eps), replication=rep, s_true=s_true
             )
             try:
-                result = tune(case, pair.catalog, pair.tuning_samples, config.tuning(mode, eps))
+                result = tune(case, pair.catalog, pair.tuning_samples, config.tuning(mode, eps), pair.program)
             except TuningError as exc:
                 rows[mode, eps] = ResultRow(**cell, failed=True, error=str(exc))
                 continue

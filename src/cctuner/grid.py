@@ -17,6 +17,7 @@ that downstream code can treat generation as a length-m vector.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -206,12 +207,12 @@ def parse_case(text: str) -> GridCase:
         try:
             if kind == "base":
                 _expect(len(args) == 1, "base takes one value", line_no)
-                base_mva = float(args[0])
+                base_mva = _number(args[0], line_no)
                 _expect(base_mva > 0, "base MVA must be positive", line_no)
             elif kind == "bus":
                 _expect(len(args) in (2, 3), "bus takes id, load [, uncertain]", line_no)
                 bus_id = int(args[0])
-                load = float(args[1])
+                load = _number(args[1], line_no)
                 uncertain = False
                 if len(args) == 3:
                     _expect(args[2] == "uncertain", f"unknown bus flag {args[2]!r}", line_no)
@@ -223,21 +224,11 @@ def parse_case(text: str) -> GridCase:
             elif kind == "line":
                 _expect(len(args) == 4, "line takes from, to, x, capacity", line_no)
                 raw_lines.append(
-                    (int(args[0]), int(args[1]), float(args[2]), float(args[3]), line_no)
+                    (int(args[0]), int(args[1]), _number(args[2], line_no), _number(args[3], line_no), line_no)
                 )
             elif kind == "gen":
                 _expect(len(args) == 6, "gen takes bus, pmin, pmax, c2, c1, c0", line_no)
-                raw_gens.append(
-                    (
-                        int(args[0]),
-                        float(args[1]),
-                        float(args[2]),
-                        float(args[3]),
-                        float(args[4]),
-                        float(args[5]),
-                        line_no,
-                    )
-                )
+                raw_gens.append((int(args[0]), *(_number(arg, line_no) for arg in args[1:]), line_no))
             else:
                 raise CaseError(f"unknown record type {kind!r}", line_no)
         except (ValueError, OverflowError) as exc:
@@ -289,6 +280,15 @@ def parse_case(text: str) -> GridCase:
     case = GridCase(base_mva=base_mva, buses=buses, lines=tuple(lines), generators=generators)
     _validate(case)
     return case
+
+
+def _number(text: str, line_no: int) -> float:
+    """One case-file number; nan, inf and literals beyond the float range
+    are a CaseError naming the line (nan passes every range check)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise CaseError(f"number {text!r} is not finite", line_no)
+    return value
 
 
 def _expect(cond: bool, message: str, line_no: int) -> None:

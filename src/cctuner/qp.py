@@ -29,14 +29,13 @@ step, and phase 1 certifies one with h < 0 infeasible.
 
 Every returned QpSolution carries its working set `active`: a boolean
 mask over the inequality rows, set where the returned point holds a row
-at equality. Passing that mask back as `active` to a nearby program
-(the next solve at a slightly different right-hand side, say) makes
-solve first solve the KKT system with the equality rows and those rows
-held at equality, and return that point as 'optimal' with iterations =
-0 only if it passes the same test. Otherwise, whether the guess was
-wrong, its KKT matrix singular or the program infeasible, solve falls
-back to the two phases above. A guess thus never makes a solve
-infeasible or accepts a point the test would reject.
+at equality. Two exact tests reuse, without a pivot, what a solve of
+the same rows at another h found: certified_on_active_set returns the
+KKT point with a given working set held at equality only if it passes
+the test above, and certified_infeasible a certificate only if its
+duals still separate at the new h. Otherwise either returns None and
+the caller solves cold, so a reuse never makes a solve infeasible or
+accepts a point the test would reject.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-__all__ = ["QpSolution", "solve"]
+__all__ = ["QpSolution", "solve", "certified_on_active_set", "certified_infeasible"]
 
 logger = logging.getLogger(__name__)
 
@@ -67,8 +66,8 @@ class QpSolution:
     'optimal' all four are at or below the solve tolerance. iterations
     counts active-set pivots, phase 1 and phase 2 together. active is
     the (n_ineq,) boolean working set of x: the rows held at equality
-    when the search stopped, or the certified guess of a warm solve. It
-    is all False when no point is returned (status 'infeasible', or a
+    when the search stopped, or the working set a warm solve certified.
+    It is all False when no point is returned (status 'infeasible', or a
     phase 1 that ended without a feasible start). At status
     'infeasible' the certificate dict carries the separating duals.
     """
@@ -188,14 +187,33 @@ def _active_set(p, q, a, b, g, h, x, work, tol, max_iters, stop=None):
     return QpSolution(status, x, objective, y, z, _residuals(p, q, a, b, g, h, x, y, z), it, work)
 
 
+def _farkas(a, b, g, h, y, z, tol) -> dict | None:
+    """The certificate of (y, z) if z >= 0, |Aᵀy + Gᵀz| <= tol and
+    bᵀy + hᵀz < -tol, which proves Ax = b, Gx <= h infeasible; else None."""
+    certificate = {
+        "equality_dual": y.copy(),
+        "inequality_dual": z.copy(),
+        "farkas_gap": float(b @ y + h @ z),
+        "stationarity": float(np.abs(a.T @ y + g.T @ z).max(initial=0.0)),
+    }
+    if np.all(z >= 0.0) and certificate["stationarity"] <= tol and certificate["farkas_gap"] < -tol:
+        return certificate
+    return None
+
+
+def _infeasible(g, k, certificate, iterations) -> QpSolution:
+    c, n = g.shape
+    primal = (0.0, certificate["infeasibility"], 0.0, 0.0)
+    return QpSolution("infeasible", np.zeros(n), np.inf, np.zeros(k), np.zeros(c), primal, iterations, np.zeros(c, dtype=bool), certificate)
+
+
 def _phase1(a, b, g, h, x0, tol, max_iters):
     """Minimize the worst violation t over (x, t) with _active_set, from x0.
 
     Starts with t at the worst violation and that row working, and stops
     as soon as t < 0. Returns (solution over (x, t), certificate), where
     the certificate is None unless the search ends at a minimizer whose
-    multipliers are Farkas duals: nonnegative, stationarity at most tol
-    and a gap below -tol.
+    multipliers are Farkas duals (see _farkas).
     """
     n, k, c = x0.size, a.shape[0], g.shape[0]
     # Variables (x, t): min t s.t. Ax = b, Gx - t <= h, -t <= 1.
@@ -213,17 +231,10 @@ def _phase1(a, b, g, h, x0, tol, max_iters):
     # sum(z) = 1, and complementarity on the working rows gives
     # bᵀy + hᵀz = -t*. The test is on (y, z) alone, which stay exact
     # where x is known only to its last digits.
-    y, z_g = sol.y, sol.z[:c]
-    certificate = {
-        "equality_dual": y.copy(),
-        "inequality_dual": z_g.copy(),
-        "farkas_gap": float(b @ y + h @ z_g),
-        "stationarity": float(np.abs(a.T @ y + g.T @ z_g).max(initial=0.0)),
-        "infeasibility": float(sol.x[-1]),
-    }
-    if np.all(z_g >= 0.0) and certificate["stationarity"] <= tol and certificate["farkas_gap"] < -tol:
-        return sol, certificate
-    return sol, None
+    certificate = _farkas(a, b, g, h, sol.y, sol.z[:c], tol)
+    if certificate is not None:
+        certificate["infeasibility"] = float(sol.x[-1])
+    return sol, certificate
 
 
 def solve(
@@ -235,7 +246,6 @@ def solve(
     h_ineq,
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
-    active=None,
 ) -> QpSolution:
     """Solve the diagonal-Hessian convex QP; see the module docstring.
 
@@ -244,9 +254,6 @@ def solve(
     required, else ValueError: phase 1 starts on the most violated one.
     Every row is solved as given, all-zero rows included, and an
     optimal point's kkt_residuals are the ones that certified it.
-    active, if given, is a guess of the working set at the optimum: a
-    boolean mask of shape (n_ineq,), such as the active of an earlier
-    solution. Anything else, an index list included, is a ValueError.
     """
     if not (isinstance(max_iters, numbers.Integral) and max_iters >= 1):
         raise ValueError(f"max_iters must be an integer of at least 1, got {max_iters!r}")
@@ -266,27 +273,18 @@ def solve(
     if g.shape[0] == 0:
         raise ValueError("no inequality row: phase 1 starts on the most violated one")
 
-    if active is not None:
-        on = np.array(active)
-        if on.dtype != bool or on.shape != h.shape:
-            raise ValueError(f"active rows must be a boolean mask of shape {h.shape}, got {on.dtype} {on.shape}")
-        warm = _certified_on_active_set(p, q, a, b, g, h, on, tol)
-        if warm is not None:
-            return warm
-
     # Minimum-norm equality solution as the phase-1 anchor.
     if a.shape[0]:
         x0 = np.linalg.lstsq(a, b, rcond=None)[0]
     else:
         x0 = np.zeros(n)
     start, certificate = _phase1(a, b, g, h, x0, tol, max_iters)
-    y, z, no_rows = np.zeros(a.shape[0]), np.zeros(g.shape[0]), np.zeros(g.shape[0], dtype=bool)
     if certificate is not None:
-        primal = (0.0, certificate["infeasibility"], 0.0, 0.0)
-        return QpSolution("infeasible", np.zeros(n), np.inf, y, z, primal, start.iterations, no_rows, certificate)
+        return _infeasible(g, a.shape[0], certificate, start.iterations)
     # Any x within tol of every row is a start; phase 1 need not be optimal.
     if start.x[-1] > tol:
         logger.warning("phase 1 ended %s after %d pivots at t=%.3e", start.status, start.iterations, start.x[-1])
+        y, z, no_rows = np.zeros(a.shape[0]), np.zeros(g.shape[0]), np.zeros(g.shape[0], dtype=bool)
         return QpSolution("max_iterations", np.zeros(n), np.inf, y, z, (0.0, np.inf, 0.0, 0.0), start.iterations, no_rows)
     x = start.x[:n]
     sol = _active_set(p, q, a, b, g, h, x, g @ x >= h, tol, max_iters - start.iterations)
@@ -296,17 +294,17 @@ def solve(
     return sol
 
 
-def _certified_on_active_set(p, q, a, b, g, h, on, tol) -> QpSolution | None:
-    """The KKT point with the rows G[on] held at equality, if it is optimal.
-
-    Returns it as 'optimal' with iterations = 0 when all four residuals
-    are at or below tol and no multiplier is negative, else None.
+def certified_on_active_set(p, q, a, b, g, h, on, tol) -> QpSolution | None:
+    """The KKT point with the rows G[on] held at equality, as 'optimal'
+    with iterations = 0 and active = on if all four residuals are at or
+    below tol and no multiplier is negative, else None. It checks none
+    of its arrays: pass those a solve of the same rows ran on.
     """
     n, k = q.size, a.shape[0]
     rows = np.vstack([a, g[on]])
     kkt = np.block([[np.diag(p), rows.T], [rows, np.zeros((rows.shape[0],) * 2)]])
-    # A singular or ill-posed guess may produce inf or NaN; the test
-    # below rejects such a point.
+    # A singular or ill-posed working set may produce inf or NaN; the
+    # test below rejects such a point.
     with np.errstate(all="ignore"):
         try:
             sol = np.linalg.solve(kkt, np.concatenate([-q, b, h[on]]))
@@ -319,3 +317,15 @@ def _certified_on_active_set(p, q, a, b, g, h, on, tol) -> QpSolution | None:
         return None
     return QpSolution("optimal", x, float(0.5 * x @ (p * x) + q @ x), y, z, res, 0, on)
 
+
+def certified_infeasible(a, b, g, h, certificate, tol) -> QpSolution | None:
+    """'infeasible' with iterations = 0 if the duals of certificate, from
+    a solve of the same rows at another h, still separate at this h;
+    else None. Its infeasibility is -farkas_gap: for duals that sum to
+    one, as phase 1 leaves them, every x with Ax = b violates some row
+    by at least that much."""
+    found = _farkas(a, b, g, h, certificate["equality_dual"], certificate["inequality_dual"], tol)
+    if found is None:
+        return None
+    found["infeasibility"] = -found["farkas_gap"]
+    return _infeasible(g, a.shape[0], found, 0)

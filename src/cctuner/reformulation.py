@@ -8,8 +8,9 @@ takes the common form
 
 with a dispatch row g, a disturbance-sensitivity row a, and a constant
 right-hand side; build_catalog stacks these rows. The deterministic
-surrogate that solve_dispatch solves keeps g·p_G <= rhs - s·sigma where
-sigma = ||a Sigma^(1/2)||_2 and s is the safety parameter being tuned.
+surrogate that a DispatchProgram solves keeps g·p_G <= rhs - s·sigma
+where sigma = ||a Sigma^(1/2)||_2 and s is the safety parameter being
+tuned; each of its solves reuses what the earlier ones found.
 All quantities here are per unit; costs are kept in currency by
 rescaling the MW-based coefficients.
 """
@@ -30,6 +31,7 @@ __all__ = [
     "ConstraintRow",
     "ConstraintCatalog",
     "DispatchSolution",
+    "DispatchProgram",
     "participation_factors",
     "constraint_deltas",
     "build_catalog",
@@ -248,8 +250,9 @@ class DispatchSolution:
     holds the duals, the working set (active) and any infeasibility
     certificate in full catalog indexing, and the KKT residuals that
     certified the program qp.solve was given, without the pinned buses.
-    Passing this solution as start= to the next solve_dispatch offers
-    that working set as its warm start.
+    qp_start says how the status was decided: "working_set" (a working
+    set of an earlier solve certified at 0 pivots), "certificate" (an
+    earlier Farkas certificate rechecked at this s) or "cold" (qp.solve).
     """
 
     status: str
@@ -257,95 +260,125 @@ class DispatchSolution:
     objective: float
     s: float
     qp_solution: qp.QpSolution
+    qp_start: str
 
     @property
     def feasible(self) -> bool:
         return self.status == "optimal"
 
 
-def solve_dispatch(
-    case: GridCase,
-    catalog: ConstraintCatalog,
-    s: float,
-    start: DispatchSolution | None = None,
-) -> DispatchSolution:
-    """Solve the tightened program at a finite, nonnegative s:
+class DispatchProgram:
+    """The tightened program of one case and catalog, built once and
+    solved at any finite, nonnegative s:
 
     minimize   0.5 pᵀ diag(q) p + linᵀ p   ($)
     subject to 1ᵀ p = total load,  G p <= limits - s·sigmas
 
-    over the nodal setpoints p in pu. G is the catalog's dispatch matrix,
-    whose generator rows carry the variable bounds. Buses with p_min =
-    p_max = 0 are eliminated before solving, with their own pair of
-    generator rows, whose right-hand side is 0 at every s. On the RTS
-    case this keeps a cold solve at 13-15 pivots, against 59-69 with the
-    pinned columns kept, and makes the s = 0 dispatch bit-identical to
-    the deterministic OPF over the generator buses alone. Line rows that
-    touch only pinned buses reach qp.solve as constant rows. The
-    returned primal and duals are re-inflated to full length, with
-    multipliers for the pinned buses' rows chosen to close the
-    stationarity conditions of the full system. The working set and an
-    infeasibility certificate's inequality_dual are likewise in catalog
-    indexing, the working set False on the pinned buses' rows.
+    over the nodal setpoints p in pu, with G the catalog's dispatch
+    matrix. Buses with p_min = p_max = 0 are eliminated with their own
+    pair of rows, whose right-hand side is 0 at every s: on the RTS case
+    a cold solve then takes 13-15 pivots, not 59-69, and the s = 0
+    dispatch is bit-identical to the deterministic OPF over the
+    generator buses alone. Line rows that touch only pinned buses reach
+    qp as constant rows.
 
-    start, if given, is an earlier solve on the same case and catalog.
-    When it is optimal, its working set (start.qp_solution.active) is
-    passed to qp.solve as the guess of the rows held at equality at s.
-    qp.solve keeps the guessed point only if it certifies it, so a stale
-    start costs time, not accuracy.
+    Only h(s) = limits - s·sigmas changes between solves. As sigmas >= 0
+    and a Farkas certificate's z >= 0, its gap bᵀy + h(s)ᵀz is
+    nonincreasing in s, so solve first rechecks the certificate of the
+    smallest infeasible s seen, at any larger s; then tries each working
+    set an optimal solve returned, most recently used first; and only
+    then runs qp.solve cold, which also validates the arrays any later
+    reuse runs on. A reuse counts only if it passes qp's exact test at
+    the new s. One caller uses a program at a time: an experiment pair's
+    cells share one, inside one worker.
     """
-    if not (s >= 0.0 and math.isfinite(s)):
-        raise ValueError(f"safety parameter must be finite and nonnegative, got {s}")
-    base = case.base_mva
-    c2, c1, _ = case.cost_coefficients()
-    # Objective stays in currency: cost(p_MW) with p in pu needs
-    # c2·base² and c1·base.
-    q_diag = 2.0 * c2 * base * base
-    lin = c1 * base
-    d_total = float(case.loads_mw().sum() / base)
-    h = catalog.limits - s * catalog.sigmas
-    n = case.n_buses
-    pinned = np.flatnonzero((case.p_max_mw() == 0.0) & (case.p_min_mw() == 0.0))
-    free = np.ones(n, dtype=bool)
-    free[pinned] = False
-    if not np.any(free):
-        raise ValueError("every bus is pinned; nothing to dispatch")
-    live = np.ones(len(catalog), dtype=bool)
-    live[pinned] = live[n + pinned] = False
-    guess = start.qp_solution.active[live] if start is not None and start.feasible else None
-    sol = qp.solve(
-        q_diag[free],
-        lin[free],
-        np.ones((1, int(free.sum()))),
-        [d_total],
-        catalog.dispatch_matrix[np.ix_(live, free)],
-        h[live],
-        active=guess,
-    )
 
-    p_g = np.zeros(n)
-    y = np.zeros(1)
-    z = np.zeros(len(catalog))
-    active = np.zeros(len(catalog), dtype=bool)
-    active[live] = sol.active
-    certificate = sol.certificate
-    if sol.status == "optimal":
-        p_g[free] = sol.x
-        y = sol.y
-        z[live] = sol.z
-        # Stationarity at a pinned bus i must close over everything that
-        # touches column i: the balance dual, line-row duals, and the
-        # bus's own pair of bound rows. The latter two multipliers are
-        # unconstrained by complementarity (their slack is zero), so
-        # split the residual by sign to keep both nonnegative.
-        resid = (q_diag * p_g + lin + y[0] + catalog.dispatch_matrix.T @ z)[pinned]
-        z[pinned] = np.maximum(-resid, 0.0)
-        z[n + pinned] = np.maximum(resid, 0.0)
-    elif certificate is not None:
-        inequality_dual = np.zeros(len(catalog))
-        inequality_dual[live] = certificate["inequality_dual"]
-        certificate = {**certificate, "inequality_dual": inequality_dual}
-    objective = sol.objective if sol.status == "optimal" else np.inf
-    full = replace(sol, x=p_g, objective=objective, y=y, z=z, active=active, certificate=certificate)
-    return DispatchSolution(sol.status, p_g, objective, float(s), full)
+    def __init__(self, case: GridCase, catalog: ConstraintCatalog):
+        self.case, self.catalog = case, catalog
+        base, n = case.base_mva, case.n_buses
+        c2, c1, _ = case.cost_coefficients()
+        # Objective stays in currency: cost(p_MW) with p in pu needs
+        # c2·base² and c1·base.
+        q_diag, self._lin = 2.0 * c2 * base * base, c1 * base
+        self._pinned = np.flatnonzero((case.p_max_mw() == 0.0) & (case.p_min_mw() == 0.0))
+        self._free = free = np.ones(n, dtype=bool)
+        free[self._pinned] = False
+        if not np.any(free):
+            raise ValueError("every bus is pinned; nothing to dispatch")
+        self._live = live = np.ones(len(catalog), dtype=bool)
+        live[self._pinned] = live[n + self._pinned] = False
+        self._arrays = (
+            q_diag[free],
+            self._lin[free],
+            np.ones((1, int(free.sum()))),
+            np.array([case.loads_mw().sum() / base]),
+            catalog.dispatch_matrix[np.ix_(live, free)],
+        )
+        self._limits, self._sigmas = catalog.limits[live], catalog.sigmas[live]
+        self._pinned_columns = catalog.dispatch_matrix[:, self._pinned].T.copy()
+        self._working_sets: list[np.ndarray] = []
+        self._certificate: tuple[float, dict] | None = None
 
+    def solve(self, s: float) -> DispatchSolution:
+        """The certified solution at s, in full length and catalog
+        indexing: the pinned buses' multipliers close the full system's
+        stationarity, and their rows are never in the working set."""
+        if not (s >= 0.0 and math.isfinite(s)):
+            raise ValueError(f"safety parameter must be finite and nonnegative, got {s}")
+        p, q, a, b, g = self._arrays
+        h = self._limits - s * self._sigmas
+        sol = None
+        if self._certificate is not None and s >= self._certificate[0]:
+            sol, qp_start = qp.certified_infeasible(a, b, g, h, self._certificate[1], qp.DEFAULT_TOL), "certificate"
+        if sol is None:
+            for i, on in enumerate(self._working_sets):
+                sol, qp_start = qp.certified_on_active_set(p, q, a, b, g, h, on, qp.DEFAULT_TOL), "working_set"
+                if sol is not None:
+                    self._working_sets.insert(0, self._working_sets.pop(i))
+                    break
+        if sol is None:
+            sol, qp_start = qp.solve(p, q, a, b, g, h), "cold"
+            if sol.optimal and not any(np.array_equal(sol.active, on) for on in self._working_sets):
+                self._working_sets.insert(0, sol.active)
+            elif sol.status == "infeasible" and (self._certificate is None or s < self._certificate[0]):
+                self._certificate = (float(s), sol.certificate)
+        return self._inflate(sol, float(s), qp_start)
+
+    def _inflate(self, sol: qp.QpSolution, s: float, qp_start: str) -> DispatchSolution:
+        n, pinned, live = self.case.n_buses, self._pinned, self._live
+        p_g, y, z, active = np.zeros(n), np.zeros(1), np.zeros(len(self.catalog)), live.copy()
+        active[live] = sol.active
+        certificate = sol.certificate
+        if sol.optimal:
+            p_g[self._free] = sol.x
+            y = sol.y
+            z[live] = sol.z
+            # Stationarity at a pinned bus i must close over everything
+            # that touches column i: the balance dual, line-row duals, and
+            # the bus's own pair of bound rows (its cost term is 0, as
+            # p_g[i] = 0). The latter two multipliers are unconstrained by
+            # complementarity (their slack is zero), so split the residual
+            # by sign to keep both nonnegative.
+            resid = self._lin[pinned] + y[0] + self._pinned_columns @ z
+            z[pinned] = np.maximum(-resid, 0.0)
+            z[n + pinned] = np.maximum(resid, 0.0)
+        elif certificate is not None:
+            inequality_dual = np.zeros(len(self.catalog))
+            inequality_dual[live] = certificate["inequality_dual"]
+            certificate = {**certificate, "inequality_dual": inequality_dual}
+        objective = sol.objective if sol.optimal else np.inf
+        full = replace(sol, x=p_g, objective=objective, y=y, z=z, active=active, certificate=certificate)
+        return DispatchSolution(sol.status, p_g, objective, s, full, qp_start)
+
+
+def solve_dispatch(
+    case: GridCase, catalog: ConstraintCatalog, s: float, program: DispatchProgram | None = None
+) -> DispatchSolution:
+    """The tightened dispatch at s (see DispatchProgram): through program,
+    a DispatchProgram of this case and catalog whose state the solve
+    reuses and extends, or one-shot through a fresh one."""
+    if program is None:
+        program = DispatchProgram(case, catalog)
+    elif program.case is not case or program.catalog is not catalog:
+        raise ValueError("program was built for another case or catalog")
+    return program.solve(s)

@@ -1,12 +1,13 @@
 """Bisection tuning of the safety parameter s.
 
 The tuner brackets s between a loose lower bound and a distribution-free
-upper bound, solves the tightened dispatch at the midpoint, measures the
-empirical violation probability on a fixed tuning sample set, and
-contracts the bracket until the observed probability sits within gamma
-of the target, the bracket collapses, or the iteration cap is reached.
-Observed probabilities are exact fractions, so the gamma test is free of
-float rounding.
+upper bound, solves the tightened dispatch at the midpoint through one
+DispatchProgram (which reuses its earlier solves' working sets and
+certificates), measures the empirical violation probability on a fixed
+tuning sample set, and contracts the bracket until the observed
+probability sits within gamma of the target, the bracket collapses, or
+the iteration cap is reached. Observed probabilities are exact
+fractions, so the gamma test is free of float rounding.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .reformulation import ConstraintCatalog, solve_dispatch
+from .reformulation import ConstraintCatalog, DispatchProgram, solve_dispatch
 from .violation import count_store, evaluate
 
 logger = logging.getLogger(__name__)
@@ -89,14 +90,14 @@ class TuningIterate:
     midpoint.
 
     qp_status and qp_iterations are the status and active-set pivot
-    count (phase 1 plus phase 2) of the QP solve at s; an optimal solve
-    with 0 pivots was certified on the working set the previous optimal
-    iterate's solve returned. kkt_max is the largest of the solve's four
-    KKT residuals: its optimality certificate when optimal, the phase-1
-    infeasibility measure when infeasible. solve_s and count_s are the
-    wall-clock seconds of the iterate's QP solve and of its tuning-set
-    count (0.0 when infeasible, since nothing is counted); they do not
-    take part in comparisons.
+    count (phase 1 plus phase 2) of the QP solve at s, and qp_start how
+    it was decided (see DispatchSolution). kkt_max is the largest of the
+    solve's four KKT residuals: its optimality certificate when optimal,
+    when infeasible the worst violation its certificate proves (phase
+    1's optimum on a cold solve). solve_s and count_s are the wall-clock
+    seconds of the iterate's QP solve and of its tuning-set count (0.0
+    when infeasible, since nothing is counted); they do not take part
+    in comparisons.
     """
 
     iteration: int
@@ -107,6 +108,7 @@ class TuningIterate:
     eps_joint: Optional[Fraction]
     cost: Optional[float]
     qp_status: str
+    qp_start: str
     qp_iterations: int
     kkt_max: float
     solve_s: float = field(compare=False)
@@ -162,8 +164,8 @@ def bisect_tune(
 ) -> TuningResult:
     """Bisect s on [bounds] against the empirical violation probability.
 
-    solve_at(s) must return an object with status, objective, p_g and
-    qp_solution (with status, iterations and kkt_residuals) attributes.
+    solve_at(s) must return an object with status, objective, p_g, qp_start
+    and qp_solution (with status, iterations and kkt_residuals) attributes.
     evaluate_at(s, solution) must return the pair of exact observed
     frequencies (eps_single, eps_joint). A midpoint whose solve
     is certified infeasible contracts the upper end of the bracket, since
@@ -193,7 +195,7 @@ def bisect_tune(
         if solution.status not in ("optimal", "infeasible"):
             raise TuningError(f"QP solve at s={s_k:.6g} ended with status {solution.status!r}")
         qp_sol = solution.qp_solution
-        qp_run = (qp_sol.status, qp_sol.iterations, max(qp_sol.kkt_residuals))
+        qp_run = (qp_sol.status, solution.qp_start, qp_sol.iterations, max(qp_sol.kkt_residuals))
         if solution.status == "infeasible":
             trace.append(
                 TuningIterate(iteration, s_k, bracket, False, None, None, None, *qp_run, solve_s, 0.0)
@@ -270,15 +272,16 @@ def tune(
     catalog: ConstraintCatalog,
     samples,
     config: TuningConfig,
+    program: Optional[DispatchProgram] = None,
 ) -> TuningResult:
     """Tune s for a case against a fixed tuning sample set.
 
     The same sample set is reused at every iterate, so the observed
     probabilities are a deterministic function of s and bisection sees a
-    fixed (noisy but frozen) response curve. Each QP solve is offered
-    the working set of the last optimal iterate's solve as a warm start
-    (solve_dispatch's start=). Every count reads one count_store of the
-    samples, built here and dropped on return, so only the
+    fixed (noisy but frozen) response curve. Each QP solve goes through
+    program, a DispatchProgram of (case, catalog), or a fresh one, to
+    reuse what earlier solves found. Every count reads one count_store
+    of the samples, built here and dropped on return, so only the
     dispatch-dependent work repeats (see _kernels).
     """
     store = count_store(samples, catalog)
@@ -291,16 +294,10 @@ def tune(
             stacklevel=2,
         )
     bounds = initial_bounds(config.eps_des, config.mode, catalog.n_active)
-
-    last_optimal = None
+    program = program or DispatchProgram(case, catalog)
 
     def solve_at(s: float):
-        # Nearby iterates almost always share one active set.
-        nonlocal last_optimal
-        solution = solve_dispatch(case, catalog, s, start=last_optimal)
-        if solution.status == "optimal":
-            last_optimal = solution
-        return solution
+        return solve_dispatch(case, catalog, s, program)
 
     def evaluate_at(s: float, solution):
         report = evaluate(solution.p_g, store, catalog)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from types import SimpleNamespace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -48,6 +48,36 @@ def test_parse_summary(case_path, capsys):
     out = capsys.readouterr().out
     assert "buses=24" in out and "lines=38" in out
     assert "load_mw=2850" in out and "capacity_mw=3405" in out
+
+
+@pytest.mark.parametrize(
+    "record, field, value",
+    [
+        ("line 1 2 ", 3, "nan"),  # reactance
+        ("line 1 2 ", 4, "nan"),  # capacity
+        ("line 1 2 ", 4, "inf"),
+        ("gen 1 15.2 ", 3, "nan"),  # a unit's pmax
+        ("gen 1 15.2 ", 4, "nan"),  # a unit's c2
+    ],
+)
+def test_non_finite_case_number_exits_1(case_path, tmp_path, capsys, record, field, value):
+    # One number of the bundled case made non-finite, with buses 8 and
+    # 15 flagged uncertain as the rts24 study flags them. Before, parse
+    # accepted each, and later commands failed in the solver or not at all.
+    with open(case_path, encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    line_no = next(i for i, line in enumerate(lines, start=1) if line.startswith(record))
+    fields = lines[line_no - 1].split()
+    fields[field] = value
+    lines[line_no - 1] = " ".join(fields)
+    text = "\n".join(lines).replace("bus 8 171", "bus 8 171 uncertain").replace("bus 15 317", "bus 15 317 uncertain")
+    case = tmp_path / "bad.case"
+    case.write_text(text)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(SMALL_CFG.replace("case = rts24", f"case = {case}"))
+    for argv in (["parse", str(case)], ["solve", "--config", str(cfg), "--s", "1"], ["tune", "--config", str(cfg)]):
+        assert main(argv) == 1
+        assert f"error: line {line_no}: number '{value}' is not finite" in capsys.readouterr().err
 
 
 def test_parse_missing_file(capsys):
@@ -145,17 +175,27 @@ def test_tune_json_trace_records_qp_solves(cfg_path, tmp_path):
     ) == 0
     payload = json.loads(trace_json.read_text())
     assert payload["trace"][payload["chosen_iteration"] - 1]["feasible"]
+    # The command builds its own program, so its first solve is cold.
+    assert payload["trace"][0]["qp_start"] == "cold"
+    assert any(it["qp_start"] == "working_set" for it in payload["trace"])
     for it in payload["trace"]:
         # The bracket the iterate bisected, as a JSON list.
         s_min, s_max = it["bracket"]
         assert it["s"] == (s_max - s_min) / 2.0 + s_min
         assert it["qp_status"] == ("optimal" if it["feasible"] else "infeasible")
         assert isinstance(it["qp_iterations"], int) and it["qp_iterations"] >= 0
+        # How the status was decided: a reused working set or
+        # certificate is rechecked at 0 pivots.
+        assert it["qp_start"] in ("working_set", "certificate", "cold")
+        if it["qp_start"] != "cold":
+            assert it["qp_iterations"] == 0
+            assert it["qp_status"] == ("optimal" if it["qp_start"] == "working_set" else "infeasible")
         if it["qp_status"] == "optimal":
             assert math.isfinite(it["kkt_max"])
-            # 0 pivots: certified on the last optimal iterate's working set.
             if it["qp_iterations"] == 0:
                 assert it["kkt_max"] <= 1e-8
+        else:
+            assert it["kkt_max"] > 1e-8
         # Wall-clock seconds of the solve and of the tuning-set count.
         assert it["solve_s"] > 0.0
         assert (it["count_s"] > 0.0) if it["feasible"] else (it["count_s"] == 0.0)
@@ -307,11 +347,14 @@ def test_solve_reproduces_tuned_mixture_cost(cfg_path, tmp_path, capsys):
 
 
 def test_qp_failure_exits_2(cfg_path, monkeypatch, capsys):
-    import cctuner.tuner as tuner
+    import cctuner.qp as qp
 
-    def stalled(case, catalog, s, start=None):
-        return SimpleNamespace(status="max_iterations", objective=None, p_g=None)
+    real_solve = qp.solve
 
-    monkeypatch.setattr(tuner, "solve_dispatch", stalled)
+    def stalled(*args, **kwargs):
+        return replace(real_solve(*args, **kwargs), status="max_iterations")
+
+    # A fresh program has nothing to reuse, so the first solve is cold.
+    monkeypatch.setattr(qp, "solve", stalled)
     assert main(["tune", "--config", cfg_path]) == 2
     assert "max_iterations" in capsys.readouterr().err

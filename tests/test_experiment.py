@@ -228,11 +228,11 @@ def test_failed_replication_excluded_from_average(monkeypatch, caplog):
     real_tune = experiment.tune
     calls = {"n": 0}
 
-    def flaky(case, catalog, samples, config):
+    def flaky(case, catalog, samples, config, program):
         calls["n"] += 1
         if calls["n"] == 1:
             raise TuningError("no feasible conservative anchor")
-        return real_tune(case, catalog, samples, config)
+        return real_tune(case, catalog, samples, config, program)
 
     monkeypatch.setattr(experiment, "tune", flaky)
     config = ExperimentConfig.from_text(SMALL_GAUSSIAN)

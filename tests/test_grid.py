@@ -81,6 +81,8 @@ def test_uncertain_flag_parsed():
         ("base 100\nbus 1 0\nbus 2 1\nline 1 2 -0.1 5\ngen 1 0 5 0 1 0\n", "reactance"),
         ("base 100\nbus 1 0\nbus 2 1\nline 1 2 0.1 5\ngen 1 9 5 0 1 0\n", "pmin"),
         ("base 100\nbus 1 0\nbus 2 1\nline 1 2 0.1 x\ngen 1 0 5 0 1 0\n", "malformed number"),
+        ("base 100\nbus 1 0\nbus 2 1\nline 1 2 0.1 5\ngen 1 0 5 0 1 -inf\n", "line 5: number '-inf' is not finite"),
+        ("base 100\nbus 1 0\nbus 2 1\nline 1 2 0.1 1e999\ngen 1 0 5 0 1 0\n", "line 4: number '1e999' is not finite"),
         ("base 100\nbus 1 0\nbus 2 1\nline 1 2 0.1 5\nfrob 1\n", "unknown record"),
     ],
 )

@@ -7,7 +7,7 @@ import pytest
 
 from oracles import brute_force_qp
 
-from cctuner.qp import DEFAULT_TOL, solve
+from cctuner.qp import DEFAULT_TOL, certified_infeasible, certified_on_active_set, solve
 
 
 def kkt_residuals(p, q, a, b, g, h, sol):
@@ -266,12 +266,6 @@ def test_input_validation():
     for tol in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="tol"):
             solve(*program, tol=tol)
-    # active is a boolean mask over the inequality rows; an index list
-    # is rejected, not reinterpreted.
-    for active in ([0], np.array([1]), [0.0], [[True]], [True, False], []):
-        with pytest.raises(ValueError, match="active row"):
-            solve(*program, active=active)
-    assert solve(*program, active=[True]).iterations == 0
 
 
 def semidefinite_instance(rng):
@@ -308,7 +302,7 @@ def test_warm_start_on_own_active_set_is_certified(make):
         if not cold.optimal:
             continue
         optimal += 1
-        warm = solve(p, q, a, b, g, h, active=cold.active)
+        warm = certified_on_active_set(p, q, a, b, g, h, cold.active, DEFAULT_TOL)
         assert warm.status == "optimal" and warm.iterations == 0
         assert np.array_equal(warm.active, cold.active)
         assert max(warm.kkt_residuals) <= 1e-8
@@ -336,24 +330,55 @@ def test_wrong_guess_keeps_the_cold_status_and_objective(make):
         singular = np.zeros(rows, dtype=bool)
         singular[[0, rows - 1]] = True
         for guess in (np.zeros(rows, dtype=bool), np.ones(rows, dtype=bool), subset, singular):
-            warm = solve(p, q, a, b, g, h, active=guess)
-            # Also: no guess turns a solve infeasible, or an infeasible
-            # one (random_instance makes some) optimal.
-            assert warm.status == cold.status
-            if cold.optimal:
-                assert warm.objective == pytest.approx(cold.objective, abs=1e-6)
-            fell_back += warm.iterations > 0
+            warm = certified_on_active_set(p, q, a, b, g, h, guess, DEFAULT_TOL)
+            # A guess that certifies is the cold optimum: no guess makes
+            # an infeasible program (random_instance makes some) optimal.
+            if warm is None:
+                fell_back += 1
+                continue
+            assert cold.optimal and warm.status == "optimal" and warm.iterations == 0
+            assert warm.objective == pytest.approx(cold.objective, abs=1e-6)
     assert "optimal" in statuses and fell_back > 0
     assert ("infeasible" in statuses) == (make is random_instance)
 
 
 def test_guess_on_a_dropped_zero_row_is_ignored():
     # Holding a zero row at equality makes the guess's KKT matrix
-    # singular, so the solve falls back to cold.
-    g = [[0.0, 0.0], [1.0, 0.0]]
-    h = [5.0, 1.0]
-    cold = solve([2.0, 4.0], [0.0, 0.0], [[1.0, 1.0]], [3.0], g, h)
-    warm = solve([2.0, 4.0], [0.0, 0.0], [[1.0, 1.0]], [3.0], g, h, active=[True, True])
-    assert warm.status == "optimal" and warm.iterations > 0
-    assert warm.z[0] == 0.0 and warm.z[1] == pytest.approx(6.0, abs=1e-12)
+    # singular, so the guess is rejected and the caller solves cold.
+    program = tuple(
+        np.array(v) for v in ([2.0, 4.0], [0.0, 0.0], [[1.0, 1.0]], [3.0], [[0.0, 0.0], [1.0, 0.0]], [5.0, 1.0])
+    )
+    assert certified_on_active_set(*program, np.array([True, True]), DEFAULT_TOL) is None
+    cold = solve(*program)
+    assert cold.status == "optimal" and cold.iterations > 0
+    assert cold.z[0] == 0.0 and cold.z[1] == pytest.approx(6.0, abs=1e-12)
+    warm = certified_on_active_set(*program, cold.active, DEFAULT_TOL)
     assert warm.objective == pytest.approx(cold.objective, abs=1e-6)
+
+
+def test_certificate_is_rechecked_at_the_new_right_hand_side():
+    # A certificate found at h proves every tighter h' <= h infeasible,
+    # since its z >= 0; at a looser h' its gap may no longer be negative.
+    rng = np.random.default_rng(13)
+    checked = 0
+    for _ in range(200):
+        p, q, a, b, g, h = random_instance(rng)
+        cold = solve(p, q, a, b, g, h)
+        if cold.status != "infeasible":
+            continue
+        checked += 1
+        cert = cold.certificate
+        for tighter in (h, h - rng.uniform(0.0, 1.0, h.size)):
+            again = certified_infeasible(a, b, g, tighter, cert, DEFAULT_TOL)
+            assert again.status == "infeasible" and again.iterations == 0
+            assert again.certificate["farkas_gap"] < -DEFAULT_TOL
+            # The worst violation it proves: at the h it was found at,
+            # phase 1's optimum t*.
+            assert max(again.kkt_residuals) == -again.certificate["farkas_gap"]
+            assert solve(p, q, a, b, g, tighter).status == "infeasible"
+        same = certified_infeasible(a, b, g, h, cert, DEFAULT_TOL)
+        assert max(same.kkt_residuals) == pytest.approx(cert["infeasibility"], abs=1e-9)
+        # Loosened until its own gap is positive, it certifies nothing.
+        looser = h + 2.0 * abs(cert["farkas_gap"]) / cert["inequality_dual"].sum()
+        assert certified_infeasible(a, b, g, looser, cert, DEFAULT_TOL) is None
+    assert checked >= 5

@@ -9,6 +9,7 @@ from cctuner import apply_rts_modifications, load_rts_case, parse_case
 from cctuner.ptdf import compute_ptdf
 from cctuner.reformulation import (
     ConstraintCatalog,
+    DispatchProgram,
     build_catalog,
     constraint_deltas,
     participation_factors,
@@ -189,6 +190,10 @@ def test_solve_dispatch_rejects_negative_or_nonfinite_s(rts, rts_catalog):
     for s in (-0.1, float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError, match="nonnegative"):
             solve_dispatch(rts, rts_catalog, s)
+    # A program keeps state for its own case and catalog only.
+    other = DispatchProgram(apply_rts_modifications(load_rts_case()), rts_catalog)
+    with pytest.raises(ValueError, match="another case or catalog"):
+        solve_dispatch(rts, rts_catalog, 1.0, other)
 
 
 def test_dispatch_solution_kkt_and_pinning(rts, rts_catalog):
@@ -363,8 +368,9 @@ def test_warm_start_reuses_the_returned_working_set(rts, rts_catalog):
     pinned = np.flatnonzero((rts.p_max_mw() == 0.0) & (rts.p_min_mw() == 0.0))
     assert pinned.size
     for s in (0.5, 1.5, 3.0):
-        cold = solve_dispatch(rts, rts_catalog, s)
-        assert cold.feasible and cold.qp_solution.iterations > 0
+        program = DispatchProgram(rts, rts_catalog)
+        cold = program.solve(s)
+        assert cold.feasible and cold.qp_start == "cold" and cold.qp_solution.iterations > 0
         active = cold.qp_solution.active
         assert active.shape == (len(rts_catalog),) and active.dtype == bool
         # The working set is in catalog indexing, False on the pinned
@@ -372,7 +378,37 @@ def test_warm_start_reuses_the_returned_working_set(rts, rts_catalog):
         assert not active[pinned].any() and not active[n + pinned].any()
         slack = rts_catalog.limits - s * rts_catalog.sigmas - rts_catalog.dispatch_matrix @ cold.p_g
         assert not np.any(active & (slack > 1e-8))
-        warm = solve_dispatch(rts, rts_catalog, s, start=cold)
-        assert warm.feasible and warm.qp_solution.iterations == 0
+        warm = program.solve(s)
+        assert warm.feasible and warm.qp_start == "working_set" and warm.qp_solution.iterations == 0
         assert np.array_equal(warm.qp_solution.active, active)
         assert warm.objective == pytest.approx(cold.objective, rel=1e-12)
+
+
+def test_program_reuses_a_certificate_only_at_or_above_its_s(rts, rts_catalog):
+    # The RTS catalog turns infeasible near s = 19.56.
+    program = DispatchProgram(rts, rts_catalog)
+    d_total = rts.loads_mw().sum() / rts.base_mva
+
+    def solve(s, status, qp_start):
+        sol = program.solve(s)
+        assert (sol.status, sol.qp_start) == (status, qp_start), s
+        if status == "infeasible":
+            cert = sol.qp_solution.certificate
+            z = cert["inequality_dual"]
+            # The gap recomputed at this s from the catalog itself.
+            gap = d_total * cert["equality_dual"][0] + (rts_catalog.limits - s * rts_catalog.sigmas) @ z
+            assert np.all(z >= 0.0) and gap < -1e-8 and cert["stationarity"] <= 1e-8
+            assert sol.objective == np.inf and not sol.qp_solution.active.any()
+            assert solve_dispatch(rts, rts_catalog, s).status == "infeasible"
+        return sol
+
+    solve(30.0, "infeasible", "cold")
+    # Below the certificate's s a feasible program still comes back
+    # optimal, and an infeasible one is solved cold.
+    solve(10.0, "optimal", "cold")
+    solve(25.0, "infeasible", "cold")
+    assert solve(40.0, "infeasible", "certificate").qp_solution.iterations == 0
+    # The lower certificate replaced the first one.
+    solve(27.0, "infeasible", "certificate")
+    solve(19.0, "optimal", "cold")
+    solve(10.0, "optimal", "working_set")

@@ -13,7 +13,7 @@ import pytest
 from cctuner import apply_rts_modifications, load_rts_case, parse_case
 from cctuner.experiment import ExperimentConfig, build_replication, load_case
 from cctuner.ptdf import compute_ptdf
-from cctuner.reformulation import build_catalog, participation_factors, solve_dispatch
+from cctuner.reformulation import DispatchProgram, build_catalog, participation_factors, solve_dispatch
 from cctuner.tuner import (
     TERMINATED_CAP,
     TERMINATED_COLLAPSE,
@@ -47,6 +47,7 @@ def stub_solver(feasible=lambda s: True):
             status=status,
             objective=(100.0 + s) if ok else None,
             p_g=None,
+            qp_start="cold",
             qp_solution=SimpleNamespace(status=status, iterations=7, kkt_residuals=(0.0,) * 4),
         )
 
@@ -250,18 +251,16 @@ def test_trace_records_each_qp_solve(rts_tuning_set):
     result = tune(case, catalog, samples, TuningConfig(eps_des=0.05, gamma=1e-3, mode="joint"))
     # The joint bracket starts far out, so the first midpoint is infeasible.
     assert [it.qp_status for it in result.trace[:2]] == ["infeasible", "optimal"]
-    # Replay the tuner's warm starts: each solve starts from the last
-    # optimal iterate.
-    start = None
+    # Replay the tuner's solves through a fresh program of the catalog:
+    # it keeps what each solve found, as the tune's own program did.
+    program = DispatchProgram(case, catalog)
     for it in result.trace:
-        replayed = solve_dispatch(case, catalog, it.s, start=start)
+        replayed = program.solve(it.s)
         solved = replayed.qp_solution
-        assert (it.qp_status, it.qp_iterations) == (solved.status, solved.iterations)
+        assert (it.qp_status, it.qp_start, it.qp_iterations) == (solved.status, replayed.qp_start, solved.iterations)
         assert it.kkt_max == max(solved.kkt_residuals)
         assert it.qp_status == solve_dispatch(case, catalog, it.s).qp_solution.status
         assert it.feasible == (it.qp_status == "optimal")
-        if replayed.feasible:
-            start = replayed
 
 
 def test_tune_times_each_iterate(rts_tuning_set):
@@ -297,7 +296,8 @@ def test_warm_started_tune_matches_cold_bisection(rts_tuning_set, mode):
     assert warm.iterations == cold.iterations
     assert [it.qp_status for it in warm.trace] == [it.qp_status for it in cold.trace]
     # The warm path carried some of the solves.
-    assert any(it.qp_status == "optimal" and it.qp_iterations == 0 for it in warm.trace)
+    assert any(it.qp_start == "working_set" and it.qp_iterations == 0 for it in warm.trace)
+    assert all(it.qp_start == "cold" for it in cold.trace)
     assert all(it.qp_iterations > 0 for it in cold.trace if it.qp_status == "optimal")
 
 
@@ -322,21 +322,49 @@ def test_each_iterate_bisects_a_nested_bracket(rts_tuning_set, mode):
 @pytest.mark.parametrize("mode", ["single", "joint"])
 def test_store_counts_equal_one_shot_counts_along_a_tune(distribution, mode):
     # tune counts every iterate from one count store of its tuning set;
-    # replaying its warm-started solves and counting each dispatch from
-    # the samples themselves must give the trace's frequencies.
+    # replaying its solves through a fresh program and counting each
+    # dispatch from the samples themselves must give the trace's
+    # frequencies.
     config = ExperimentConfig.from_file(files("cctuner.data") / "rts24_sweep.cfg")
     case = load_case(config.case)
     pair = build_replication(case, config, distribution, 1)
     result = tune(case, pair.catalog, pair.tuning_samples, config.tuning(mode, Fraction(1, 20)))
-    start = None
+    program = DispatchProgram(case, pair.catalog)
     for it in result.trace:
-        solution = solve_dispatch(case, pair.catalog, it.s, start=start)
-        assert solution.feasible == it.feasible
+        solution = program.solve(it.s)
+        assert (solution.feasible, solution.qp_start) == (it.feasible, it.qp_start)
         if it.feasible:
-            start = solution
             report = evaluate(solution.p_g, pair.tuning_samples, pair.catalog)
             assert (report.eps_single, report.eps_joint) == (it.eps_single, it.eps_joint)
     assert sum(it.feasible for it in result.trace) >= 5
+
+
+@pytest.mark.parametrize("distribution", ["gaussian", "mixture"])
+def test_a_pairs_shared_program_keeps_every_tune(distribution, monkeypatch):
+    # The six cells of a pair tune through one program, as the
+    # experiment runs them; each must end as it does with a fresh one.
+    config = ExperimentConfig.from_file(files("cctuner.data") / "rts24_sweep.cfg")
+    case = load_case(config.case)
+    pair = build_replication(case, config, distribution, 1)
+    solutions = []
+    solve = pair.program.solve
+    monkeypatch.setattr(pair.program, "solve", lambda s: solutions.append(solve(s)) or solutions[-1])
+    for mode in config.modes:
+        for eps in config.eps_values:
+            cell = (case, pair.catalog, pair.tuning_samples, config.tuning(mode, eps))
+            shared, fresh = tune(*cell, pair.program), tune(*cell)
+            assert (shared.s, shared.eps_single, shared.eps_joint) == (fresh.s, fresh.eps_single, fresh.eps_joint)
+            assert shared.iterations == fresh.iterations
+            assert [it.qp_status for it in shared.trace] == [it.qp_status for it in fresh.trace]
+            assert shared.objective == pytest.approx(fresh.objective, rel=1e-12)
+    # One cold solve per working set first met, and one phase 1, whose
+    # certificate settles the pair's later infeasible midpoints.
+    cold = [sol for sol in solutions if sol.qp_start == "cold"]
+    working_sets = {sol.qp_solution.active.tobytes() for sol in solutions if sol.feasible}
+    assert sum(sol.feasible for sol in cold) <= len(working_sets)
+    assert sum(not sol.feasible for sol in cold) <= 1
+    assert any(sol.qp_start == "certificate" for sol in solutions)
+    assert len(cold) < len(solutions) / 5
 
 
 def test_trace_csv_layout():
