@@ -1,14 +1,12 @@
 """Monte Carlo violation-counting kernel.
 
-Rows are counted in mirrored pairs. Every lower catalog row is its upper
-row negated (ConstraintCatalog.pairs checks this when it pairs them),
-and round-to-nearest is symmetric under negation: fl(-x * y) =
--fl(x * y) and fl(-x + -y) = -fl(x + y). A lower row's sum is therefore
-exactly the negation of its upper row's, up to the sign of a zero, and
-no comparison sees the sign of a zero. So one accumulator per pair
-decides both rows: acc > upper_c for the upper row and acc < -lower_c
-for the lower row. test_catalog_pairs_mirror_each_upper_row in
-tests/test_reformulation.py pins the mirror bit for bit.
+Rows are counted in the pairs the catalog stores: pair c's upper row
+bounds its sum acc by limits[c, 0] and its lower row bounds -acc by
+limits[c, 1]. Round-to-nearest is symmetric under negation, fl(-x * y)
+= -fl(x * y) and fl(-x + -y) = -fl(x + y), so the sum of a lower row
+as the catalog lists it, its upper row negated, is exactly -acc up to
+the sign of a zero, which no comparison sees. So one accumulator per
+pair decides both rows: acc > limits[c, 0] and acc < -limits[c, 1].
 
 Each accumulator starts at the pair's dispatch term and adds the
 uncertainty term over the active sample columns in ascending index
@@ -184,7 +182,8 @@ def _sure_miss_limits(base, upper, lower, m, bound):
 
 def _tally(acc, rows, upper, lower, active, counts):
     """Add to counts the hits in acc, whose row i holds the sums of pair
-    rows[i], and return the number of samples that hit an active row.
+    rows[i], and return the number of samples that hit a row of an
+    active pair.
 
     Only the rows whose extreme sum crosses the limit are compared; most
     pairs never hit. fmax and fmin skip NaN, which compares false anyway.
@@ -199,7 +198,7 @@ def _tally(acc, rows, upper, lower, active, counts):
     hits_lower = acc[at_lo] < lower_rows[at_lo, None]
     counts[up, 0] += hits_upper.sum(axis=1, dtype=np.uint16)
     counts[lo, 1] += hits_lower.sum(axis=1, dtype=np.uint16)
-    hit = hits_upper[active[up, 0]].any(axis=0) | hits_lower[active[lo, 1]].any(axis=0)
+    hit = hits_upper[active[up]].any(axis=0) | hits_lower[active[lo]].any(axis=0)
     return int(np.count_nonzero(hit))
 
 
@@ -276,12 +275,10 @@ class CountStore:
         self._filled[pair] = True
         self._n_filled += 1
 
-    def count(self, base, sens, limits, active):
-        """count_violations of the stored samples; see there."""
+    def count(self, base, sens, upper, lower, active):
+        """count_violations of the stored samples; lower is -limits[:, 1]."""
         if sens is not self.sens:
             raise ValueError("count store was built for other sensitivities")
-        upper = limits[:, 0]
-        lower = -limits[:, 1]
         with np.errstate(invalid="ignore", over="ignore"):
             band, candidate = _sure_miss_limits(base, upper, lower, len(self.cols), self._bound)
             if not candidate.any():
@@ -302,7 +299,7 @@ class CountStore:
 
 
 def count_violations(base, sens, limits, xi, cols, active):
-    """Count strict violations of each mirrored pair of rows.
+    """Count strict violations of both rows of each pair.
 
     For pair c the upper row violates when
     base_c + sum_j sens[c,j]*xi[k,j] > limits[c, 0], and the lower row
@@ -314,10 +311,11 @@ def count_violations(base, sens, limits, xi, cols, active):
     xi: (n_samples, k) samples of the columns cols, or a CountStore built
         from this very sens array, which then uses its own samples.
     cols: k ascending int64 indices of the columns of sens to accumulate.
-    active: (n_pairs, 2) bool mask of rows that count toward the joint hit.
+    active: (n_pairs,) bool mask of pairs whose rows count toward the
+        joint hit.
 
     Returns (counts, joint): int64 violation counts of shape (n_pairs, 2),
-    and the number of samples violating at least one active row. The
+    and the number of samples violating a row of an active pair. The
     samples are copied once, transposed, as (columns x samples), and
     bounded as a whole. Only the pairs whose bound leaves their sure-miss
     band are accumulated, 4,096 samples at a time, into a (pairs x
@@ -325,10 +323,9 @@ def count_violations(base, sens, limits, xi, cols, active):
     largest (upper) or smallest (lower) sum in a chunk crosses the limit
     are compared sample by sample.
     """
+    upper, lower = limits[:, 0], -limits[:, 1]
     if isinstance(xi, CountStore):
-        return xi.count(base, sens, limits, active)
-    upper = limits[:, 0]
-    lower = -limits[:, 1]
+        return xi.count(base, sens, upper, lower, active)
     sens_t = np.ascontiguousarray(sens[:, cols].T)
     columns = np.ascontiguousarray(xi.T)
     # 0 * inf and overflow follow IEEE rules: a NaN or inf sum is compared

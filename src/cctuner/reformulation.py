@@ -7,7 +7,8 @@ takes the common form
     g·p_G + a·xi <= rhs
 
 with a dispatch row g, a disturbance-sensitivity row a, and a constant
-right-hand side; build_catalog stacks these rows. The deterministic
+right-hand side. Each bound comes with its mirror, -g·p_G - a·xi <=
+rhs', and build_catalog stores the two as one pair. The deterministic
 surrogate that a DispatchProgram solves keeps g·p_G <= rhs - s·sigma
 where sigma = ||a Sigma^(1/2)||_2 and s is the safety parameter being
 tuned; each of its solves reuses what the earlier ones found.
@@ -38,15 +39,6 @@ __all__ = [
     "solve_dispatch",
 ]
 
-GEN_UPPER = "gen_upper"
-GEN_LOWER = "gen_lower"
-LINE_UPPER = "line_upper"
-LINE_LOWER = "line_lower"
-
-# The lower row that mirrors each upper kind, for the same subject.
-MIRRORED = {GEN_UPPER: GEN_LOWER, LINE_UPPER: LINE_LOWER}
-
-
 def participation_factors(case: GridCase) -> np.ndarray:
     """Read-only capacity-proportional balancing shares alpha, summing
     to one: alpha_i = p_max,i / sum(p_max), exactly zero without
@@ -70,6 +62,11 @@ def constraint_deltas(m: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     return m - np.outer(m @ alpha, np.ones(m.shape[1]))
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class ConstraintRow:
     """One chance constraint in the unified form g·p_G + a·xi <= rhs.
@@ -91,115 +88,111 @@ class ConstraintRow:
     sigma: float
     degenerate: bool = False
 
-    def __post_init__(self):
-        for name in ("dispatch_row", "sensitivity"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
 
 @dataclass(frozen=True, eq=False)
 class ConstraintCatalog:
-    """Ordered chance constraints, stored once as dense matrices.
+    """Two-sided chance constraints, each stored once as a pair.
 
-    Row order: gen_upper for buses 1..m, gen_lower for buses 1..m,
-    line_upper for lines 1..l, line_lower for lines 1..l, so
-    len(catalog) = 2m + 2l. Row c is described by kinds[c] and
-    subjects[c] and holds row c of each array. n_active counts the
-    non-degenerate rows (2·m_gen + 2l for m_gen buses with capacity);
-    the degenerate ones belong to buses with p_max = 0. pairs matches
-    each upper row with the lower row that mirrors it.
+    Pair c bounds the sum pair_dispatch[c]·p_G + pair_sensitivity[c]·xi
+    from both sides: its upper row is sum <= pair_limits[c, 0], its lower
+    row -sum <= pair_limits[c, 1]. Both rows share pair_sigmas[c], as
+    ||-a Sigma^(1/2)|| = ||a Sigma^(1/2)||, and pair_degenerate[c], set
+    for a bus with p_max = 0, whose sensitivity row is zero. pair_kinds[c]
+    is "gen" or "line", pair_subjects[c] the bus id or 1-based line
+    number. The arrays are read-only copies, so a catalog built from
+    another's arrays is another catalog.
+
+    dispatch_matrix, sensitivity_matrix, limits, sigmas, degenerate and
+    rows list the rows, derived once through row_map: for each kind in
+    order of first appearance, the upper rows of its pairs, then their
+    lower rows. From build_catalog that is gen_upper and gen_lower for
+    buses 1..m, then line_upper and line_lower for lines 1..l. A lower
+    row is its upper row with the sign bit of every entry flipped, but
+    for the zeros of a gen pair's dispatch row -e_i, which are +0.0.
     """
 
-    kinds: tuple[str, ...]
-    subjects: tuple[int, ...]
-    dispatch_matrix: np.ndarray
-    sensitivity_matrix: np.ndarray
-    limits: np.ndarray
-    sigmas: np.ndarray
-    degenerate: np.ndarray
+    pair_kinds: tuple[str, ...]
+    pair_subjects: tuple[int, ...]
+    pair_dispatch: np.ndarray
+    pair_sensitivity: np.ndarray
+    pair_limits: np.ndarray
+    pair_sigmas: np.ndarray
+    pair_degenerate: np.ndarray
+
+    def __post_init__(self):
+        for name in ("pair_dispatch", "pair_sensitivity", "pair_limits", "pair_sigmas", "pair_degenerate"):
+            dtype = bool if name == "pair_degenerate" else float
+            object.__setattr__(self, name, _read_only(np.array(getattr(self, name), dtype=dtype)))
 
     def __len__(self) -> int:
-        return len(self.kinds)
+        return 2 * len(self.pair_kinds)
 
     @property
     def n_active(self) -> int:
-        return int((~self.degenerate).sum())
+        return 2 * int((~self.pair_degenerate).sum())
+
+    @cached_property
+    def row_map(self) -> tuple[np.ndarray, np.ndarray]:
+        """(pair, side) of each row, side 0 for an upper row and 1 for a
+        lower one: values[row_map] lists an (n_pairs, 2) array by row."""
+        kinds = list(dict.fromkeys(self.pair_kinds))
+        rank = [kinds.index(kind) for kind in self.pair_kinds]
+        # Stable: pairs of one kind and side keep their order.
+        order = np.lexsort((np.tile([0, 1], len(rank)), np.repeat(rank, 2)))
+        return _read_only(order // 2), _read_only(order % 2)
+
+    def _mirrored(self, upper: np.ndarray) -> np.ndarray:
+        pair, side = self.row_map
+        return np.where(side[:, None] == 1, -upper[pair], upper[pair])
+
+    @cached_property
+    def dispatch_matrix(self) -> np.ndarray:
+        g = self._mirrored(self.pair_dispatch)
+        pair, side = self.row_map
+        g[(side == 1) & (np.array(self.pair_kinds)[pair] == "gen")] += 0.0
+        return _read_only(g)
+
+    @cached_property
+    def sensitivity_matrix(self) -> np.ndarray:
+        return _read_only(self._mirrored(self.pair_sensitivity))
+
+    @cached_property
+    def limits(self) -> np.ndarray:
+        return _read_only(self.pair_limits[self.row_map])
+
+    @cached_property
+    def sigmas(self) -> np.ndarray:
+        return _read_only(self.pair_sigmas[self.row_map[0]])
+
+    @cached_property
+    def degenerate(self) -> np.ndarray:
+        return _read_only(self.pair_degenerate[self.row_map[0]])
 
     @cached_property
     def rows(self) -> tuple[ConstraintRow, ...]:
         """Per-row records whose arrays are read-only views of the matrices."""
         return tuple(
-            ConstraintRow(kind, subject, g, a, float(limit), float(sigma), bool(degenerate))
-            for kind, subject, g, a, limit, sigma, degenerate in zip(
-                self.kinds, self.subjects, self.dispatch_matrix, self.sensitivity_matrix,
-                self.limits, self.sigmas, self.degenerate,
+            ConstraintRow(
+                f"{self.pair_kinds[c]}_{('upper', 'lower')[side]}", self.pair_subjects[c], g, a,
+                float(self.pair_limits[c, side]), float(self.pair_sigmas[c]), bool(self.pair_degenerate[c]),
             )
+            for c, side, g, a in zip(*self.row_map, self.dispatch_matrix, self.sensitivity_matrix)
         )
 
     @cached_property
-    def pairs(self) -> np.ndarray:
-        """(n_pairs, 2) row indices: each upper row and its mirrored lower row.
-
-        Rows of kind gen_upper or line_upper pair, in catalog order, with
-        the gen_lower or line_lower row of the same subject. Every row
-        belongs to exactly one pair, and a lower row's dispatch and
-        sensitivity rows equal the negated upper ones, so one sum decides
-        both rows of a pair (see _kernels).
-        """
-        index = {(kind, subject): c for c, (kind, subject) in enumerate(zip(self.kinds, self.subjects))}
-        try:
-            pairs = np.array(
-                [
-                    (c, index[MIRRORED[kind], subject])
-                    for c, (kind, subject) in enumerate(zip(self.kinds, self.subjects))
-                    if kind in MIRRORED
-                ],
-                dtype=np.int64,
-            ).reshape(-1, 2)
-        except KeyError as exc:
-            kind, subject = exc.args[0]
-            raise ValueError(f"catalog has no {kind} row for subject {subject}") from None
-        if 2 * len(pairs) != len(self) or len(np.unique(pairs)) != len(self):
-            raise ValueError("catalog rows do not split into upper/lower pairs")
-        upper, lower = pairs.T
-        for name in ("dispatch_matrix", "sensitivity_matrix"):
-            matrix = getattr(self, name)
-            if not np.array_equal(matrix[lower], -matrix[upper]):
-                raise ValueError(f"{name}: a lower row is not its upper row negated")
-        pairs.setflags(write=False)
-        return pairs
-
-    @cached_property
-    def pair_sensitivity(self) -> np.ndarray:
-        """(n_pairs, n_buses) sensitivity rows of the pairs' upper rows.
-
-        Read-only and built once, so a count store can recognise the
-        catalog it was built for by this array's identity.
-        """
-        sens = self.sensitivity_matrix[self.pairs[:, 0]]
-        sens.setflags(write=False)
-        return sens
-
-    @cached_property
     def unit_bus(self) -> np.ndarray:
-        """(n_pairs,) the bus whose unit vector is the pair's upper
-        dispatch row, or -1 where that row is no unit vector.
+        """(n_pairs,) the bus whose unit vector is the pair's dispatch row,
+        or -1 where that row is no unit vector.
 
         For a finite dispatch p, a unit row's term g·p is exactly p[bus]
         up to the sign of a zero, since every other product is a zero.
         Found from the rows' values, whatever their kinds say.
         """
-        g = self.dispatch_matrix[self.pairs[:, 0]]
+        g = self.pair_dispatch
         pairs, buses = np.nonzero((g == 1.0) & (np.count_nonzero(g, axis=1) == 1)[:, None])
         bus = np.full(len(g), -1)
         bus[pairs] = buses
-        bus.setflags(write=False)
-        return bus
-
-    def __post_init__(self):
-        for name in ("dispatch_matrix", "sensitivity_matrix", "limits", "sigmas", "degenerate"):
-            getattr(self, name).setflags(write=False)
+        return _read_only(bus)
 
 
 def build_catalog(
@@ -208,8 +201,15 @@ def build_catalog(
     alpha: np.ndarray,
     moments: MomentEstimate,
 ) -> ConstraintCatalog:
-    """Assemble the full constraint catalog for one case and moment set,
-    from the case's PTDF matrix m and participation factors alpha."""
+    """Assemble the constraint pairs of one case and moment set, from the
+    case's PTDF matrix m and participation factors alpha, in per unit.
+
+    Bus i's gen pair has dispatch row e_i, sensitivity alpha_i·1ᵀ and
+    limits (p_max_i, -p_min_i); line r's pair has dispatch row m[r],
+    sensitivity row r of M(I - alpha·1ᵀ) and limits (cap_r + f_r,
+    cap_r - f_r), with f the flows of the loads. Each pair's sigma is
+    computed once.
+    """
     n, n_lines = case.n_buses, case.n_lines
     if alpha.shape != (n,):
         raise ValueError("participation factors do not match the case dimension")
@@ -217,25 +217,20 @@ def build_catalog(
         raise ValueError("PTDF shape does not match the case")
 
     base = case.base_mva
-    p_max_mw = case.p_max_mw()
     caps = case.line_capacities_mw() / base
     flows_d = m @ (case.loads_mw() / base)
-    eye = np.eye(n)
-    gen_sensitivity = np.outer(alpha, np.ones(n))
-    deltas = constraint_deltas(m, alpha)
-    sensitivity = np.vstack([gen_sensitivity, -gen_sensitivity, deltas, -deltas])
-    no_capacity = p_max_mw == 0.0
+    sensitivity = np.vstack([np.outer(alpha, np.ones(n)), constraint_deltas(m, alpha)])
     return ConstraintCatalog(
-        kinds=(GEN_UPPER,) * n + (GEN_LOWER,) * n + (LINE_UPPER,) * n_lines + (LINE_LOWER,) * n_lines,
-        subjects=tuple(range(1, n + 1)) * 2 + tuple(range(1, n_lines + 1)) * 2,
-        # + 0.0 keeps the off-diagonal zeros of the gen_lower rows positive.
-        dispatch_matrix=np.vstack([eye, -eye + 0.0, m, -m]),
-        sensitivity_matrix=sensitivity,
-        limits=np.concatenate(
-            [p_max_mw / base, -(case.p_min_mw() / base), caps + flows_d, caps - flows_d]
-        ),
-        sigmas=np.array([sensitivity_norm(a, moments) for a in sensitivity]),
-        degenerate=np.concatenate([no_capacity, no_capacity, np.zeros(2 * n_lines, dtype=bool)]),
+        pair_kinds=("gen",) * n + ("line",) * n_lines,
+        pair_subjects=tuple(range(1, n + 1)) + tuple(range(1, n_lines + 1)),
+        pair_dispatch=np.vstack([np.eye(n), m]),
+        pair_sensitivity=sensitivity,
+        pair_limits=np.column_stack([
+            np.concatenate([case.p_max_mw() / base, caps + flows_d]),
+            np.concatenate([-(case.p_min_mw() / base), caps - flows_d]),
+        ]),
+        pair_sigmas=np.array([sensitivity_norm(a, moments) for a in sensitivity]),
+        pair_degenerate=np.concatenate([case.p_max_mw() == 0.0, np.zeros(n_lines, dtype=bool)]),
     )
 
 

@@ -61,6 +61,9 @@ class GaussianSpec:
         if mean.ndim != 1:
             raise ValueError("mean must be a vector")
         cov = _frozen_array(self.covariance_mw2, (mean.size, mean.size))
+        object.__setattr__(self, "mean_mw", mean)
+        object.__setattr__(self, "covariance_mw2", cov)
+        _require_finite_moments(self)
         if not np.allclose(cov, cov.T, atol=1e-12 * max(1.0, np.abs(cov).max(initial=0.0))):
             raise ValueError("covariance must be symmetric")
         # The rule sample() and spec_moments() factor by, so that every
@@ -69,8 +72,6 @@ class GaussianSpec:
             _repair_and_factor(cov, _SPEC_PSD_TOL)
         except ValueError as exc:
             raise ValueError(f"covariance is not positive semidefinite: {exc}") from None
-        object.__setattr__(self, "mean_mw", mean)
-        object.__setattr__(self, "covariance_mw2", cov)
 
     @property
     def dim(self) -> int:
@@ -91,6 +92,7 @@ class UniformBoxSpec:
             raise ValueError("lower bound exceeds upper bound")
         object.__setattr__(self, "lower_mw", lower)
         object.__setattr__(self, "upper_mw", upper)
+        _require_finite_moments(self)
 
     @property
     def dim(self) -> int:
@@ -115,6 +117,7 @@ class MixtureSpec:
         if len(dims) != 1:
             raise ValueError("mixture components disagree on dimension")
         object.__setattr__(self, "components", comps)
+        _require_finite_moments(self)
 
     @property
     def dim(self) -> int:
@@ -125,8 +128,10 @@ def gaussian_from_std_corr(std_mw, correlation: float) -> GaussianSpec:
     """Zero-mean Gaussian from per-bus standard deviations and one common
     pairwise correlation coefficient."""
     std = np.asarray(std_mw, dtype=float)
-    cov = correlation * np.outer(std, std)
-    np.fill_diagonal(cov, std**2)
+    # An overflow leaves an inf, which GaussianSpec rejects.
+    with np.errstate(over="ignore"):
+        cov = correlation * np.outer(std, std)
+        np.fill_diagonal(cov, std**2)
     return GaussianSpec(mean_mw=np.zeros_like(std), covariance_mw2=cov)
 
 
@@ -333,6 +338,15 @@ def _spec_moments_mw(spec) -> tuple[np.ndarray, np.ndarray]:
             second += w * (cov + np.outer(mu, mu))
         return mean, second - np.outer(mean, mean)
     raise TypeError(f"unknown distribution spec {type(spec).__name__}")
+
+
+def _require_finite_moments(spec) -> None:
+    """ValueError unless spec's exact mean and covariance are finite, so
+    that a spec too wide for floats fails when it is built."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, cov = _spec_moments_mw(spec)
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+        raise ValueError(f"{type(spec).__name__} has a mean or covariance that is not finite")
 
 
 def spec_moments(spec, case) -> MomentEstimate:

@@ -63,9 +63,9 @@ def _sample_arrays(samples, catalog: ConstraintCatalog):
         xi, seed, width = full[:, cols], None, full.shape[1]
     if xi.shape[0] < 1:
         raise ValueError("need at least one sample")
-    if width != catalog.dispatch_matrix.shape[1]:
+    if width != catalog.pair_dispatch.shape[1]:
         raise ValueError(
-            f"samples have {width} columns but the catalog covers {catalog.dispatch_matrix.shape[1]} buses"
+            f"samples have {width} columns but the catalog covers {catalog.pair_dispatch.shape[1]} buses"
         )
     return xi, cols, seed
 
@@ -76,7 +76,7 @@ def count_store(samples, catalog: ConstraintCatalog) -> _kernels.CountStore:
     evaluate accepts the store in place of samples, for this catalog
     only, and counts bit for bit as it would from samples. The store
     keeps a transposed copy of the sample columns, their bound, and, for
-    each mirrored pair of rows that some dispatch brings near a limit,
+    each of the catalog's pairs that some dispatch brings near a limit,
     8 bytes per sample (see _kernels).
     """
     xi, cols, seed = _sample_arrays(samples, catalog)
@@ -96,44 +96,37 @@ def evaluate(
     nonzero columns on every call, or a count_store of either for this
     catalog. Degenerate rows are always counted individually but only
     enter eps_single and the joint count when include_degenerate is
-    set. Each mirrored pair of rows is counted from one sum, and only
+    set. Each of the catalog's pairs is counted from one sum, and only
     where a bound on the sum over the whole sample set leaves the pair's
-    sure-miss band (see _kernels). Raises ValueError on a dispatch that
-    is not finite.
+    sure-miss band (see _kernels); the report lists the counts by row.
+    Raises ValueError on a dispatch that is not finite.
     """
     xi, cols, seed = _sample_arrays(samples, catalog)
-    n, m = xi.shape[0], catalog.dispatch_matrix.shape[1]
+    n, m = xi.shape[0], catalog.pair_dispatch.shape[1]
     p = np.asarray(p_g, dtype=np.float64)
     if p.shape != (m,):
         raise ValueError(f"dispatch must have shape ({m},), got {p.shape}")
     if not np.all(np.isfinite(p)):
         raise ValueError("dispatch must be finite")
 
-    pairs = catalog.pairs
-    upper = pairs[:, 0]
     # A unit row's term is exactly p[bus]; any other row keeps the per-row
     # dot product of tests/oracles.py, bit for bit.
     bus = catalog.unit_bus
-    base = np.empty(len(pairs))
+    base = np.empty(len(bus))
     unit = bus >= 0
     base[unit] = p[bus[unit]]
     for c in np.flatnonzero(~unit):
-        base[c] = float(np.dot(catalog.dispatch_matrix[upper[c]], p))
-    if include_degenerate:
-        active = np.ones(len(catalog), dtype=bool)
-    else:
-        active = ~catalog.degenerate
+        base[c] = float(np.dot(catalog.pair_dispatch[c], p))
+    active = np.ones(len(bus), dtype=bool) if include_degenerate else ~catalog.pair_degenerate
     pair_counts, joint = _kernels.count_violations(
-        base, catalog.pair_sensitivity, catalog.limits[pairs], xi, cols, active[pairs]
+        base, catalog.pair_sensitivity, catalog.pair_limits, xi, cols, active
     )
-    counts = np.empty(len(catalog), dtype=np.int64)
-    counts[pairs] = pair_counts
 
     return ViolationReport(
-        eps_single=Fraction(int(counts[active].max(initial=0)), n),
+        eps_single=Fraction(int(pair_counts[active].max(initial=0)), n),
         eps_joint=Fraction(int(joint), n),
         n_samples=n,
-        counts=counts,
+        counts=pair_counts[catalog.row_map],
         joint_count=int(joint),
         include_degenerate=bool(include_degenerate),
         seed=seed,

@@ -323,6 +323,26 @@ def test_misspelled_key_exits_1(tmp_path, capsys):
     assert "unknown key 'tuning.sample'" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "key, value, distribution",
+    [("gaussian.std_mw", "1e200, 13.1", "gaussian"), ("mixture.uniform.high_mw", "1e308", "mixture")],
+)
+def test_spec_with_moments_beyond_floats_exits_1(tmp_path, capsys, key, value, distribution):
+    # Each value is a finite float, but the spec's variance overflows.
+    # Before, the overflow warned, and the QP then failed on the inf
+    # tightening (exit 2); now the spec is rejected when it is built.
+    from importlib.resources import files
+
+    text = (files("cctuner.data") / "rts24_sweep.cfg").read_text(encoding="utf-8")
+    lines = [f"{key} = {value}" if line.startswith(f"{key} =") else line for line in text.splitlines()]
+    path = tmp_path / "wide.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    for command in (["tune"], ["solve", "--s", "1"]):
+        assert main([*command, "--config", str(path), "--distribution", distribution]) == 1
+        err = capsys.readouterr().err
+        assert "not finite" in err and "Traceback" not in err
+
+
 def test_repeated_eps_exits_1(tmp_path, capsys):
     path = tmp_path / "dup.cfg"
     path.write_text(SMALL_CFG.replace("eps = 0.1", "eps = 0.1, 0.10"))

@@ -8,7 +8,6 @@ import pytest
 from cctuner import apply_rts_modifications, load_rts_case, parse_case
 from cctuner.ptdf import compute_ptdf
 from cctuner.reformulation import (
-    ConstraintCatalog,
     DispatchProgram,
     build_catalog,
     constraint_deltas,
@@ -118,7 +117,7 @@ def test_catalog_gen_row_structure(rts, rts_catalog):
         np.testing.assert_array_equal(up.sensitivity, alpha[i] * np.ones(24))
         # Generator tightening is alpha_i times the total-mismatch std.
         assert up.sigma == pytest.approx(alpha[i] * sigma_total, rel=1e-12)
-        assert lo.sigma == pytest.approx(up.sigma, rel=1e-12)
+        assert lo.sigma == up.sigma
         assert up.degenerate == (rts.p_max_mw()[i] == 0.0)
 
 
@@ -137,7 +136,7 @@ def test_catalog_line_rows_match_quadratic_form(rts, rts_catalog):
         assert lo.nominal_limit == pytest.approx(caps[r] - flow_d, rel=1e-12)
         oracle = float(np.sqrt(up.sensitivity @ moments.covariance @ up.sensitivity))
         assert up.sigma == pytest.approx(oracle, rel=1e-9)
-        assert lo.sigma == pytest.approx(up.sigma, rel=1e-12)
+        assert lo.sigma == up.sigma
 
 
 def test_zero_covariance_kills_tightening(rts):
@@ -323,8 +322,9 @@ def test_catalog_signed_zero_layout(rts, rts_catalog):
 
 
 def test_catalog_pairs_mirror_each_upper_row(rts_catalog):
-    # The counting kernel decides both rows of a pair from the upper row's
-    # sum; that is exact only while each lower row mirrors its upper row.
+    # The counting kernel decides both rows of a pair from the pair's one
+    # sum; the oracle counts the derived rows, so each lower row must
+    # mirror its upper row bit for bit.
     cat = rts_catalog
     g, a = cat.dispatch_matrix, cat.sensitivity_matrix
     sign = np.uint64(1 << 63)
@@ -332,35 +332,22 @@ def test_catalog_pairs_mirror_each_upper_row(rts_catalog):
     def bits(x):
         return np.ascontiguousarray(x).view(np.uint64)
 
-    mirror = {"gen_upper": "gen_lower", "line_upper": "line_lower"}
-    assert cat.pairs.shape == (len(cat) // 2, 2)
-    assert sorted(cat.pairs.ravel()) == list(range(len(cat)))
-    for up, lo in cat.pairs:
-        assert mirror[cat.kinds[up]] == cat.kinds[lo]
-        assert cat.subjects[up] == cat.subjects[lo]
+    n_pairs = len(cat.pair_kinds)
+    assert len(cat) == 2 * n_pairs
+    row_of = {(int(c), int(side)): r for r, (c, side) in enumerate(zip(*cat.row_map))}
+    assert sorted(row_of) == [(c, side) for c in range(n_pairs) for side in (0, 1)]
+    for c in range(n_pairs):
+        up, lo = row_of[c, 0], row_of[c, 1]
+        kind = cat.pair_kinds[c]
+        assert (cat.rows[up].kind, cat.rows[lo].kind) == (f"{kind}_upper", f"{kind}_lower")
+        assert cat.rows[up].subject == cat.rows[lo].subject == cat.pair_subjects[c]
+        assert np.array_equal(bits(g[up]), bits(cat.pair_dispatch[c]))
+        assert np.array_equal(bits(a[up]), bits(cat.pair_sensitivity[c]))
         assert np.array_equal(bits(a[lo]), bits(a[up]) ^ sign)
         assert np.array_equal(g[lo], -g[up])
-        assert cat.degenerate[up] == cat.degenerate[lo]
-
-
-def test_catalog_pairs_reject_unmirrored_rows(rts, rts_catalog):
-    cat = rts_catalog
-    arrays = ("dispatch_matrix", "sensitivity_matrix", "limits", "sigmas", "degenerate")
-
-    def rebuild(order, n_rows=len(cat)):
-        return ConstraintCatalog(
-            cat.kinds[:n_rows], cat.subjects[:n_rows],
-            *(getattr(cat, name)[order] for name in arrays),
-        )
-
-    # Rows of the lower line block shifted by one, their labels kept.
-    order = np.arange(len(cat))
-    lower_lines = slice(2 * rts.n_buses + rts.n_lines, None)
-    order[lower_lines] = np.roll(order[lower_lines], 1)
-    with pytest.raises(ValueError, match="not its upper row negated"):
-        rebuild(order).pairs
-    with pytest.raises(ValueError, match="no line_lower row for subject 38"):
-        rebuild(np.arange(len(cat) - 1), len(cat) - 1).pairs
+        assert (cat.limits[up], cat.limits[lo]) == tuple(cat.pair_limits[c])
+        assert cat.sigmas[up] == cat.sigmas[lo] == cat.pair_sigmas[c]
+        assert cat.degenerate[up] == cat.degenerate[lo] == cat.pair_degenerate[c]
 
 
 def test_warm_start_reuses_the_returned_working_set(rts, rts_catalog):

@@ -225,6 +225,19 @@ def test_spec_validation_errors(rts):
         sample(gaussian_from_std_corr([1.0, 1.0], 0.0), 0, 0, rts)
 
 
+def test_specs_whose_exact_moments_overflow_are_rejected():
+    # Finite parameters, but a variance or second moment beyond floats.
+    with pytest.raises(ValueError, match="GaussianSpec .* not finite"):
+        gaussian_from_std_corr([1e200, 13.1], 0.2)
+    with pytest.raises(ValueError, match="GaussianSpec .* not finite"):
+        GaussianSpec(mean_mw=[np.inf], covariance_mw2=[[1.0]])
+    with pytest.raises(ValueError, match="UniformBoxSpec .* not finite"):
+        UniformBoxSpec(lower_mw=[-30.0], upper_mw=[1e308])
+    far = [GaussianSpec(mean_mw=[m], covariance_mw2=[[1.0]]) for m in (-1e200, 1e200)]
+    with pytest.raises(ValueError, match="MixtureSpec .* not finite"):
+        MixtureSpec(components=((0.5, far[0]), (0.5, far[1])))
+
+
 def test_every_gaussian_spec_that_constructs_can_be_sampled(rts):
     # Construction checks positive semidefiniteness by the rule sample()
     # and spec_moments() factor by. Eigenvalues (2e-6, -1e-10) MW² once

@@ -274,23 +274,22 @@ def test_report_json_round_trip(rts, rts_catalog):
 
 
 def paired_catalog(sens, limits, g=None):
-    """A catalog of gen_upper/gen_lower pairs over len(sens[0]) buses.
+    """A catalog of gen pairs over len(sens[0]) buses.
 
     Pair c has dispatch row g[c] (e_c by default), sensitivity row
-    sens[c] and right-hand sides limits[c] (upper row, lower row); its
-    lower row mirrors it.
+    sens[c] and right-hand sides limits[c] (upper row, lower row).
     """
     n_pairs, m = sens.shape
     if g is None:
         g = np.eye(n_pairs, m)
     return ConstraintCatalog(
-        kinds=("gen_upper",) * n_pairs + ("gen_lower",) * n_pairs,
-        subjects=tuple(range(1, n_pairs + 1)) * 2,
-        dispatch_matrix=np.vstack([g, -g]),
-        sensitivity_matrix=np.vstack([sens, -sens]),
-        limits=np.concatenate([limits[:, 0], limits[:, 1]]),
-        sigmas=np.ones(2 * n_pairs),
-        degenerate=np.zeros(2 * n_pairs, dtype=bool),
+        pair_kinds=("gen",) * n_pairs,
+        pair_subjects=tuple(range(1, n_pairs + 1)),
+        pair_dispatch=g,
+        pair_sensitivity=sens,
+        pair_limits=limits,
+        pair_sigmas=np.ones(n_pairs),
+        pair_degenerate=np.zeros(n_pairs, dtype=bool),
     )
 
 
@@ -521,8 +520,7 @@ def test_no_degenerate_pair_is_a_candidate_at_solved_dispatches(rts, rts_catalog
     # A degenerate generator pair has b = 0, limits 0 and no sensitivity,
     # so its scale is 0. Were those 14 pairs summed, a one-shot count on
     # the RTS case would sum about twice the pairs it needs.
-    pairs = rts_catalog.pairs
-    degenerate = np.flatnonzero(rts_catalog.degenerate[pairs[:, 0]])
+    degenerate = np.flatnonzero(rts_catalog.pair_degenerate)
     assert degenerate.size == 14
     samples = sample(gaussian_from_std_corr([9.4, 13.1], 0.2), 5000, seed=5, case=rts)
     store = count_store(samples, rts_catalog)
@@ -564,17 +562,15 @@ def test_envelope_matches_naive_loop_on_any_dispatch(rts, rts_catalog, include_d
 
 def test_unit_rows_are_found_by_value(rts_catalog):
     bus = rts_catalog.unit_bus
-    upper = rts_catalog.pairs[:, 0]
-    eye = np.eye(rts_catalog.dispatch_matrix.shape[1])
-    for c, b in zip(upper, bus):
-        g = rts_catalog.dispatch_matrix[c]
+    eye = np.eye(rts_catalog.pair_dispatch.shape[1])
+    for c, (g, b) in enumerate(zip(rts_catalog.pair_dispatch, bus)):
         assert (b >= 0) == any(np.array_equal(g, e) for e in eye)
         if b >= 0:
             assert np.array_equal(g, eye[b])
-        if rts_catalog.kinds[c] == "gen_upper":
-            assert b == rts_catalog.subjects[c] - 1
+        if rts_catalog.pair_kinds[c] == "gen":
+            assert b == rts_catalog.pair_subjects[c] - 1
     # A line whose flow is one bus's injection has a unit row too.
-    assert any(rts_catalog.kinds[c] == "line_upper" for c in upper[bus >= 0])
+    assert any(kind == "line" for kind, b in zip(rts_catalog.pair_kinds, bus) if b >= 0)
 
 
 @_BOUND_SETTINGS
@@ -698,9 +694,9 @@ def test_store_refuses_another_catalog(rts, rts_catalog):
     # An equal catalog is still another catalog.
     with pytest.raises(ValueError, match="other sensitivities"):
         evaluate(p_g, store, replace(rts_catalog))
-    pairs = rts_catalog.pairs
+    n_pairs = len(rts_catalog.pair_kinds)
     with pytest.raises(ValueError, match="other sensitivities"):
         _kernels.count_violations(
-            np.zeros(len(pairs)), rts_catalog.pair_sensitivity.copy(),
-            rts_catalog.limits[pairs], store, store.cols, np.ones(pairs.shape, dtype=bool),
+            np.zeros(n_pairs), rts_catalog.pair_sensitivity.copy(),
+            rts_catalog.pair_limits, store, store.cols, np.ones(n_pairs, dtype=bool),
         )
