@@ -25,7 +25,7 @@ from .experiment import (
     run_experiment,
     write_report,
 )
-from .grid import CaseError, parse_case_file
+from .grid import CaseError, parse_case_file, parse_integer, parse_number
 from .ptdf import compute_ptdf, ptdf_to_csv
 from .tuner import MODES, TuningError, trace_to_csv, tune
 from .uncertainty import derive_seed, sample, sampleset_to_csv
@@ -50,6 +50,10 @@ def _write_or_print(text: str, out: Optional[str]) -> None:
             handle.write(text)
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
+
+
+def number(text: str) -> float:
+    return float(parse_number(text))  # argparse's error names it: "invalid number value"
 
 
 # Config keys set by command line flags: key -> flag.
@@ -196,7 +200,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("ptdf", help="write the injection shift factor matrix as CSV")
     p.add_argument("--case", default=None, help="case key or path (default rts24)")
     p.add_argument("--config", default=None)
-    p.add_argument("--slack", type=int, default=1)
+    p.add_argument("--slack", type=parse_integer, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_ptdf)
 
@@ -204,8 +208,8 @@ def build_parser() -> _Parser:
     p.add_argument("--case", default=None)
     p.add_argument("--config", default=None)
     p.add_argument("--distribution", choices=DISTRIBUTIONS, default=None)
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--n", type=parse_integer, default=1000)
+    p.add_argument("--seed", default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sample)
 
@@ -213,7 +217,7 @@ def build_parser() -> _Parser:
     p.add_argument("--case", default=None)
     p.add_argument("--config", default=None)
     p.add_argument("--distribution", choices=DISTRIBUTIONS, default=None)
-    p.add_argument("--s", type=float, required=True)
+    p.add_argument("--s", type=number, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_solve)
 
@@ -223,7 +227,7 @@ def build_parser() -> _Parser:
     p.add_argument("--distribution", choices=DISTRIBUTIONS, default=None)
     p.add_argument("--eps", default=None)
     p.add_argument("--mode", choices=MODES, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", default=None)
     p.add_argument("--out", default=None, help="write the bisection trace here")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_tune)
@@ -232,9 +236,9 @@ def build_parser() -> _Parser:
     p.add_argument("--case", default=None)
     p.add_argument("--config", default=None)
     p.add_argument("--distribution", choices=DISTRIBUTIONS, default=None)
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--n", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--s", type=number, required=True)
+    p.add_argument("--n", type=parse_integer, default=10_000)
+    p.add_argument("--seed", default=None)
     p.add_argument("--out", default=None, help="write the full JSON report here")
     p.set_defaults(func=cmd_evaluate)
 
@@ -242,8 +246,8 @@ def build_parser() -> _Parser:
     p.add_argument("--config", required=True)
     p.add_argument("--eps", default=None)
     p.add_argument("--mode", choices=MODES, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--seed", default=None)
+    p.add_argument("--jobs", type=parse_integer, default=1)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_experiment)

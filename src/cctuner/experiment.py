@@ -17,16 +17,15 @@ import functools
 import io
 import json
 import logging
-import sys
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from statistics import NormalDist
 from typing import Dict, Optional, Tuple, Union
 
-from .grid import GridCase, apply_rts_modifications, parse_case_file
+from .grid import GridCase, apply_rts_modifications, parse_case_file, parse_integer, parse_number
 from .ptdf import compute_ptdf
 from .reformulation import ConstraintCatalog, DispatchProgram, build_catalog, participation_factors
-from .tuner import MODES, TuningConfig, TuningError, tune
+from .tuner import TuningConfig, TuningError, tune
 from .uncertainty import (
     MixtureSpec,
     SampleSet,
@@ -50,7 +49,6 @@ STREAM_OOS = 1
 DISTRIBUTIONS = ("gaussian", "mixture")
 
 _STANDARD_NORMAL = NormalDist()
-_FLOAT_MAX = Fraction(sys.float_info.max)
 
 
 class ConfigError(ValueError):
@@ -93,64 +91,50 @@ def parse_config_file(path) -> Dict[str, str]:
         return parse_config_text(handle.read())
 
 
-def _text(key: str, text: str) -> str:
-    return text
-
-
-def _names(key: str, text: str) -> Tuple[str, ...]:
+def _names(text: str) -> Tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
-def _fraction(key: str, text: str, kind: str = "a number") -> Fraction:
-    """Parse one number exactly: an integer, a decimal or p/q."""
+def _numbers(text: str) -> Tuple[Fraction, ...]:
+    return tuple(parse_number(part) for part in _names(text))
+
+
+def _parse(key: str, text: str, parse):
+    """One config value through its parser; a ValueError names the key."""
     try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"key {key!r}: {text!r} is not {kind}") from exc
-    if abs(value) > _FLOAT_MAX:
-        raise ConfigError(f"key {key!r}: {text!r} is beyond the float range")
-    return value
-
-
-def _numbers(key: str, text: str) -> Tuple[Fraction, ...]:
-    return tuple(_fraction(key, part) for part in _names(key, text))
-
-
-def _integer(key: str, text: str) -> int:
-    value = _fraction(key, text, "an integer")
-    if value.denominator != 1:
-        raise ConfigError(f"key {key!r}: {text!r} is not an integer")
-    return int(value)
+        return parse(text)
+    except ValueError as exc:
+        raise ConfigError(f"key {key!r}: {exc}") from None
 
 
 # Sweep and tuning keys: key -> (ExperimentConfig field, default, parser).
 _KEYS = {
-    "case": ("case", "rts24", _text),
+    "case": ("case", "rts24", str),
     "modes": ("modes", "single", _names),
     "distributions": ("distributions", "gaussian", _names),
     "eps": ("eps_values", "0.1", _numbers),
-    "replications": ("replications", "1", _integer),
-    "tuning.samples": ("n_tuning", "10000", _integer),
-    "oos.samples": ("n_oos", "100000", _integer),
-    "gamma": ("gamma", "1e-4", _fraction),
-    "width_tol": ("width_tol", "1e-6", _fraction),
-    "max_iterations": ("max_iterations", "60", _integer),
-    "seed": ("seed", "1", _integer),
-    "moment_source": ("moment_source", "auto", _text),
+    "replications": ("replications", "1", parse_integer),
+    "tuning.samples": ("n_tuning", "10000", parse_integer),
+    "oos.samples": ("n_oos", "100000", parse_integer),
+    "gamma": ("gamma", "1e-4", parse_number),
+    "width_tol": ("width_tol", "1e-6", parse_number),
+    "max_iterations": ("max_iterations", "60", parse_integer),
+    "seed": ("seed", "1", parse_integer),
+    "moment_source": ("moment_source", "auto", str),
 }
 
 # Numeric keys of the distribution specs: key -> (default, parser).
 # gaussian.std_mw has no default; only the Gaussian spec requires it.
 _SPEC_KEYS = {
     "gaussian.std_mw": (None, _numbers),
-    "gaussian.correlation": ("0", _fraction),
+    "gaussian.correlation": ("0", parse_number),
     "mixture.weights": ("1/3, 1/3, 1/3", _numbers),
     "mixture.g1.std_mw": ("7, 14", _numbers),
-    "mixture.g1.correlation": ("0.5", _fraction),
+    "mixture.g1.correlation": ("0.5", parse_number),
     "mixture.g2.std_mw": ("6, 6", _numbers),
-    "mixture.g2.correlation": ("0.1", _fraction),
-    "mixture.uniform.low_mw": ("-30", _fraction),
-    "mixture.uniform.high_mw": ("30", _fraction),
+    "mixture.g2.correlation": ("0.1", parse_number),
+    "mixture.uniform.low_mw": ("-30", parse_number),
+    "mixture.uniform.high_mw": ("30", parse_number),
 }
 
 _SpecNumber = Union[Fraction, Tuple[Fraction, ...]]
@@ -160,10 +144,10 @@ _SpecNumber = Union[Fraction, Tuple[Fraction, ...]]
 class ExperimentConfig:
     """Typed view of a flat experiment configuration.
 
-    from_mapping parses every number once, exactly: counts and the seed
-    to int, the rest to Fraction. The keys and their defaults are those
-    of _KEYS and _SPEC_KEYS; any other key raises ConfigError. raw keeps
-    the text it was parsed from for the JSON report.
+    from_mapping parses every number once, through grid.parse_number:
+    counts and the seed to int, the rest to Fraction. The keys and their
+    defaults are those of _KEYS and _SPEC_KEYS; any other key raises
+    ConfigError. raw keeps the text it was parsed from for the JSON report.
     """
 
     case: str
@@ -182,17 +166,11 @@ class ExperimentConfig:
     raw: Dict[str, str]
 
     def __post_init__(self):
-        for mode in self.modes:
-            if mode not in MODES:
-                raise ConfigError(f"unknown mode {mode!r}")
         for dist in self.distributions:
             if dist not in DISTRIBUTIONS:
                 raise ConfigError(f"unknown distribution {dist!r}")
         if self.moment_source not in ("auto", "spec", "empirical"):
             raise ConfigError(f"unknown moment_source {self.moment_source!r}")
-        for eps in self.eps_values:
-            if not 0 < eps < 1:
-                raise ConfigError(f"eps {eps} out of range")
         # An empty axis would run nothing; a repeated entry would run its
         # cells twice and count each replication twice in the averages.
         for key, values in (
@@ -209,12 +187,12 @@ class ExperimentConfig:
                 raise ConfigError(f"key {key!r} must be nonnegative, got {getattr(self, key)}")
         if self.n_tuning < 1 or self.n_oos < 1:
             raise ConfigError("sample counts must be positive")
-        # The cells differ only in mode and eps, both checked above, so one
-        # cell's tuning settings stand for all of them.
-        try:
-            self.tuning(self.modes[0], self.eps_values[0])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        for mode in self.modes:
+            for eps in self.eps_values:
+                try:
+                    self.tuning(mode, eps)
+                except ValueError as exc:
+                    raise ConfigError(str(exc)) from exc
 
     @classmethod
     def from_mapping(cls, cfg: Dict[str, str]) -> "ExperimentConfig":
@@ -222,12 +200,12 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError("; ".join(f"unknown key {key!r}" for key in unknown))
         spec_numbers = {
-            key: parse(key, cfg.get(key, default))
+            key: _parse(key, cfg.get(key, default), parse)
             for key, (default, parse) in _SPEC_KEYS.items()
             if key in cfg or default is not None
         }
         return cls(
-            **{name: parse(key, cfg.get(key, default)) for key, (name, default, parse) in _KEYS.items()},
+            **{name: _parse(key, cfg.get(key, default), parse) for key, (name, default, parse) in _KEYS.items()},
             spec_numbers=spec_numbers,
             raw=dict(cfg),
         )
@@ -478,7 +456,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1, case: Optional[GridC
     pairs = [(dist_name, rep) for dist_name in config.distributions for rep in reps]
     run_pair = functools.partial(_run_replication, case, config)
     if jobs > 1 and len(pairs) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(pairs))) as pool:
             results = list(pool.map(run_pair, *zip(*pairs), chunksize=1))
     else:
         results = [run_pair(*pair) for pair in pairs]

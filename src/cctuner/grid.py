@@ -13,13 +13,22 @@ may be arbitrary positive integers; they are renumbered to a contiguous
 1..m range (ascending original id) during parsing. Multiple ``gen``
 records on one bus are aggregated into a single equivalent generator so
 that downstream code can treat generation as a length-m vector.
+
+Every number is read by parse_number, the reader the config keys use
+too: an integer, a decimal (``0.1``, ``1e-4``) or ``p/q``, read exactly
+and then rounded once to a float. ``nan``, ``inf`` and a magnitude
+beyond the float range are errors. An integer field (a bus id, a line
+end, a gen bus) takes any number whose value is whole, so ``8``, ``8.0``
+and ``16/2`` name the same bus. A case whose per-unit values (MW / base,
+base², 2·c2·base², c1·base, 1/x) are not finite floats is rejected.
 """
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass, replace
-from functools import cached_property
+from fractions import Fraction
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -31,8 +40,12 @@ __all__ = [
     "CaseError",
     "parse_case",
     "parse_case_file",
+    "parse_integer",
+    "parse_number",
     "apply_rts_modifications",
 ]
+
+_FLOAT_MAX = int(sys.float_info.max)
 
 
 class CaseError(ValueError):
@@ -207,12 +220,12 @@ def parse_case(text: str) -> GridCase:
         try:
             if kind == "base":
                 _expect(len(args) == 1, "base takes one value", line_no)
-                base_mva = _number(args[0], line_no)
+                base_mva = float(parse_number(args[0]))
                 _expect(base_mva > 0, "base MVA must be positive", line_no)
             elif kind == "bus":
                 _expect(len(args) in (2, 3), "bus takes id, load [, uncertain]", line_no)
-                bus_id = int(args[0])
-                load = _number(args[1], line_no)
+                bus_id = parse_integer(args[0])
+                load = float(parse_number(args[1]))
                 uncertain = False
                 if len(args) == 3:
                     _expect(args[2] == "uncertain", f"unknown bus flag {args[2]!r}", line_no)
@@ -223,17 +236,16 @@ def parse_case(text: str) -> GridCase:
                 raw_buses[bus_id] = (load, uncertain, line_no)
             elif kind == "line":
                 _expect(len(args) == 4, "line takes from, to, x, capacity", line_no)
-                raw_lines.append(
-                    (int(args[0]), int(args[1]), _number(args[2], line_no), _number(args[3], line_no), line_no)
-                )
+                ends = (parse_integer(args[0]), parse_integer(args[1]))
+                raw_lines.append((*ends, *(float(parse_number(arg)) for arg in args[2:]), line_no))
             elif kind == "gen":
                 _expect(len(args) == 6, "gen takes bus, pmin, pmax, c2, c1, c0", line_no)
-                raw_gens.append((int(args[0]), *(_number(arg, line_no) for arg in args[1:]), line_no))
+                raw_gens.append((parse_integer(args[0]), *(float(parse_number(arg)) for arg in args[1:]), line_no))
             else:
                 raise CaseError(f"unknown record type {kind!r}", line_no)
-        except (ValueError, OverflowError) as exc:
-            if isinstance(exc, CaseError):
-                raise
+        except CaseError:
+            raise
+        except ValueError as exc:
             raise CaseError(f"malformed number in {kind!r} record: {exc}", line_no) from None
 
     if base_mva is None:
@@ -282,13 +294,31 @@ def parse_case(text: str) -> GridCase:
     return case
 
 
-def _number(text: str, line_no: int) -> float:
-    """One case-file number; nan, inf and literals beyond the float range
-    are a CaseError naming the line (nan passes every range check)."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise CaseError(f"number {text!r} is not finite", line_no)
+# Case files repeat most numbers (107 distinct among the RTS case's 399) and
+# a Fraction is immutable, so keeping recent reads about halves that parse.
+@lru_cache(maxsize=1024)
+def parse_number(text: str) -> Fraction:
+    """Read an input number exactly: an integer, a decimal or p/q. Anything
+    else (nan and inf too), a zero denominator or a magnitude beyond the
+    float range raises ValueError."""
+    _, e, exponent = text.lower().partition("e")
+    try:
+        # Fraction expands 10**exponent in full, which for 1e-999999999
+        # takes gigabytes; past ±100000 the magnitude is out of range.
+        value = None if e and abs(int(exponent)) > 100_000 else Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{text!r} is not a number") from None
+    if value is None or abs(value.numerator) > _FLOAT_MAX * value.denominator:
+        raise ValueError(f"{text!r} is beyond the float range")
     return value
+
+
+def parse_integer(text: str) -> int:
+    """Read a whole number: any number parse_number reads whose value is whole."""
+    value = parse_number(text)
+    if value.denominator != 1:
+        raise ValueError(f"{text!r} is not an integer")
+    return int(value)
 
 
 def _expect(cond: bool, message: str, line_no: int) -> None:
@@ -301,8 +331,27 @@ def _validate(case: GridCase) -> None:
         raise CaseError("grid is disconnected; no lines")
     edges = [(ln.from_bus - 1, ln.to_bus - 1) for ln in case.lines]
     _check_connected(case.n_buses, edges)
-    total_cap = float(np.sum(case.p_max_mw()))
-    total_load = float(np.sum(case.loads_mw()))
+    base = case.base_mva
+    c2, c1, _ = case.cost_coefficients()
+    mw = np.concatenate([case.loads_mw(), case.p_min_mw(), case.p_max_mw(), case.line_capacities_mw()])
+    # The solver works in per unit. A value that is not a finite float
+    # there (a huge or tiny base, a huge cost, a reactance whose
+    # susceptance overflows) is refused here, before it turns into a
+    # warning or a failed factorization downstream.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        total_cap = float(np.sum(case.p_max_mw()))
+        total_load = float(np.sum(case.loads_mw()))
+        base_sq = np.float64(base) ** 2
+        per_unit = {
+            "base**2 or its inverse": [base_sq, 1.0 / base_sq],
+            "a power / base": np.append(mw, [total_cap, total_load]) / base,
+            "2*c2*base**2": 2.0 * c2 * base * base,
+            "c1*base": c1 * base,
+            "a susceptance 1/x": 1.0 / np.array([ln.reactance_pu for ln in case.lines]),
+        }
+    for name, values in per_unit.items():
+        if not np.all(np.isfinite(values)):
+            raise CaseError(f"{name} is not a finite float in per unit")
     if total_cap < total_load:
         raise CaseError(
             f"total capacity {total_cap} MW cannot serve total load {total_load} MW"

@@ -172,7 +172,10 @@ def _active_set(p, q, a, b, g, h, x, work, tol, max_iters, stop=None):
         gd = g @ d
         blocking = ~work & (gd > 1e-12 * (np.abs(g) @ np.abs(d)))
         ratios = np.full(c, np.inf)
-        ratios[blocking] = np.maximum(h - g @ x, 0.0)[blocking] / gd[blocking]
+        # A ratio that overflows is +inf: that row does not block, as for
+        # the rows left out above.
+        with np.errstate(over="ignore"):
+            ratios[blocking] = np.maximum(h - g @ x, 0.0)[blocking] / gd[blocking]
         j = int(np.argmin(ratios))
         if ray and ratios[j] == np.inf:
             status = "unbounded"

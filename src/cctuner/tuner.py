@@ -15,7 +15,6 @@ from __future__ import annotations
 import io
 import logging
 import math
-import numbers
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -24,6 +23,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .grid import parse_integer, parse_number
 from .reformulation import ConstraintCatalog, DispatchProgram, solve_dispatch
 from .violation import count_store, evaluate
 
@@ -44,11 +44,11 @@ class TuningError(RuntimeError):
 class TuningConfig:
     """Target violation probability and stopping rules.
 
-    eps_des and gamma are held as exact fractions; floats are converted
-    through their decimal string form, so eps_des=0.1 is exactly 1/10,
-    and strings may be decimals or p/q. width_tol is held as a float and
-    must be positive and finite; max_iterations must be an int (not a
-    bool) of at least 1.
+    The one home of the eps, gamma, mode, width_tol and max_iterations
+    rules; ExperimentConfig builds one per sweep cell. Each number is read
+    from its str() by grid.parse_number, so eps_des=0.1 is exactly 1/10
+    and nan, inf or a bool is a ValueError. eps_des and gamma are held as
+    Fractions, width_tol as a positive float, max_iterations as an int >= 1.
     """
 
     eps_des: Fraction
@@ -58,23 +58,24 @@ class TuningConfig:
     max_iterations: int = 60
 
     def __post_init__(self):
-        object.__setattr__(self, "eps_des", Fraction(str(self.eps_des)))
-        object.__setattr__(self, "gamma", Fraction(str(self.gamma)))
+        for name in ("eps_des", "gamma", "width_tol", "max_iterations"):
+            read = parse_integer if name == "max_iterations" else parse_number
+            try:
+                object.__setattr__(self, name, read(str(getattr(self, name))))
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
         object.__setattr__(self, "width_tol", float(self.width_tol))
         if not 0 < self.eps_des < 1:
-            raise ValueError("eps_des must lie strictly between 0 and 1")
+            raise ValueError(f"eps_des must lie strictly between 0 and 1, got {float(self.eps_des):g}")
         if self.gamma < 0:
             raise ValueError("gamma must be nonnegative")
         if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
-        # NaN never collapses the bracket and inf collapses it before the
-        # first iterate, so both are rejected here rather than in the loop.
-        if not (0 < self.width_tol < math.inf):
-            raise ValueError("width_tol must be positive and finite")
-        cap = self.max_iterations
-        if isinstance(cap, bool) or not isinstance(cap, numbers.Integral):
-            raise ValueError(f"max_iterations must be an integer, got {cap!r}")
-        if cap < 1:
+            raise ValueError(f"unknown mode {self.mode!r}, expected one of {MODES}")
+        # Zero never collapses the bracket, so it is rejected here rather
+        # than found at the iteration cap.
+        if not self.width_tol > 0:
+            raise ValueError("width_tol must be positive")
+        if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
 
     def observed(self, eps_single, eps_joint):
@@ -136,24 +137,29 @@ class TuningResult:
         return self.config.observed(self.eps_single, self.eps_joint)
 
 
-def initial_bounds(eps_des, mode: str = "single", n_constraints: Optional[int] = None):
-    """Distribution-free bracket for s.
+def initial_bounds(config: TuningConfig, n_constraints: Optional[int] = None):
+    """Distribution-free bracket for s under a checked TuningConfig.
 
     The upper end is the one-sided Chebyshev point sqrt((1-p)/p), at
     which any finite-variance distribution violates a single tightened
-    constraint with probability at most p. Joint mode splits eps_des
-    across the n_constraints rows of the union bound.
+    constraint with probability at most p = eps_des. Joint mode splits
+    eps_des across the n_constraints rows of the union bound. An eps_des
+    so close to 0 or 1 that p rounds to 0 or 1 in floats, or the upper
+    end overflows, leaves no finite, positive bracket and raises
+    ValueError.
     """
-    p = float(eps_des)
-    if not 0 < p < 1:
-        raise ValueError("eps_des must lie strictly between 0 and 1")
-    if mode == "joint":
+    p = float(config.eps_des)
+    if config.mode == "joint":
         if not n_constraints or n_constraints < 1:
             raise ValueError("joint bounds need the number of constraints")
         p = p / n_constraints
-    elif mode != "single":
-        raise ValueError(f"mode must be one of {MODES}")
-    return 0.0, math.sqrt((1.0 - p) / p)
+    s_max = math.sqrt((1.0 - p) / p) if p > 0 else math.inf
+    if not 0 < s_max < math.inf:
+        raise ValueError(
+            f"eps_des is too close to 0 or 1 for floats: its bracket for s, (0, {s_max:g}), "
+            "is not a finite, positive interval"
+        )
+    return 0.0, s_max
 
 
 def bisect_tune(
@@ -293,7 +299,7 @@ def tune(
             UserWarning,
             stacklevel=2,
         )
-    bounds = initial_bounds(config.eps_des, config.mode, catalog.n_active)
+    bounds = initial_bounds(config, catalog.n_active)
     program = program or DispatchProgram(case, catalog)
 
     def solve_at(s: float):

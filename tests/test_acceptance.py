@@ -178,7 +178,7 @@ def test_criterion_3_iteration_counts(sweep, announce):
                     problems.append(
                         f"{mode}/{dist}/eps={eps}: avg iterations {avg.iterations:.1f} outside [7, 20]"
                     )
-                s_lo, s_hi = initial_bounds(eps, mode, 96)
+                s_lo, s_hi = initial_bounds(TuningConfig(eps_des=eps, gamma=0, mode=mode), 96)
                 cap = math.floor(math.log2((s_hi - s_lo) / width_tol))
                 for r in _rows(report, mode, dist, eps):
                     if not r.failed and r.iterations > cap:

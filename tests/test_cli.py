@@ -77,7 +77,8 @@ def test_non_finite_case_number_exits_1(case_path, tmp_path, capsys, record, fie
     cfg.write_text(SMALL_CFG.replace("case = rts24", f"case = {case}"))
     for argv in (["parse", str(case)], ["solve", "--config", str(cfg), "--s", "1"], ["tune", "--config", str(cfg)]):
         assert main(argv) == 1
-        assert f"error: line {line_no}: number '{value}' is not finite" in capsys.readouterr().err
+        message = f"error: line {line_no}: malformed number in '{record.split()[0]}' record: '{value}' is not a number"
+        assert message in capsys.readouterr().err
 
 
 def test_parse_missing_file(capsys):
@@ -140,9 +141,12 @@ def test_solve_and_infeasible_exit(cfg_path, capsys):
 
 @pytest.mark.parametrize("command", ["solve", "evaluate"])
 def test_nonfinite_s_exits_1(cfg_path, command, capsys):
+    # --s is read as every input number is, so nan and inf are not numbers.
     for s in ("nan", "inf"):
         assert main([command, "--config", cfg_path, "--s", s]) == 1
-        assert "nonnegative" in capsys.readouterr().err
+        assert f"argument --s: invalid number value: '{s}'" in capsys.readouterr().err
+    assert main([command, "--config", cfg_path, "--s", "-1"]) == 1
+    assert "nonnegative" in capsys.readouterr().err
 
 
 def test_tune_with_trace_outputs(cfg_path, tmp_path, capsys):
@@ -307,6 +311,20 @@ def test_tune_accepts_fraction_eps(cfg_path, capsys):
     decimal = capsys.readouterr().out
     assert main(["tune", "--config", cfg_path, "--eps", "1/10"]) == 0
     assert capsys.readouterr().out == decimal
+
+
+# Each eps lies inside (0, 1), but no float bracket holds it: 5e-324 / 96
+# rounds to 0 (a ZeroDivisionError traceback before), and the top of the
+# 1e-310 bracket overflows (a solve at s = inf before).
+@pytest.mark.parametrize("eps, mode", [("5e-324", "joint"), ("1e-310", "single"), ("1e-310", "joint")])
+def test_eps_too_small_for_a_float_bracket_exits_1(cfg_path, capsys, eps, mode):
+    argv = ["--config", cfg_path, "--eps", eps, "--mode", mode]
+    assert main(["tune", *argv]) == 1
+    assert "error: eps_des is too close to 0 or 1 for floats" in capsys.readouterr().err
+    # The sweep stops there too, or, in a single-mode Gaussian cell, at
+    # the reference quantile of 1 - eps, which rounds to 1.
+    assert main(["experiment", *argv]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_negative_seed_exits_1(cfg_path, capsys):

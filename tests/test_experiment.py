@@ -103,12 +103,14 @@ def test_experiment_config_validation():
         ExperimentConfig.from_text("modes = both")
     with pytest.raises(ConfigError, match="unknown distribution"):
         ExperimentConfig.from_text("distributions = cauchy")
-    with pytest.raises(ConfigError, match="out of range"):
+    with pytest.raises(ConfigError, match="eps_des must lie strictly between 0 and 1, got 1.5"):
         ExperimentConfig.from_text("eps = 1.5")
     with pytest.raises(ConfigError, match="moment_source"):
         ExperimentConfig.from_text("moment_source = guess")
-    with pytest.raises(ConfigError, match="not an integer"):
+    with pytest.raises(ConfigError, match="'replications': 'few' is not a number"):
         ExperimentConfig.from_text("replications = few")
+    with pytest.raises(ConfigError, match="'replications': '2.5' is not an integer"):
+        ExperimentConfig.from_text("replications = 2.5")
     with pytest.raises(ConfigError, match="not a number"):
         ExperimentConfig.from_text("width_tol = wide")
     # numpy would reject it only at the first draw, without naming the key.
@@ -211,6 +213,32 @@ def test_jobs_do_not_change_the_report(small_report):
     config = ExperimentConfig.from_text(SMALL_GAUSSIAN)
     parallel = run_experiment(config, jobs=2)
     assert report_to_csv(parallel) == report_to_csv(small_report)
+
+
+def test_jobs_start_no_more_workers_than_pairs(small_report, monkeypatch):
+    # A process pool forks all its workers up front, so a worker beyond
+    # the pair count would only sit idle. The stand-in pool records its
+    # size and maps in this process.
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(experiment.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    config = ExperimentConfig.from_text(SMALL_GAUSSIAN)
+    report = run_experiment(config, jobs=4)
+    assert sizes == [2]
+    assert report_to_csv(report) == report_to_csv(small_report)
 
 
 def test_zero_replications_header_only():

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import re
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from cctuner import (
     load_rts_case,
     parse_case,
 )
+from cctuner.grid import parse_integer, parse_number
 
 TWO_BUS = """
 base 100
@@ -81,8 +85,8 @@ def test_uncertain_flag_parsed():
         ("base 100\nbus 1 0\nbus 2 1\nline 1 2 -0.1 5\ngen 1 0 5 0 1 0\n", "reactance"),
         ("base 100\nbus 1 0\nbus 2 1\nline 1 2 0.1 5\ngen 1 9 5 0 1 0\n", "pmin"),
         ("base 100\nbus 1 0\nbus 2 1\nline 1 2 0.1 x\ngen 1 0 5 0 1 0\n", "malformed number"),
-        ("base 100\nbus 1 0\nbus 2 1\nline 1 2 0.1 5\ngen 1 0 5 0 1 -inf\n", "line 5: number '-inf' is not finite"),
-        ("base 100\nbus 1 0\nbus 2 1\nline 1 2 0.1 1e999\ngen 1 0 5 0 1 0\n", "line 4: number '1e999' is not finite"),
+        ("base 100\nbus 1 0\nbus 2 1\nline 1 2 0.1 5\ngen 1 0 5 0 1 -inf\n", "line 5: malformed number in 'gen' record: '-inf' is not a number"),
+        ("base 100\nbus 1 0\nbus 2 1\nline 1 2 0.1 1e999\ngen 1 0 5 0 1 0\n", "line 4: malformed number in 'line' record: '1e999' is beyond the float range"),
         ("base 100\nbus 1 0\nbus 2 1\nline 1 2 0.1 5\nfrob 1\n", "unknown record"),
     ],
 )
@@ -102,6 +106,49 @@ def test_disconnected_grid_rejected_and_named():
     gen 3 0 20 0 1 0
     """
     with pytest.raises(CaseError, match=r"unreachable buses \[3\]"):
+        parse_case(text)
+
+
+def test_parse_number_reads_exactly_and_rejects_the_rest():
+    assert parse_number("0.1") == Fraction(1, 10)
+    assert parse_number(" 1/3 ") == Fraction(1, 3)
+    assert parse_number("1e-400") == Fraction(1, 10**400)
+    for text in ("nan", "inf", "-inf", "0x10", "1/0", "", "1.5/2", "abc"):
+        with pytest.raises(ValueError, match="is not a number"):
+            parse_number(text)
+    # 1e-999999999 is refused before Fraction would expand 10**999999999.
+    for text in ("1e309", "-2e308", "1e999999999", "1e-999999999"):
+        with pytest.raises(ValueError, match="beyond the float range"):
+            parse_number(text)
+    assert parse_integer("16/2") == parse_integer("8.0") == 8
+    with pytest.raises(ValueError, match="not an integer"):
+        parse_integer("8.5")
+
+
+def test_case_numbers_take_the_config_syntax():
+    # Integer fields take any whole value; a real field may be p/q.
+    text = TWO_BUS.replace("bus 2 50", "bus 2.0 100/2").replace("line 1 2 0.1", "line 1 4/2 1/10")
+    assert parse_case(text) == parse_case(TWO_BUS)
+
+
+# Each value is finite as written, but not in per unit, where the solver
+# works (base 100 unless the edit changes it).
+@pytest.mark.parametrize(
+    "edits, name",
+    [
+        ({"base 100": "base 1e308"}, "base**2 or its inverse"),
+        ({"base 100": "base 1e-170"}, "base**2 or its inverse"),
+        ({"base 100": "base 1e-10", "0.1 100": "0.1 1e300"}, "a power / base"),
+        ({"80 0.01": "80 1e305"}, "2*c2*base**2"),
+        ({"0.01 10": "0.01 1e307"}, "c1*base"),
+        ({"0.1 100": "1e-320 100"}, "a susceptance 1/x"),
+    ],
+)
+def test_per_unit_overflow_rejected(edits, name):
+    text = TWO_BUS
+    for old, new in edits.items():
+        text = text.replace(old, new)
+    with pytest.raises(CaseError, match=re.escape(f"{name} is not a finite float in per unit")):
         parse_case(text)
 
 

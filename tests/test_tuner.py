@@ -69,15 +69,32 @@ def linear_eps(s):
 
 
 def test_initial_bounds_examples():
-    assert initial_bounds(0.1) == (0.0, 3.0)
-    assert initial_bounds(0.01)[1] == pytest.approx(9.9499, abs=1e-4)
-    assert initial_bounds(0.05, "joint", 100)[1] == pytest.approx(44.7102, abs=1e-4)
+    def bounds(eps, mode="single", n_constraints=None):
+        return initial_bounds(TuningConfig(eps_des=eps, gamma=0, mode=mode), n_constraints)
+
+    assert bounds(0.1) == (0.0, 3.0)
+    assert bounds(0.01)[1] == pytest.approx(9.9499, abs=1e-4)
+    assert bounds(0.05, "joint", 100)[1] == pytest.approx(44.7102, abs=1e-4)
     with pytest.raises(ValueError, match="number of constraints"):
-        initial_bounds(0.05, "joint")
-    with pytest.raises(ValueError, match="between 0 and 1"):
-        initial_bounds(1.0)
-    with pytest.raises(ValueError, match="mode"):
-        initial_bounds(0.1, "both")
+        bounds(0.05, "joint")
+
+
+# Each eps_des lies inside (0, 1) exactly, but its float bracket does not
+# exist: p rounds to 0, the top overflows, or p rounds to 1.
+@pytest.mark.parametrize(
+    "eps, mode",
+    [
+        ("1e-400", "single"),
+        ("1e-310", "single"),
+        ("1e-310", "joint"),
+        ("5e-324", "joint"),
+        (Fraction(10**20 - 1, 10**20), "single"),
+    ],
+)
+def test_initial_bounds_reject_a_bracket_floats_cannot_hold(eps, mode):
+    config = TuningConfig(eps_des=eps, gamma=0, mode=mode)
+    with pytest.raises(ValueError, match="eps_des is too close to 0 or 1"):
+        initial_bounds(config, 96)
 
 
 def test_stub_root_recovery_and_iteration_bound():
@@ -290,7 +307,7 @@ def test_warm_started_tune_matches_cold_bisection(rts_tuning_set, mode):
         config,
         lambda s: solve_dispatch(case, catalog, s),
         evaluate_at,
-        initial_bounds(config.eps_des, mode, catalog.n_active),
+        initial_bounds(config, catalog.n_active),
     )
     assert (warm.s, warm.eps_single, warm.eps_joint) == (cold.s, cold.eps_single, cold.eps_joint)
     assert warm.iterations == cold.iterations
@@ -305,7 +322,7 @@ def test_warm_started_tune_matches_cold_bisection(rts_tuning_set, mode):
 def test_each_iterate_bisects_a_nested_bracket(rts_tuning_set, mode):
     case, catalog, samples = rts_tuning_set
     result = tune(case, catalog, samples, TuningConfig(eps_des=0.05, gamma=1e-3, mode=mode))
-    bracket = initial_bounds(Fraction(1, 20), mode, catalog.n_active)
+    bracket = initial_bounds(TuningConfig(eps_des=Fraction(1, 20), gamma=0, mode=mode), catalog.n_active)
     assert result.iterations >= 2
     for it in result.trace:
         # Each bracket is the half of the previous one that the previous
