@@ -16,7 +16,6 @@ from .experiment import (
     DISTRIBUTIONS,
     STREAM_OOS,
     STREAM_TUNING,
-    ConfigError,
     ExperimentConfig,
     build_distribution,
     build_replication,
@@ -25,7 +24,7 @@ from .experiment import (
     run_experiment,
     write_report,
 )
-from .grid import CaseError, parse_case_file, parse_integer, parse_number
+from .grid import parse_case_file, parse_integer, parse_number
 from .ptdf import compute_ptdf, ptdf_to_csv
 from .tuner import MODES, TuningError, trace_to_csv, tune
 from .uncertainty import derive_seed, sample, sampleset_to_csv
@@ -78,6 +77,16 @@ def _replication(args):
     return config, case, build_replication(case, config, config.distributions[0], 1)
 
 
+def _dispatch_at_s(args):
+    """_replication and its dispatch at --s. A solve that returns no
+    dispatch raises TuningError, so the command exits 2."""
+    config, case, pair = _replication(args)
+    solution = pair.program.solve(args.s)
+    if not solution.feasible:
+        raise TuningError(f"{solution.status} at s={args.s:g}")
+    return config, case, pair, solution
+
+
 def cmd_parse(args) -> int:
     case = parse_case_file(args.file)
     load = sum(b.load_mw for b in case.buses)
@@ -108,11 +117,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    _, case, pair = _replication(args)
-    solution = pair.program.solve(args.s)
-    if not solution.feasible:
-        print(f"{solution.status} at s={args.s:g}", file=sys.stderr)
-        return SOLVE_ERROR
+    _, case, _, solution = _dispatch_at_s(args)
     lines = [f"s={args.s:.12g}", f"cost={solution.objective:.12g}"]
     for bus, value in enumerate(solution.p_g, start=1):
         if value != 0.0:
@@ -123,7 +128,7 @@ def cmd_solve(args) -> int:
 
 def cmd_tune(args) -> int:
     config, case, pair = _replication(args)
-    tuning = config.tuning(config.modes[0], config.eps_values[0])
+    tuning = config.cells[config.modes[0], config.eps_values[0]]
     result = tune(case, pair.catalog, pair.tuning_samples, tuning, pair.program)
     print(
         f"s={result.s:.6g} iterations={result.iterations} "
@@ -150,11 +155,7 @@ def cmd_tune(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    config, case, pair = _replication(args)
-    solution = pair.program.solve(args.s)
-    if not solution.feasible:
-        print(f"{solution.status} at s={args.s:g}", file=sys.stderr)
-        return SOLVE_ERROR
+    config, case, pair, solution = _dispatch_at_s(args)
     samples = sample(pair.spec, args.n, derive_seed(config.seed, STREAM_OOS, 1), case)
     report = evaluate(solution.p_g, samples, pair.catalog)
     text = report_to_json(report, pair.catalog)
@@ -189,69 +190,51 @@ def cmd_experiment(args) -> int:
     return 0
 
 
+# Every flag, declared once: name -> add_argument keywords.
+_FLAGS = {
+    "file": {},
+    "--case": {},
+    "--config": {},
+    "--distribution": {"choices": DISTRIBUTIONS},
+    "--eps": {},
+    "--mode": {"choices": MODES},
+    "--seed": {},
+    "--s": {"type": number, "required": True},
+    "--n": {"type": parse_integer},
+    "--slack": {"type": parse_integer, "default": 1},
+    "--jobs": {"type": parse_integer, "default": 1},
+    "--out": {},
+    "--format": {"choices": ("csv", "json"), "default": "csv"},
+}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="cctuner", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("parse", help="validate a case file and print a summary")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_parse)
+    def command(name, func, summary, flags, **extra):
+        """Add a subcommand taking the named _FLAGS; extra maps a flag's
+        dest to keywords this command adds to its entry."""
+        p = sub.add_parser(name, help=summary)
+        for flag in flags.split():
+            p.add_argument(flag, **_FLAGS[flag], **extra.get(flag.lstrip("-"), {}))
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("ptdf", help="write the injection shift factor matrix as CSV")
-    p.add_argument("--case", default=None, help="case key or path (default rts24)")
-    p.add_argument("--config", default=None)
-    p.add_argument("--slack", type=parse_integer, default=1)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_ptdf)
-
-    p = sub.add_parser("sample", help="draw uncertainty samples as CSV")
-    p.add_argument("--case", default=None)
-    p.add_argument("--config", default=None)
-    p.add_argument("--distribution", choices=DISTRIBUTIONS, default=None)
-    p.add_argument("--n", type=parse_integer, default=1000)
-    p.add_argument("--seed", default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_sample)
-
-    p = sub.add_parser("solve", help="solve the tightened dispatch at a fixed s")
-    p.add_argument("--case", default=None)
-    p.add_argument("--config", default=None)
-    p.add_argument("--distribution", choices=DISTRIBUTIONS, default=None)
-    p.add_argument("--s", type=number, required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("tune", help="bisect s to the target violation probability")
-    p.add_argument("--case", default=None)
-    p.add_argument("--config", default=None)
-    p.add_argument("--distribution", choices=DISTRIBUTIONS, default=None)
-    p.add_argument("--eps", default=None)
-    p.add_argument("--mode", choices=MODES, default=None)
-    p.add_argument("--seed", default=None)
-    p.add_argument("--out", default=None, help="write the bisection trace here")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=cmd_tune)
-
-    p = sub.add_parser("evaluate", help="measure violation frequencies at a fixed s")
-    p.add_argument("--case", default=None)
-    p.add_argument("--config", default=None)
-    p.add_argument("--distribution", choices=DISTRIBUTIONS, default=None)
-    p.add_argument("--s", type=number, required=True)
-    p.add_argument("--n", type=parse_integer, default=10_000)
-    p.add_argument("--seed", default=None)
-    p.add_argument("--out", default=None, help="write the full JSON report here")
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("experiment", help="run a replicated tuning sweep")
-    p.add_argument("--config", required=True)
-    p.add_argument("--eps", default=None)
-    p.add_argument("--mode", choices=MODES, default=None)
-    p.add_argument("--seed", default=None)
-    p.add_argument("--jobs", type=parse_integer, default=1)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=cmd_experiment)
-
+    command("parse", cmd_parse, "validate a case file and print a summary", "file")
+    command("ptdf", cmd_ptdf, "write the injection shift factor matrix as CSV",
+            "--case --config --slack --out", case={"help": "case key or path (default rts24)"})
+    command("sample", cmd_sample, "draw uncertainty samples as CSV",
+            "--case --config --distribution --n --seed --out", n={"default": 1000})
+    command("solve", cmd_solve, "solve the tightened dispatch at a fixed s",
+            "--case --config --distribution --s --out")
+    command("tune", cmd_tune, "bisect s to the target violation probability",
+            "--case --config --distribution --eps --mode --seed --out --format",
+            out={"help": "write the bisection trace here"})
+    command("evaluate", cmd_evaluate, "measure violation frequencies at a fixed s",
+            "--case --config --distribution --s --n --seed --out",
+            n={"default": 10_000}, out={"help": "write the full JSON report here"})
+    command("experiment", cmd_experiment, "run a replicated tuning sweep",
+            "--config --eps --mode --seed --jobs --out --format", config={"required": True})
     return parser
 
 
@@ -263,15 +246,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (CaseError, ConfigError, ValueError) as exc:
+    except (ValueError, OSError, TuningError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except TuningError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return SOLVE_ERROR
+        return SOLVE_ERROR if isinstance(exc, TuningError) else USAGE_ERROR
 
 
 if __name__ == "__main__":

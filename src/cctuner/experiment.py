@@ -17,7 +17,7 @@ import functools
 import io
 import json
 import logging
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from statistics import NormalDist
 from typing import Dict, Optional, Tuple, Union
@@ -48,18 +48,9 @@ STREAM_OOS = 1
 
 DISTRIBUTIONS = ("gaussian", "mixture")
 
-_STANDARD_NORMAL = NormalDist()
-
 
 class ConfigError(ValueError):
     """Raised for malformed experiment configuration."""
-
-
-def inv_normal_cdf(p: float) -> float:
-    """Standard normal quantile."""
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie strictly between 0 and 1")
-    return _STANDARD_NORMAL.inv_cdf(p)
 
 
 def parse_config_text(text: str) -> Dict[str, str]:
@@ -148,6 +139,9 @@ class ExperimentConfig:
     counts and the seed to int, the rest to Fraction. The keys and their
     defaults are those of _KEYS and _SPEC_KEYS; any other key raises
     ConfigError. raw keeps the text it was parsed from for the JSON report.
+    cells holds the TuningConfig of each (mode, eps) cell, keyed by
+    (mode, eps) in sweep order and built once, from the exact numbers;
+    the sweep and the CLI tune with these objects.
     """
 
     case: str
@@ -164,6 +158,7 @@ class ExperimentConfig:
     moment_source: str
     spec_numbers: Dict[str, _SpecNumber]
     raw: Dict[str, str]
+    cells: Dict[Tuple[str, Fraction], TuningConfig] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for dist in self.distributions:
@@ -187,12 +182,21 @@ class ExperimentConfig:
                 raise ConfigError(f"key {key!r} must be nonnegative, got {getattr(self, key)}")
         if self.n_tuning < 1 or self.n_oos < 1:
             raise ConfigError("sample counts must be positive")
-        for mode in self.modes:
-            for eps in self.eps_values:
-                try:
-                    self.tuning(mode, eps)
-                except ValueError as exc:
-                    raise ConfigError(str(exc)) from exc
+        try:
+            cells = {
+                (mode, eps): TuningConfig(
+                    eps_des=eps,
+                    gamma=self.gamma,
+                    mode=mode,
+                    width_tol=self.width_tol,
+                    max_iterations=self.max_iterations,
+                )
+                for mode in self.modes
+                for eps in self.eps_values
+            }
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        object.__setattr__(self, "cells", cells)
 
     @classmethod
     def from_mapping(cls, cfg: Dict[str, str]) -> "ExperimentConfig":
@@ -217,16 +221,6 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
         return cls.from_mapping(parse_config_file(path))
-
-    def tuning(self, mode: str, eps: Fraction) -> TuningConfig:
-        """Tuning settings of the (mode, eps) cell."""
-        return TuningConfig(
-            eps_des=eps,
-            gamma=self.gamma,
-            mode=mode,
-            width_tol=self.width_tol,
-            max_iterations=self.max_iterations,
-        )
 
 
 def load_case(name_or_path: str) -> GridCase:
@@ -380,34 +374,34 @@ def _run_replication(case, config: ExperimentConfig, dist_name: str, rep: int):
     pair = build_replication(case, config, dist_name, rep)
     oos_samples = None
     rows = {}
-    for mode in config.modes:
-        for eps in config.eps_values:
-            s_true = None
-            if dist_name == "gaussian" and mode == "single":
-                s_true = inv_normal_cdf(1.0 - float(eps))
-            cell = dict(
-                mode=mode, distribution=dist_name, eps_des=float(eps), replication=rep, s_true=s_true
-            )
-            try:
-                result = tune(case, pair.catalog, pair.tuning_samples, config.tuning(mode, eps), pair.program)
-            except TuningError as exc:
-                rows[mode, eps] = ResultRow(**cell, failed=True, error=str(exc))
-                continue
-            if oos_samples is None:
-                oos_seed = derive_seed(config.seed, STREAM_OOS, rep)
-                oos_samples = sample(pair.spec, config.n_oos, oos_seed, case)
-            oos = evaluate(result.p_g, oos_samples, pair.catalog)
-            rows[mode, eps] = ResultRow(
-                **cell,
-                iterations=result.iterations,
-                cost=result.objective,
-                s=result.s,
-                eps_obs_single=float(result.eps_single),
-                eps_oos_single=float(oos.eps_single),
-                eps_obs_joint=float(result.eps_joint),
-                eps_oos_joint=float(oos.eps_joint),
-                terminated_by=result.terminated_by,
-            )
+    for (mode, eps), tuning in config.cells.items():
+        s_true = None
+        if dist_name == "gaussian" and mode == "single":
+            # The upper eps-quantile; 0.0 - keeps eps = 0.5 at +0.0.
+            s_true = 0.0 - NormalDist().inv_cdf(float(eps))
+        cell = dict(
+            mode=mode, distribution=dist_name, eps_des=float(eps), replication=rep, s_true=s_true
+        )
+        try:
+            result = tune(case, pair.catalog, pair.tuning_samples, tuning, pair.program)
+        except TuningError as exc:
+            rows[mode, eps] = ResultRow(**cell, failed=True, error=str(exc))
+            continue
+        if oos_samples is None:
+            oos_seed = derive_seed(config.seed, STREAM_OOS, rep)
+            oos_samples = sample(pair.spec, config.n_oos, oos_seed, case)
+        oos = evaluate(result.p_g, oos_samples, pair.catalog)
+        rows[mode, eps] = ResultRow(
+            **cell,
+            iterations=result.iterations,
+            cost=result.objective,
+            s=result.s,
+            eps_obs_single=float(result.eps_single),
+            eps_oos_single=float(oos.eps_single),
+            eps_obs_joint=float(result.eps_joint),
+            eps_oos_joint=float(oos.eps_joint),
+            terminated_by=result.terminated_by,
+        )
     return rows
 
 

@@ -297,23 +297,28 @@ def parse_case(text: str) -> GridCase:
 # Case files repeat most numbers (107 distinct among the RTS case's 399) and
 # a Fraction is immutable, so keeping recent reads about halves that parse.
 @lru_cache(maxsize=1024)
-def parse_number(text: str) -> Fraction:
-    """Read an input number exactly: an integer, a decimal or p/q. Anything
-    else (nan and inf too), a zero denominator or a magnitude beyond the
-    float range raises ValueError."""
-    _, e, exponent = text.lower().partition("e")
-    try:
-        # Fraction expands 10**exponent in full, which for 1e-999999999
-        # takes gigabytes; past ±100000 the magnitude is out of range.
-        value = None if e and abs(int(exponent)) > 100_000 else Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"{text!r} is not a number") from None
+def parse_number(text: str | Fraction) -> Fraction:
+    """Read an input number exactly: an integer, a decimal or p/q, or a
+    Fraction as it is. Anything else (nan and inf too), a zero denominator
+    or a magnitude beyond the float range raises ValueError."""
+    if isinstance(text, Fraction):
+        value = text
+    else:
+        _, e, exponent = text.lower().partition("e")
+        try:
+            # Fraction expands 10**exponent in full, which for 1e-999999999
+            # takes gigabytes; past ±100000 the magnitude is out of range.
+            value = None if e and abs(int(exponent)) > 100_000 else Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"{text!r} is not a number") from None
     if value is None or abs(value.numerator) > _FLOAT_MAX * value.denominator:
-        raise ValueError(f"{text!r} is beyond the float range")
+        # A Fraction's repr may have more digits than str() will print.
+        what = repr(text) if isinstance(text, str) else "a Fraction"
+        raise ValueError(f"{what} is beyond the float range")
     return value
 
 
-def parse_integer(text: str) -> int:
+def parse_integer(text: str | Fraction) -> int:
     """Read a whole number: any number parse_number reads whose value is whole."""
     value = parse_number(text)
     if value.denominator != 1:

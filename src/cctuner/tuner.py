@@ -17,9 +17,9 @@ import logging
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -45,9 +45,12 @@ class TuningConfig:
     """Target violation probability and stopping rules.
 
     The one home of the eps, gamma, mode, width_tol and max_iterations
-    rules; ExperimentConfig builds one per sweep cell. Each number is read
-    from its str() by grid.parse_number, so eps_des=0.1 is exactly 1/10
-    and nan, inf or a bool is a ValueError. eps_des and gamma are held as
+    rules; ExperimentConfig builds one per (mode, eps) cell, once. A
+    Fraction is taken as it is; any other number is read from its str()
+    by grid.parse_number, so eps_des=0.1 is exactly 1/10 and nan, inf, a
+    bool or a magnitude beyond the float range is a ValueError. eps_des
+    lies strictly inside (0, 1), and so does its float, which the bracket
+    and the reference quantile read. eps_des and gamma are held as
     Fractions, width_tol as a positive float, max_iterations as an int >= 1.
     """
 
@@ -60,13 +63,16 @@ class TuningConfig:
     def __post_init__(self):
         for name in ("eps_des", "gamma", "width_tol", "max_iterations"):
             read = parse_integer if name == "max_iterations" else parse_number
+            value = getattr(self, name)
             try:
-                object.__setattr__(self, name, read(str(getattr(self, name))))
+                object.__setattr__(self, name, read(value if isinstance(value, Fraction) else str(value)))
             except ValueError as exc:
                 raise ValueError(f"{name}: {exc}") from None
         object.__setattr__(self, "width_tol", float(self.width_tol))
         if not 0 < self.eps_des < 1:
             raise ValueError(f"eps_des must lie strictly between 0 and 1, got {float(self.eps_des):g}")
+        if not 0 < float(self.eps_des) < 1:
+            raise ValueError(f"eps_des is too close to 0 or 1 for floats: it rounds to {float(self.eps_des):g}")
         if self.gamma < 0:
             raise ValueError("gamma must be nonnegative")
         if self.mode not in MODES:
@@ -143,10 +149,10 @@ def initial_bounds(config: TuningConfig, n_constraints: Optional[int] = None):
     The upper end is the one-sided Chebyshev point sqrt((1-p)/p), at
     which any finite-variance distribution violates a single tightened
     constraint with probability at most p = eps_des. Joint mode splits
-    eps_des across the n_constraints rows of the union bound. An eps_des
-    so close to 0 or 1 that p rounds to 0 or 1 in floats, or the upper
-    end overflows, leaves no finite, positive bracket and raises
-    ValueError.
+    eps_des across the n_constraints rows of the union bound.
+    TuningConfig has checked that float(eps_des) lies inside (0, 1); a p
+    so small that the upper end overflows, or a joint p that underflows
+    to 0, leaves no finite bracket and raises ValueError.
     """
     p = float(config.eps_des)
     if config.mode == "joint":
@@ -154,9 +160,9 @@ def initial_bounds(config: TuningConfig, n_constraints: Optional[int] = None):
             raise ValueError("joint bounds need the number of constraints")
         p = p / n_constraints
     s_max = math.sqrt((1.0 - p) / p) if p > 0 else math.inf
-    if not 0 < s_max < math.inf:
+    if s_max == math.inf:
         raise ValueError(
-            f"eps_des is too close to 0 or 1 for floats: its bracket for s, (0, {s_max:g}), "
+            "eps_des is too close to 0 or 1 for floats: its bracket for s, (0, inf), "
             "is not a finite, positive interval"
         )
     return 0.0, s_max
@@ -289,6 +295,11 @@ def tune(
     reuse what earlier solves found. Every count reads one count_store
     of the samples, built here and dropped on return, so only the
     dispatch-dependent work repeats (see _kernels).
+
+    A catalog whose sigmas are all 0 tightens nothing, so every s gives
+    the first iterate's dispatch and counts: the tune stops there, as
+    interval_collapse unless that iterate met eps within gamma, and
+    raises TuningError if it is not conservative.
     """
     store = count_store(samples, catalog)
     n = store.shape[0]
@@ -309,7 +320,11 @@ def tune(
         report = evaluate(solution.p_g, store, catalog)
         return report.eps_single, report.eps_joint
 
-    return bisect_tune(config, solve_at, evaluate_at, bounds)
+    if catalog.pair_sigmas.any():
+        return bisect_tune(config, solve_at, evaluate_at, bounds)
+    flat = bisect_tune(replace(config, max_iterations=1), solve_at, evaluate_at, bounds)
+    terminated_by = TERMINATED_COLLAPSE if flat.terminated_by == TERMINATED_CAP else flat.terminated_by
+    return replace(flat, config=config, terminated_by=terminated_by)
 
 
 def trace_to_csv(result: TuningResult) -> str:

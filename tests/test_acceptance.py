@@ -22,7 +22,6 @@ import cctuner.data
 from cctuner import apply_rts_modifications, load_rts_case, parse_case
 from cctuner.experiment import (
     ExperimentConfig,
-    inv_normal_cdf,
     report_to_csv,
     run_experiment,
 )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 from dataclasses import replace
@@ -79,6 +80,75 @@ def test_non_finite_case_number_exits_1(case_path, tmp_path, capsys, record, fie
         assert main(argv) == 1
         message = f"error: line {line_no}: malformed number in '{record.split()[0]}' record: '{value}' is not a number"
         assert message in capsys.readouterr().err
+
+
+# Each subcommand's flags as (option strings or positional name, default,
+# required, choices, help).
+CLI_SURFACE = {
+    "parse": {(("file",), None, True, None, None)},
+    "ptdf": {
+        (("--case",), None, False, None, "case key or path (default rts24)"),
+        (("--config",), None, False, None, None),
+        (("--slack",), 1, False, None, None),
+        (("--out",), None, False, None, None),
+    },
+    "sample": {
+        (("--case",), None, False, None, None),
+        (("--config",), None, False, None, None),
+        (("--distribution",), None, False, ("gaussian", "mixture"), None),
+        (("--n",), 1000, False, None, None),
+        (("--seed",), None, False, None, None),
+        (("--out",), None, False, None, None),
+    },
+    "solve": {
+        (("--case",), None, False, None, None),
+        (("--config",), None, False, None, None),
+        (("--distribution",), None, False, ("gaussian", "mixture"), None),
+        (("--s",), None, True, None, None),
+        (("--out",), None, False, None, None),
+    },
+    "tune": {
+        (("--case",), None, False, None, None),
+        (("--config",), None, False, None, None),
+        (("--distribution",), None, False, ("gaussian", "mixture"), None),
+        (("--eps",), None, False, None, None),
+        (("--mode",), None, False, ("single", "joint"), None),
+        (("--seed",), None, False, None, None),
+        (("--out",), None, False, None, "write the bisection trace here"),
+        (("--format",), "csv", False, ("csv", "json"), None),
+    },
+    "evaluate": {
+        (("--case",), None, False, None, None),
+        (("--config",), None, False, None, None),
+        (("--distribution",), None, False, ("gaussian", "mixture"), None),
+        (("--s",), None, True, None, None),
+        (("--n",), 10_000, False, None, None),
+        (("--seed",), None, False, None, None),
+        (("--out",), None, False, None, "write the full JSON report here"),
+    },
+    "experiment": {
+        (("--config",), None, True, None, None),
+        (("--eps",), None, False, None, None),
+        (("--mode",), None, False, ("single", "joint"), None),
+        (("--seed",), None, False, None, None),
+        (("--jobs",), 1, False, None, None),
+        (("--out",), None, False, None, None),
+        (("--format",), "csv", False, ("csv", "json"), None),
+    },
+}
+
+
+def test_every_command_keeps_its_flags():
+    commands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    surface = {
+        name: {
+            (tuple(a.option_strings) or (a.dest,), a.default, a.required, a.choices, a.help)
+            for a in parser._actions
+            if not isinstance(a, argparse._HelpAction)
+        }
+        for name, parser in commands.choices.items()
+    }
+    assert surface == CLI_SURFACE
 
 
 def test_parse_missing_file(capsys):
@@ -206,8 +276,8 @@ def test_tune_json_trace_records_qp_solves(cfg_path, tmp_path):
 
 
 def test_tune_without_uncertain_buses(tmp_path, capsys):
-    # An empty Gaussian spec: nothing to tighten against, so the tune
-    # collapses its interval near s = 0 instead of failing to build it.
+    # An empty Gaussian spec: nothing to tighten against, so every s gives
+    # the same dispatch and the tune stops after its first iterate.
     case = tmp_path / "two.case"
     case.write_text("base 100\nbus 1 0\nbus 2 20\nline 1 2 0.1 100\ngen 1 0 40 0.01 10 0\n")
     cfg = tmp_path / "certain.cfg"
@@ -216,7 +286,8 @@ def test_tune_without_uncertain_buses(tmp_path, capsys):
         .replace("gaussian.std_mw = 9.4, 13.1", "gaussian.std_mw =")
     )
     assert main(["tune", "--config", str(cfg)]) == 0
-    assert "terminated_by=interval_collapse" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "iterations=1 " in out and "terminated_by=interval_collapse" in out
 
 
 def test_tune_failure_maps_to_exit_2(cfg_path, monkeypatch, capsys):
@@ -321,10 +392,36 @@ def test_eps_too_small_for_a_float_bracket_exits_1(cfg_path, capsys, eps, mode):
     argv = ["--config", cfg_path, "--eps", eps, "--mode", mode]
     assert main(["tune", *argv]) == 1
     assert "error: eps_des is too close to 0 or 1 for floats" in capsys.readouterr().err
-    # The sweep stops there too, or, in a single-mode Gaussian cell, at
-    # the reference quantile of 1 - eps, which rounds to 1.
+    # The sweep stops there too.
     assert main(["experiment", *argv]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err.startswith("error: eps_des is too close to 0 or 1 for floats")
+
+
+def _one_replication(tmp_path, eps):
+    path = tmp_path / "one.cfg"
+    path.write_text(
+        SMALL_CFG.replace("replications = 2", "replications = 1")
+        .replace("tuning.samples = 1500", "tuning.samples = 1000")
+        .replace("oos.samples = 1500", "oos.samples = 1000")
+        .replace("eps = 0.1", f"eps = {eps}")
+    )
+    return ["experiment", "--config", str(path), "--mode", "single"]
+
+
+def test_experiment_takes_an_eps_below_float_resolution_of_one(tmp_path, capsys):
+    # 1 - 1e-17 rounds to 1.0, so s_true must be read as the upper
+    # quantile of eps itself.
+    assert main(_one_replication(tmp_path, "1e-17")) == 0
+    assert "s_true=8.4938" in capsys.readouterr().out
+
+
+# Inside (0, 1) exactly, but the float of 1e-400 is 0, and 1e-5000 has a
+# denominator of more than 4300 digits, which str() refuses to print.
+@pytest.mark.parametrize("eps", ["1e-400", "1e-5000"])
+def test_experiment_names_eps_des_when_its_float_is_0(tmp_path, capsys, eps):
+    assert main(_one_replication(tmp_path, eps)) == 1
+    err = capsys.readouterr().err
+    assert "eps_des is too close to 0 or 1 for floats" in err and "Traceback" not in err
 
 
 def test_negative_seed_exits_1(cfg_path, capsys):

@@ -4,14 +4,11 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 from fractions import Fraction
 from importlib.resources import files
-from statistics import NormalDist
 
 import numpy as np
 import pytest
-import scipy.stats
 
 import cctuner.experiment as experiment
 from cctuner import qp
@@ -20,7 +17,6 @@ from cctuner.experiment import (
     ConfigError,
     ExperimentConfig,
     build_distribution,
-    inv_normal_cdf,
     load_case,
     parse_config_text,
     report_to_csv,
@@ -54,30 +50,6 @@ def quiet_resolution_warning():
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", message=".*sample resolution.*")
             yield
-
-
-def test_normal_quantile_examples():
-    assert inv_normal_cdf(0.5) == 0.0
-    assert inv_normal_cdf(0.95) == pytest.approx(1.6449, abs=1e-4)
-    assert inv_normal_cdf(0.99) == pytest.approx(2.3263, abs=1e-4)
-    with pytest.raises(ValueError):
-        inv_normal_cdf(0.0)
-    with pytest.raises(ValueError):
-        inv_normal_cdf(1.0)
-
-
-def test_normal_quantile_against_scipy():
-    grid = np.concatenate(
-        [
-            np.logspace(-8, -2, 40),
-            np.linspace(0.01, 0.99, 99),
-            1.0 - np.logspace(-8, -2, 40),
-        ]
-    )
-    worst = max(abs(inv_normal_cdf(float(p)) - scipy.stats.norm.ppf(p)) for p in grid)
-    assert worst <= 1e-9
-    for p in grid:
-        assert NormalDist().cdf(float(scipy.stats.norm.ppf(p))) == pytest.approx(p, abs=1e-12)
 
 
 def test_parse_config_text():
@@ -404,5 +376,5 @@ def test_tiny_joint_mixture_tunes_through_a_capped_qp():
     assert sol.status == "optimal"
     assert sol.qp_solution.iterations < qp.DEFAULT_MAX_ITERS
     assert max(sol.qp_solution.kkt_residuals) <= qp.DEFAULT_TOL
-    result = experiment.tune(case, pair.catalog, pair.tuning_samples, config.tuning("joint", Fraction(1, 10)))
+    result = experiment.tune(case, pair.catalog, pair.tuning_samples, config.cells["joint", Fraction(1, 10)])
     assert result.eps_joint <= Fraction(1, 10)

@@ -149,6 +149,12 @@ EXAMPLES = [
     (("case", _line("gen 18 "), 4), "1e308"),
     # eps/96 underflows to 0: ZeroDivisionError in joint mode.
     (("config", "eps", 0), "5e-324"),
+    # 1 - eps rounds to 1: the experiment's s_true refused it.
+    (("config", "eps", 0), "1e-17"),
+    # The float of eps is 0: the experiment's s_true refused it, naming neither eps nor the cell.
+    (("config", "eps", 0), "1e-400"),
+    # A Fraction re-read from its str(): "Exceeds the limit (4300 digits)".
+    (("config", "eps", 0), "1e-5000"),
 ]
 
 

@@ -79,22 +79,35 @@ def test_initial_bounds_examples():
         bounds(0.05, "joint")
 
 
-# Each eps_des lies inside (0, 1) exactly, but its float bracket does not
-# exist: p rounds to 0, the top overflows, or p rounds to 1.
-@pytest.mark.parametrize(
-    "eps, mode",
-    [
-        ("1e-400", "single"),
-        ("1e-310", "single"),
-        ("1e-310", "joint"),
-        ("5e-324", "joint"),
-        (Fraction(10**20 - 1, 10**20), "single"),
-    ],
-)
+# Each eps_des and its float lie inside (0, 1), but its float bracket
+# does not exist: the top overflows, or the joint p = eps/96 rounds to 0.
+@pytest.mark.parametrize("eps, mode", [("1e-310", "single"), ("1e-310", "joint"), ("5e-324", "joint")])
 def test_initial_bounds_reject_a_bracket_floats_cannot_hold(eps, mode):
     config = TuningConfig(eps_des=eps, gamma=0, mode=mode)
     with pytest.raises(ValueError, match="eps_des is too close to 0 or 1"):
         initial_bounds(config, 96)
+
+
+# Each eps_des lies inside (0, 1) exactly, but its float is 0 or 1, which
+# neither the bracket nor the reference quantile s_true can use.
+@pytest.mark.parametrize(
+    "eps",
+    ["1e-400", Fraction(1, 10**5000), Fraction(10**20 - 1, 10**20)],
+    ids=["1e-400", "1e-5000", "1-1e-20"],
+)
+@pytest.mark.parametrize("mode", ["single", "joint"])
+def test_tuning_config_rejects_an_eps_whose_float_is_0_or_1(eps, mode):
+    with pytest.raises(ValueError, match="eps_des is too close to 0 or 1 for floats"):
+        TuningConfig(eps_des=eps, gamma=0, mode=mode)
+
+
+def test_tuning_config_keeps_a_fraction_as_it_is():
+    # Its str() has more than 4300 digits, which Python refuses to print,
+    # so a Fraction must not be re-read from its str().
+    eps = Fraction(10**4400 + 1, 10**4401)
+    assert TuningConfig(eps_des=eps, gamma=0).eps_des == eps
+    with pytest.raises(ValueError, match="^gamma: a Fraction is beyond the float range$"):
+        TuningConfig(eps_des=eps, gamma=Fraction(10**5000))
 
 
 def test_stub_root_recovery_and_iteration_bound():
@@ -214,6 +227,46 @@ def test_config_fraction_coercion_and_validation():
 def test_config_rejects_unusable_stopping_rules(field, value):
     with pytest.raises(ValueError, match=field):
         TuningConfig(eps_des=0.1, gamma=0, **{field: value})
+
+
+CERTAIN = "base 100\nbus 1 0\nbus 2 20\nline 1 2 0.1 100\ngen 1 0 40 0.01 10 0\n"
+
+
+@pytest.mark.parametrize("mode", ["single", "joint"])
+@pytest.mark.parametrize(
+    "gamma, terminated_by", [(Fraction(1, 1000), TERMINATED_COLLAPSE), (Fraction(1, 5), TERMINATED_EPS)]
+)
+def test_a_catalog_without_sigma_is_tuned_in_one_iterate(mode, gamma, terminated_by):
+    # No bus is uncertain, so no constraint is tightened and every s gives
+    # the first iterate's dispatch and counts: bisecting on would only
+    # repeat it, 21 times (22 in joint mode) down to s = 1.43e-6.
+    case = parse_case(CERTAIN)
+    spec = gaussian_from_std_corr([], 0.0)
+    catalog = build_catalog(case, compute_ptdf(case), participation_factors(case), spec_moments(spec, case))
+    assert not catalog.pair_sigmas.any()
+    config = TuningConfig(eps_des=Fraction(1, 10), gamma=gamma, mode=mode)
+    result = tune(case, catalog, sample(spec, 1000, seed=3, case=case), config)
+    assert (result.iterations, result.terminated_by, result.eps_obs) == (1, terminated_by, 0)
+    assert result.config == config and result.p_g is not None
+
+
+def test_a_catalog_without_sigma_fails_after_one_iterate_that_violates():
+    # Zero tightening moments against a wide draw: the one dispatch every
+    # s gives violates more often than eps, so no s can help.
+    case = parse_case(TWO_GEN)
+    catalog = build_catalog(
+        case, compute_ptdf(case), participation_factors(case),
+        spec_moments(gaussian_from_std_corr([0.0], 0.0), case),
+    )
+    assert not catalog.pair_sigmas.any()
+    samples = sample(gaussian_from_std_corr([500.0], 0.0), 1000, seed=3, case=case)
+    program = DispatchProgram(case, catalog)
+    solves = []
+    solve = program.solve
+    program.solve = lambda s: solves.append(s) or solve(s)
+    with pytest.raises(TuningError, match="no feasible conservative anchor"):
+        tune(case, catalog, samples, TuningConfig(eps_des=Fraction(1, 10), gamma=0), program)
+    assert len(solves) == 1
 
 
 def test_gamma_below_sample_resolution_warns():
@@ -345,7 +398,7 @@ def test_store_counts_equal_one_shot_counts_along_a_tune(distribution, mode):
     config = ExperimentConfig.from_file(files("cctuner.data") / "rts24_sweep.cfg")
     case = load_case(config.case)
     pair = build_replication(case, config, distribution, 1)
-    result = tune(case, pair.catalog, pair.tuning_samples, config.tuning(mode, Fraction(1, 20)))
+    result = tune(case, pair.catalog, pair.tuning_samples, config.cells[mode, Fraction(1, 20)])
     program = DispatchProgram(case, pair.catalog)
     for it in result.trace:
         solution = program.solve(it.s)
@@ -366,14 +419,13 @@ def test_a_pairs_shared_program_keeps_every_tune(distribution, monkeypatch):
     solutions = []
     solve = pair.program.solve
     monkeypatch.setattr(pair.program, "solve", lambda s: solutions.append(solve(s)) or solutions[-1])
-    for mode in config.modes:
-        for eps in config.eps_values:
-            cell = (case, pair.catalog, pair.tuning_samples, config.tuning(mode, eps))
-            shared, fresh = tune(*cell, pair.program), tune(*cell)
-            assert (shared.s, shared.eps_single, shared.eps_joint) == (fresh.s, fresh.eps_single, fresh.eps_joint)
-            assert shared.iterations == fresh.iterations
-            assert [it.qp_status for it in shared.trace] == [it.qp_status for it in fresh.trace]
-            assert shared.objective == pytest.approx(fresh.objective, rel=1e-12)
+    for tuning in config.cells.values():
+        cell = (case, pair.catalog, pair.tuning_samples, tuning)
+        shared, fresh = tune(*cell, pair.program), tune(*cell)
+        assert (shared.s, shared.eps_single, shared.eps_joint) == (fresh.s, fresh.eps_single, fresh.eps_joint)
+        assert shared.iterations == fresh.iterations
+        assert [it.qp_status for it in shared.trace] == [it.qp_status for it in fresh.trace]
+        assert shared.objective == pytest.approx(fresh.objective, rel=1e-12)
     # One cold solve per working set first met, and one phase 1, whose
     # certificate settles the pair's later infeasible midpoints.
     cold = [sol for sol in solutions if sol.qp_start == "cold"]
