@@ -17,13 +17,16 @@ ray that only a blocking row ends. Problem sizes here are tiny (tens of
 variables, ~100 inequalities), so everything is dense and factored from
 scratch each pivot.
 
+One tolerance, DEFAULT_TOL = 1e-8, and one pivot cap for both phases
+together, DEFAULT_MAX_ITERS = 200, hold for every solve and recheck.
 A point is 'optimal' only if no multiplier is negative and all four KKT
-residuals are at or below tol; otherwise a search that stops, at a
-stationary point or at the pivot cap, ends as 'max_iterations'. A
+residuals are at or below the tolerance; otherwise a search that stops,
+at a stationary point or at the pivot cap, ends as 'max_iterations'. A
 descent ray that no row blocks is 'unbounded'. Infeasibility is reported
-with the working-set multipliers of a phase-1 optimum t* > tol, a Farkas
-certificate (y, z ≥ 0) with Aᵀy + Gᵀz = 0 and bᵀy + hᵀz = -t* < 0. A
-phase 1 that ends without one is 'max_iterations', never 'infeasible'.
+with the working-set multipliers of a phase-1 optimum t* above the
+tolerance, a Farkas certificate (y, z ≥ 0) with Aᵀy + Gᵀz = 0 and
+bᵀy + hᵀz = -t* < 0. A phase 1 that ends without one is
+'max_iterations', never 'infeasible'.
 Rows are solved as given: an all-zero inequality row never blocks a
 step, and phase 1 certifies one with h < 0 infeasible.
 
@@ -41,8 +44,6 @@ accepts a point the test would reject.
 from __future__ import annotations
 
 import logging
-import math
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -131,7 +132,7 @@ def _step(p, rows, grad):
     return -(basis[:, steep] @ (slope[steep] / curvature[steep])), False
 
 
-def _active_set(p, q, a, b, g, h, x, work, tol, max_iters, stop=None):
+def _active_set(p, q, a, b, g, h, x, work, max_iters, stop=None):
     """Primal active-set method from x, where Ax = b, G[work] x = h[work]
     and every other row of G holds.
 
@@ -159,7 +160,7 @@ def _active_set(p, q, a, b, g, h, x, work, tol, max_iters, stop=None):
             z[work] = dual[k:]
             if not np.any(z < 0.0):
                 res = _residuals(p, q, a, b, g, h, x, y, z)
-                status = "optimal" if max(res) <= tol else "max_iterations"
+                status = "optimal" if max(res) <= DEFAULT_TOL else "max_iterations"
                 break
         if it == max_iters:
             break
@@ -190,16 +191,17 @@ def _active_set(p, q, a, b, g, h, x, work, tol, max_iters, stop=None):
     return QpSolution(status, x, objective, y, z, _residuals(p, q, a, b, g, h, x, y, z), it, work)
 
 
-def _farkas(a, b, g, h, y, z, tol) -> dict | None:
-    """The certificate of (y, z) if z >= 0, |Aᵀy + Gᵀz| <= tol and
-    bᵀy + hᵀz < -tol, which proves Ax = b, Gx <= h infeasible; else None."""
+def _farkas(a, b, g, h, y, z) -> dict | None:
+    """The certificate of (y, z) if z >= 0, |Aᵀy + Gᵀz| <= DEFAULT_TOL
+    and bᵀy + hᵀz < -DEFAULT_TOL, which proves Ax = b, Gx <= h
+    infeasible; else None."""
     certificate = {
         "equality_dual": y.copy(),
         "inequality_dual": z.copy(),
         "farkas_gap": float(b @ y + h @ z),
         "stationarity": float(np.abs(a.T @ y + g.T @ z).max(initial=0.0)),
     }
-    if np.all(z >= 0.0) and certificate["stationarity"] <= tol and certificate["farkas_gap"] < -tol:
+    if np.all(z >= 0.0) and certificate["stationarity"] <= DEFAULT_TOL and certificate["farkas_gap"] < -DEFAULT_TOL:
         return certificate
     return None
 
@@ -210,8 +212,9 @@ def _infeasible(g, k, certificate, iterations) -> QpSolution:
     return QpSolution("infeasible", np.zeros(n), np.inf, np.zeros(k), np.zeros(c), primal, iterations, np.zeros(c, dtype=bool), certificate)
 
 
-def _phase1(a, b, g, h, x0, tol, max_iters):
-    """Minimize the worst violation t over (x, t) with _active_set, from x0.
+def _phase1(a, b, g, h, x0):
+    """Minimize the worst violation t over (x, t) with _active_set, from x0,
+    within the pivot cap DEFAULT_MAX_ITERS.
 
     Starts with t at the worst violation and that row working, and stops
     as soon as t < 0. Returns (solution over (x, t), certificate), where
@@ -229,39 +232,27 @@ def _phase1(a, b, g, h, x0, tol, max_iters):
     work = np.zeros(c + 1, dtype=bool)
     work[np.argmax(violation)] = True
     start = np.append(x0, violation.max())
-    sol = _active_set(np.zeros(n + 1), q1, a1, b, g1, np.append(h, 1.0), start, work, tol, max_iters, lambda xt: xt[-1] < 0.0)
+    sol = _active_set(np.zeros(n + 1), q1, a1, b, g1, np.append(h, 1.0), start, work, DEFAULT_MAX_ITERS, lambda xt: xt[-1] < 0.0)
     # At a minimizer with t* > 0 the t column of stationarity gives
     # sum(z) = 1, and complementarity on the working rows gives
     # bᵀy + hᵀz = -t*. The test is on (y, z) alone, which stay exact
     # where x is known only to its last digits.
-    certificate = _farkas(a, b, g, h, sol.y, sol.z[:c], tol)
+    certificate = _farkas(a, b, g, h, sol.y, sol.z[:c])
     if certificate is not None:
         certificate["infeasibility"] = float(sol.x[-1])
     return sol, certificate
 
 
-def solve(
-    p_diag,
-    q,
-    a_eq,
-    b_eq,
-    g_ineq,
-    h_ineq,
-    tol: float = DEFAULT_TOL,
-    max_iters: int = DEFAULT_MAX_ITERS,
-) -> QpSolution:
+def solve(p_diag, q, a_eq, b_eq, g_ineq, h_ineq) -> QpSolution:
     """Solve the diagonal-Hessian convex QP; see the module docstring.
 
-    p_diag must be elementwise nonnegative, tol finite and positive, and
-    max_iters an integer of at least 1. At least one inequality row is
+    The tolerance is DEFAULT_TOL and phase 1 and phase 2 together take
+    at most DEFAULT_MAX_ITERS pivots, both read at each call. p_diag
+    must be elementwise nonnegative, and at least one inequality row is
     required, else ValueError: phase 1 starts on the most violated one.
     Every row is solved as given, all-zero rows included, and an
     optimal point's kkt_residuals are the ones that certified it.
     """
-    if not (isinstance(max_iters, numbers.Integral) and max_iters >= 1):
-        raise ValueError(f"max_iters must be an integer of at least 1, got {max_iters!r}")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     p = np.asarray(p_diag, dtype=float)
     q = np.asarray(q, dtype=float)
     n = q.size
@@ -281,27 +272,28 @@ def solve(
         x0 = np.linalg.lstsq(a, b, rcond=None)[0]
     else:
         x0 = np.zeros(n)
-    start, certificate = _phase1(a, b, g, h, x0, tol, max_iters)
+    start, certificate = _phase1(a, b, g, h, x0)
     if certificate is not None:
         return _infeasible(g, a.shape[0], certificate, start.iterations)
-    # Any x within tol of every row is a start; phase 1 need not be optimal.
-    if start.x[-1] > tol:
+    # Any x within DEFAULT_TOL of every row is a start; phase 1 need not be
+    # optimal.
+    if start.x[-1] > DEFAULT_TOL:
         logger.warning("phase 1 ended %s after %d pivots at t=%.3e", start.status, start.iterations, start.x[-1])
         y, z, no_rows = np.zeros(a.shape[0]), np.zeros(g.shape[0]), np.zeros(g.shape[0], dtype=bool)
         return QpSolution("max_iterations", np.zeros(n), np.inf, y, z, (0.0, np.inf, 0.0, 0.0), start.iterations, no_rows)
     x = start.x[:n]
-    sol = _active_set(p, q, a, b, g, h, x, g @ x >= h, tol, max_iters - start.iterations)
+    sol = _active_set(p, q, a, b, g, h, x, g @ x >= h, DEFAULT_MAX_ITERS - start.iterations)
     sol = replace(sol, iterations=start.iterations + sol.iterations)
     if not sol.optimal:
         logger.warning("active-set method ended %s after %d pivots; residual %.3e", sol.status, sol.iterations, max(sol.kkt_residuals))
     return sol
 
 
-def certified_on_active_set(p, q, a, b, g, h, on, tol) -> QpSolution | None:
+def certified_on_active_set(p, q, a, b, g, h, on) -> QpSolution | None:
     """The KKT point with the rows G[on] held at equality, as 'optimal'
     with iterations = 0 and active = on if all four residuals are at or
-    below tol and no multiplier is negative, else None. It checks none
-    of its arrays: pass those a solve of the same rows ran on.
+    below DEFAULT_TOL and no multiplier is negative, else None. It checks
+    none of its arrays: pass those a solve of the same rows ran on.
     """
     n, k = q.size, a.shape[0]
     rows = np.vstack([a, g[on]])
@@ -316,18 +308,18 @@ def certified_on_active_set(p, q, a, b, g, h, on, tol) -> QpSolution | None:
         x, y, z = sol[:n], sol[n : n + k], np.zeros(g.shape[0])
         z[on] = sol[n + k :]
         res = _residuals(p, q, a, b, g, h, x, y, z)
-    if not (all(r <= tol for r in res) and np.all(z >= 0.0)):
+    if not (all(r <= DEFAULT_TOL for r in res) and np.all(z >= 0.0)):
         return None
     return QpSolution("optimal", x, float(0.5 * x @ (p * x) + q @ x), y, z, res, 0, on)
 
 
-def certified_infeasible(a, b, g, h, certificate, tol) -> QpSolution | None:
+def certified_infeasible(a, b, g, h, certificate) -> QpSolution | None:
     """'infeasible' with iterations = 0 if the duals of certificate, from
-    a solve of the same rows at another h, still separate at this h;
-    else None. Its infeasibility is -farkas_gap: for duals that sum to
-    one, as phase 1 leaves them, every x with Ax = b violates some row
-    by at least that much."""
-    found = _farkas(a, b, g, h, certificate["equality_dual"], certificate["inequality_dual"], tol)
+    a solve of the same rows at another h, still separate at this h by
+    more than DEFAULT_TOL (see _farkas); else None. Its infeasibility is
+    -farkas_gap: for duals that sum to one, as phase 1 leaves them,
+    every x with Ax = b violates some row by at least that much."""
+    found = _farkas(a, b, g, h, certificate["equality_dual"], certificate["inequality_dual"])
     if found is None:
         return None
     found["infeasibility"] = -found["farkas_gap"]

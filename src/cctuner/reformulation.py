@@ -253,7 +253,6 @@ class DispatchSolution:
     status: str
     p_g: np.ndarray
     objective: float
-    s: float
     qp_solution: qp.QpSolution
     qp_start: str
 
@@ -324,10 +323,10 @@ class DispatchProgram:
         h = self._limits - s * self._sigmas
         sol = None
         if self._certificate is not None and s >= self._certificate[0]:
-            sol, qp_start = qp.certified_infeasible(a, b, g, h, self._certificate[1], qp.DEFAULT_TOL), "certificate"
+            sol, qp_start = qp.certified_infeasible(a, b, g, h, self._certificate[1]), "certificate"
         if sol is None:
             for i, on in enumerate(self._working_sets):
-                sol, qp_start = qp.certified_on_active_set(p, q, a, b, g, h, on, qp.DEFAULT_TOL), "working_set"
+                sol, qp_start = qp.certified_on_active_set(p, q, a, b, g, h, on), "working_set"
                 if sol is not None:
                     self._working_sets.insert(0, self._working_sets.pop(i))
                     break
@@ -337,9 +336,9 @@ class DispatchProgram:
                 self._working_sets.insert(0, sol.active)
             elif sol.status == "infeasible" and (self._certificate is None or s < self._certificate[0]):
                 self._certificate = (float(s), sol.certificate)
-        return self._inflate(sol, float(s), qp_start)
+        return self._inflate(sol, qp_start)
 
-    def _inflate(self, sol: qp.QpSolution, s: float, qp_start: str) -> DispatchSolution:
+    def _inflate(self, sol: qp.QpSolution, qp_start: str) -> DispatchSolution:
         n, pinned, live = self.case.n_buses, self._pinned, self._live
         p_g, y, z, active = np.zeros(n), np.zeros(1), np.zeros(len(self.catalog)), live.copy()
         active[live] = sol.active
@@ -363,7 +362,7 @@ class DispatchProgram:
             certificate = {**certificate, "inequality_dual": inequality_dual}
         objective = sol.objective if sol.optimal else np.inf
         full = replace(sol, x=p_g, objective=objective, y=y, z=z, active=active, certificate=certificate)
-        return DispatchSolution(sol.status, p_g, objective, s, full, qp_start)
+        return DispatchSolution(sol.status, p_g, objective, full, qp_start)
 
 
 def solve_dispatch(

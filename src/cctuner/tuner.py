@@ -286,7 +286,7 @@ def tune(
     config: TuningConfig,
     program: Optional[DispatchProgram] = None,
 ) -> TuningResult:
-    """Tune s for a case against a fixed tuning sample set.
+    """Tune s for a case against samples, a fixed tuning SampleSet.
 
     The same sample set is reused at every iterate, so the observed
     probabilities are a deterministic function of s and bisection sees a

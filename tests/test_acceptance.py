@@ -33,7 +33,7 @@ from cctuner.reformulation import (
     solve_dispatch,
 )
 from cctuner.tuner import TuningConfig, initial_bounds, tune
-from cctuner.uncertainty import gaussian_from_std_corr, sample, spec_moments
+from cctuner.uncertainty import SampleSet, gaussian_from_std_corr, sample, spec_moments
 from cctuner.violation import evaluate
 
 from oracles import angle_solve_flows, brute_force_qp, naive_violation_counts
@@ -395,8 +395,7 @@ def test_criterion_7_structural_invariants(sweep, rts_setup, announce):
         participation_factors(two_gen),
         spec_moments(tg_spec, two_gen),
     )
-    xi = np.zeros((101, 2))
-    xi[:, 0] = np.linspace(-3.0, 3.0, 101)
+    xi = SampleSet(np.linspace(-3.0, 3.0, 101)[:, None], [0], n_buses=2)
     rr = evaluate(np.array([0.9, 2.7]), xi, tg_cat)
     if not (rr.per_constraint[0] == rr.per_constraint[1] == rr.eps_joint > 0):
         problems.append("perfectly correlated rows did not share indicators")

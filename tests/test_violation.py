@@ -23,7 +23,7 @@ from cctuner.reformulation import (
     participation_factors,
     solve_dispatch,
 )
-from cctuner.uncertainty import gaussian_from_std_corr, sample, spec_moments
+from cctuner.uncertainty import SampleSet, gaussian_from_std_corr, sample, spec_moments
 from cctuner.violation import count_store, evaluate, report_to_json
 
 from oracles import naive_violation_counts
@@ -44,6 +44,13 @@ line 1 2 0.1 500
 gen 1 0 100 0.01 10 0
 gen 2 0 300 0.02 20 0
 """
+
+
+def sample_set(xi):
+    """A SampleSet of the (n, n_buses) array xi that declares its nonzero
+    columns, the columns tests/oracles.py accumulates."""
+    cols = np.flatnonzero(np.any(xi != 0.0, axis=0))
+    return SampleSet(xi[:, cols], cols, xi.shape[1])
 
 
 def catalog_for(case, std=(9.4, 13.1), corr=0.2):
@@ -74,7 +81,7 @@ def test_single_generator_hand_count():
     p_g = np.array([0.95, 0.0])
     xi = np.zeros((4, 2))
     xi[:, 0] = [-0.1, -0.02, 0.01, 0.2]
-    report = evaluate(p_g, xi, cat)
+    report = evaluate(p_g, sample_set(xi), cat)
     # Only the 0.2 draw pushes the upper bound: 0.95 + 0.2 > 1.
     assert report.per_constraint[0] == Fraction(1, 4)
     assert sum(report.counts) == 1
@@ -86,8 +93,7 @@ def test_single_generator_hand_count():
 
 def test_zero_samples_zero_violations(rts, rts_catalog):
     sol = solve_dispatch(rts, rts_catalog, 1.0)
-    xi = np.zeros((10, 24))
-    report = evaluate(sol.p_g, xi, rts_catalog)
+    report = evaluate(sol.p_g, sample_set(np.zeros((10, 24))), rts_catalog)
     assert report.joint_count == 0
     assert all(f == 0 for f in report.per_constraint)
     assert report.eps_single == 0 and report.eps_joint == 0
@@ -103,16 +109,28 @@ def test_matches_naive_loop_bitwise(rts, rts_catalog):
     assert np.array_equal(report.counts, expected_counts)
     assert report.joint_count == expected_joint
     assert report.seed == 77
-    # Degenerate rows included: same per-row counts, wider joint.
-    counts_deg, joint_deg = naive_violation_counts(
-        sol.p_g, rts_catalog, samples.samples, include_degenerate=True
-    )
-    report_deg = evaluate(sol.p_g, samples, rts_catalog, include_degenerate=True)
-    assert np.array_equal(report_deg.counts, counts_deg)
-    assert report_deg.joint_count == joint_deg
 
 
-@pytest.mark.parametrize("include_degenerate", [False, True])
+def test_kernel_counts_degenerate_pairs_when_every_pair_is_active(rts, rts_catalog):
+    # evaluate leaves degenerate pairs out of the joint count; the kernel
+    # counts any mask. Bus 3 has no capacity, so shifting it makes its
+    # degenerate upper row fire on every sample.
+    p_g = solve_dispatch(rts, rts_catalog, 1.0).p_g
+    p_g[2] += 0.1
+    samples = sample(gaussian_from_std_corr([9.4, 13.1], 0.2), _BLOCK_SAMPLES + 613, seed=4, case=rts)
+    counts, joint = naive_violation_counts(p_g, rts_catalog, samples.samples, include_degenerate=True)
+    assert joint == samples.n_samples
+    base = np.array([float(np.dot(g, p_g)) for g in rts_catalog.pair_dispatch])
+    active = np.ones(len(rts_catalog.pair_kinds), dtype=bool)
+    args = (rts_catalog.pair_sensitivity, rts_catalog.pair_limits)
+    cols = samples.uncertain_columns
+    store = count_store(samples, rts_catalog)
+    for xi in (samples.draw, store):
+        pair_counts, pair_joint = _kernels.count_violations(base, *args, xi, cols, active)
+        assert np.array_equal(pair_counts[rts_catalog.row_map], counts)
+        assert pair_joint == joint
+
+
 # The oracle loop is slow, so a failure is reported as found, unshrunk.
 @settings(max_examples=6, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(
@@ -122,56 +140,35 @@ def test_matches_naive_loop_bitwise(rts, rts_catalog):
     n=st.sampled_from([1, 97, _BLOCK_SAMPLES - 1, _BLOCK_SAMPLES, _BLOCK_SAMPLES + 1, _BLOCK_SAMPLES + 613]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_kernel_matches_naive_loop_on_any_dispatch(rts, rts_catalog, include_degenerate, s, bus, shift, n, seed):
+def test_kernel_matches_naive_loop_on_any_dispatch(rts, rts_catalog, s, bus, shift, n, seed):
     # Shifting a bus without a generator makes its degenerate rows fire on
-    # every sample, so the joint count then depends on include_degenerate.
+    # every sample, which the joint count leaves out.
     p_g = solve_dispatch(rts, rts_catalog, s).p_g
     p_g[bus] += shift
     samples = sample(gaussian_from_std_corr([9.4, 13.1], 0.2), n, seed=seed, case=rts)
-    report = evaluate(p_g, samples, rts_catalog, include_degenerate=include_degenerate)
-    counts, joint = naive_violation_counts(
-        p_g, rts_catalog, samples.samples, include_degenerate=include_degenerate
-    )
+    report = evaluate(p_g, samples, rts_catalog)
+    counts, joint = naive_violation_counts(p_g, rts_catalog, samples.samples)
     assert np.array_equal(report.counts, counts)
     assert report.joint_count == joint
-
-
-def test_sample_set_and_its_array_give_identical_reports(rts, rts_catalog):
-    # A SampleSet names its uncertain columns; a raw array is scanned on
-    # every call. Only the seed, which the array lacks, may differ.
-    p_g = solve_dispatch(rts, rts_catalog, 1.2).p_g
-    samples = sample(gaussian_from_std_corr([9.4, 13.1], 0.2), 5000, seed=17, case=rts)
-    expect = [j for j in range(24) if np.any(samples.samples[:, j] != 0.0)]
-    assert samples.uncertain_columns.tolist() == expect == [7, 14]
-    for include_degenerate in (False, True):
-        from_set = evaluate(p_g, samples, rts_catalog, include_degenerate=include_degenerate)
-        from_array = evaluate(p_g, samples.samples, rts_catalog, include_degenerate=include_degenerate)
-        assert np.array_equal(from_set.counts, from_array.counts)
-        assert from_set.counts.dtype == from_array.counts.dtype
-        for name in ("eps_single", "eps_joint", "n_samples", "joint_count", "include_degenerate"):
-            assert getattr(from_set, name) == getattr(from_array, name)
-        assert (from_set.seed, from_array.seed) == (17, None)
 
 
 def test_point_mass_bus_counts_match_naive_loop(rts, rts_catalog):
     # Bus 15 keeps its uncertainty source but with zero variance, so its
     # column is uncertain yet all zero. Accumulating it adds only +-0.0,
-    # so the counts equal the oracle's and those of the scanned array,
-    # which skips the column.
+    # so the counts equal the oracle's and those of a set that declares
+    # only bus 8's column.
     p_g = solve_dispatch(rts, rts_catalog, 0.4).p_g
     samples = sample(gaussian_from_std_corr([9.4, 0.0], 0.0), 2000, seed=23, case=rts)
     assert samples.uncertain_columns.tolist() == [7, 14]
     assert not np.any(samples.samples[:, 14])
-    for include_degenerate in (False, True):
-        report = evaluate(p_g, samples, rts_catalog, include_degenerate=include_degenerate)
-        counts, joint = naive_violation_counts(
-            p_g, rts_catalog, samples.samples, include_degenerate=include_degenerate
-        )
-        assert counts.sum() > 0
-        assert np.array_equal(report.counts, counts)
-        assert report.joint_count == joint
-        from_array = evaluate(p_g, samples.samples, rts_catalog, include_degenerate=include_degenerate)
-        assert np.array_equal(from_array.counts, counts)
+    report = evaluate(p_g, samples, rts_catalog)
+    counts, joint = naive_violation_counts(p_g, rts_catalog, samples.samples)
+    assert counts.sum() > 0
+    assert np.array_equal(report.counts, counts)
+    assert report.joint_count == joint
+    nonzero = sample_set(samples.samples)
+    assert nonzero.uncertain_columns.tolist() == [7]
+    assert np.array_equal(evaluate(p_g, nonzero, rts_catalog).counts, counts)
 
 
 def test_ordering_and_boole_bounds(rts, rts_catalog):
@@ -195,7 +192,7 @@ def test_perfectly_correlated_rows_share_indicators():
     p_g = np.array([0.9, 2.7])
     xi = np.zeros((101, 2))
     xi[:, 0] = np.linspace(-3.0, 3.0, 101)
-    r = evaluate(p_g, xi, cat)
+    r = evaluate(p_g, sample_set(xi), cat)
     up1, up2 = r.per_constraint[0], r.per_constraint[1]
     assert up1 == up2 > 0
     # No other row fires, and both upper rows fire on the same samples,
@@ -225,31 +222,40 @@ def test_degenerate_rows_toggle(rts, rts_catalog):
     p_g[2] += 0.1  # bus 3 has no capacity; its upper row now always fires
     assert rts_catalog.rows[2].degenerate
     samples = sample(gaussian_from_std_corr([9.4, 13.1], 0.2), 500, seed=4, case=rts)
-    excl = evaluate(p_g, samples, rts_catalog)
-    incl = evaluate(p_g, samples, rts_catalog, include_degenerate=True)
-    assert excl.per_constraint[2] == 1
-    assert excl.eps_single < 1
-    assert incl.eps_single == 1
-    assert incl.eps_joint == 1
-    assert np.array_equal(excl.counts, incl.counts)
+    report = evaluate(p_g, samples, rts_catalog)
+    # The row is counted, but stays out of eps_single and the joint count.
+    assert report.per_constraint[2] == 1
+    assert report.eps_single < 1
+    assert report.eps_joint < 1
 
 
 def test_input_validation(rts, rts_catalog):
     p = np.zeros(24)
-    with pytest.raises(ValueError, match="2-D"):
-        evaluate(p, np.zeros(24), rts_catalog)
-    with pytest.raises(ValueError, match="columns"):
-        evaluate(p, np.zeros((5, 23)), rts_catalog)
-    with pytest.raises(ValueError, match="at least one"):
-        evaluate(p, np.zeros((0, 24)), rts_catalog)
-    with pytest.raises(ValueError, match="shape"):
-        evaluate(np.zeros(23), np.zeros((5, 24)), rts_catalog)
-    # g.p of a unit row is read from p: 0 * inf elsewhere would be NaN.
-    for bad in (np.inf, -np.inf, np.nan):
-        p_bad = np.zeros(24)
-        p_bad[0] = bad
-        with pytest.raises(ValueError, match="finite"):
-            evaluate(p_bad, np.zeros((5, 24)), rts_catalog)
+    # Samples come as a SampleSet, or to evaluate as its count store.
+    with pytest.raises(TypeError, match="a SampleSet or a count_store, got ndarray"):
+        evaluate(p, np.zeros((5, 24)), rts_catalog)
+    with pytest.raises(TypeError, match="a SampleSet, got ndarray"):
+        count_store(np.zeros((5, 24)), rts_catalog)
+    store = count_store(sample_set(np.ones((5, 24))), rts_catalog)
+    with pytest.raises(TypeError, match="a SampleSet, got CountStore"):
+        count_store(store, rts_catalog)
+    for bad, match in (
+        (sample_set(np.ones((5, 23))), "samples have 23 columns"),
+        (sample_set(np.zeros((0, 24))), "at least one"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            evaluate(p, bad, rts_catalog)
+        with pytest.raises(ValueError, match=match):
+            count_store(bad, rts_catalog)
+    for samples in (sample_set(np.ones((5, 24))), store):
+        with pytest.raises(ValueError, match="shape"):
+            evaluate(np.zeros(23), samples, rts_catalog)
+        # g.p of a unit row is read from p: 0 * inf elsewhere would be NaN.
+        for bad in (np.inf, -np.inf, np.nan):
+            p_bad = np.zeros(24)
+            p_bad[0] = bad
+            with pytest.raises(ValueError, match="finite"):
+                evaluate(p_bad, samples, rts_catalog)
 
 
 def test_report_json_round_trip(rts, rts_catalog):
@@ -341,7 +347,8 @@ def assert_envelope_exact(p, xi, catalog):
     count store of them."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        reports = [evaluate(p, xi, catalog), evaluate(p, count_store(xi, catalog), catalog)]
+        samples = sample_set(xi)
+        reports = [evaluate(p, samples, catalog), evaluate(p, count_store(samples, catalog), catalog)]
     with np.errstate(all="ignore"):
         counts, joint = naive_violation_counts(p, catalog, xi)
     for report in reports:
@@ -534,7 +541,6 @@ def test_no_degenerate_pair_is_a_candidate_at_solved_dispatches(rts, rts_catalog
     assert not any(np.isin(degenerate, rows).any() for rows in summed)
 
 
-@pytest.mark.parametrize("include_degenerate", [False, True])
 @settings(max_examples=6, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(
     s=st.floats(0.0, 2.5),
@@ -543,14 +549,12 @@ def test_no_degenerate_pair_is_a_candidate_at_solved_dispatches(rts, rts_catalog
     n=st.sampled_from([1, 97, _BLOCK_SAMPLES, _BLOCK_SAMPLES + 613]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_envelope_matches_naive_loop_on_any_dispatch(rts, rts_catalog, include_degenerate, s, bus, shift, n, seed):
+def test_envelope_matches_naive_loop_on_any_dispatch(rts, rts_catalog, s, bus, shift, n, seed):
     p_g = solve_dispatch(rts, rts_catalog, s).p_g
     p_g[bus] += shift
     samples = sample(gaussian_from_std_corr([9.4, 13.1], 0.2), n, seed=seed, case=rts)
-    report = evaluate(p_g, samples, rts_catalog, include_degenerate)
-    counts, joint = naive_violation_counts(
-        p_g, rts_catalog, samples.samples, include_degenerate=include_degenerate
-    )
+    report = evaluate(p_g, samples, rts_catalog)
+    counts, joint = naive_violation_counts(p_g, rts_catalog, samples.samples)
     assert np.array_equal(report.counts, counts)
     assert report.joint_count == joint
     assert report.seed == seed
@@ -669,7 +673,7 @@ def test_store_counts_a_sequence_of_dispatches_exactly(m, n, coherent, special, 
     # Buffers sized for one pair grow, keeping the sums, as pairs fill.
     with warnings.catch_warnings(), mock.patch.object(_kernels, "_STORE_ROWS", 1):
         warnings.simplefilter("error")
-        store = count_store(xi, catalog)
+        store = count_store(sample_set(xi), catalog)
     for k, p_k in enumerate(dispatches):
         with warnings.catch_warnings(), mock.patch.object(
             _kernels, "_accumulate", wraps=_kernels._accumulate
