@@ -172,11 +172,12 @@ def cmd_evaluate(args) -> int:
 def cmd_experiment(args) -> int:
     config = _config(args)
     report = run_experiment(config, jobs=args.jobs)
+    # Written first, so a run whose rows all failed keeps their errors.
+    if args.out:
+        write_report(report, args.out, fmt=args.format)
     if report.rows and all(r.failed for r in report.rows):
         print("all replications failed", file=sys.stderr)
         return SOLVE_ERROR
-    if args.out:
-        write_report(report, args.out, fmt=args.format)
     for a in report.averages:
         if not a.replications:
             print(f"{a.mode} {a.distribution} eps={a.eps_des:g} reps=0 (all failed)")

@@ -108,8 +108,8 @@ _KEYS = {
     "tuning.samples": ("n_tuning", "10000", parse_integer),
     "oos.samples": ("n_oos", "100000", parse_integer),
     "gamma": ("gamma", "1e-4", parse_number),
-    "width_tol": ("width_tol", "1e-6", parse_number),
-    "max_iterations": ("max_iterations", "60", parse_integer),
+    "width_tol": ("width_tol", str(TuningConfig.width_tol), parse_number),
+    "max_iterations": ("max_iterations", str(TuningConfig.max_iterations), parse_integer),
     "seed": ("seed", "1", parse_integer),
     "moment_source": ("moment_source", "auto", str),
 }
@@ -440,12 +440,16 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1, case: Optional[GridC
     Work is split by (distribution, replication) pair; jobs > 1 runs the
     pairs in worker processes. The reduction is keyed by cell
     coordinates, so scheduling order never changes the report. jobs
-    below 1 raises ValueError before any work starts.
+    below 1 raises ValueError, and a configured distribution that cannot
+    be built raises ConfigError, before any pair runs.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if case is None:
         case = load_case(config.case)
+    # Built only as a check: a bad spec key fails before any pair runs.
+    for dist_name in config.distributions:
+        build_distribution(dist_name, config, case)
     reps = range(1, config.replications + 1)
     pairs = [(dist_name, rep) for dist_name in config.distributions for rep in reps]
     run_pair = functools.partial(_run_replication, case, config)

@@ -1,12 +1,13 @@
 """Uncertainty specification, sampling, and moment estimation.
 
 Distribution specs live in the coordinate space of the uncertain buses
-(length u, MW units). A sample set keeps its draws in that space, in per
-unit, with the nodal columns they belong to: every other bus is exactly
-zero, and the nodal matrix is built only on request. Moments are taken
-in the same space and embedded into the nodal space, in per unit, with a
-lower-triangular covariance factor, which the constraint tightening
-consumes.
+(length u, MW units), and each draws itself and states its own exact
+moments, a mixture through its components. A sample set keeps its draws
+in that space, in per unit, with the nodal columns they belong to: every
+other bus is exactly zero, and the nodal matrix is built only on
+request. Moments are taken in the same space and embedded into the
+nodal space, in per unit, with a lower-triangular covariance factor,
+which the constraint tightening consumes.
 
 Randomness comes from numpy's Philox counter-based bit generator so a
 (spec, n, seed) triple reproduces bit-identical samples on any
@@ -15,7 +16,7 @@ platform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,10 +52,13 @@ def _frozen_array(values, shape_hint=None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GaussianSpec:
-    """Multivariate Gaussian over the uncertain buses (MW, MW^2)."""
+    """Multivariate Gaussian over the uncertain buses (MW, MW^2). The
+    positive-semidefiniteness check keeps its covariance factor, which
+    every draw uses, so every spec that constructs can be drawn from."""
 
     mean_mw: np.ndarray
     covariance_mw2: np.ndarray
+    _factor_mw: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mean = _frozen_array(self.mean_mw)
@@ -66,16 +70,21 @@ class GaussianSpec:
         _require_finite_moments(self)
         if not np.allclose(cov, cov.T, atol=1e-12 * max(1.0, np.abs(cov).max(initial=0.0))):
             raise ValueError("covariance must be symmetric")
-        # The rule sample() and spec_moments() factor by, so that every
-        # spec that constructs can be drawn from.
         try:
-            _repair_and_factor(cov, _SPEC_PSD_TOL)
+            _, factor = _repair_and_factor(cov, _SPEC_PSD_TOL)
         except ValueError as exc:
             raise ValueError(f"covariance is not positive semidefinite: {exc}") from None
+        object.__setattr__(self, "_factor_mw", factor)
 
     @property
     def dim(self) -> int:
         return self.mean_mw.size
+
+    def _draw_mw(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        return self.mean_mw + rng.standard_normal((n, self.dim)) @ self._factor_mw.T
+
+    def _moments_mw(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.mean_mw, self.covariance_mw2
 
 
 @dataclass(frozen=True)
@@ -97,6 +106,12 @@ class UniformBoxSpec:
     @property
     def dim(self) -> int:
         return self.lower_mw.size
+
+    def _draw_mw(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        return self.lower_mw + rng.random((n, self.dim)) * (self.upper_mw - self.lower_mw)
+
+    def _moments_mw(self) -> tuple[np.ndarray, np.ndarray]:
+        return 0.5 * (self.lower_mw + self.upper_mw), np.diag((self.upper_mw - self.lower_mw) ** 2 / 12.0)
 
 
 @dataclass(frozen=True)
@@ -122,6 +137,27 @@ class MixtureSpec:
     @property
     def dim(self) -> int:
         return self.components[0][1].dim
+
+    def _draw_mw(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        # Multinomial component assignment via one uniform per sample.
+        edges = np.cumsum([w for w, _ in self.components])
+        edges[-1] = 1.0
+        labels = np.searchsorted(edges, rng.random(n), side="right")
+        out = np.empty((n, self.dim))
+        for k, (_, comp) in enumerate(self.components):
+            idx = np.flatnonzero(labels == k)
+            if idx.size:
+                out[idx] = comp._draw_mw(idx.size, rng)
+        return out
+
+    def _moments_mw(self) -> tuple[np.ndarray, np.ndarray]:
+        mean = np.zeros(self.dim)
+        second = np.zeros((self.dim, self.dim))
+        for w, comp in self.components:
+            mu, cov = comp._moments_mw()
+            mean += w * mu
+            second += w * (cov + np.outer(mu, mu))
+        return mean, second - np.outer(mean, mean)
 
 
 def gaussian_from_std_corr(std_mw, correlation: float) -> GaussianSpec:
@@ -262,30 +298,6 @@ def _nodal_moments(mean, cov, reject_tol: float, cols, n_buses: int) -> MomentEs
     return MomentEstimate(mean=nodal_mean, covariance=nodal_cov, chol_factor=nodal_factor)
 
 
-def _draw_mw(spec, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n draws from spec in the uncertain-bus coordinate space (MW)."""
-    if isinstance(spec, GaussianSpec):
-        _, factor = _repair_and_factor(spec.covariance_mw2, _SPEC_PSD_TOL)
-        z = rng.standard_normal((n, spec.dim))
-        return spec.mean_mw + z @ factor.T
-    if isinstance(spec, UniformBoxSpec):
-        u = rng.random((n, spec.dim))
-        return spec.lower_mw + u * (spec.upper_mw - spec.lower_mw)
-    if isinstance(spec, MixtureSpec):
-        weights = np.array([w for w, _ in spec.components])
-        # Multinomial component assignment via one uniform per sample.
-        edges = np.cumsum(weights)
-        edges[-1] = 1.0
-        labels = np.searchsorted(edges, rng.random(n), side="right")
-        out = np.empty((n, spec.dim))
-        for k, (_, comp) in enumerate(spec.components):
-            idx = np.flatnonzero(labels == k)
-            if idx.size:
-                out[idx] = _draw_mw(comp, idx.size, rng)
-        return out
-    raise TypeError(f"unknown distribution spec {type(spec).__name__}")
-
-
 def _uncertain_columns(spec, case) -> np.ndarray:
     """The 0-based columns of the case's uncertain buses, where spec's
     coordinates embed into the nodal space; ValueError unless spec has
@@ -307,7 +319,7 @@ def sample(spec, n: int, seed: int, case) -> SampleSet:
     if n < 1:
         raise ValueError("need at least one sample")
     cols = _uncertain_columns(spec, case)
-    draw = _draw_mw(spec, n, _rng(seed)) / case.base_mva
+    draw = spec._draw_mw(n, _rng(seed)) / case.base_mva
     return SampleSet(draw=draw, uncertain_columns=cols, n_buses=case.n_buses, seed=seed)
 
 
@@ -322,40 +334,21 @@ def empirical_moments(s: SampleSet) -> MomentEstimate:
     return _nodal_moments(mean, cov, _MOMENT_PSD_TOL, s.uncertain_columns, s.n_buses)
 
 
-def _spec_moments_mw(spec) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(spec, GaussianSpec):
-        return spec.mean_mw.copy(), spec.covariance_mw2.copy()
-    if isinstance(spec, UniformBoxSpec):
-        mean = 0.5 * (spec.lower_mw + spec.upper_mw)
-        var = (spec.upper_mw - spec.lower_mw) ** 2 / 12.0
-        return mean, np.diag(var)
-    if isinstance(spec, MixtureSpec):
-        mean = np.zeros(spec.dim)
-        second = np.zeros((spec.dim, spec.dim))
-        for w, comp in spec.components:
-            mu, cov = _spec_moments_mw(comp)
-            mean += w * mu
-            second += w * (cov + np.outer(mu, mu))
-        return mean, second - np.outer(mean, mean)
-    raise TypeError(f"unknown distribution spec {type(spec).__name__}")
-
-
 def _require_finite_moments(spec) -> None:
     """ValueError unless spec's exact mean and covariance are finite, so
     that a spec too wide for floats fails when it is built."""
     with np.errstate(over="ignore", invalid="ignore"):
-        mean, cov = _spec_moments_mw(spec)
+        mean, cov = spec._moments_mw()
     if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
         raise ValueError(f"{type(spec).__name__} has a mean or covariance that is not finite")
 
 
 def spec_moments(spec, case) -> MomentEstimate:
     """Exact distribution moments embedded into the nodal space, in pu."""
-    mean_mw, cov_mw = _spec_moments_mw(spec)
-    return _nodal_moments(
-        mean_mw / case.base_mva, cov_mw / case.base_mva**2, _SPEC_PSD_TOL,
-        _uncertain_columns(spec, case), case.n_buses,
-    )
+    cols = _uncertain_columns(spec, case)
+    mean_mw, cov_mw = spec._moments_mw()
+    # Factored anew: the MW factor scaled by 1/base would round differently.
+    return _nodal_moments(mean_mw / case.base_mva, cov_mw / case.base_mva**2, _SPEC_PSD_TOL, cols, case.n_buses)
 
 
 def sensitivity_norm(a: np.ndarray, moments: MomentEstimate) -> float:

@@ -424,6 +424,22 @@ def test_experiment_names_eps_des_when_its_float_is_0(tmp_path, capsys, eps):
     assert "eps_des is too close to 0 or 1 for floats" in err and "Traceback" not in err
 
 
+def test_experiment_writes_its_report_when_every_replication_fails(tmp_path, capsys):
+    # One bisection step cannot meet eps = 0.01 jointly, so every
+    # replication fails; the JSON report must still carry each row's error.
+    from importlib.resources import files
+
+    text = (files("cctuner.data") / "rts24_sweep.cfg").read_text(encoding="utf-8")
+    path = tmp_path / "fail.cfg"
+    path.write_text(text.replace("replications = 20", "replications = 1").replace("max_iterations = 60", "max_iterations = 1"))
+    out = tmp_path / "r.json"
+    argv = ["experiment", "--config", str(path), "--mode", "joint", "--eps", "0.01", "--format", "json", "--out", str(out)]
+    assert main(argv) == 2
+    assert "all replications failed" in capsys.readouterr().err
+    rows = json.loads(out.read_text())["rows"]
+    assert len(rows) == 2 and all(row["failed"] and row["error"] for row in rows)
+
+
 def test_negative_seed_exits_1(cfg_path, capsys):
     assert main(["tune", "--config", cfg_path, "--seed", "-1"]) == 1
     err = capsys.readouterr().err

@@ -70,7 +70,10 @@ def test_parse_config_text():
 
 
 def test_experiment_config_validation():
-    assert ExperimentConfig.from_text("").modes == ("single",)
+    defaults = ExperimentConfig.from_text("")
+    assert defaults.modes == ("single",)
+    # The tuning defaults are TuningConfig's, read back exactly.
+    assert (defaults.width_tol, defaults.max_iterations) == (Fraction(1, 10**6), 60)
     with pytest.raises(ConfigError, match="unknown mode"):
         ExperimentConfig.from_text("modes = both")
     with pytest.raises(ConfigError, match="unknown distribution"):
@@ -354,6 +357,24 @@ gaussian.std_mw = 9.4, 13.1
     # One tuning and one out-of-sample draw and one catalog per
     # distribution, and one out-of-sample count per cell.
     assert counts == {"sample": 4, "build_catalog": 2, "evaluate": 12}
+
+
+def test_a_distribution_that_cannot_be_built_fails_before_any_pair_runs(monkeypatch):
+    real_tune = experiment.tune
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return real_tune(*args)
+
+    monkeypatch.setattr(experiment, "tune", spy)
+    config = ExperimentConfig.from_text(
+        SMALL_GAUSSIAN.replace("distributions = gaussian", "distributions = mixture, gaussian")
+        .replace("gaussian.std_mw = 9.4, 13.1\n", "")
+    )
+    with pytest.raises(ConfigError, match="missing required key 'gaussian.std_mw'"):
+        run_experiment(config)
+    assert calls == []
 
 
 def test_number_beyond_float_range_rejected():

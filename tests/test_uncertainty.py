@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cctuner import apply_rts_modifications, load_rts_case, parse_case
+from cctuner import apply_rts_modifications, load_rts_case, parse_case, uncertainty
 from cctuner.uncertainty import (
     GaussianSpec,
     MixtureSpec,
@@ -239,8 +239,9 @@ def test_specs_whose_exact_moments_overflow_are_rejected():
 
 
 def test_every_gaussian_spec_that_constructs_can_be_sampled(rts):
-    # Construction checks positive semidefiniteness by the rule sample()
-    # and spec_moments() factor by. Eigenvalues (2e-6, -1e-10) MW² once
+    # Construction keeps the factor its positive-semidefiniteness check
+    # builds, and every draw uses it; spec_moments() factors the per-unit
+    # covariance by the same rule. Eigenvalues (2e-6, -1e-10) MW² once
     # passed construction and then failed to sample.
     rotation = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
@@ -261,6 +262,19 @@ def test_every_gaussian_spec_that_constructs_can_be_sampled(rts):
     assert drawn.draw.shape == (10, 0) and not drawn.samples.any()
     moments = spec_moments(empty, case)
     assert not moments.covariance.any() and not moments.chol_factor.any()
+
+
+def test_a_built_gaussian_spec_draws_without_factoring_again(rts, monkeypatch):
+    gaussian = gaussian_from_std_corr([9.4, 13.1], 0.2)
+    mixture = MixtureSpec(components=((0.5, gaussian), (0.5, gaussian_from_std_corr([7.0, 14.0], 0.5))))
+    before = [sample(spec, 500, 3, rts).draw for spec in (gaussian, mixture)]
+
+    def refuse(*args):
+        raise AssertionError("a built spec factored its covariance again")
+
+    monkeypatch.setattr(uncertainty, "_repair_and_factor", refuse)
+    for spec, draw in zip((gaussian, mixture), before):
+        assert np.array_equal(sample(spec, 500, 3, rts).draw, draw)
 
 
 def test_sample_set_columns_must_be_strictly_ascending_and_in_range():
