@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from typing import Optional
 
 from .experiment import (
@@ -17,8 +17,7 @@ from .experiment import (
     STREAM_OOS,
     STREAM_TUNING,
     ExperimentConfig,
-    build_distribution,
-    build_replication,
+    Sweep,
     load_case,
     parse_config_file,
     run_experiment,
@@ -27,7 +26,7 @@ from .experiment import (
 from .grid import parse_case_file, parse_integer, parse_number
 from .ptdf import compute_ptdf, ptdf_to_csv
 from .tuner import MODES, TuningError, trace_to_csv, tune
-from .uncertainty import derive_seed, sample, sampleset_to_csv
+from .uncertainty import sampleset_to_csv
 from .violation import evaluate, report_to_json
 
 USAGE_ERROR = 1
@@ -69,22 +68,23 @@ def _config(args) -> ExperimentConfig:
     return ExperimentConfig.from_mapping(raw)
 
 
-def _replication(args):
-    """The config, its case, and replication 1 of the first configured
-    distribution, built exactly as the experiment builds it."""
+def _sweep(args) -> Sweep:
+    """A Sweep of the config's first distribution, the one the command
+    works on, so it builds no spec it does not use. The command's pair
+    is its replication 1, built exactly as the experiment builds it."""
     config = _config(args)
-    case = load_case(config.case)
-    return config, case, build_replication(case, config, config.distributions[0], 1)
+    return Sweep(replace(config, distributions=config.distributions[:1]))
 
 
 def _dispatch_at_s(args):
-    """_replication and its dispatch at --s. A solve that returns no
-    dispatch raises TuningError, so the command exits 2."""
-    config, case, pair = _replication(args)
+    """The Sweep, its pair and the pair's dispatch at --s. A solve that
+    returns no dispatch raises TuningError, so the command exits 2."""
+    sweep = _sweep(args)
+    pair = sweep.replication(sweep.config.distributions[0], 1)
     solution = pair.program.solve(args.s)
     if not solution.feasible:
         raise TuningError(f"{solution.status} at s={args.s:g}")
-    return config, case, pair, solution
+    return sweep, pair, solution
 
 
 def cmd_parse(args) -> int:
@@ -108,28 +108,28 @@ def cmd_ptdf(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    config = _config(args)
-    case = load_case(config.case)
-    spec = build_distribution(config.distributions[0], config, case)
-    samples = sample(spec, args.n, derive_seed(config.seed, STREAM_TUNING, 1), case)
-    _write_or_print(sampleset_to_csv(samples, case), args.out)
+    sweep = _sweep(args)
+    samples = sweep.draw(sweep.config.distributions[0], STREAM_TUNING, 1, args.n)
+    _write_or_print(sampleset_to_csv(samples, sweep.case), args.out)
     return 0
 
 
 def cmd_solve(args) -> int:
-    _, case, _, solution = _dispatch_at_s(args)
+    sweep, _, solution = _dispatch_at_s(args)
     lines = [f"s={args.s:.12g}", f"cost={solution.objective:.12g}"]
     for bus, value in enumerate(solution.p_g, start=1):
         if value != 0.0:
-            lines.append(f"p{bus}={value * case.base_mva:.6g}")
+            lines.append(f"p{bus}={value * sweep.case.base_mva:.6g}")
     _write_or_print("\n".join(lines) + "\n", args.out)
     return 0
 
 
 def cmd_tune(args) -> int:
-    config, case, pair = _replication(args)
+    sweep = _sweep(args)
+    config = sweep.config
+    pair = sweep.replication(config.distributions[0], 1)
     tuning = config.cells[config.modes[0], config.eps_values[0]]
-    result = tune(case, pair.catalog, pair.tuning_samples, tuning, pair.program)
+    result = tune(sweep.case, pair.catalog, pair.tuning_samples, tuning, pair.program)
     print(
         f"s={result.s:.6g} iterations={result.iterations} "
         f"cost={result.objective:.6g} eps_single={float(result.eps_single):.6g} "
@@ -155,8 +155,8 @@ def cmd_tune(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    config, case, pair, solution = _dispatch_at_s(args)
-    samples = sample(pair.spec, args.n, derive_seed(config.seed, STREAM_OOS, 1), case)
+    sweep, pair, solution = _dispatch_at_s(args)
+    samples = sweep.draw(sweep.config.distributions[0], STREAM_OOS, 1, args.n)
     report = evaluate(solution.p_g, samples, pair.catalog)
     text = report_to_json(report, pair.catalog)
     if args.out:

@@ -1,9 +1,9 @@
 """Replicated tuning experiments and their reports.
 
 An experiment sweeps mode x distribution x eps over independent
-replications. Each (distribution, replication) pair draws its own tuning
-and out-of-sample sets from seed streams that depend only on the
-replication index, builds one tightening catalog, and tunes every
+replications. A Sweep builds what its (distribution, replication) pairs
+share once. Each pair draws its own tuning and out-of-sample sets from
+seed streams that depend only on the replication index, and tunes every
 (mode, eps) cell against them; each tuned dispatch is scored out of
 sample. Rows come out in canonical sweep order regardless of worker
 scheduling.
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
-import functools
 import io
 import json
 import logging
@@ -249,64 +248,35 @@ def build_distribution(name: str, config, case: GridCase):
         value = numbers[key]
         return [float(v) for v in value] if isinstance(value, tuple) else float(value)
 
-    if name == "gaussian":
-        std = floats("gaussian.std_mw")
+    def gaussian(prefix):
+        std = floats(f"{prefix}.std_mw")
         if len(std) != n_unc:
-            raise ConfigError(
-                f"gaussian.std_mw has {len(std)} entries for {n_unc} uncertain buses"
-            )
-        return gaussian_from_std_corr(std, floats("gaussian.correlation"))
+            raise ConfigError(f"{prefix}.std_mw has {len(std)} entries for {n_unc} uncertain buses")
+        return gaussian_from_std_corr(std, floats(f"{prefix}.correlation"))
+
+    if name == "gaussian":
+        return gaussian("gaussian")
     if name == "mixture":
         weights = floats("mixture.weights")
         if len(weights) != 3:
             raise ConfigError("mixture.weights must have three entries")
-        std1 = floats("mixture.g1.std_mw")
-        std2 = floats("mixture.g2.std_mw")
-        if len(std1) != n_unc or len(std2) != n_unc:
-            raise ConfigError("mixture component std lists must match the uncertain buses")
         box = UniformBoxSpec(
             lower_mw=[floats("mixture.uniform.low_mw")] * n_unc,
             upper_mw=[floats("mixture.uniform.high_mw")] * n_unc,
         )
-        return MixtureSpec(
-            components=(
-                (weights[0], gaussian_from_std_corr(std1, floats("mixture.g1.correlation"))),
-                (weights[1], gaussian_from_std_corr(std2, floats("mixture.g2.correlation"))),
-                (weights[2], box),
-            )
-        )
+        components = (gaussian("mixture.g1"), gaussian("mixture.g2"), box)
+        return MixtureSpec(components=tuple(zip(weights, components)))
     raise ConfigError(f"unknown distribution {name!r}")
 
 
 @dataclass(frozen=True)
 class Replication:
     """What the (mode, eps) cells of one (distribution, replication) pair
-    share: the spec, the tuning draw, the catalog and its DispatchProgram."""
+    share: the tuning draw, the catalog and its DispatchProgram."""
 
-    spec: object
     tuning_samples: SampleSet
     catalog: ConstraintCatalog
     program: DispatchProgram
-
-
-def build_replication(case: GridCase, config: ExperimentConfig, dist_name: str, rep: int) -> Replication:
-    """Build a pair's spec, tuning draw, moments and catalog.
-
-    This is the one home of the moment_source policy: auto tightens with
-    the exact spec moments for the Gaussian and with the moments of the
-    tuning draw for the mixture.
-    """
-    spec = build_distribution(dist_name, config, case)
-    tuning_samples = sample(spec, config.n_tuning, derive_seed(config.seed, STREAM_TUNING, rep), case)
-    source = config.moment_source
-    if source == "auto":
-        source = "spec" if dist_name == "gaussian" else "empirical"
-    if source == "spec":
-        moments = spec_moments(spec, case)
-    else:
-        moments = empirical_moments(tuning_samples)
-    catalog = build_catalog(case, compute_ptdf(case), participation_factors(case), moments)
-    return Replication(spec, tuning_samples, catalog, DispatchProgram(case, catalog))
 
 
 @dataclass(frozen=True)
@@ -363,46 +333,79 @@ class ExperimentReport:
     averages: Tuple[AverageRow, ...]
 
 
-def _run_replication(case, config: ExperimentConfig, dist_name: str, rep: int):
-    """Tune every (mode, eps) cell of one pair and score it out of sample.
+class Sweep:
+    """What the pairs of one run share, each built once: the case, its
+    PTDF and participation factors, every configured distribution's spec
+    and, where the moments come from the spec, its catalog.
 
-    The cells share the pair's tuning draw, catalog and program. The
-    out-of-sample set is drawn once, after the pair's first successful
-    tune, and is released with the pair. Returns the rows keyed by
-    (mode, eps).
+    The one home of the seed streams and of the moment_source policy:
+    auto tightens with the exact spec moments for the Gaussian and with
+    the moments of the tuning draw for the mixture. A config that cannot
+    be run raises ConfigError here, before any pair runs.
     """
-    pair = build_replication(case, config, dist_name, rep)
-    oos_samples = None
-    rows = {}
-    for (mode, eps), tuning in config.cells.items():
-        s_true = None
-        if dist_name == "gaussian" and mode == "single":
-            # The upper eps-quantile; 0.0 - keeps eps = 0.5 at +0.0.
-            s_true = 0.0 - NormalDist().inv_cdf(float(eps))
-        cell = dict(
-            mode=mode, distribution=dist_name, eps_des=float(eps), replication=rep, s_true=s_true
-        )
-        try:
-            result = tune(case, pair.catalog, pair.tuning_samples, tuning, pair.program)
-        except TuningError as exc:
-            rows[mode, eps] = ResultRow(**cell, failed=True, error=str(exc))
-            continue
-        if oos_samples is None:
-            oos_seed = derive_seed(config.seed, STREAM_OOS, rep)
-            oos_samples = sample(pair.spec, config.n_oos, oos_seed, case)
-        oos = evaluate(result.p_g, oos_samples, pair.catalog)
-        rows[mode, eps] = ResultRow(
-            **cell,
-            iterations=result.iterations,
-            cost=result.objective,
-            s=result.s,
-            eps_obs_single=float(result.eps_single),
-            eps_oos_single=float(oos.eps_single),
-            eps_obs_joint=float(result.eps_joint),
-            eps_oos_joint=float(oos.eps_joint),
-            terminated_by=result.terminated_by,
-        )
-    return rows
+
+    def __init__(self, config: ExperimentConfig, case: Optional[GridCase] = None):
+        self.config = config
+        self.case = case = load_case(config.case) if case is None else case
+        self.specs = {d: build_distribution(d, config, case) for d in config.distributions}
+        self.ptdf = compute_ptdf(case)
+        self.alpha = participation_factors(case)
+        # The catalogs from spec moments, each shared by its distribution's pairs.
+        self.catalogs = {}
+        for dist_name, spec in self.specs.items():
+            if config.moment_source == "spec" or (config.moment_source, dist_name) == ("auto", "gaussian"):
+                self.catalogs[dist_name] = build_catalog(case, self.ptdf, self.alpha, spec_moments(spec, case))
+            elif config.n_tuning < 2:
+                raise ConfigError(f"key 'tuning.samples' must be at least 2 for the empirical moments of {dist_name}")
+
+    def draw(self, dist_name: str, stream: int, rep: int, n: int) -> SampleSet:
+        """n samples of a distribution from a replication's seed stream."""
+        return sample(self.specs[dist_name], n, derive_seed(self.config.seed, stream, rep), self.case)
+
+    def replication(self, dist_name: str, rep: int) -> Replication:
+        """A pair's tuning draw, its catalog and a program of its own, so
+        its reuse state stays inside the pair whatever the job count."""
+        tuning_samples = self.draw(dist_name, STREAM_TUNING, rep, self.config.n_tuning)
+        catalog = self.catalogs.get(dist_name)
+        if catalog is None:
+            catalog = build_catalog(self.case, self.ptdf, self.alpha, empirical_moments(tuning_samples))
+        return Replication(tuning_samples, catalog, DispatchProgram(self.case, catalog))
+
+    def run(self, dist_name: str, rep: int):
+        """Tune every (mode, eps) cell of one pair and score it out of
+        sample; returns the rows keyed by (mode, eps). The out-of-sample
+        set is drawn once, after the pair's first successful tune."""
+        pair = self.replication(dist_name, rep)
+        oos_samples = None
+        rows = {}
+        for (mode, eps), tuning in self.config.cells.items():
+            s_true = None
+            if dist_name == "gaussian" and mode == "single":
+                # The upper eps-quantile; 0.0 - keeps eps = 0.5 at +0.0.
+                s_true = 0.0 - NormalDist().inv_cdf(float(eps))
+            cell = dict(
+                mode=mode, distribution=dist_name, eps_des=float(eps), replication=rep, s_true=s_true
+            )
+            try:
+                result = tune(self.case, pair.catalog, pair.tuning_samples, tuning, pair.program)
+            except TuningError as exc:
+                rows[mode, eps] = ResultRow(**cell, failed=True, error=str(exc))
+                continue
+            if oos_samples is None:
+                oos_samples = self.draw(dist_name, STREAM_OOS, rep, self.config.n_oos)
+            oos = evaluate(result.p_g, oos_samples, pair.catalog)
+            rows[mode, eps] = ResultRow(
+                **cell,
+                iterations=result.iterations,
+                cost=result.objective,
+                s=result.s,
+                eps_obs_single=float(result.eps_single),
+                eps_oos_single=float(oos.eps_single),
+                eps_obs_joint=float(result.eps_joint),
+                eps_oos_joint=float(oos.eps_joint),
+                terminated_by=result.terminated_by,
+            )
+        return rows
 
 
 def _average(group) -> AverageRow:
@@ -440,24 +443,19 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1, case: Optional[GridC
     Work is split by (distribution, replication) pair; jobs > 1 runs the
     pairs in worker processes. The reduction is keyed by cell
     coordinates, so scheduling order never changes the report. jobs
-    below 1 raises ValueError, and a configured distribution that cannot
-    be built raises ConfigError, before any pair runs.
+    below 1 raises ValueError, and a configuration the Sweep rejects
+    raises ConfigError, before any pair runs.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    if case is None:
-        case = load_case(config.case)
-    # Built only as a check: a bad spec key fails before any pair runs.
-    for dist_name in config.distributions:
-        build_distribution(dist_name, config, case)
+    sweep = Sweep(config, case)
     reps = range(1, config.replications + 1)
     pairs = [(dist_name, rep) for dist_name in config.distributions for rep in reps]
-    run_pair = functools.partial(_run_replication, case, config)
     if jobs > 1 and len(pairs) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(pairs))) as pool:
-            results = list(pool.map(run_pair, *zip(*pairs), chunksize=1))
+            results = list(pool.map(sweep.run, *zip(*pairs), chunksize=1))
     else:
-        results = [run_pair(*pair) for pair in pairs]
+        results = [sweep.run(*pair) for pair in pairs]
     by_pair = dict(zip(pairs, results))
 
     rows = []

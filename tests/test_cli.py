@@ -184,12 +184,12 @@ def test_sample_respects_uncertain_buses(cfg_path, capsys):
 
 
 def test_sample_and_evaluate_draw_from_the_experiment_streams(cfg_path, tmp_path, capsys):
-    from cctuner.experiment import STREAM_OOS, ExperimentConfig, build_replication, load_case
+    from cctuner.experiment import STREAM_OOS, ExperimentConfig, Sweep, load_case
     from cctuner.uncertainty import derive_seed, sampleset_to_csv
 
     config = ExperimentConfig.from_file(cfg_path)
     case = load_case(config.case)
-    pair = build_replication(case, config, "gaussian", 1)
+    pair = Sweep(config, case).replication("gaussian", 1)
     assert main(["sample", "--config", cfg_path, "--n", str(config.n_tuning)]) == 0
     # Compared outside the assert: pytest's diff of two 1,500-line
     # strings takes minutes.
@@ -362,7 +362,7 @@ def test_experiment_rejects_jobs_below_one(cfg_path, monkeypatch, capsys, jobs):
     def must_not_run(*args):
         raise AssertionError("a replication ran")
 
-    monkeypatch.setattr("cctuner.experiment._run_replication", must_not_run)
+    monkeypatch.setattr("cctuner.experiment.Sweep.run", must_not_run)
     assert main(["experiment", "--config", cfg_path, "--jobs", jobs]) == 1
     assert "jobs must be at least 1" in capsys.readouterr().err
 
@@ -438,6 +438,21 @@ def test_experiment_writes_its_report_when_every_replication_fails(tmp_path, cap
     assert "all replications failed" in capsys.readouterr().err
     rows = json.loads(out.read_text())["rows"]
     assert len(rows) == 2 and all(row["failed"] and row["error"] for row in rows)
+
+
+def test_commands_build_only_the_distribution_they_use(tmp_path, capsys):
+    # solve works on the first listed distribution, so the Gaussian's
+    # missing spec key does not concern it; the experiment builds both.
+    path = tmp_path / "mixture-first.cfg"
+    path.write_text(
+        SMALL_CFG.replace("distributions = gaussian", "distributions = mixture, gaussian")
+        .replace("gaussian.std_mw = 9.4, 13.1\n", "")
+    )
+    assert main(["solve", "--config", str(path), "--s", "1.5"]) == 0
+    capsys.readouterr()
+    assert main(["experiment", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "missing required key 'gaussian.std_mw'" in err and "Traceback" not in err
 
 
 def test_negative_seed_exits_1(cfg_path, capsys):

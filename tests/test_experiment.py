@@ -144,6 +144,8 @@ def test_build_distribution_shapes():
 
     with pytest.raises(ConfigError, match="uncertain buses"):
         build_distribution("gaussian", {"gaussian.std_mw": "5"}, case)
+    with pytest.raises(ConfigError, match="mixture.g1.std_mw has 3 entries for 2 uncertain buses"):
+        build_distribution("mixture", {"mixture.g1.std_mw": "7, 14, 1"}, case)
     with pytest.raises(ConfigError, match="unknown distribution"):
         build_distribution("laplace", raw, case)
 
@@ -331,7 +333,8 @@ def test_sweep_axis_must_list_distinct_entries(line):
 
 
 def test_replication_draws_and_catalogs_once_per_distribution(monkeypatch):
-    counts = {"sample": 0, "build_catalog": 0, "evaluate": 0}
+    names = ("compute_ptdf", "build_distribution", "spec_moments", "empirical_moments", "build_catalog", "sample", "evaluate")
+    counts = dict.fromkeys(names, 0)
     for name in counts:
         real = getattr(experiment, name)
 
@@ -345,7 +348,7 @@ def test_replication_draws_and_catalogs_once_per_distribution(monkeypatch):
 modes = single, joint
 distributions = gaussian, mixture
 eps = 0.1, 0.05, 0.01
-replications = 1
+replications = 2
 tuning.samples = 800
 oos.samples = 800
 seed = 7
@@ -353,10 +356,20 @@ gaussian.std_mw = 9.4, 13.1
 """
     )
     report = run_experiment(config)
-    assert len(report.rows) == 12 and not any(r.failed for r in report.rows)
-    # One tuning and one out-of-sample draw and one catalog per
-    # distribution, and one out-of-sample count per cell.
-    assert counts == {"sample": 4, "build_catalog": 2, "evaluate": 12}
+    assert len(report.rows) == 24 and not any(r.failed for r in report.rows)
+    # One PTDF per run and one spec per distribution. Under auto, the
+    # Gaussian's pairs share one catalog from its spec moments, and each
+    # mixture pair builds its own from its tuning draw. Each pair draws
+    # one tuning and one out-of-sample set, and each cell counts once.
+    assert counts == {
+        "compute_ptdf": 1,
+        "build_distribution": 2,
+        "spec_moments": 1,
+        "empirical_moments": 2,
+        "build_catalog": 3,
+        "sample": 8,
+        "evaluate": 24,
+    }
 
 
 def test_a_distribution_that_cannot_be_built_fails_before_any_pair_runs(monkeypatch):
@@ -377,6 +390,29 @@ def test_a_distribution_that_cannot_be_built_fails_before_any_pair_runs(monkeypa
     assert calls == []
 
 
+def test_one_tuning_sample_fails_before_any_pair_runs_where_its_moments_tighten(monkeypatch):
+    real_tune = experiment.tune
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return real_tune(*args)
+
+    monkeypatch.setattr(experiment, "tune", spy)
+    text = SMALL_GAUSSIAN.replace("tuning.samples = 2000", "tuning.samples = 1")
+    for refused in (
+        text.replace("distributions = gaussian", "distributions = gaussian, mixture"),
+        text + "moment_source = empirical\n",
+    ):
+        with pytest.raises(ConfigError, match="key 'tuning.samples' must be at least 2"):
+            run_experiment(ExperimentConfig.from_text(refused))
+    assert calls == []
+    # Under auto the Gaussian tightens with its spec moments, so a
+    # Gaussian-only sweep still runs on one tuning sample.
+    report = run_experiment(ExperimentConfig.from_text(text))
+    assert len(calls) == len(report.rows) == 2
+
+
 def test_number_beyond_float_range_rejected():
     with pytest.raises(ConfigError, match="float range"):
         ExperimentConfig.from_text("gaussian.std_mw = 1e400, 1")
@@ -392,7 +428,7 @@ def test_tiny_joint_mixture_tunes_through_a_capped_qp():
     raw.update({"tuning.samples": "400", "seed": "4"})
     config = ExperimentConfig.from_mapping(raw)
     case = load_case(config.case)
-    pair = experiment.build_replication(case, config, "mixture", 1)
+    pair = experiment.Sweep(config, case).replication("mixture", 1)
     sol = solve_dispatch(case, pair.catalog, 15.483862567202022)
     assert sol.status == "optimal"
     assert sol.qp_solution.iterations < qp.DEFAULT_MAX_ITERS

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from cctuner import apply_rts_modifications, load_rts_case, parse_case
-from cctuner.experiment import ExperimentConfig, build_replication, load_case
+from cctuner.experiment import ExperimentConfig, Sweep, load_case
 from cctuner.ptdf import compute_ptdf
 from cctuner.reformulation import DispatchProgram, build_catalog, participation_factors, solve_dispatch
 from cctuner.tuner import (
@@ -397,7 +397,7 @@ def test_store_counts_equal_one_shot_counts_along_a_tune(distribution, mode):
     # frequencies.
     config = ExperimentConfig.from_file(files("cctuner.data") / "rts24_sweep.cfg")
     case = load_case(config.case)
-    pair = build_replication(case, config, distribution, 1)
+    pair = Sweep(config, case).replication(distribution, 1)
     result = tune(case, pair.catalog, pair.tuning_samples, config.cells[mode, Fraction(1, 20)])
     program = DispatchProgram(case, pair.catalog)
     for it in result.trace:
@@ -415,7 +415,7 @@ def test_a_pairs_shared_program_keeps_every_tune(distribution, monkeypatch):
     # experiment runs them; each must end as it does with a fresh one.
     config = ExperimentConfig.from_file(files("cctuner.data") / "rts24_sweep.cfg")
     case = load_case(config.case)
-    pair = build_replication(case, config, distribution, 1)
+    pair = Sweep(config, case).replication(distribution, 1)
     solutions = []
     solve = pair.program.solve
     monkeypatch.setattr(pair.program, "solve", lambda s: solutions.append(solve(s)) or solutions[-1])
