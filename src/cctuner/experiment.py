@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import logging
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from statistics import NormalDist
@@ -296,10 +297,12 @@ class ResultRow:
     terminated_by: str = ""
     failed: bool = False
     error: str = ""
+    # How many of the tune's iterates each qp_start decided.
+    qp_starts: Dict[str, int] = field(default_factory=dict)
 
 
 # The JSON report carries these per-row diagnostics; the CSV does not.
-_DIAGNOSTICS = ("terminated_by", "failed", "error")
+_DIAGNOSTICS = ("terminated_by", "failed", "error", "qp_starts")
 REPORT_COLUMNS = tuple(f.name for f in fields(ResultRow) if f.name not in _DIAGNOSTICS)
 # Columns averaged over a cell's replications: those after the four cell
 # coordinates, except s_true, which belongs to the cell and is copied.
@@ -404,6 +407,7 @@ class Sweep:
                 eps_obs_joint=float(result.eps_joint),
                 eps_oos_joint=float(oos.eps_joint),
                 terminated_by=result.terminated_by,
+                qp_starts=dict(sorted(Counter(it.qp_start for it in result.trace).items())),
             )
         return rows
 

@@ -32,13 +32,19 @@ step, and phase 1 certifies one with h < 0 infeasible.
 
 Every returned QpSolution carries its working set `active`: a boolean
 mask over the inequality rows, set where the returned point holds a row
-at equality. Two exact tests reuse, without a pivot, what a solve of
-the same rows at another h found: certified_on_active_set returns the
-KKT point with a given working set held at equality only if it passes
-the test above, and certified_infeasible a certificate only if its
-duals still separate at the new h. Otherwise either returns None and
-the caller solves cold, so a reuse never makes a solve infeasible or
-accepts a point the test would reject.
+at equality.
+
+A ParametricProgram solves the family h(s) = h0 + s·dh, dh <= 0, from
+what its earlier solves found. For a working set the KKT matrix does
+not depend on s, so the optimal point is piecewise affine in s (Best
+1996, "An algorithm for the solution of the parametric quadratic
+programming problem"), and a solve walks that path one row swap at a
+time, as the online active-set strategy of Ferreau, Bock & Diehl (2008,
+IJRNC 18(8), qpOASES) does. A segment point counts only if it passes
+the test above at s, and a certificate only if certified_infeasible
+finds that it still separates at h(s); otherwise the program solves
+cold, so a reuse never makes a solve infeasible or accepts a point the
+test would reject.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-__all__ = ["QpSolution", "solve", "certified_on_active_set", "certified_infeasible"]
+__all__ = ["QpSolution", "Segment", "ParametricProgram", "solve", "certified_infeasible"]
 
 logger = logging.getLogger(__name__)
 
@@ -67,7 +73,7 @@ class QpSolution:
     'optimal' all four are at or below the solve tolerance. iterations
     counts active-set pivots, phase 1 and phase 2 together. active is
     the (n_ineq,) boolean working set of x: the rows held at equality
-    when the search stopped, or the working set a warm solve certified.
+    when the search stopped, or the working set of a segment's point.
     It is all False when no point is returned (status 'infeasible', or a
     phase 1 that ended without a feasible start). At status
     'infeasible' the certificate dict carries the separating duals.
@@ -289,28 +295,190 @@ def solve(p_diag, q, a_eq, b_eq, g_ineq, h_ineq) -> QpSolution:
     return sol
 
 
-def certified_on_active_set(p, q, a, b, g, h, on) -> QpSolution | None:
-    """The KKT point with the rows G[on] held at equality, as 'optimal'
-    with iterations = 0 and active = on if all four residuals are at or
-    below DEFAULT_TOL and no multiplier is negative, else None. It checks
-    none of its arrays: pass those a solve of the same rows ran on.
+@dataclass(frozen=True, eq=False)
+class Segment:
+    """One piece of a ParametricProgram's optimal path.
+
+    For the working set `on` the KKT matrix does not depend on s, so the
+    KKT point is affine in s: x = x[0] + (s - s0)·x[1], and likewise y
+    and z (zero off `on`). It is read from the s0 it was built at, where
+    it passed the residual test, because near a degenerate vertex the
+    terms at s = 0 grow large and cancel. On [lo, hi] no slack off `on`
+    and no multiplier on it changes sign. ends names the row whose slack
+    (off `on`) or multiplier (on `on`) reaches 0 at lo and at hi: -1
+    where that end is infinite, -2 where two rows reach 0 together.
     """
-    n, k = q.size, a.shape[0]
-    rows = np.vstack([a, g[on]])
-    kkt = np.block([[np.diag(p), rows.T], [rows, np.zeros((rows.shape[0],) * 2)]])
-    # A singular or ill-posed working set may produce inf or NaN; the
-    # test below rejects such a point.
-    with np.errstate(all="ignore"):
-        try:
-            sol = np.linalg.solve(kkt, np.concatenate([-q, b, h[on]]))
-        except np.linalg.LinAlgError:
-            return None
-        x, y, z = sol[:n], sol[n : n + k], np.zeros(g.shape[0])
-        z[on] = sol[n + k :]
-        res = _residuals(p, q, a, b, g, h, x, y, z)
-    if not (all(r <= DEFAULT_TOL for r in res) and np.all(z >= 0.0)):
+
+    on: np.ndarray
+    s0: float
+    x: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
+    lo: float
+    hi: float
+    ends: tuple[int, int]
+
+    def at(self, s):
+        t = s - self.s0
+        return self.x[0] + t * self.x[1], self.y[0] + t * self.y[1], self.z[0] + t * self.z[1]
+
+
+def _first(steps) -> int:
+    """The index of the smallest step: -1 if every step is inf, -2 if
+    the two smallest tie."""
+    order = np.argsort(steps)[:2]
+    if steps[order[0]] == np.inf:
+        return -1
+    if order.size > 1 and steps[order[1]] - steps[order[0]] <= 1e-12 * max(1.0, steps[order[0]]):
+        return -2
+    return int(order[0])
+
+
+def _end(f, s, direction):
+    """(s', row): where the first of the affine functions f[0] + (s' -
+    s)·f[1], each at least 0 at s, reaches 0 in direction ±1, and
+    _first's row of it."""
+    slope = direction * f[1]
+    steps = np.full(f.shape[1], np.inf)
+    falling = slope < 0.0
+    steps[falling] = np.maximum(f[0, falling], 0.0) / -slope[falling]
+    return s + direction * steps.min(), _first(steps)
+
+
+class ParametricProgram:
+    """The QPs of fixed p, q, A, b and G over h(s) = h0 + s·dh, dh <= 0,
+    solved at any s from what earlier solves found.
+
+    As h only shrinks as s grows, a Farkas certificate's gap bᵀy +
+    h(s)ᵀz is affine and nonincreasing in s. So solve first rechecks the
+    kept certificate that separates from the smallest s on, at any s
+    from there; then looks s up in the stored segment nearest to it,
+    walking the path
+    from that segment's edge if s lies outside it; and only then runs
+    solve cold, whose working set seeds a new segment. Every status
+    returned is certified at s: 'optimal' by the four-residual test and
+    z >= 0, 'infeasible' by a certificate that separates at h(s). It
+    checks none of its arrays: the first solve is cold and checks them.
+    """
+
+    def __init__(self, p, q, a, b, g, h0, dh):
+        self.arrays = (p, q, a, b, g)
+        self.h0, self.dh = h0, dh
+        self._segments: dict[bytes, Segment] = {}
+        self._certificate: tuple[float, dict] | None = None
+
+    def solve(self, s: float) -> tuple[QpSolution, str]:
+        """(solution, start): start is 'certificate', 'segment' or
+        'cold', whichever decided the status."""
+        p, q, a, b, g = self.arrays
+        h = self.h0 + s * self.dh
+        sol = None
+        if self._certificate is not None and s >= self._certificate[0]:
+            sol, start = certified_infeasible(a, b, g, h, self._certificate[1]), "certificate"
+        if sol is None and self._segments:
+            # The segment holding s, else the one whose edge is nearest.
+            nearest = min(self._segments.values(), key=lambda seg: max(seg.lo - s, s - seg.hi))
+            sol, start = self.walk(nearest, s), "segment"
+        if sol is None:
+            sol, start = solve(p, q, a, b, g, h), "cold"
+            seg = self.segment(sol.active, s) if sol.optimal else None
+            if seg is not None:
+                self._segments.setdefault(seg.on.tobytes(), seg)
+        if sol.status == "infeasible":
+            y, z = sol.certificate["equality_dual"], sol.certificate["inequality_dual"]
+            gap, slope = float(b @ y + self.h0 @ z), float(self.dh @ z)
+            # The gap at s is gap + s·slope: from reach on it separates.
+            reach = (-DEFAULT_TOL - gap) / slope if slope < 0.0 else (-np.inf if gap < -DEFAULT_TOL else np.inf)
+            if self._certificate is None or reach < self._certificate[0]:
+                self._certificate = (reach, sol.certificate)
+        return sol, start
+
+    def segment(self, on, s) -> Segment | None:
+        """The Segment of working set `on` through s, or None unless its
+        point at s passes the four-residual test. One solve with two
+        right-hand sides gives the point at s and its slope."""
+        p, q, a, b, g = self.arrays
+        n, k, c = q.size, a.shape[0], g.shape[0]
+        h = self.h0 + s * self.dh
+        rows = np.vstack([a, g[on]])
+        kkt = np.block([[np.diag(p), rows.T], [rows, np.zeros((rows.shape[0],) * 2)]])
+        rhs = np.zeros((kkt.shape[0], 2))
+        rhs[:n, 0], rhs[n : n + k, 0] = -q, b
+        rhs[n + k :] = np.column_stack([h[on], self.dh[on]])
+        # A singular or ill-posed working set may produce inf or NaN; the
+        # test below rejects such a point.
+        with np.errstate(all="ignore"):
+            try:
+                sol = np.linalg.solve(kkt, rhs)
+                # One step of refinement: the multipliers grow large near
+                # the end of the path, and the first solve's error in
+                # the working rows grows with them.
+                sol = (sol + np.linalg.solve(kkt, rhs - kkt @ sol)).T
+            except np.linalg.LinAlgError:
+                return None
+            x, y, z = sol[:, :n], sol[:, n : n + k], np.zeros((2, c))
+            z[:, on] = sol[:, n + k :]
+            if not max(_residuals(p, q, a, b, g, h, x[0], y[0], z[0])) <= DEFAULT_TOL:
+                return None
+            # Slacks off the working set, multipliers on it.
+            f = np.where(on, z, np.vstack([h, self.dh]) - x @ g.T)
+            (lo, lo_row), (hi, hi_row) = _end(f, s, -1.0), _end(f, s, 1.0)
+        return Segment(on.copy(), float(s), x, y, z, lo, hi, (lo_row, hi_row))
+
+    def walk(self, seg, s) -> QpSolution | None:
+        """The certified solution at s, found from seg along the path;
+        every segment walked is stored.
+
+        Inside [seg.lo, seg.hi] it is seg's point at s. Otherwise each
+        swap steps to the edge of the current segment toward s, where one
+        row changes sides. A row whose multiplier reached 0 leaves. A row
+        whose slack reached 0 enters, unless it depends on the working
+        rows: then the working row that first loses its multiplier as the
+        new one grows leaves, and if none does, the path ends. The dual
+        ray there is a Farkas certificate, returned 'infeasible' only if
+        it separates at h(s) (see certified_infeasible). The solution's
+        iterations count the swaps. None where a tie, a swap that makes no
+        progress, a point that fails the test or the pivot cap
+        DEFAULT_MAX_ITERS stops the walk: the caller then solves cold.
+        """
+        p, q, a, b, g = self.arrays
+        h, k = self.h0 + s * self.dh, a.shape[0]
+        for swaps in range(DEFAULT_MAX_ITERS + 1):
+            if seg.lo <= s <= seg.hi:
+                x, y, z = seg.at(s)
+                res = _residuals(p, q, a, b, g, h, x, y, z)
+                if not (max(res) <= DEFAULT_TOL and np.all(z >= 0.0)):
+                    return None
+                return QpSolution("optimal", x, float(0.5 * x @ (p * x) + q @ x), y, z, res, swaps, seg.on)
+            up = s > seg.hi
+            edge, row = (seg.hi, seg.ends[1]) if up else (seg.lo, seg.ends[0])
+            if row < 0 or swaps == DEFAULT_MAX_ITERS:
+                return None
+            on = seg.on.copy()
+            if not on[row]:
+                rows = np.vstack([a, g[on]])
+                w = np.linalg.lstsq(rows.T, g[row], rcond=None)[0]
+                if np.abs(rows.T @ w - g[row]).max() <= 1e-9 * max(1.0, float(np.abs(g[row]).max())):
+                    w_on, ratios = np.zeros(g.shape[0]), np.full(g.shape[0], np.inf)
+                    w_on[on] = w[k:]
+                    leaving = w_on > 1e-12
+                    ratios[leaving] = seg.at(edge)[2][leaving] / w_on[leaving]
+                    first = _first(ratios)
+                    if first == -1:
+                        z = np.maximum(-w_on, 0.0)
+                        z[row] = 1.0
+                        certificate = {"equality_dual": -w[:k] / z.sum(), "inequality_dual": z / z.sum()}
+                        sol = certified_infeasible(a, b, g, h, certificate)
+                        return None if sol is None else replace(sol, iterations=swaps)
+                    if first == -2:
+                        return None
+                    on[first] = False
+            on[row] = not on[row]
+            seg = self.segment(on, edge)
+            if seg is None or not (seg.hi > edge if up else seg.lo < edge):
+                return None
+            self._segments.setdefault(seg.on.tobytes(), seg)
         return None
-    return QpSolution("optimal", x, float(0.5 * x @ (p * x) + q @ x), y, z, res, 0, on)
 
 
 def certified_infeasible(a, b, g, h, certificate) -> QpSolution | None:

@@ -245,9 +245,11 @@ class DispatchSolution:
     holds the duals, the working set (active) and any infeasibility
     certificate in full catalog indexing, and the KKT residuals that
     certified the program qp.solve was given, without the pinned buses.
-    qp_start says how the status was decided: "working_set" (a working
-    set of an earlier solve certified at 0 pivots), "certificate" (an
-    earlier Farkas certificate rechecked at this s) or "cold" (qp.solve).
+    qp_start says how the status was decided: "segment" (a segment of
+    the parametric path, looked up or walked to; the solution's
+    iterations count the swaps walked, 0 for a lookup), "certificate"
+    (an earlier Farkas certificate rechecked at this s) or "cold"
+    (qp.solve).
     """
 
     status: str
@@ -276,15 +278,12 @@ class DispatchProgram:
     generator buses alone. Line rows that touch only pinned buses reach
     qp as constant rows.
 
-    Only h(s) = limits - s·sigmas changes between solves. As sigmas >= 0
-    and a Farkas certificate's z >= 0, its gap bᵀy + h(s)ᵀz is
-    nonincreasing in s, so solve first rechecks the certificate of the
-    smallest infeasible s seen, at any larger s; then tries each working
-    set an optimal solve returned, most recently used first; and only
-    then runs qp.solve cold, which also validates the arrays any later
-    reuse runs on. A reuse counts only if it passes qp's exact test at
-    the new s. One caller uses a program at a time: an experiment pair's
-    cells share one, inside one worker.
+    Only h(s) = limits - s·sigmas changes between solves, so the
+    program holds one qp.ParametricProgram with dh = -sigmas <= 0, which
+    keeps the segments of the optimal path and the certificate its
+    solves found. The first solve of a fresh program is cold at its own
+    s, which also validates the arrays. One caller uses a program at a
+    time: an experiment pair's cells share one, inside one worker.
     """
 
     def __init__(self, case: GridCase, catalog: ConstraintCatalog):
@@ -301,17 +300,16 @@ class DispatchProgram:
             raise ValueError("every bus is pinned; nothing to dispatch")
         self._live = live = np.ones(len(catalog), dtype=bool)
         live[self._pinned] = live[n + self._pinned] = False
-        self._arrays = (
+        self._pinned_columns = catalog.dispatch_matrix[:, self._pinned].T.copy()
+        self._path = qp.ParametricProgram(
             q_diag[free],
             self._lin[free],
             np.ones((1, int(free.sum()))),
             np.array([case.loads_mw().sum() / base]),
             catalog.dispatch_matrix[np.ix_(live, free)],
+            catalog.limits[live],
+            -catalog.sigmas[live],
         )
-        self._limits, self._sigmas = catalog.limits[live], catalog.sigmas[live]
-        self._pinned_columns = catalog.dispatch_matrix[:, self._pinned].T.copy()
-        self._working_sets: list[np.ndarray] = []
-        self._certificate: tuple[float, dict] | None = None
 
     def solve(self, s: float) -> DispatchSolution:
         """The certified solution at s, in full length and catalog
@@ -319,24 +317,7 @@ class DispatchProgram:
         stationarity, and their rows are never in the working set."""
         if not (s >= 0.0 and math.isfinite(s)):
             raise ValueError(f"safety parameter must be finite and nonnegative, got {s}")
-        p, q, a, b, g = self._arrays
-        h = self._limits - s * self._sigmas
-        sol = None
-        if self._certificate is not None and s >= self._certificate[0]:
-            sol, qp_start = qp.certified_infeasible(a, b, g, h, self._certificate[1]), "certificate"
-        if sol is None:
-            for i, on in enumerate(self._working_sets):
-                sol, qp_start = qp.certified_on_active_set(p, q, a, b, g, h, on), "working_set"
-                if sol is not None:
-                    self._working_sets.insert(0, self._working_sets.pop(i))
-                    break
-        if sol is None:
-            sol, qp_start = qp.solve(p, q, a, b, g, h), "cold"
-            if sol.optimal and not any(np.array_equal(sol.active, on) for on in self._working_sets):
-                self._working_sets.insert(0, sol.active)
-            elif sol.status == "infeasible" and (self._certificate is None or s < self._certificate[0]):
-                self._certificate = (float(s), sol.certificate)
-        return self._inflate(sol, qp_start)
+        return self._inflate(*self._path.solve(s))
 
     def _inflate(self, sol: qp.QpSolution, qp_start: str) -> DispatchSolution:
         n, pinned, live = self.case.n_buses, self._pinned, self._live

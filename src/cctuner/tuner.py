@@ -2,12 +2,13 @@
 
 The tuner brackets s between a loose lower bound and a distribution-free
 upper bound, solves the tightened dispatch at the midpoint through one
-DispatchProgram (which reuses its earlier solves' working sets and
-certificates), measures the empirical violation probability on a fixed
-tuning sample set, and contracts the bracket until the observed
-probability sits within gamma of the target, the bracket collapses, or
-the iteration cap is reached. Observed probabilities are exact
-fractions, so the gamma test is free of float rounding.
+DispatchProgram (which walks the parametric path of its earlier solves
+and rechecks their certificates), measures the empirical violation
+probability on a fixed tuning sample set, and contracts the bracket
+until the observed probability sits within gamma of the target, the
+bracket collapses, or the iteration cap is reached. Observed
+probabilities are exact fractions, so the gamma test is free of float
+rounding.
 """
 
 from __future__ import annotations
@@ -96,15 +97,16 @@ class TuningIterate:
     bracket is the interval (s_min, s_max) the step bisected; s is its
     midpoint.
 
-    qp_status and qp_iterations are the status and active-set pivot
-    count (phase 1 plus phase 2) of the QP solve at s, and qp_start how
-    it was decided (see DispatchSolution). kkt_max is the largest of the
-    solve's four KKT residuals: its optimality certificate when optimal,
-    when infeasible the worst violation its certificate proves (phase
-    1's optimum on a cold solve). solve_s and count_s are the wall-clock
-    seconds of the iterate's QP solve and of its tuning-set count (0.0
-    when infeasible, since nothing is counted); they do not take part
-    in comparisons.
+    qp_status is the status of the QP solve at s and qp_start how it was
+    decided (see DispatchSolution). qp_iterations counts the active-set
+    pivots (phase 1 plus phase 2) of a cold solve, the swaps walked
+    along the path for a segment (0 for a lookup), and 0 for a
+    certificate recheck. kkt_max is the largest of the solve's four KKT
+    residuals: its optimality certificate when optimal, when infeasible
+    the worst violation its certificate proves (phase 1's optimum on a
+    cold solve). solve_s and count_s are the wall-clock seconds of the
+    iterate's QP solve and of its tuning-set count (0.0 when infeasible,
+    since nothing is counted); they do not take part in comparisons.
     """
 
     iteration: int

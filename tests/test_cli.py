@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -251,23 +250,21 @@ def test_tune_json_trace_records_qp_solves(cfg_path, tmp_path):
     assert payload["trace"][payload["chosen_iteration"] - 1]["feasible"]
     # The command builds its own program, so its first solve is cold.
     assert payload["trace"][0]["qp_start"] == "cold"
-    assert any(it["qp_start"] == "working_set" for it in payload["trace"])
+    assert any(it["qp_start"] == "segment" for it in payload["trace"])
     for it in payload["trace"]:
         # The bracket the iterate bisected, as a JSON list.
         s_min, s_max = it["bracket"]
         assert it["s"] == (s_max - s_min) / 2.0 + s_min
         assert it["qp_status"] == ("optimal" if it["feasible"] else "infeasible")
         assert isinstance(it["qp_iterations"], int) and it["qp_iterations"] >= 0
-        # How the status was decided: a reused working set or
-        # certificate is rechecked at 0 pivots.
-        assert it["qp_start"] in ("working_set", "certificate", "cold")
-        if it["qp_start"] != "cold":
-            assert it["qp_iterations"] == 0
-            assert it["qp_status"] == ("optimal" if it["qp_start"] == "working_set" else "infeasible")
+        # How the status was decided: a kept certificate is rechecked at
+        # 0 pivots, and a segment counts the swaps walked to reach s.
+        assert it["qp_start"] in ("segment", "certificate", "cold")
+        if it["qp_start"] == "certificate":
+            assert it["qp_iterations"] == 0 and it["qp_status"] == "infeasible"
         if it["qp_status"] == "optimal":
-            assert math.isfinite(it["kkt_max"])
-            if it["qp_iterations"] == 0:
-                assert it["kkt_max"] <= 1e-8
+            # Cold, looked up or walked to, an optimal point is certified.
+            assert it["kkt_max"] <= 1e-8
         else:
             assert it["kkt_max"] > 1e-8
         # Wall-clock seconds of the solve and of the tuning-set count.

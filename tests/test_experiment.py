@@ -271,6 +271,12 @@ def test_json_mirror(small_report, tmp_path):
     assert data["rows"][0]["failed"] is False
     assert data["averages"][0]["replication"] == "avg"
     assert data["config"]["seed"] == "42"
+    # Where each row's solves came from: each pair's program solves cold
+    # once, then walks its path. A diagnostic, so no CSV column.
+    for row in data["rows"]:
+        assert sum(row["qp_starts"].values()) == row["iterations"]
+        assert row["qp_starts"]["cold"] == 1
+    assert "qp_starts" not in REPORT_COLUMNS
 
     out_csv = tmp_path / "r.csv"
     out_json = tmp_path / "r.json"

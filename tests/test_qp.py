@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import brute_force_qp
 
 from cctuner import qp
-from cctuner.qp import DEFAULT_TOL, certified_infeasible, certified_on_active_set, solve
+from cctuner.qp import DEFAULT_TOL, ParametricProgram, certified_infeasible, solve
 
 
 def kkt_residuals(p, q, a, b, g, h, sol):
@@ -288,6 +290,13 @@ def semidefinite_instance(rng):
 GENERATORS = (feasible_instance, random_instance, semidefinite_instance)
 
 
+def on_segment(program, on, s):
+    """The walk's answer at s from the segment of working set on through
+    s, or None where no segment is built or its point fails the test."""
+    seg = program.segment(on, s)
+    return None if seg is None else program.walk(seg, s)
+
+
 @pytest.mark.parametrize("make", GENERATORS)
 def test_warm_start_on_own_active_set_is_certified(make):
     rng = np.random.default_rng(11)
@@ -298,7 +307,10 @@ def test_warm_start_on_own_active_set_is_certified(make):
         if not cold.optimal:
             continue
         optimal += 1
-        warm = certified_on_active_set(p, q, a, b, g, h, cold.active)
+        program = ParametricProgram(p, q, a, b, g, h, -rng.uniform(0.0, 1.0, h.size))
+        seg = program.segment(cold.active, 0.0)
+        assert seg.lo <= 0.0 <= seg.hi
+        warm = program.walk(seg, 0.0)
         assert warm.status == "optimal" and warm.iterations == 0
         assert np.array_equal(warm.active, cold.active)
         assert max(warm.kkt_residuals) <= 1e-8
@@ -306,6 +318,12 @@ def test_warm_start_on_own_active_set_is_certified(make):
         assert kkt_residuals(p, q, a, b, g, h, warm) == pytest.approx(warm.kkt_residuals, abs=1e-10)
         ref_obj, _ = brute_force_qp(p, q, a, b, g, h)
         assert warm.objective == pytest.approx(ref_obj, abs=1e-6)
+        # Anywhere on its interval the segment is the optimum there.
+        s = min(seg.hi, 1.0) / 2.0
+        inside = program.walk(seg, s)
+        if inside is not None:
+            tighter = h + s * program.dh
+            assert inside.objective == pytest.approx(brute_force_qp(p, q, a, b, g, tighter)[0], abs=1e-6)
     assert optimal >= 30
 
 
@@ -322,11 +340,12 @@ def test_wrong_guess_keeps_the_cold_status_and_objective(make):
         cold = solve(p, q, a, b, g, h)
         statuses.add(cold.status)
         rows = g.shape[0]
+        program = ParametricProgram(p, q, a, b, g, h, -rng.uniform(0.0, 1.0, rows))
         subset = rng.random(rows) < 0.5
         singular = np.zeros(rows, dtype=bool)
         singular[[0, rows - 1]] = True
         for guess in (np.zeros(rows, dtype=bool), np.ones(rows, dtype=bool), subset, singular):
-            warm = certified_on_active_set(p, q, a, b, g, h, guess)
+            warm = on_segment(program, guess, 0.0)
             # A guess that certifies is the cold optimum: no guess makes
             # an infeasible program (random_instance makes some) optimal.
             if warm is None:
@@ -340,16 +359,72 @@ def test_wrong_guess_keeps_the_cold_status_and_objective(make):
 
 def test_guess_on_a_dropped_zero_row_is_ignored():
     # Holding a zero row at equality makes the guess's KKT matrix
-    # singular, so the guess is rejected and the caller solves cold.
+    # singular, so no segment is built and the caller solves cold.
     program = tuple(
         np.array(v) for v in ([2.0, 4.0], [0.0, 0.0], [[1.0, 1.0]], [3.0], [[0.0, 0.0], [1.0, 0.0]], [5.0, 1.0])
     )
-    assert certified_on_active_set(*program, np.array([True, True])) is None
+    path = ParametricProgram(*program, np.array([0.0, -1.0]))
+    assert path.segment(np.array([True, True]), 0.0) is None
     cold = solve(*program)
     assert cold.status == "optimal" and cold.iterations > 0
     assert cold.z[0] == 0.0 and cold.z[1] == pytest.approx(6.0, abs=1e-12)
-    warm = certified_on_active_set(*program, cold.active)
+    warm = on_segment(path, cold.active, 0.0)
     assert warm.objective == pytest.approx(cold.objective, abs=1e-6)
+
+
+def test_walk_crosses_a_breakpoint_and_ends_at_the_path_end():
+    # min (x1 - 2)^2 + x2^2 s.t. x1 + x2 = 2, x1 <= 3 - s, x2 <= 2 - s:
+    # x1 <= 3 - s binds from s = 1, and x1 + x2 <= 5 - 2s leaves no
+    # point from s = 1.5, where the dependent pair ends the path.
+    program = ParametricProgram(
+        np.array([2.0, 2.0]), np.array([-4.0, 0.0]), np.ones((1, 2)), np.array([2.0]),
+        np.eye(2), np.array([3.0, 2.0]), np.array([-1.0, -1.0]),
+    )
+    first, start = program.solve(0.5)
+    assert (first.status, start) == ("optimal", "cold")
+    np.testing.assert_allclose(first.x, [2.0, 0.0], atol=1e-12)
+    walked, start = program.solve(1.25)
+    assert (walked.status, start, walked.iterations) == ("optimal", "segment", 1)
+    np.testing.assert_allclose(walked.x, [1.75, 0.25], atol=1e-12)
+    ended, start = program.solve(1.75)
+    assert (ended.status, start) == ("infeasible", "segment")
+    assert ended.certificate["farkas_gap"] == pytest.approx(-0.25)
+    # Back below the breakpoint, a lookup in the first segment.
+    again, start = program.solve(0.25)
+    assert (again.status, start, again.iterations) == ("optimal", "segment", 0)
+    # Above the path end, the kept certificate decides.
+    assert program.solve(3.0)[1] == "certificate"
+
+
+def parametric_instance(seed):
+    """A feasible_instance or semidefinite_instance with sigmas >= 0,
+    some of them 0, as the family h - s·sigmas."""
+    rng = np.random.default_rng(seed)
+    p, q, a, b, g, h = (feasible_instance, semidefinite_instance)[seed % 2](rng)
+    sigmas = rng.uniform(0.0, 1.0, h.size) * (rng.random(h.size) < 0.8)
+    return p, q, a, b, g, h, -sigmas
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.lists(st.floats(0.0, 6.0), min_size=1, max_size=12))
+def test_walk_agrees_with_a_cold_solve_at_every_s(seed, steps):
+    arrays = parametric_instance(seed)
+    p, q, a, b, g, h0, dh = arrays
+    program = ParametricProgram(*arrays)
+    for s in steps:
+        sol, start = program.solve(s)
+        ref, ref_start = ParametricProgram(*arrays).solve(s)
+        assert ref_start == "cold"
+        assert sol.status == ref.status, (s, start)
+        h = h0 + s * dh
+        if sol.optimal:
+            assert sol.objective == pytest.approx(ref.objective, rel=1e-9, abs=1e-9)
+            if start == "segment":
+                assert max(kkt_residuals(p, q, a, b, g, h, sol)) <= DEFAULT_TOL
+                assert np.all(sol.z >= 0.0)
+        elif sol.status == "infeasible":
+            cert = sol.certificate
+            assert qp._farkas(a, b, g, h, cert["equality_dual"], cert["inequality_dual"]) is not None
 
 
 def test_certificate_is_rechecked_at_the_new_right_hand_side():

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cctuner import apply_rts_modifications, load_rts_case, parse_case
+from cctuner import apply_rts_modifications, load_rts_case, parse_case, qp
 from cctuner.ptdf import compute_ptdf
 from cctuner.reformulation import (
     DispatchProgram,
@@ -366,7 +368,7 @@ def test_warm_start_reuses_the_returned_working_set(rts, rts_catalog):
         slack = rts_catalog.limits - s * rts_catalog.sigmas - rts_catalog.dispatch_matrix @ cold.p_g
         assert not np.any(active & (slack > 1e-8))
         warm = program.solve(s)
-        assert warm.feasible and warm.qp_start == "working_set" and warm.qp_solution.iterations == 0
+        assert warm.feasible and warm.qp_start == "segment" and warm.qp_solution.iterations == 0
         assert np.array_equal(warm.qp_solution.active, active)
         assert warm.objective == pytest.approx(cold.objective, rel=1e-12)
 
@@ -389,13 +391,93 @@ def test_program_reuses_a_certificate_only_at_or_above_its_s(rts, rts_catalog):
             assert solve_dispatch(rts, rts_catalog, s).status == "infeasible"
         return sol
 
-    solve(30.0, "infeasible", "cold")
-    # Below the certificate's s a feasible program still comes back
-    # optimal, and an infeasible one is solved cold.
+    cert = solve(30.0, "infeasible", "cold").qp_solution.certificate
+    # Its gap is affine in s, so it separates from some s on, below the
+    # s it was found at but above the threshold 19.56.
+    z = cert["inequality_dual"]
+    gap_0, slope = d_total * cert["equality_dual"][0] + rts_catalog.limits @ z, -(rts_catalog.sigmas @ z)
+    reach = (-1e-8 - gap_0) / slope
+    assert 19.6 < reach < 25.0
+    assert solve(25.0, "infeasible", "certificate").qp_solution.iterations == 0
+    # Below the certificate's reach a feasible program still comes back
+    # optimal; with no segment stored yet, it is solved cold.
     solve(10.0, "optimal", "cold")
-    solve(25.0, "infeasible", "cold")
+    # An infeasible s below the reach is walked to from that segment,
+    # past the end of the path, whose certificate then replaces the
+    # first one.
+    assert solve((19.6 + reach) / 2.0, "infeasible", "segment").qp_solution.iterations > 0
+    solve(19.6, "infeasible", "certificate")
     assert solve(40.0, "infeasible", "certificate").qp_solution.iterations == 0
-    # The lower certificate replaced the first one.
-    solve(27.0, "infeasible", "certificate")
-    solve(19.0, "optimal", "cold")
-    solve(10.0, "optimal", "working_set")
+    solve(19.0, "optimal", "segment")
+    assert solve(10.0, "optimal", "segment").qp_solution.iterations == 0
+
+
+def check_certified(case, catalog, s, sol):
+    """An optimal answer passes the four-residual test at s; an
+    infeasible one carries duals that separate at h(s)."""
+    h = catalog.limits - s * catalog.sigmas
+    if sol.status == "optimal":
+        # The four residuals of the full system, pinned buses included,
+        # from the returned vectors.
+        base = case.base_mva
+        c2, c1, _ = case.cost_coefficients()
+        res = sol.qp_solution
+        full = qp._residuals(
+            2.0 * c2 * base * base, c1 * base, np.ones((1, case.n_buses)), np.array([case.loads_mw().sum() / base]),
+            catalog.dispatch_matrix, h, sol.p_g, res.y, res.z,
+        )
+        assert max(full) <= 1e-8 and np.all(res.z >= 0.0)
+    elif sol.status == "infeasible":
+        # The certificate proves the program over the free buses
+        # infeasible; a pinned bus's own rows have h = 0 and z = 0.
+        free = (case.p_max_mw() != 0.0) | (case.p_min_mw() != 0.0)
+        cert = sol.qp_solution.certificate
+        a, b = np.ones((1, int(free.sum()))), np.array([case.loads_mw().sum() / case.base_mva])
+        g = catalog.dispatch_matrix[:, free]
+        assert qp._farkas(a, b, g, h, cert["equality_dual"], cert["inequality_dual"]) is not None
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.floats(0.0, 25.0), min_size=1, max_size=12))
+def test_walked_program_agrees_with_a_cold_solve_at_every_s(rts, rts_catalog, steps):
+    program = DispatchProgram(rts, rts_catalog)
+    for s in steps:
+        sol = program.solve(s)
+        ref = DispatchProgram(rts, rts_catalog).solve(s)
+        assert ref.qp_start == "cold"
+        assert sol.status == ref.status, (s, sol.qp_start)
+        if sol.feasible:
+            assert sol.objective == pytest.approx(ref.objective, rel=1e-9)
+        if sol.qp_start == "segment" or sol.status == "infeasible":
+            check_certified(rts, rts_catalog, s, sol)
+
+
+def threshold(case, catalog):
+    """The largest s with a feasible dispatch: the LP max s subject to
+    1ᵀp = load, G p + s·sigmas <= limits and s >= 0."""
+    n = case.n_buses
+    g = np.vstack([np.column_stack([catalog.dispatch_matrix, catalog.sigmas]), -np.eye(n + 1)[-1:]])
+    lp = qp.solve(
+        np.zeros(n + 1), -np.eye(n + 1)[-1], np.append(np.ones(n), 0.0)[None, :],
+        [case.loads_mw().sum() / case.base_mva], g, np.append(catalog.limits, 0.0),
+    )
+    assert lp.optimal
+    return float(lp.x[-1])
+
+
+def test_scan_across_the_threshold_certifies_every_status(rts, rts_catalog):
+    # Within about 3e-7 above the threshold s* no point passes the test
+    # and no certificate separates yet: a solve there may end
+    # max_iterations, but no walk may call it infeasible or optimal.
+    s_star = threshold(rts, rts_catalog)
+    assert s_star == pytest.approx(19.559322706, abs=1e-8)
+    program = DispatchProgram(rts, rts_catalog)
+    statuses = set()
+    for s in [15.0, *np.linspace(s_star - 1e-6, s_star + 1e-6, 41)]:
+        sol = program.solve(float(s))
+        statuses.add(sol.status)
+        check_certified(rts, rts_catalog, float(s), sol)
+        if sol.qp_start == "segment" and sol.feasible:
+            assert s <= s_star + 1e-9
+        assert sol.status != "infeasible" or s > s_star
+    assert {"optimal", "infeasible"} <= statuses

@@ -366,7 +366,7 @@ def test_warm_started_tune_matches_cold_bisection(rts_tuning_set, mode):
     assert warm.iterations == cold.iterations
     assert [it.qp_status for it in warm.trace] == [it.qp_status for it in cold.trace]
     # The warm path carried some of the solves.
-    assert any(it.qp_start == "working_set" and it.qp_iterations == 0 for it in warm.trace)
+    assert any(it.qp_start == "segment" and it.qp_iterations == 0 for it in warm.trace)
     assert all(it.qp_start == "cold" for it in cold.trace)
     assert all(it.qp_iterations > 0 for it in cold.trace if it.qp_status == "optimal")
 
@@ -426,12 +426,14 @@ def test_a_pairs_shared_program_keeps_every_tune(distribution, monkeypatch):
         assert shared.iterations == fresh.iterations
         assert [it.qp_status for it in shared.trace] == [it.qp_status for it in fresh.trace]
         assert shared.objective == pytest.approx(fresh.objective, rel=1e-12)
-    # One cold solve per working set first met, and one phase 1, whose
-    # certificate settles the pair's later infeasible midpoints.
+    # At most one phase 1, and once the pair's first feasible solve has
+    # seeded a segment, every later solve is a lookup, a walk along the
+    # path or a recheck of the certificate found where the path ends.
     cold = [sol for sol in solutions if sol.qp_start == "cold"]
-    working_sets = {sol.qp_solution.active.tobytes() for sol in solutions if sol.feasible}
-    assert sum(sol.feasible for sol in cold) <= len(working_sets)
     assert sum(not sol.feasible for sol in cold) <= 1
+    first = next(i for i, sol in enumerate(solutions) if sol.feasible)
+    assert all(sol.qp_start != "cold" for sol in solutions[first + 1 :])
+    assert any(sol.qp_start == "segment" and not sol.feasible for sol in solutions)
     assert any(sol.qp_start == "certificate" for sol in solutions)
     assert len(cold) < len(solutions) / 5
 
