@@ -218,10 +218,6 @@ class ExperimentConfig:
     def from_text(cls, text: str) -> "ExperimentConfig":
         return cls.from_mapping(parse_config_text(text))
 
-    @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
-        return cls.from_mapping(parse_config_file(path))
-
 
 def load_case(name_or_path: str) -> GridCase:
     """Resolve the case key: the built-in study network or a file path."""

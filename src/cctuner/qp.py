@@ -40,16 +40,18 @@ not depend on s, so the optimal point is piecewise affine in s (Best
 1996, "An algorithm for the solution of the parametric quadratic
 programming problem"), and a solve walks that path one row swap at a
 time, as the online active-set strategy of Ferreau, Bock & Diehl (2008,
-IJRNC 18(8), qpOASES) does. A segment point counts only if it passes
-the test above at s, and a certificate only if certified_infeasible
-finds that it still separates at h(s); otherwise the program solves
-cold, so a reuse never makes a solve infeasible or accepts a point the
-test would reject.
+IJRNC 18(8), qpOASES) does, from an s = 0 solution solved cold once
+per process (h(0) = h0 does not depend on dh). A segment point counts
+only if it passes the test above at s, and a certificate only if
+certified_infeasible finds that it still separates at h(s); otherwise
+the program solves cold, so a reuse never makes a solve infeasible or
+accepts a point the test would reject.
 """
 
 from __future__ import annotations
 
 import logging
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -62,6 +64,9 @@ logger = logging.getLogger(__name__)
 # must sit well below that.
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITERS = 200
+# How many s = 0 solutions ParametricProgram.anchors keeps, the most
+# recently used: a run meets one per case.
+ANCHORS_KEPT = 8
 
 
 @dataclass(frozen=True)
@@ -273,7 +278,7 @@ def solve(p_diag, q, a_eq, b_eq, g_ineq, h_ineq) -> QpSolution:
     if g.shape[0] == 0:
         raise ValueError("no inequality row: phase 1 starts on the most violated one")
 
-    # Minimum-norm equality solution as the phase-1 anchor.
+    # Minimum-norm equality solution as the phase-1 start.
     if a.shape[0]:
         x0 = np.linalg.lstsq(a, b, rcond=None)[0]
     else:
@@ -349,31 +354,46 @@ class ParametricProgram:
     """The QPs of fixed p, q, A, b and G over h(s) = h0 + s·dh, dh <= 0,
     solved at any s from what earlier solves found.
 
+    The first solve takes the anchor, the cold solution at s = 0, from
+    the class-wide dict `anchors`, keyed on the bytes of (p, q, A, b, G,
+    h0) and updated under a lock, or else from solve, whose checks then
+    cover the arrays. An optimal anchor is stored, read-only, and its
+    segment seeds the path; any other is not, and the program goes on
+    without one. A solve at s = 0 returns the anchor itself.
+
     As h only shrinks as s grows, a Farkas certificate's gap bᵀy +
     h(s)ᵀz is affine and nonincreasing in s. So solve first rechecks the
     kept certificate that separates from the smallest s on, at any s
     from there; then looks s up in the stored segment nearest to it,
-    walking the path
-    from that segment's edge if s lies outside it; and only then runs
-    solve cold, whose working set seeds a new segment. Every status
-    returned is certified at s: 'optimal' by the four-residual test and
-    z >= 0, 'infeasible' by a certificate that separates at h(s). It
-    checks none of its arrays: the first solve is cold and checks them.
+    walking the path from that segment's edge if s lies outside it; and
+    only then runs solve cold, whose working set seeds a new segment.
+    Every status returned is certified at s: 'optimal' by the
+    four-residual test and z >= 0, 'infeasible' by a certificate that
+    separates at h(s). As the key is content, what a program returns
+    never depends on the programs solved before it.
     """
+
+    anchors: dict[tuple, QpSolution] = {}
+    _anchors_lock = threading.Lock()
 
     def __init__(self, p, q, a, b, g, h0, dh):
         self.arrays = (p, q, a, b, g)
         self.h0, self.dh = h0, dh
         self._segments: dict[bytes, Segment] = {}
         self._certificate: tuple[float, dict] | None = None
+        self._anchor: QpSolution | None = None
 
     def solve(self, s: float) -> tuple[QpSolution, str]:
         """(solution, start): start is 'certificate', 'segment' or
         'cold', whichever decided the status."""
         p, q, a, b, g = self.arrays
         h = self.h0 + s * self.dh
+        if self._anchor is None:
+            self._anchor = self._seed()
         sol = None
-        if self._certificate is not None and s >= self._certificate[0]:
+        if s == 0.0:
+            sol, start = self._anchor, "cold"
+        if sol is None and self._certificate is not None and s >= self._certificate[0]:
             sol, start = certified_infeasible(a, b, g, h, self._certificate[1]), "certificate"
         if sol is None and self._segments:
             # The segment holding s, else the one whose edge is nearest.
@@ -392,6 +412,27 @@ class ParametricProgram:
             if self._certificate is None or reach < self._certificate[0]:
                 self._certificate = (reach, sol.certificate)
         return sol, start
+
+    def _seed(self) -> QpSolution:
+        """The anchor (see the class docstring), stored and its segment
+        kept if it is optimal."""
+        key = tuple((np.shape(v), np.asarray(v, dtype=float).tobytes()) for v in (*self.arrays, self.h0))
+        # Popped and put back, so the dict's order is the order of use.
+        with self._anchors_lock:
+            anchor = self.anchors.pop(key, None)
+        anchor = anchor or solve(*self.arrays, self.h0)
+        if anchor.optimal:
+            # Every program of the key shares these arrays.
+            for v in (anchor.x, anchor.y, anchor.z, anchor.active):
+                v.flags.writeable = False
+            with self._anchors_lock:
+                self.anchors[key] = anchor
+                while len(self.anchors) > ANCHORS_KEPT:
+                    del self.anchors[next(iter(self.anchors))]
+            seg = self.segment(anchor.active, 0.0)
+            if seg is not None:
+                self._segments[seg.on.tobytes()] = seg
+        return anchor
 
     def segment(self, on, s) -> Segment | None:
         """The Segment of working set `on` through s, or None unless its

@@ -249,7 +249,8 @@ class DispatchSolution:
     the parametric path, looked up or walked to; the solution's
     iterations count the swaps walked, 0 for a lookup), "certificate"
     (an earlier Farkas certificate rechecked at this s) or "cold"
-    (qp.solve).
+    (qp.solve: at s = 0 the shared s = 0 solution, elsewhere a solve
+    where the walk stopped).
     """
 
     status: str
@@ -281,9 +282,12 @@ class DispatchProgram:
     Only h(s) = limits - s·sigmas changes between solves, so the
     program holds one qp.ParametricProgram with dh = -sigmas <= 0, which
     keeps the segments of the optimal path and the certificate its
-    solves found. The first solve of a fresh program is cold at its own
-    s, which also validates the arrays. One caller uses a program at a
-    time: an experiment pair's cells share one, inside one worker.
+    solves found. The s = 0 program does not depend on the sigmas, so
+    every program of one case and limits walks from one s = 0 solution,
+    solved cold once per process: a fresh program's first solve walks
+    from it, and solves cold at its own s only where that walk stops.
+    One caller uses a program at a time: an experiment pair's cells
+    share one, inside one worker.
     """
 
     def __init__(self, case: GridCase, catalog: ConstraintCatalog):

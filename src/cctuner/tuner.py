@@ -98,15 +98,18 @@ class TuningIterate:
     midpoint.
 
     qp_status is the status of the QP solve at s and qp_start how it was
-    decided (see DispatchSolution). qp_iterations counts the active-set
-    pivots (phase 1 plus phase 2) of a cold solve, the swaps walked
-    along the path for a segment (0 for a lookup), and 0 for a
-    certificate recheck. kkt_max is the largest of the solve's four KKT
-    residuals: its optimality certificate when optimal, when infeasible
-    the worst violation its certificate proves (phase 1's optimum on a
-    cold solve). solve_s and count_s are the wall-clock seconds of the
-    iterate's QP solve and of its tuning-set count (0.0 when infeasible,
-    since nothing is counted); they do not take part in comparisons.
+    decided (see DispatchSolution). qp_iterations counts the swaps
+    walked along the path for a segment (0 for a lookup; a fresh
+    program's path starts at the shared s = 0 solution), 0 for a
+    certificate recheck, and the active-set pivots (phase 1 plus phase
+    2) of a cold solve, which runs only where a walk stops. kkt_max is
+    the largest of the solve's four KKT residuals: its optimality
+    certificate when optimal, when infeasible the worst violation its
+    certificate proves (phase 1's optimum on a cold solve). solve_s and
+    count_s are the wall-clock seconds of the iterate's QP solve (for a
+    fresh program's first, with the s = 0 solution if the process had
+    none yet) and of its tuning-set count (0.0 when infeasible, since
+    nothing is counted); they do not take part in comparisons.
     """
 
     iteration: int

@@ -22,6 +22,7 @@ import cctuner.data
 from cctuner import apply_rts_modifications, load_rts_case, parse_case
 from cctuner.experiment import (
     ExperimentConfig,
+    parse_config_file,
     report_to_csv,
     run_experiment,
 )
@@ -75,7 +76,7 @@ def announce(capsys):
 @pytest.fixture(scope="module")
 def sweep():
     """Full-scale replication sweep plus its wall time in seconds."""
-    config = ExperimentConfig.from_file(str(files("cctuner.data") / "rts24_sweep.cfg"))
+    config = ExperimentConfig.from_mapping(parse_config_file(files("cctuner.data") / "rts24_sweep.cfg"))
     t0 = time.perf_counter()
     report = run_experiment(config)
     elapsed = time.perf_counter() - t0

@@ -192,6 +192,17 @@ def test_jobs_do_not_change_the_report(small_report):
     assert report_to_csv(parallel) == report_to_csv(small_report)
 
 
+def test_jobs_and_the_s0_store_do_not_change_the_json_report(small_report, monkeypatch):
+    # Every pair's program walks from the s = 0 solution its case shares:
+    # workers that find none stored, a serial run and workers that start
+    # from a stored one report the same, qp_starts included.
+    config = ExperimentConfig.from_text(SMALL_GAUSSIAN)
+    monkeypatch.setattr(qp.ParametricProgram, "anchors", {})
+    reports = [report_to_json(run_experiment(config, jobs=jobs)) for jobs in (2, 1, 2)]
+    assert len(qp.ParametricProgram.anchors) == 1
+    assert reports[0] == reports[1] == reports[2] == report_to_json(small_report)
+
+
 def test_jobs_start_no_more_workers_than_pairs(small_report, monkeypatch):
     # A process pool forks all its workers up front, so a worker beyond
     # the pair count would only sit idle. The stand-in pool records its
@@ -271,11 +282,12 @@ def test_json_mirror(small_report, tmp_path):
     assert data["rows"][0]["failed"] is False
     assert data["averages"][0]["replication"] == "avg"
     assert data["config"]["seed"] == "42"
-    # Where each row's solves came from: each pair's program solves cold
-    # once, then walks its path. A diagnostic, so no CSV column.
+    # Where each row's solves came from: each pair's program walks its
+    # path from the s = 0 solution, so none is cold. A diagnostic, so no
+    # CSV column.
     for row in data["rows"]:
         assert sum(row["qp_starts"].values()) == row["iterations"]
-        assert row["qp_starts"]["cold"] == 1
+        assert "cold" not in row["qp_starts"]
     assert "qp_starts" not in REPORT_COLUMNS
 
     out_csv = tmp_path / "r.csv"

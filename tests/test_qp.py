@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -380,8 +384,9 @@ def test_walk_crosses_a_breakpoint_and_ends_at_the_path_end():
         np.array([2.0, 2.0]), np.array([-4.0, 0.0]), np.ones((1, 2)), np.array([2.0]),
         np.eye(2), np.array([3.0, 2.0]), np.array([-1.0, -1.0]),
     )
+    # The path starts at the s = 0 solution, whose segment holds 0.5.
     first, start = program.solve(0.5)
-    assert (first.status, start) == ("optimal", "cold")
+    assert (first.status, start, first.iterations) == ("optimal", "segment", 0)
     np.testing.assert_allclose(first.x, [2.0, 0.0], atol=1e-12)
     walked, start = program.solve(1.25)
     assert (walked.status, start, walked.iterations) == ("optimal", "segment", 1)
@@ -413,10 +418,9 @@ def test_walk_agrees_with_a_cold_solve_at_every_s(seed, steps):
     program = ParametricProgram(*arrays)
     for s in steps:
         sol, start = program.solve(s)
-        ref, ref_start = ParametricProgram(*arrays).solve(s)
-        assert ref_start == "cold"
-        assert sol.status == ref.status, (s, start)
         h = h0 + s * dh
+        ref = solve(p, q, a, b, g, h)
+        assert sol.status == ref.status, (s, start)
         if sol.optimal:
             assert sol.objective == pytest.approx(ref.objective, rel=1e-9, abs=1e-9)
             if start == "segment":
@@ -425,6 +429,94 @@ def test_walk_agrees_with_a_cold_solve_at_every_s(seed, steps):
         elif sol.status == "infeasible":
             cert = sol.certificate
             assert qp._farkas(a, b, g, h, cert["equality_dual"], cert["inequality_dual"]) is not None
+
+
+def test_programs_of_the_same_arrays_share_the_s0_solution(monkeypatch):
+    # h0 decides the s = 0 program and dh does not: programs that differ
+    # only in dh share one stored solution, and each returns it at s = 0.
+    monkeypatch.setattr(ParametricProgram, "anchors", {})
+    p, q, a, b, g, h0, dh = parametric_instance(4)
+    cold = solve(p, q, a, b, g, h0)
+    assert cold.optimal
+    sols = []
+    for shift in (dh, 2.0 * dh, np.zeros_like(dh)):
+        sol, start = ParametricProgram(p, q, a, b, g, h0.copy(), shift).solve(0.0)
+        assert (sol.status, start) == ("optimal", "cold")
+        assert np.array_equal(sol.x, cold.x) and np.array_equal(sol.active, cold.active)
+        sols.append(sol)
+    (stored,) = ParametricProgram.anchors.values()
+    assert all(sol is stored for sol in sols)
+    # No program can change what the others are given.
+    assert not any(v.flags.writeable for v in (stored.x, stored.y, stored.z, stored.active))
+
+
+def test_programs_whose_limits_differ_do_not_share_an_anchor(monkeypatch):
+    monkeypatch.setattr(ParametricProgram, "anchors", {})
+    p, q, a, b, g, h0, dh = parametric_instance(6)
+    looser = h0 + 1.0
+    for h in (h0, looser, h0):
+        sol, start = ParametricProgram(p, q, a, b, g, h, dh).solve(0.0)
+        cold = solve(p, q, a, b, g, h)
+        assert start == "cold" and np.array_equal(sol.x, cold.x)
+    assert len(ParametricProgram.anchors) == 2
+    # The store keeps the most recently used ANCHORS_KEPT of them.
+    for shift in range(qp.ANCHORS_KEPT):
+        ParametricProgram(p, q, a, b, g, looser + shift, dh).solve(1.0)
+    assert len(ParametricProgram.anchors) == qp.ANCHORS_KEPT
+    assert all(key[-1][1] != h0.tobytes() for key in ParametricProgram.anchors)
+
+
+def test_threads_share_the_s0_store_safely(monkeypatch):
+    # More threads than cores make programs of more keys than the store
+    # keeps, with a short switch interval so that they interleave inside
+    # its updates: every answer is still the cold one, and the store
+    # stays within its bound.
+    monkeypatch.setattr(ParametricProgram, "anchors", {})
+    p, q, a, b, g, h0, dh = parametric_instance(10)
+    limits = [h0 + 0.1 * k for k in range(qp.ANCHORS_KEPT + 4)]
+    colds = [solve(p, q, a, b, g, h).x for h in limits]
+    failures = []
+
+    def work():
+        try:
+            for _ in range(20):
+                for h, cold in zip(limits, colds):
+                    sol, _ = ParametricProgram(p, q, a, b, g, h, dh).solve(0.0)
+                    if not np.array_equal(sol.x, cold):
+                        failures.append("an answer differs from the cold solve")
+        except Exception as exc:  # a thread's error fails the test below
+            failures.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not failures, failures[:3]
+    assert len(ParametricProgram.anchors) <= qp.ANCHORS_KEPT
+
+
+def test_a_stalled_s0_solve_stores_no_anchor(monkeypatch):
+    # A program whose s = 0 solve stalls keeps no anchor and solves cold
+    # at its own s; once that solve certifies, a fresh program stores it
+    # and walks from it.
+    monkeypatch.setattr(ParametricProgram, "anchors", {})
+    arrays = parametric_instance(8)
+    cold_solve = qp.solve
+    monkeypatch.setattr(qp, "solve", lambda *args: replace(cold_solve(*args), status="max_iterations"))
+    sol, start = ParametricProgram(*arrays).solve(1.0)
+    assert (sol.status, start) == ("max_iterations", "cold")
+    assert ParametricProgram.anchors == {}
+    monkeypatch.setattr(qp, "solve", cold_solve)
+    sol, start = ParametricProgram(*arrays).solve(1.0)
+    assert (sol.status, start) == ("optimal", "segment")
+    assert len(ParametricProgram.anchors) == 1
 
 
 def test_certificate_is_rechecked_at_the_new_right_hand_side():

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from cctuner import apply_rts_modifications, load_rts_case, parse_case
-from cctuner.experiment import ExperimentConfig, Sweep, load_case
+from cctuner.experiment import ExperimentConfig, Sweep, load_case, parse_config_file
 from cctuner.ptdf import compute_ptdf
-from cctuner.reformulation import DispatchProgram, build_catalog, participation_factors, solve_dispatch
+from cctuner.reformulation import DispatchProgram, build_catalog, participation_factors
 from cctuner.tuner import (
     TERMINATED_CAP,
     TERMINATED_COLLAPSE,
@@ -27,6 +27,8 @@ from cctuner.tuner import (
 )
 from cctuner.uncertainty import gaussian_from_std_corr, sample, spec_moments
 from cctuner.violation import evaluate
+
+from test_reformulation import cold_dispatch
 
 TWO_GEN = """
 base 100
@@ -329,7 +331,7 @@ def test_trace_records_each_qp_solve(rts_tuning_set):
         solved = replayed.qp_solution
         assert (it.qp_status, it.qp_start, it.qp_iterations) == (solved.status, replayed.qp_start, solved.iterations)
         assert it.kkt_max == max(solved.kkt_residuals)
-        assert it.qp_status == solve_dispatch(case, catalog, it.s).qp_solution.status
+        assert it.qp_status == cold_dispatch(case, catalog, it.s).qp_solution.status
         assert it.feasible == (it.qp_status == "optimal")
 
 
@@ -358,15 +360,16 @@ def test_warm_started_tune_matches_cold_bisection(rts_tuning_set, mode):
     warm = tune(case, catalog, samples, config)
     cold = bisect_tune(
         config,
-        lambda s: solve_dispatch(case, catalog, s),
+        lambda s: cold_dispatch(case, catalog, s),
         evaluate_at,
         initial_bounds(config, catalog.n_active),
     )
     assert (warm.s, warm.eps_single, warm.eps_joint) == (cold.s, cold.eps_single, cold.eps_joint)
     assert warm.iterations == cold.iterations
     assert [it.qp_status for it in warm.trace] == [it.qp_status for it in cold.trace]
-    # The warm path carried some of the solves.
+    # The warm path carried the solves, from the first on.
     assert any(it.qp_start == "segment" and it.qp_iterations == 0 for it in warm.trace)
+    assert all(it.qp_start != "cold" for it in warm.trace)
     assert all(it.qp_start == "cold" for it in cold.trace)
     assert all(it.qp_iterations > 0 for it in cold.trace if it.qp_status == "optimal")
 
@@ -395,7 +398,7 @@ def test_store_counts_equal_one_shot_counts_along_a_tune(distribution, mode):
     # replaying its solves through a fresh program and counting each
     # dispatch from the samples themselves must give the trace's
     # frequencies.
-    config = ExperimentConfig.from_file(files("cctuner.data") / "rts24_sweep.cfg")
+    config = ExperimentConfig.from_mapping(parse_config_file(files("cctuner.data") / "rts24_sweep.cfg"))
     case = load_case(config.case)
     pair = Sweep(config, case).replication(distribution, 1)
     result = tune(case, pair.catalog, pair.tuning_samples, config.cells[mode, Fraction(1, 20)])
@@ -413,7 +416,7 @@ def test_store_counts_equal_one_shot_counts_along_a_tune(distribution, mode):
 def test_a_pairs_shared_program_keeps_every_tune(distribution, monkeypatch):
     # The six cells of a pair tune through one program, as the
     # experiment runs them; each must end as it does with a fresh one.
-    config = ExperimentConfig.from_file(files("cctuner.data") / "rts24_sweep.cfg")
+    config = ExperimentConfig.from_mapping(parse_config_file(files("cctuner.data") / "rts24_sweep.cfg"))
     case = load_case(config.case)
     pair = Sweep(config, case).replication(distribution, 1)
     solutions = []
@@ -426,16 +429,12 @@ def test_a_pairs_shared_program_keeps_every_tune(distribution, monkeypatch):
         assert shared.iterations == fresh.iterations
         assert [it.qp_status for it in shared.trace] == [it.qp_status for it in fresh.trace]
         assert shared.objective == pytest.approx(fresh.objective, rel=1e-12)
-    # At most one phase 1, and once the pair's first feasible solve has
-    # seeded a segment, every later solve is a lookup, a walk along the
-    # path or a recheck of the certificate found where the path ends.
-    cold = [sol for sol in solutions if sol.qp_start == "cold"]
-    assert sum(not sol.feasible for sol in cold) <= 1
-    first = next(i for i, sol in enumerate(solutions) if sol.feasible)
-    assert all(sol.qp_start != "cold" for sol in solutions[first + 1 :])
+    # The pair's path starts at the s = 0 solution, so every solve is a
+    # lookup, a walk along the path or a recheck of the certificate
+    # found where the path ends: none is cold.
+    assert all(sol.qp_start != "cold" for sol in solutions)
     assert any(sol.qp_start == "segment" and not sol.feasible for sol in solutions)
     assert any(sol.qp_start == "certificate" for sol in solutions)
-    assert len(cold) < len(solutions) / 5
 
 
 def test_trace_csv_layout():
