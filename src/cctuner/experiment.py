@@ -22,12 +22,15 @@ from fractions import Fraction
 from statistics import NormalDist
 from typing import Dict, Optional, Tuple, Union
 
+import numpy as np
+
 from .grid import GridCase, apply_rts_modifications, parse_case_file, parse_integer, parse_number
 from .ptdf import compute_ptdf
 from .reformulation import ConstraintCatalog, DispatchProgram, build_catalog, participation_factors
 from .tuner import TuningConfig, TuningError, tune
 from .uncertainty import (
     MixtureSpec,
+    MomentEstimate,
     SampleSet,
     UniformBoxSpec,
     derive_seed,
@@ -335,7 +338,8 @@ class ExperimentReport:
 class Sweep:
     """What the pairs of one run share, each built once: the case, its
     PTDF and participation factors, every configured distribution's spec
-    and, where the moments come from the spec, its catalog.
+    and, where the moments come from the spec, its catalog; and, once
+    asked for, the s = 0 solution every pair's program starts from.
 
     The one home of the seed streams and of the moment_source policy:
     auto tightens with the exact spec moments for the Gaussian and with
@@ -356,6 +360,18 @@ class Sweep:
                 self.catalogs[dist_name] = build_catalog(case, self.ptdf, self.alpha, spec_moments(spec, case))
             elif config.n_tuning < 2:
                 raise ConfigError(f"key 'tuning.samples' must be at least 2 for the empirical moments of {dist_name}")
+        self._s0 = None
+
+    def s0(self):
+        """The cold s = 0 solution every pair's program starts from (see
+        DispatchProgram.start_from), solved on the first call. No sigma
+        enters the s = 0 program, so the catalog of zero moments has it."""
+        if self._s0 is None:
+            n = self.case.n_buses
+            zero = MomentEstimate(np.zeros(n), np.zeros((n, n)), np.zeros((n, n)))
+            catalog = build_catalog(self.case, self.ptdf, self.alpha, zero)
+            self._s0 = DispatchProgram(self.case, catalog).s0()
+        return self._s0
 
     def draw(self, dist_name: str, stream: int, rep: int, n: int) -> SampleSet:
         """n samples of a distribution from a replication's seed stream."""
@@ -373,8 +389,11 @@ class Sweep:
     def run(self, dist_name: str, rep: int):
         """Tune every (mode, eps) cell of one pair and score it out of
         sample; returns the rows keyed by (mode, eps). The out-of-sample
-        set is drawn once, after the pair's first successful tune."""
+        set is drawn once, after the pair's first successful tune. The
+        pair's program starts from s0(), which the run solves once, not
+        once per pair."""
         pair = self.replication(dist_name, rep)
+        pair.program.start_from(self.s0())
         oos_samples = None
         rows = {}
         for (mode, eps), tuning in self.config.cells.items():
@@ -449,6 +468,8 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1, case: Optional[GridC
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     sweep = Sweep(config, case)
+    # Solved here, so that workers receive it with the sweep.
+    sweep.s0()
     reps = range(1, config.replications + 1)
     pairs = [(dist_name, rep) for dist_name in config.distributions for rep in reps]
     if jobs > 1 and len(pairs) > 1:

@@ -40,9 +40,10 @@ not depend on s, so the optimal point is piecewise affine in s (Best
 1996, "An algorithm for the solution of the parametric quadratic
 programming problem"), and a solve walks that path one row swap at a
 time, as the online active-set strategy of Ferreau, Bock & Diehl (2008,
-IJRNC 18(8), qpOASES) does, from an s = 0 solution solved cold once
-per process (h(0) = h0 does not depend on dh). A segment point counts
-only if it passes the test above at s, and a certificate only if
+IJRNC 18(8), qpOASES) does. As h(0) = h0 does not depend on dh,
+programs that differ only in dh can start from one cold solution at
+s = 0 (ParametricProgram.start_from). A segment point counts only if
+it passes the test above at s, and a certificate only if
 certified_infeasible finds that it still separates at h(s); otherwise
 the program solves cold, so a reuse never makes a solve infeasible or
 accepts a point the test would reject.
@@ -51,7 +52,6 @@ accepts a point the test would reject.
 from __future__ import annotations
 
 import logging
-import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -64,9 +64,6 @@ logger = logging.getLogger(__name__)
 # must sit well below that.
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITERS = 200
-# How many s = 0 solutions ParametricProgram.anchors keeps, the most
-# recently used: a run meets one per case.
-ANCHORS_KEPT = 8
 
 
 @dataclass(frozen=True)
@@ -278,7 +275,7 @@ def solve(p_diag, q, a_eq, b_eq, g_ineq, h_ineq) -> QpSolution:
     if g.shape[0] == 0:
         raise ValueError("no inequality row: phase 1 starts on the most violated one")
 
-    # Minimum-norm equality solution as the phase-1 start.
+    # Minimum-norm equality solution as the phase-1 anchor.
     if a.shape[0]:
         x0 = np.linalg.lstsq(a, b, rcond=None)[0]
     else:
@@ -354,13 +351,6 @@ class ParametricProgram:
     """The QPs of fixed p, q, A, b and G over h(s) = h0 + s·dh, dh <= 0,
     solved at any s from what earlier solves found.
 
-    The first solve takes the anchor, the cold solution at s = 0, from
-    the class-wide dict `anchors`, keyed on the bytes of (p, q, A, b, G,
-    h0) and updated under a lock, or else from solve, whose checks then
-    cover the arrays. An optimal anchor is stored, read-only, and its
-    segment seeds the path; any other is not, and the program goes on
-    without one. A solve at s = 0 returns the anchor itself.
-
     As h only shrinks as s grows, a Farkas certificate's gap bᵀy +
     h(s)ᵀz is affine and nonincreasing in s. So solve first rechecks the
     kept certificate that separates from the smallest s on, at any s
@@ -369,31 +359,29 @@ class ParametricProgram:
     only then runs solve cold, whose working set seeds a new segment.
     Every status returned is certified at s: 'optimal' by the
     four-residual test and z >= 0, 'infeasible' by a certificate that
-    separates at h(s). As the key is content, what a program returns
-    never depends on the programs solved before it.
+    separates at h(s). It checks none of its arrays: a cold solve, its
+    own or that of the program whose s0 it starts from, checks them. An
+    optimal cold solution at s = 0 is returned by every later solve at
+    s = 0, so that stays bit-identical to the cold solve.
     """
-
-    anchors: dict[tuple, QpSolution] = {}
-    _anchors_lock = threading.Lock()
 
     def __init__(self, p, q, a, b, g, h0, dh):
         self.arrays = (p, q, a, b, g)
         self.h0, self.dh = h0, dh
         self._segments: dict[bytes, Segment] = {}
         self._certificate: tuple[float, dict] | None = None
-        self._anchor: QpSolution | None = None
+        self._s0: QpSolution | None = None
 
     def solve(self, s: float) -> tuple[QpSolution, str]:
         """(solution, start): start is 'certificate', 'segment' or
-        'cold', whichever decided the status."""
+        'cold', whichever decided the status; the kept cold solution at
+        s = 0 counts as 'cold'."""
+        if s == 0.0 and self._s0 is not None and self._s0.optimal:
+            return self._s0, "cold"
         p, q, a, b, g = self.arrays
         h = self.h0 + s * self.dh
-        if self._anchor is None:
-            self._anchor = self._seed()
         sol = None
-        if s == 0.0:
-            sol, start = self._anchor, "cold"
-        if sol is None and self._certificate is not None and s >= self._certificate[0]:
+        if self._certificate is not None and s >= self._certificate[0]:
             sol, start = certified_infeasible(a, b, g, h, self._certificate[1]), "certificate"
         if sol is None and self._segments:
             # The segment holding s, else the one whose edge is nearest.
@@ -401,38 +389,48 @@ class ParametricProgram:
             sol, start = self.walk(nearest, s), "segment"
         if sol is None:
             sol, start = solve(p, q, a, b, g, h), "cold"
-            seg = self.segment(sol.active, s) if sol.optimal else None
+        if start == "cold" or sol.status == "infeasible":
+            self._keep(sol, s)
+        return sol, start
+
+    def s0(self) -> tuple[tuple, QpSolution]:
+        """(arrays, solution): the cold solution at s = 0, solved once,
+        with the (p, q, A, b, G, h0) it solves, for start_from."""
+        if self._s0 is None:
+            self._s0 = solve(*self.arrays, self.h0)
+            self._keep(self._s0, 0.0)
+        # Every program that starts from it shares these arrays.
+        for v in (self._s0.x, self._s0.y, self._s0.z, self._s0.active):
+            v.flags.writeable = False
+        return (*self.arrays, self.h0), self._s0
+
+    def start_from(self, s0) -> bool:
+        """Keep what s0, another program's s0(), certifies if it solves
+        this program's (p, q, A, b, G, h0); else, or if s0 is None,
+        False, and nothing is kept."""
+        if s0 is None or not all(np.array_equal(u, v) for u, v in zip(s0[0], (*self.arrays, self.h0))):
+            return False
+        self._keep(s0[1], 0.0)
+        return True
+
+    def _keep(self, sol, s) -> None:
+        """Keep what sol, a cold or infeasible solution at s, certifies:
+        the segment of an optimal one, which at s = 0 is also returned
+        there; the certificate of an infeasible one, if it separates
+        from a smaller s on than the kept one."""
+        if sol.optimal:
+            seg = self.segment(sol.active, s)
             if seg is not None:
                 self._segments.setdefault(seg.on.tobytes(), seg)
-        if sol.status == "infeasible":
+            if s == 0.0:
+                self._s0 = sol
+        elif sol.status == "infeasible":
             y, z = sol.certificate["equality_dual"], sol.certificate["inequality_dual"]
-            gap, slope = float(b @ y + self.h0 @ z), float(self.dh @ z)
+            gap, slope = float(self.arrays[3] @ y + self.h0 @ z), float(self.dh @ z)
             # The gap at s is gap + s·slope: from reach on it separates.
             reach = (-DEFAULT_TOL - gap) / slope if slope < 0.0 else (-np.inf if gap < -DEFAULT_TOL else np.inf)
             if self._certificate is None or reach < self._certificate[0]:
                 self._certificate = (reach, sol.certificate)
-        return sol, start
-
-    def _seed(self) -> QpSolution:
-        """The anchor (see the class docstring), stored and its segment
-        kept if it is optimal."""
-        key = tuple((np.shape(v), np.asarray(v, dtype=float).tobytes()) for v in (*self.arrays, self.h0))
-        # Popped and put back, so the dict's order is the order of use.
-        with self._anchors_lock:
-            anchor = self.anchors.pop(key, None)
-        anchor = anchor or solve(*self.arrays, self.h0)
-        if anchor.optimal:
-            # Every program of the key shares these arrays.
-            for v in (anchor.x, anchor.y, anchor.z, anchor.active):
-                v.flags.writeable = False
-            with self._anchors_lock:
-                self.anchors[key] = anchor
-                while len(self.anchors) > ANCHORS_KEPT:
-                    del self.anchors[next(iter(self.anchors))]
-            seg = self.segment(anchor.active, 0.0)
-            if seg is not None:
-                self._segments[seg.on.tobytes()] = seg
-        return anchor
 
     def segment(self, on, s) -> Segment | None:
         """The Segment of working set `on` through s, or None unless its
@@ -442,7 +440,11 @@ class ParametricProgram:
         n, k, c = q.size, a.shape[0], g.shape[0]
         h = self.h0 + s * self.dh
         rows = np.vstack([a, g[on]])
-        kkt = np.block([[np.diag(p), rows.T], [rows, np.zeros((rows.shape[0],) * 2)]])
+        # [[diag(p), rowsᵀ], [rows, 0]], filled in place: np.block's
+        # checks cost as much as the solve below.
+        kkt = np.zeros((n + rows.shape[0],) * 2)
+        kkt[:n, :n].flat[:: n + 1] = p
+        kkt[n:, :n], kkt[:n, n:] = rows, rows.T
         rhs = np.zeros((kkt.shape[0], 2))
         rhs[:n, 0], rhs[n : n + k, 0] = -q, b
         rhs[n + k :] = np.column_stack([h[on], self.dh[on]])

@@ -249,8 +249,8 @@ class DispatchSolution:
     the parametric path, looked up or walked to; the solution's
     iterations count the swaps walked, 0 for a lookup), "certificate"
     (an earlier Farkas certificate rechecked at this s) or "cold"
-    (qp.solve: at s = 0 the shared s = 0 solution, elsewhere a solve
-    where the walk stopped).
+    (qp.solve; at s = 0 the program's cold solution there, whether it
+    solved it or started from it).
     """
 
     status: str
@@ -282,12 +282,12 @@ class DispatchProgram:
     Only h(s) = limits - s·sigmas changes between solves, so the
     program holds one qp.ParametricProgram with dh = -sigmas <= 0, which
     keeps the segments of the optimal path and the certificate its
-    solves found. The s = 0 program does not depend on the sigmas, so
-    every program of one case and limits walks from one s = 0 solution,
-    solved cold once per process: a fresh program's first solve walks
-    from it, and solves cold at its own s only where that walk stops.
-    One caller uses a program at a time: an experiment pair's cells
-    share one, inside one worker.
+    solves found. The first solve of a fresh program is cold at its own
+    s. But the s = 0 program does not depend on the sigmas, so a caller
+    that builds several programs of one case and limits can solve it
+    once (s0) and start each from it (start_from), as the experiment's
+    pairs and repeated tune calls do. One caller uses a program at a
+    time: an experiment pair's cells share one, inside one worker.
     """
 
     def __init__(self, case: GridCase, catalog: ConstraintCatalog):
@@ -322,6 +322,14 @@ class DispatchProgram:
         if not (s >= 0.0 and math.isfinite(s)):
             raise ValueError(f"safety parameter must be finite and nonnegative, got {s}")
         return self._inflate(*self._path.solve(s))
+
+    def s0(self):
+        """See qp.ParametricProgram.s0."""
+        return self._path.s0()
+
+    def start_from(self, s0) -> bool:
+        """See qp.ParametricProgram.start_from."""
+        return self._path.start_from(s0)
 
     def _inflate(self, sol: qp.QpSolution, qp_start: str) -> DispatchSolution:
         n, pinned, live = self.case.n_buses, self._pinned, self._live

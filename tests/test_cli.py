@@ -248,9 +248,8 @@ def test_tune_json_trace_records_qp_solves(cfg_path, tmp_path):
     ) == 0
     payload = json.loads(trace_json.read_text())
     assert payload["trace"][payload["chosen_iteration"] - 1]["feasible"]
-    # The command builds its own program, whose path starts at the s = 0
-    # solution: no iterate is cold.
-    assert all(it["qp_start"] != "cold" for it in payload["trace"])
+    # The command builds its own program, so its first solve is cold.
+    assert payload["trace"][0]["qp_start"] == "cold"
     assert any(it["qp_start"] == "segment" for it in payload["trace"])
     for it in payload["trace"]:
         # The bracket the iterate bisected, as a JSON list.
@@ -518,9 +517,7 @@ def test_qp_failure_exits_2(cfg_path, monkeypatch, capsys):
     def stalled(*args, **kwargs):
         return replace(real_solve(*args, **kwargs), status="max_iterations")
 
-    # With no s = 0 solution stored, a fresh program solves it cold; that
-    # solve stalls, so it stores none and solves cold at its own s.
-    monkeypatch.setattr(qp.ParametricProgram, "anchors", {})
+    # A fresh program has nothing to reuse, so the first solve is cold.
     monkeypatch.setattr(qp, "solve", stalled)
     assert main(["tune", "--config", cfg_path]) == 2
     assert "max_iterations" in capsys.readouterr().err

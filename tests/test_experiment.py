@@ -192,15 +192,17 @@ def test_jobs_do_not_change_the_report(small_report):
     assert report_to_csv(parallel) == report_to_csv(small_report)
 
 
-def test_jobs_and_the_s0_store_do_not_change_the_json_report(small_report, monkeypatch):
-    # Every pair's program walks from the s = 0 solution its case shares:
-    # workers that find none stored, a serial run and workers that start
-    # from a stored one report the same, qp_starts included.
+def test_a_run_solves_cold_once_and_jobs_do_not_change_the_json_report(small_report, monkeypatch):
+    # Every pair's program starts from the s = 0 solution the run solves
+    # once, before any pair: a serial run makes that one cold solve and
+    # no other, and workers, which receive it with the sweep, report the
+    # same, qp_starts included.
     config = ExperimentConfig.from_text(SMALL_GAUSSIAN)
-    monkeypatch.setattr(qp.ParametricProgram, "anchors", {})
-    reports = [report_to_json(run_experiment(config, jobs=jobs)) for jobs in (2, 1, 2)]
-    assert len(qp.ParametricProgram.anchors) == 1
-    assert reports[0] == reports[1] == reports[2] == report_to_json(small_report)
+    cold_solve, cold_solves = qp.solve, []
+    monkeypatch.setattr(qp, "solve", lambda *arrays: cold_solves.append(arrays) or cold_solve(*arrays))
+    serial = report_to_json(run_experiment(config))
+    assert len(cold_solves) == 1
+    assert report_to_json(run_experiment(config, jobs=2)) == serial == report_to_json(small_report)
 
 
 def test_jobs_start_no_more_workers_than_pairs(small_report, monkeypatch):
@@ -379,12 +381,13 @@ gaussian.std_mw = 9.4, 13.1
     # Gaussian's pairs share one catalog from its spec moments, and each
     # mixture pair builds its own from its tuning draw. Each pair draws
     # one tuning and one out-of-sample set, and each cell counts once.
+    # The catalog of zero moments gives the run its s = 0 solution.
     assert counts == {
         "compute_ptdf": 1,
         "build_distribution": 2,
         "spec_moments": 1,
         "empirical_moments": 2,
-        "build_catalog": 3,
+        "build_catalog": 4,
         "sample": 8,
         "evaluate": 24,
     }

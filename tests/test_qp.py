@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import sys
-import threading
 from dataclasses import replace
 
 import numpy as np
@@ -384,9 +382,8 @@ def test_walk_crosses_a_breakpoint_and_ends_at_the_path_end():
         np.array([2.0, 2.0]), np.array([-4.0, 0.0]), np.ones((1, 2)), np.array([2.0]),
         np.eye(2), np.array([3.0, 2.0]), np.array([-1.0, -1.0]),
     )
-    # The path starts at the s = 0 solution, whose segment holds 0.5.
     first, start = program.solve(0.5)
-    assert (first.status, start, first.iterations) == ("optimal", "segment", 0)
+    assert (first.status, start) == ("optimal", "cold")
     np.testing.assert_allclose(first.x, [2.0, 0.0], atol=1e-12)
     walked, start = program.solve(1.25)
     assert (walked.status, start, walked.iterations) == ("optimal", "segment", 1)
@@ -431,92 +428,73 @@ def test_walk_agrees_with_a_cold_solve_at_every_s(seed, steps):
             assert qp._farkas(a, b, g, h, cert["equality_dual"], cert["inequality_dual"]) is not None
 
 
-def test_programs_of_the_same_arrays_share_the_s0_solution(monkeypatch):
-    # h0 decides the s = 0 program and dh does not: programs that differ
-    # only in dh share one stored solution, and each returns it at s = 0.
-    monkeypatch.setattr(ParametricProgram, "anchors", {})
+def test_programs_that_differ_in_dh_start_from_one_s0_solution(monkeypatch):
+    # h0 decides the s = 0 program and dh does not: programs built for
+    # other dh start from the first one's s0, make no cold solve, return
+    # that very solution at s = 0 and agree with a cold solve elsewhere.
     p, q, a, b, g, h0, dh = parametric_instance(4)
+    first = ParametricProgram(p, q, a, b, g, h0, dh)
+    s0 = first.s0()
     cold = solve(p, q, a, b, g, h0)
-    assert cold.optimal
-    sols = []
-    for shift in (dh, 2.0 * dh, np.zeros_like(dh)):
-        sol, start = ParametricProgram(p, q, a, b, g, h0.copy(), shift).solve(0.0)
-        assert (sol.status, start) == ("optimal", "cold")
-        assert np.array_equal(sol.x, cold.x) and np.array_equal(sol.active, cold.active)
-        sols.append(sol)
-    (stored,) = ParametricProgram.anchors.values()
-    assert all(sol is stored for sol in sols)
-    # No program can change what the others are given.
-    assert not any(v.flags.writeable for v in (stored.x, stored.y, stored.z, stored.active))
+    assert s0[1].optimal and np.array_equal(s0[1].x, cold.x) and np.array_equal(s0[1].active, cold.active)
+    assert first.s0()[1] is s0[1] and first.solve(0.0) == (s0[1], "cold")
+    # No program can change what the others start from.
+    assert not any(v.flags.writeable for v in (s0[1].x, s0[1].y, s0[1].z, s0[1].active))
+    cold_solve, calls = qp.solve, []
+    monkeypatch.setattr(qp, "solve", lambda *args: calls.append(args) or cold_solve(*args))
+    for shift in (2.0 * dh, np.zeros_like(dh)):
+        program = ParametricProgram(p, q, a, b, g, h0.copy(), shift)
+        assert program.start_from(s0)
+        assert program.solve(0.0) == (s0[1], "cold")
+        for s in (0.3, 1.0, 2.5):
+            sol, start = program.solve(s)
+            ref = cold_solve(p, q, a, b, g, h0 + s * shift)
+            assert sol.status == ref.status and start != "cold", s
+            if sol.optimal:
+                assert sol.objective == pytest.approx(ref.objective, rel=1e-9, abs=1e-9)
+    assert not calls
 
 
-def test_programs_whose_limits_differ_do_not_share_an_anchor(monkeypatch):
-    monkeypatch.setattr(ParametricProgram, "anchors", {})
+def test_programs_whose_arrays_differ_do_not_share_an_s0_solution():
     p, q, a, b, g, h0, dh = parametric_instance(6)
+    s0 = ParametricProgram(p, q, a, b, g, h0, dh).s0()
     looser = h0 + 1.0
-    for h in (h0, looser, h0):
-        sol, start = ParametricProgram(p, q, a, b, g, h, dh).solve(0.0)
-        cold = solve(p, q, a, b, g, h)
-        assert start == "cold" and np.array_equal(sol.x, cold.x)
-    assert len(ParametricProgram.anchors) == 2
-    # The store keeps the most recently used ANCHORS_KEPT of them.
-    for shift in range(qp.ANCHORS_KEPT):
-        ParametricProgram(p, q, a, b, g, looser + shift, dh).solve(1.0)
-    assert len(ParametricProgram.anchors) == qp.ANCHORS_KEPT
-    assert all(key[-1][1] != h0.tobytes() for key in ParametricProgram.anchors)
+    program = ParametricProgram(p, q, a, b, g, looser, dh)
+    assert not program.start_from(s0)
+    sol, start = program.solve(0.0)
+    assert start == "cold" and np.array_equal(sol.x, solve(p, q, a, b, g, looser).x)
+    assert not ParametricProgram(p, q + 1.0, a, b, g, h0, dh).start_from(s0)
+    assert not ParametricProgram(p, q, a, b, g, h0, dh).start_from(None)
 
 
-def test_threads_share_the_s0_store_safely(monkeypatch):
-    # More threads than cores make programs of more keys than the store
-    # keeps, with a short switch interval so that they interleave inside
-    # its updates: every answer is still the cold one, and the store
-    # stays within its bound.
-    monkeypatch.setattr(ParametricProgram, "anchors", {})
-    p, q, a, b, g, h0, dh = parametric_instance(10)
-    limits = [h0 + 0.1 * k for k in range(qp.ANCHORS_KEPT + 4)]
-    colds = [solve(p, q, a, b, g, h).x for h in limits]
-    failures = []
-
-    def work():
-        try:
-            for _ in range(20):
-                for h, cold in zip(limits, colds):
-                    sol, _ = ParametricProgram(p, q, a, b, g, h, dh).solve(0.0)
-                    if not np.array_equal(sol.x, cold):
-                        failures.append("an answer differs from the cold solve")
-        except Exception as exc:  # a thread's error fails the test below
-            failures.append(repr(exc))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work) for _ in range(6)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120.0)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert not failures, failures[:3]
-    assert len(ParametricProgram.anchors) <= qp.ANCHORS_KEPT
-
-
-def test_a_stalled_s0_solve_stores_no_anchor(monkeypatch):
-    # A program whose s = 0 solve stalls keeps no anchor and solves cold
-    # at its own s; once that solve certifies, a fresh program stores it
-    # and walks from it.
-    monkeypatch.setattr(ParametricProgram, "anchors", {})
+def test_a_stalled_s0_solve_seeds_nothing(monkeypatch):
+    # A program that starts from a stalled s = 0 solve has nothing to
+    # walk from, so it solves cold at its own s.
     arrays = parametric_instance(8)
     cold_solve = qp.solve
     monkeypatch.setattr(qp, "solve", lambda *args: replace(cold_solve(*args), status="max_iterations"))
-    sol, start = ParametricProgram(*arrays).solve(1.0)
-    assert (sol.status, start) == ("max_iterations", "cold")
-    assert ParametricProgram.anchors == {}
+    stalled = ParametricProgram(*arrays).s0()
+    assert stalled[1].status == "max_iterations"
     monkeypatch.setattr(qp, "solve", cold_solve)
-    sol, start = ParametricProgram(*arrays).solve(1.0)
-    assert (sol.status, start) == ("optimal", "segment")
-    assert len(ParametricProgram.anchors) == 1
+    program = ParametricProgram(*arrays)
+    assert program.start_from(stalled)
+    assert program.solve(1.0)[1] == "cold"
+    assert program.solve(0.0)[1] == "segment"
+
+
+def test_an_infeasible_s0_solution_decides_every_s(monkeypatch):
+    # x1 + x2 = 2 with x1, x2 <= 0.5 has no point at s = 0, and h only
+    # shrinks as s grows: the s = 0 certificate separates at every s, so
+    # a program started from it makes no cold solve.
+    arrays = (np.array([2.0, 2.0]), np.zeros(2), np.ones((1, 2)), np.array([2.0]), np.eye(2), np.array([0.5, 0.5]))
+    s0 = ParametricProgram(*arrays, np.array([-1.0, 0.0])).s0()
+    assert s0[1].status == "infeasible"
+    monkeypatch.setattr(qp, "solve", lambda *args: pytest.fail("a cold solve"))
+    program = ParametricProgram(*arrays, np.array([0.0, -2.0]))
+    assert program.start_from(s0)
+    for s in (0.0, 0.5, 3.0):
+        sol, start = program.solve(s)
+        assert (sol.status, start) == ("infeasible", "certificate")
 
 
 def test_certificate_is_rechecked_at_the_new_right_hand_side():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -366,33 +368,25 @@ def test_warm_start_reuses_the_returned_working_set(rts, rts_catalog):
     pinned = np.flatnonzero((rts.p_max_mw() == 0.0) & (rts.p_min_mw() == 0.0))
     assert pinned.size
     for s in (0.5, 1.5, 3.0):
-        cold = cold_dispatch(rts, rts_catalog, s)
-        assert cold.feasible and cold.qp_solution.iterations > 0
-        # A fresh program's first solve walks from the s = 0 solution.
         program = DispatchProgram(rts, rts_catalog)
-        first = program.solve(s)
-        assert first.feasible and first.qp_start == "segment"
-        assert first.objective == pytest.approx(cold.objective, rel=1e-12)
-        for sol in (cold, first):
-            active = sol.qp_solution.active
-            assert active.shape == (len(rts_catalog),) and active.dtype == bool
-            # The working set is in catalog indexing, False on the pinned
-            # buses' own rows and on every row with room to spare.
-            assert not active[pinned].any() and not active[n + pinned].any()
-            slack = rts_catalog.limits - s * rts_catalog.sigmas - rts_catalog.dispatch_matrix @ sol.p_g
-            assert not np.any(active & (slack > 1e-8))
+        cold = program.solve(s)
+        assert cold.feasible and cold.qp_start == "cold" and cold.qp_solution.iterations > 0
+        active = cold.qp_solution.active
+        assert active.shape == (len(rts_catalog),) and active.dtype == bool
+        # The working set is in catalog indexing, False on the pinned
+        # buses' own rows and on every row with room to spare.
+        assert not active[pinned].any() and not active[n + pinned].any()
+        slack = rts_catalog.limits - s * rts_catalog.sigmas - rts_catalog.dispatch_matrix @ cold.p_g
+        assert not np.any(active & (slack > 1e-8))
         warm = program.solve(s)
         assert warm.feasible and warm.qp_start == "segment" and warm.qp_solution.iterations == 0
-        assert np.array_equal(warm.qp_solution.active, first.qp_solution.active)
+        assert np.array_equal(warm.qp_solution.active, active)
         assert warm.objective == pytest.approx(cold.objective, rel=1e-12)
 
 
-def test_program_reuses_a_certificate_only_at_or_above_its_s(rts, rts_catalog, monkeypatch):
-    # The RTS catalog turns infeasible near s = 19.56. With no segment
-    # built from the s = 0 solution, the program has nothing to walk
-    # from, so its first solves are cold.
+def test_program_reuses_a_certificate_only_at_or_above_its_s(rts, rts_catalog):
+    # The RTS catalog turns infeasible near s = 19.56.
     program = DispatchProgram(rts, rts_catalog)
-    monkeypatch.setattr(program._path, "segment", lambda on, s: None)
     d_total = rts.loads_mw().sum() / rts.base_mva
 
     def solve(s, status, qp_start):
@@ -405,11 +399,10 @@ def test_program_reuses_a_certificate_only_at_or_above_its_s(rts, rts_catalog, m
             gap = d_total * cert["equality_dual"][0] + (rts_catalog.limits - s * rts_catalog.sigmas) @ z
             assert np.all(z >= 0.0) and gap < -1e-8 and cert["stationarity"] <= 1e-8
             assert sol.objective == np.inf and not sol.qp_solution.active.any()
-            assert cold_dispatch(rts, rts_catalog, s).status == "infeasible"
+            assert solve_dispatch(rts, rts_catalog, s).status == "infeasible"
         return sol
 
     cert = solve(30.0, "infeasible", "cold").qp_solution.certificate
-    monkeypatch.undo()
     # Its gap is affine in s, so it separates from some s on, below the
     # s it was found at but above the threshold 19.56.
     z = cert["inequality_dual"]
@@ -471,22 +464,21 @@ def test_walked_program_agrees_with_a_cold_solve_at_every_s(rts, rts_catalog, st
 
 def test_a_program_walks_from_the_s0_solution_of_another_catalog(rts, rts_catalog, monkeypatch):
     # The s = 0 program has no sigmas in it, so a catalog of the same
-    # case under another spec stores the s = 0 solution this one walks
+    # case under another spec solves the s = 0 solution this one starts
     # from: no solve of this program is cold, and each agrees with a
     # cold solve at its s, at s = 0 bit for bit.
     spec = gaussian_from_std_corr([20.0, 5.0], -0.5)
     other = build_catalog(rts, compute_ptdf(rts), participation_factors(rts), spec_moments(spec, rts))
     assert not np.array_equal(other.sigmas, rts_catalog.sigmas)
-    monkeypatch.setattr(qp.ParametricProgram, "anchors", {})
-    assert DispatchProgram(rts, other).solve(1.0).feasible
-    assert len(qp.ParametricProgram.anchors) == 1
+    s0 = DispatchProgram(rts, other).s0()
     cold_solves = []
     cold_solve = qp.solve
     monkeypatch.setattr(qp, "solve", lambda *arrays: cold_solves.append(arrays) or cold_solve(*arrays))
     program = DispatchProgram(rts, rts_catalog)
+    assert program.start_from(s0)
     steps = (2.0, 0.0, 19.5, 25.0, 12.0, 0.7, 0.0)
     sols = [program.solve(s) for s in steps]
-    assert not cold_solves and len(qp.ParametricProgram.anchors) == 1
+    assert not cold_solves
     assert [sol.qp_start for sol in sols] == ["segment", "cold", "segment", "segment", "segment", "segment", "cold"]
     for s, sol in zip(steps, sols):
         ref = cold_dispatch(rts, rts_catalog, s)
@@ -497,6 +489,9 @@ def test_a_program_walks_from_the_s0_solution_of_another_catalog(rts, rts_catalo
         elif sol.feasible:
             assert sol.objective == pytest.approx(ref.objective, rel=1e-9)
     assert sols[3].status == "infeasible"
+    # A catalog with other limits is another s = 0 program.
+    looser = replace(rts_catalog, pair_limits=rts_catalog.pair_limits + 0.01)
+    assert not DispatchProgram(rts, looser).start_from(s0)
 
 
 def threshold(case, catalog):

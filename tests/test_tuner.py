@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+from dataclasses import replace
 from fractions import Fraction
 from importlib.resources import files
 from types import SimpleNamespace
@@ -10,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cctuner import apply_rts_modifications, load_rts_case, parse_case
+from cctuner import apply_rts_modifications, load_rts_case, parse_case, qp, tuner
 from cctuner.experiment import ExperimentConfig, Sweep, load_case, parse_config_file
 from cctuner.ptdf import compute_ptdf
 from cctuner.reformulation import DispatchProgram, build_catalog, participation_factors
@@ -323,9 +324,11 @@ def test_trace_records_each_qp_solve(rts_tuning_set):
     result = tune(case, catalog, samples, TuningConfig(eps_des=0.05, gamma=1e-3, mode="joint"))
     # The joint bracket starts far out, so the first midpoint is infeasible.
     assert [it.qp_status for it in result.trace[:2]] == ["infeasible", "optimal"]
-    # Replay the tuner's solves through a fresh program of the catalog:
-    # it keeps what each solve found, as the tune's own program did.
+    # Replay the tuner's solves through a fresh program of the catalog
+    # that starts from its s = 0 solution, as tune's own program does:
+    # it keeps what each solve found, as that program did.
     program = DispatchProgram(case, catalog)
+    program.s0()
     for it in result.trace:
         replayed = program.solve(it.s)
         solved = replayed.qp_solution
@@ -333,6 +336,29 @@ def test_trace_records_each_qp_solve(rts_tuning_set):
         assert it.kkt_max == max(solved.kkt_residuals)
         assert it.qp_status == cold_dispatch(case, catalog, it.s).qp_solution.status
         assert it.feasible == (it.qp_status == "optimal")
+
+
+def test_tune_solves_the_s0_program_of_a_case_once(rts_tuning_set, monkeypatch):
+    # Without a program, tune starts a fresh one from the s = 0 solution
+    # of the last tune whose s = 0 program was the same: tuning another
+    # catalog of the case makes no cold solve, and a catalog with other
+    # limits solves its own s = 0 program once more.
+    case, catalog, samples = rts_tuning_set
+    config = TuningConfig(eps_des=0.05, gamma=1e-3, mode="joint")
+    monkeypatch.setattr(tuner, "_last_s0", None)
+    cold_solve, cold_solves = qp.solve, []
+    monkeypatch.setattr(qp, "solve", lambda *arrays: cold_solves.append(arrays) or cold_solve(*arrays))
+    first = tune(case, catalog, samples, config)
+    # Its one cold solve is the s = 0 solve, made before any iterate.
+    assert len(cold_solves) == 1 and all(it.qp_start != "cold" for it in first.trace)
+    spec = gaussian_from_std_corr([20.0, 5.0], -0.5)
+    other = build_catalog(case, compute_ptdf(case), participation_factors(case), spec_moments(spec, case))
+    assert tune(case, other, samples, config).iterations > 0 and len(cold_solves) == 1
+    again = tune(case, catalog, samples, config)
+    assert again.trace == first.trace and len(cold_solves) == 1
+    looser = replace(catalog, pair_limits=catalog.pair_limits + 0.01)
+    tune(case, looser, samples, config)
+    assert len(cold_solves) == 2
 
 
 def test_tune_times_each_iterate(rts_tuning_set):
@@ -395,14 +421,15 @@ def test_each_iterate_bisects_a_nested_bracket(rts_tuning_set, mode):
 @pytest.mark.parametrize("mode", ["single", "joint"])
 def test_store_counts_equal_one_shot_counts_along_a_tune(distribution, mode):
     # tune counts every iterate from one count store of its tuning set;
-    # replaying its solves through a fresh program and counting each
-    # dispatch from the samples themselves must give the trace's
-    # frequencies.
+    # replaying its solves through a fresh program that starts from its
+    # s = 0 solution, as tune's does, and counting each dispatch from
+    # the samples themselves must give the trace's frequencies.
     config = ExperimentConfig.from_mapping(parse_config_file(files("cctuner.data") / "rts24_sweep.cfg"))
     case = load_case(config.case)
     pair = Sweep(config, case).replication(distribution, 1)
     result = tune(case, pair.catalog, pair.tuning_samples, config.cells[mode, Fraction(1, 20)])
     program = DispatchProgram(case, pair.catalog)
+    program.s0()
     for it in result.trace:
         solution = program.solve(it.s)
         assert (solution.feasible, solution.qp_start) == (it.feasible, it.qp_start)
@@ -414,11 +441,14 @@ def test_store_counts_equal_one_shot_counts_along_a_tune(distribution, mode):
 
 @pytest.mark.parametrize("distribution", ["gaussian", "mixture"])
 def test_a_pairs_shared_program_keeps_every_tune(distribution, monkeypatch):
-    # The six cells of a pair tune through one program, as the
-    # experiment runs them; each must end as it does with a fresh one.
+    # The six cells of a pair tune through one program that starts from
+    # the sweep's s = 0 solution, as the experiment runs them; each must
+    # end as it does with a fresh one.
     config = ExperimentConfig.from_mapping(parse_config_file(files("cctuner.data") / "rts24_sweep.cfg"))
     case = load_case(config.case)
-    pair = Sweep(config, case).replication(distribution, 1)
+    sweep = Sweep(config, case)
+    pair = sweep.replication(distribution, 1)
+    assert pair.program.start_from(sweep.s0())
     solutions = []
     solve = pair.program.solve
     monkeypatch.setattr(pair.program, "solve", lambda s: solutions.append(solve(s)) or solutions[-1])
@@ -429,9 +459,9 @@ def test_a_pairs_shared_program_keeps_every_tune(distribution, monkeypatch):
         assert shared.iterations == fresh.iterations
         assert [it.qp_status for it in shared.trace] == [it.qp_status for it in fresh.trace]
         assert shared.objective == pytest.approx(fresh.objective, rel=1e-12)
-    # The pair's path starts at the s = 0 solution, so every solve is a
-    # lookup, a walk along the path or a recheck of the certificate
-    # found where the path ends: none is cold.
+    # The pair's path starts at the sweep's s = 0 solution, so every
+    # solve is a lookup, a walk along the path or a recheck of the
+    # certificate found where the path ends: none calls qp.solve.
     assert all(sol.qp_start != "cold" for sol in solutions)
     assert any(sol.qp_start == "segment" and not sol.feasible for sol in solutions)
     assert any(sol.qp_start == "certificate" for sol in solutions)
