@@ -339,7 +339,8 @@ class Sweep:
     """What the pairs of one run share, each built once: the case, its
     PTDF and participation factors, every configured distribution's spec
     and, where the moments come from the spec, its catalog; and, once
-    asked for, the s = 0 solution every pair's program starts from.
+    asked for, the s = 0 solution and path-end ray every pair's program
+    starts from.
 
     The one home of the seed streams and of the moment_source policy:
     auto tightens with the exact spec moments for the Gaussian and with
@@ -363,13 +364,19 @@ class Sweep:
         self._s0 = None
 
     def s0(self):
-        """The cold s = 0 solution every pair's program starts from (see
-        DispatchProgram.start_from), solved on the first call. No sigma
-        enters the s = 0 program, so the catalog of zero moments has it."""
+        """The cold s = 0 solution, and the dual ray where its path ends,
+        that every pair's program starts from (see
+        DispatchProgram.start_from), found on the first call. No sigma
+        enters the s = 0 program, so any catalog of the case has it; the
+        one of unit moments (zero mean, identity covariance over the
+        uncertain buses) also has a path with an end, whose ray a pair's
+        program rechecks at its own sigmas."""
         if self._s0 is None:
             n = self.case.n_buses
-            zero = MomentEstimate(np.zeros(n), np.zeros((n, n)), np.zeros((n, n)))
-            catalog = build_catalog(self.case, self.ptdf, self.alpha, zero)
+            unit = np.zeros((n, n))
+            cols = np.array(self.case.uncertain_buses, dtype=np.int64) - 1
+            unit[cols, cols] = 1.0
+            catalog = build_catalog(self.case, self.ptdf, self.alpha, MomentEstimate(np.zeros(n), unit, unit))
             self._s0 = DispatchProgram(self.case, catalog).s0()
         return self._s0
 
@@ -456,6 +463,19 @@ def _average(group) -> AverageRow:
     )
 
 
+# A pool worker's Sweep, set once by _set_worker_sweep.
+_worker_sweep: Optional[Sweep] = None
+
+
+def _set_worker_sweep(sweep: Sweep) -> None:
+    global _worker_sweep
+    _worker_sweep = sweep
+
+
+def _run_pair(dist_name: str, rep: int):
+    return _worker_sweep.run(dist_name, rep)
+
+
 def run_experiment(config: ExperimentConfig, jobs: int = 1, case: Optional[GridCase] = None) -> ExperimentReport:
     """Run the full sweep and reduce rows in canonical order.
 
@@ -473,8 +493,11 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1, case: Optional[GridC
     reps = range(1, config.replications + 1)
     pairs = [(dist_name, rep) for dist_name in config.distributions for rep in reps]
     if jobs > 1 and len(pairs) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(pairs))) as pool:
-            results = list(pool.map(sweep.run, *zip(*pairs), chunksize=1))
+        # Each worker receives the sweep once, not once per pair.
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=min(jobs, len(pairs)), initializer=_set_worker_sweep, initargs=(sweep,)
+        ) as pool:
+            results = list(pool.map(_run_pair, *zip(*pairs), chunksize=1))
     else:
         results = [sweep.run(*pair) for pair in pairs]
     by_pair = dict(zip(pairs, results))

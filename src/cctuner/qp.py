@@ -42,11 +42,14 @@ programming problem"), and a solve walks that path one row swap at a
 time, as the online active-set strategy of Ferreau, Bock & Diehl (2008,
 IJRNC 18(8), qpOASES) does. As h(0) = h0 does not depend on dh,
 programs that differ only in dh can start from one cold solution at
-s = 0 (ParametricProgram.start_from). A segment point counts only if
-it passes the test above at s, and a certificate only if
-certified_infeasible finds that it still separates at h(s); otherwise
-the program solves cold, so a reuse never makes a solve infeasible or
-accepts a point the test would reject.
+s = 0, and from the dual ray where one of their paths ends
+(ParametricProgram.s0 and start_from): a Farkas ray (y, z >= 0, Aᵀy +
+Gᵀz = 0) depends only on A and G, and its gap only on b, h0 and each
+program's own dh. A segment point counts only if it passes the test
+above at s, and a certificate only if certified_infeasible finds that
+it still separates at h(s); otherwise the program walks or solves
+cold, so a reuse never makes a solve infeasible or accepts a point the
+test would reject.
 """
 
 from __future__ import annotations
@@ -336,15 +339,15 @@ def _first(steps) -> int:
     return int(order[0])
 
 
-def _end(f, s, direction):
-    """(s', row): where the first of the affine functions f[0] + (s' -
-    s)·f[1], each at least 0 at s, reaches 0 in direction ±1, and
-    _first's row of it."""
-    slope = direction * f[1]
-    steps = np.full(f.shape[1], np.inf)
-    falling = slope < 0.0
-    steps[falling] = np.maximum(f[0, falling], 0.0) / -slope[falling]
-    return s + direction * steps.min(), _first(steps)
+def _ends(f, s):
+    """((lo, lo_row), (hi, hi_row)): where the first of the affine
+    functions f[0] + (s' - s)·f[1], each at least 0 at s, reaches 0
+    below s and above it, and _first's row of each."""
+    # Called under np.errstate(all="ignore"): a flat function's step is
+    # inf or nan, and is not used.
+    steps = np.maximum(f[0], 0.0) / np.abs(f[1])
+    down, up = np.where(f[1] > 0.0, steps, np.inf), np.where(f[1] < 0.0, steps, np.inf)
+    return (s - down.min(), _first(down)), (s + up.min(), _first(up))
 
 
 class ParametricProgram:
@@ -362,7 +365,11 @@ class ParametricProgram:
     separates at h(s). It checks none of its arrays: a cold solve, its
     own or that of the program whose s0 it starts from, checks them. An
     optimal cold solution at s = 0 is returned by every later solve at
-    s = 0, so that stays bit-identical to the cold solve.
+    s = 0, so that stays bit-identical to the cold solve. How a solve
+    got its answer (start, iterations, the infeasibility a certificate
+    proves) may depend on what the program started from; its status
+    does not, nor, where no walk stops, its point: every walk goes up
+    from the s = 0 segment, so each segment is built at the same edge.
     """
 
     def __init__(self, p, q, a, b, g, h0, dh):
@@ -371,6 +378,7 @@ class ParametricProgram:
         self._segments: dict[bytes, Segment] = {}
         self._certificate: tuple[float, dict] | None = None
         self._s0: QpSolution | None = None
+        self._handoff: tuple | None = None
 
     def solve(self, s: float) -> tuple[QpSolution, str]:
         """(solution, start): start is 'certificate', 'segment' or
@@ -393,31 +401,45 @@ class ParametricProgram:
             self._keep(sol, s)
         return sol, start
 
-    def s0(self) -> tuple[tuple, QpSolution]:
-        """(arrays, solution): the cold solution at s = 0, solved once,
-        with the (p, q, A, b, G, h0) it solves, for start_from."""
-        if self._s0 is None:
-            self._s0 = solve(*self.arrays, self.h0)
-            self._keep(self._s0, 0.0)
-        # Every program that starts from it shares these arrays.
-        for v in (self._s0.x, self._s0.y, self._s0.z, self._s0.active):
-            v.flags.writeable = False
-        return (*self.arrays, self.h0), self._s0
+    def s0(self) -> tuple[tuple, QpSolution, dict | None]:
+        """(arrays, solution, ray), for start_from: the cold solution at
+        s = 0, solved once, with the (p, q, A, b, G, h0) it solves, and
+        the dual ray where this program's path ends, found once by a
+        walk from the solution's segment and kept as its certificate too.
+        ray is None where the path has no end (dh = 0), the walk stops,
+        or the solution is not optimal."""
+        if self._handoff is None:
+            if self._s0 is None:
+                self._s0 = solve(*self.arrays, self.h0)
+                self._keep(self._s0, 0.0)
+            seg = self._segments.get(self._s0.active.tobytes()) if self._s0.optimal else None
+            ray = None if seg is None else self._walk(seg, np.inf)[0]
+            if not isinstance(ray, dict):
+                ray = None
+            # Every program that starts from it shares these arrays.
+            for v in (self._s0.x, self._s0.y, self._s0.z, self._s0.active, *(ray or {}).values()):
+                v.flags.writeable = False
+            if ray is not None:
+                self._keep_ray(ray)
+            self._handoff = ((*self.arrays, self.h0), self._s0, ray)
+        return self._handoff
 
     def start_from(self, s0) -> bool:
         """Keep what s0, another program's s0(), certifies if it solves
-        this program's (p, q, A, b, G, h0); else, or if s0 is None,
-        False, and nothing is kept."""
+        this program's (p, q, A, b, G, h0): its solution, and its ray as
+        a certificate whose reach this program's dh decides; else, or if
+        s0 is None, False, and nothing is kept."""
         if s0 is None or not all(np.array_equal(u, v) for u, v in zip(s0[0], (*self.arrays, self.h0))):
             return False
         self._keep(s0[1], 0.0)
+        if s0[2] is not None:
+            self._keep_ray(s0[2])
         return True
 
     def _keep(self, sol, s) -> None:
         """Keep what sol, a cold or infeasible solution at s, certifies:
         the segment of an optimal one, which at s = 0 is also returned
-        there; the certificate of an infeasible one, if it separates
-        from a smaller s on than the kept one."""
+        there; the certificate of an infeasible one (see _keep_ray)."""
         if sol.optimal:
             seg = self.segment(sol.active, s)
             if seg is not None:
@@ -425,12 +447,17 @@ class ParametricProgram:
             if s == 0.0:
                 self._s0 = sol
         elif sol.status == "infeasible":
-            y, z = sol.certificate["equality_dual"], sol.certificate["inequality_dual"]
-            gap, slope = float(self.arrays[3] @ y + self.h0 @ z), float(self.dh @ z)
-            # The gap at s is gap + s·slope: from reach on it separates.
-            reach = (-DEFAULT_TOL - gap) / slope if slope < 0.0 else (-np.inf if gap < -DEFAULT_TOL else np.inf)
-            if self._certificate is None or reach < self._certificate[0]:
-                self._certificate = (reach, sol.certificate)
+            self._keep_ray(sol.certificate)
+
+    def _keep_ray(self, certificate) -> None:
+        """Keep certificate's duals if they separate from a smaller s on
+        than the kept certificate's, by this program's h0 and dh."""
+        y, z = certificate["equality_dual"], certificate["inequality_dual"]
+        gap, slope = float(self.arrays[3] @ y + self.h0 @ z), float(self.dh @ z)
+        # The gap at s is gap + s·slope: from reach on it separates.
+        reach = (-DEFAULT_TOL - gap) / slope if slope < 0.0 else (-np.inf if gap < -DEFAULT_TOL else np.inf)
+        if self._certificate is None or reach < self._certificate[0]:
+            self._certificate = (reach, certificate)
 
     def segment(self, on, s) -> Segment | None:
         """The Segment of working set `on` through s, or None unless its
@@ -465,38 +492,51 @@ class ParametricProgram:
                 return None
             # Slacks off the working set, multipliers on it.
             f = np.where(on, z, np.vstack([h, self.dh]) - x @ g.T)
-            (lo, lo_row), (hi, hi_row) = _end(f, s, -1.0), _end(f, s, 1.0)
+            (lo, lo_row), (hi, hi_row) = _ends(f, s)
         return Segment(on.copy(), float(s), x, y, z, lo, hi, (lo_row, hi_row))
 
     def walk(self, seg, s) -> QpSolution | None:
-        """The certified solution at s, found from seg along the path;
-        every segment walked is stored.
-
-        Inside [seg.lo, seg.hi] it is seg's point at s. Otherwise each
-        swap steps to the edge of the current segment toward s, where one
-        row changes sides. A row whose multiplier reached 0 leaves. A row
-        whose slack reached 0 enters, unless it depends on the working
-        rows: then the working row that first loses its multiplier as the
-        new one grows leaves, and if none does, the path ends. The dual
-        ray there is a Farkas certificate, returned 'infeasible' only if
-        it separates at h(s) (see certified_infeasible). The solution's
-        iterations count the swaps. None where a tie, a swap that makes no
-        progress, a point that fails the test or the pivot cap
-        DEFAULT_MAX_ITERS stops the walk: the caller then solves cold.
-        """
+        """The certified solution at s, walked to from seg (see _walk):
+        the point at s of the segment that holds s, or 'infeasible' if
+        the ray where the path ends separates at h(s). Its iterations
+        count the swaps. None where the walk stops or the point fails
+        the test: the caller then solves cold."""
         p, q, a, b, g = self.arrays
-        h, k = self.h0 + s * self.dh, a.shape[0]
+        h = self.h0 + s * self.dh
+        end, swaps = self._walk(seg, s)
+        if isinstance(end, Segment):
+            x, y, z = end.at(s)
+            res = _residuals(p, q, a, b, g, h, x, y, z)
+            if not (max(res) <= DEFAULT_TOL and np.all(z >= 0.0)):
+                return None
+            return QpSolution("optimal", x, float(0.5 * x @ (p * x) + q @ x), y, z, res, swaps, end.on)
+        sol = None if end is None else certified_infeasible(a, b, g, h, end)
+        return None if sol is None else replace(sol, iterations=swaps)
+
+    def _walk(self, seg, s) -> tuple[Segment | dict | None, int]:
+        """(end, swaps): the segment that holds s (which may be inf), or
+        the dual ray where the path ends before s, reached from seg in
+        swaps row swaps; end is None where the walk stops.
+
+        Each swap steps to the edge of the current segment toward s,
+        where one row changes sides. A row whose multiplier reached 0
+        leaves. A row whose slack reached 0 enters, unless it depends on
+        the working rows: then the working row that first loses its
+        multiplier as the new one grows leaves, and if none does, the
+        path ends, and the dual ray there, {equality_dual,
+        inequality_dual}, is a Farkas certificate candidate. A tie, a
+        swap that makes no progress, a segment that fails the test or
+        the pivot cap DEFAULT_MAX_ITERS stops the walk.
+        """
+        a, g = self.arrays[2], self.arrays[4]
+        k = a.shape[0]
         for swaps in range(DEFAULT_MAX_ITERS + 1):
             if seg.lo <= s <= seg.hi:
-                x, y, z = seg.at(s)
-                res = _residuals(p, q, a, b, g, h, x, y, z)
-                if not (max(res) <= DEFAULT_TOL and np.all(z >= 0.0)):
-                    return None
-                return QpSolution("optimal", x, float(0.5 * x @ (p * x) + q @ x), y, z, res, swaps, seg.on)
+                return seg, swaps
             up = s > seg.hi
             edge, row = (seg.hi, seg.ends[1]) if up else (seg.lo, seg.ends[0])
             if row < 0 or swaps == DEFAULT_MAX_ITERS:
-                return None
+                return None, swaps
             on = seg.on.copy()
             if not on[row]:
                 rows = np.vstack([a, g[on]])
@@ -510,18 +550,16 @@ class ParametricProgram:
                     if first == -1:
                         z = np.maximum(-w_on, 0.0)
                         z[row] = 1.0
-                        certificate = {"equality_dual": -w[:k] / z.sum(), "inequality_dual": z / z.sum()}
-                        sol = certified_infeasible(a, b, g, h, certificate)
-                        return None if sol is None else replace(sol, iterations=swaps)
+                        return {"equality_dual": -w[:k] / z.sum(), "inequality_dual": z / z.sum()}, swaps
                     if first == -2:
-                        return None
+                        return None, swaps
                     on[first] = False
             on[row] = not on[row]
             seg = self.segment(on, edge)
             if seg is None or not (seg.hi > edge if up else seg.lo < edge):
-                return None
+                return None, swaps
             self._segments.setdefault(seg.on.tobytes(), seg)
-        return None
+        return None, swaps
 
 
 def certified_infeasible(a, b, g, h, certificate) -> QpSolution | None:

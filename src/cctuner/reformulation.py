@@ -179,21 +179,6 @@ class ConstraintCatalog:
             for c, side, g, a in zip(*self.row_map, self.dispatch_matrix, self.sensitivity_matrix)
         )
 
-    @cached_property
-    def unit_bus(self) -> np.ndarray:
-        """(n_pairs,) the bus whose unit vector is the pair's dispatch row,
-        or -1 where that row is no unit vector.
-
-        For a finite dispatch p, a unit row's term g·p is exactly p[bus]
-        up to the sign of a zero, since every other product is a zero.
-        Found from the rows' values, whatever their kinds say.
-        """
-        g = self.pair_dispatch
-        pairs, buses = np.nonzero((g == 1.0) & (np.count_nonzero(g, axis=1) == 1)[:, None])
-        bus = np.full(len(g), -1)
-        bus[pairs] = buses
-        return _read_only(bus)
-
 
 def build_catalog(
     case: GridCase,
@@ -248,7 +233,8 @@ class DispatchSolution:
     qp_start says how the status was decided: "segment" (a segment of
     the parametric path, looked up or walked to; the solution's
     iterations count the swaps walked, 0 for a lookup), "certificate"
-    (an earlier Farkas certificate rechecked at this s) or "cold"
+    (an earlier Farkas certificate, or the ray handed over with the
+    s = 0 solution, rechecked at this s) or "cold"
     (qp.solve; at s = 0 the program's cold solution there, whether it
     solved it or started from it).
     """
@@ -286,8 +272,11 @@ class DispatchProgram:
     s. But the s = 0 program does not depend on the sigmas, so a caller
     that builds several programs of one case and limits can solve it
     once (s0) and start each from it (start_from), as the experiment's
-    pairs and repeated tune calls do. One caller uses a program at a
-    time: an experiment pair's cells share one, inside one worker.
+    pairs and repeated tune calls do. The hand-off also carries the dual
+    ray where the giving program's path ends, which a receiving program
+    rechecks at its own sigmas: where it separates, a solve beyond the
+    path end is a 'certificate' with no walk. One caller uses a program
+    at a time: an experiment pair's cells share one, inside one worker.
     """
 
     def __init__(self, case: GridCase, catalog: ConstraintCatalog):

@@ -102,13 +102,16 @@ class TuningIterate:
     pivots (phase 1 plus phase 2) of a cold solve, the swaps walked
     along the path for a segment (0 for a lookup), and 0 for a
     certificate recheck. A program that starts from an s = 0 solution
-    walks from its first solve on; that s = 0 solve belongs to no
-    iterate (see tune). kkt_max is the largest of the solve's four KKT
-    residuals: its optimality certificate when optimal, when infeasible
-    the worst violation its certificate proves (phase 1's optimum on a
-    cold solve). solve_s and count_s are the wall-clock seconds of the
-    iterate's QP solve and of its tuning-set count (0.0 when infeasible,
-    since nothing is counted); they do not take part in comparisons.
+    walks from its first solve on; that s = 0 solve, and the walk that
+    found the ray handed over with it, belong to no iterate (see tune).
+    So qp_start, qp_iterations and kkt_max may depend on which program
+    the s = 0 solution came from; status, eps and cost do not. kkt_max
+    is the largest of the solve's four KKT residuals: its optimality
+    certificate when optimal, when infeasible the worst violation its
+    certificate proves (phase 1's optimum on a cold solve). solve_s and
+    count_s are the wall-clock seconds of the iterate's QP solve and of
+    its tuning-set count (0.0 when infeasible, since nothing is
+    counted); they do not take part in comparisons.
     """
 
     iteration: int
@@ -283,13 +286,15 @@ def _select_result(config, trace, solutions, terminated_by) -> TuningResult:
     )
 
 
-# The s0() of the last program tune built for want of one. A caller that
-# tunes fresh catalogs of one case again and again, as perfbench's tune
-# workload does, thus solves their s = 0 program once; the CLI and the
-# experiment pass programs of their own. One slot serves, as such a
-# caller meets one case. It is read and replaced whole, and start_from
-# compares content, so a tune's answer never depends on what ran before;
-# threads that race on it cost each other at most one more s = 0 solve.
+# The s0() of the last program tune built for want of one: its s = 0
+# solution and the ray where its path ends. A caller that tunes fresh
+# catalogs of one case again and again, as perfbench's tune workload
+# does, thus solves their s = 0 program, and walks a path to its end,
+# once; the CLI and the experiment pass programs of their own. One slot
+# serves, as such a caller meets one case. It is read and replaced
+# whole, and start_from compares content and rechecks the ray, so a
+# tune's answer never depends on what ran before; threads that race on
+# it cost each other at most one more s = 0 solve and walk.
 _last_s0 = None
 
 
@@ -315,12 +320,13 @@ def tune(
     fixed (noisy but frozen) response curve. Each QP solve goes through
     program, a DispatchProgram of (case, catalog), to reuse what
     earlier solves found. Without one, tune builds a fresh program and
-    starts it from the s = 0 solution of the last such program if that
-    had the same s = 0 arrays, else from its own, solved cold before the
-    first iterate: a process that tunes catalogs of one case in turn
-    solves their common s = 0 program once. Every count reads one
-    count_store of the samples, built here and dropped on return, so
-    only the dispatch-dependent work repeats (see _kernels).
+    starts it from the s = 0 solution and path-end ray of the last such
+    program if that had the same s = 0 arrays, else from its own, solved
+    cold and walked to its path end before the first iterate: a process
+    that tunes catalogs of one case in turn solves their common s = 0
+    program once. Every count reads one count_store of the samples,
+    built here and dropped on return, so only the dispatch-dependent
+    work repeats (see _kernels).
 
     A catalog whose sigmas are all 0 tightens nothing, so every s gives
     the first iterate's dispatch and counts: the tune stops there, as

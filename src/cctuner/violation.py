@@ -95,14 +95,10 @@ def evaluate(p_g, samples, catalog: ConstraintCatalog) -> ViolationReport:
     if not np.all(np.isfinite(p)):
         raise ValueError("dispatch must be finite")
 
-    # A unit row's term is exactly p[bus]; any other row keeps the per-row
-    # dot product of tests/oracles.py, bit for bit.
-    bus = catalog.unit_bus
-    base = np.empty(len(bus))
-    unit = bus >= 0
-    base[unit] = p[bus[unit]]
-    for c in np.flatnonzero(~unit):
-        base[c] = float(np.dot(catalog.pair_dispatch[c], p))
+    # A stack of 1×m @ m×1 products: each goes through the dot kernel of
+    # np.dot, so every pair's term is the per-row dot product of
+    # tests/oracles.py, bit for bit (pair_dispatch @ p would not be).
+    base = np.matmul(catalog.pair_dispatch[:, None, :], p[:, None])[:, 0, 0]
     active = ~catalog.pair_degenerate
     pair_counts, joint = _kernels.count_violations(
         base, catalog.pair_sensitivity, catalog.pair_limits, xi, cols, active

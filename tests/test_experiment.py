@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import logging
+import pickle
 from fractions import Fraction
 from importlib.resources import files
 
@@ -16,16 +17,18 @@ from cctuner.experiment import (
     REPORT_COLUMNS,
     ConfigError,
     ExperimentConfig,
+    Sweep,
     build_distribution,
     load_case,
+    parse_config_file,
     parse_config_text,
     report_to_csv,
     report_to_json,
     run_experiment,
     write_report,
 )
-from cctuner.reformulation import solve_dispatch
-from cctuner.tuner import TuningError
+from cctuner.reformulation import DispatchProgram, solve_dispatch
+from cctuner.tuner import TuningError, initial_bounds
 from cctuner.uncertainty import GaussianSpec, MixtureSpec, UniformBoxSpec
 
 SMALL_GAUSSIAN = """
@@ -208,12 +211,14 @@ def test_a_run_solves_cold_once_and_jobs_do_not_change_the_json_report(small_rep
 def test_jobs_start_no_more_workers_than_pairs(small_report, monkeypatch):
     # A process pool forks all its workers up front, so a worker beyond
     # the pair count would only sit idle. The stand-in pool records its
-    # size and maps in this process.
-    sizes = []
+    # size and what each task would ship, runs its initializer and maps
+    # in this process.
+    sizes, shipped = [], []
 
     class SerialPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             sizes.append(max_workers)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -222,13 +227,46 @@ def test_jobs_start_no_more_workers_than_pairs(small_report, monkeypatch):
             return False
 
         def map(self, fn, *iterables, chunksize=1):
-            return map(fn, *iterables)
+            tasks = list(zip(*iterables))
+            shipped.extend(len(pickle.dumps((fn, task))) for task in tasks)
+            return (fn(*task) for task in tasks)
 
     monkeypatch.setattr(experiment.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(experiment, "_worker_sweep", None)
     config = ExperimentConfig.from_text(SMALL_GAUSSIAN)
     report = run_experiment(config, jobs=4)
     assert sizes == [2]
     assert report_to_csv(report) == report_to_csv(small_report)
+    # The sweep reaches each worker once, through the initializer; a task
+    # ships only its pair.
+    assert len(shipped) == 2 and max(shipped) < 200
+
+
+@pytest.mark.parametrize("distribution", ["gaussian", "mixture"])
+def test_a_pairs_program_decides_beyond_its_path_end_by_the_sweeps_ray(distribution):
+    # The sweep's s = 0 hand-off carries the dual ray where the path of
+    # its unit-moment catalog ends. A pair's program rechecks it at its
+    # own sigmas, so its first joint midpoint at eps 0.05 is decided
+    # with no swap, and it answers, bit for bit, as a program handed the
+    # s = 0 solution alone, which walks its path there.
+    config = ExperimentConfig.from_mapping(parse_config_file(files("cctuner.data") / "rts24_sweep.cfg"))
+    sweep = Sweep(config)
+    arrays, s0, ray = sweep.s0()
+    assert s0.optimal and ray is not None
+    pair = sweep.replication(distribution, 1)
+    bare = DispatchProgram(sweep.case, pair.catalog)
+    assert pair.program.start_from((arrays, s0, ray)) and bare.start_from((arrays, s0, None))
+    s = initial_bounds(config.cells["joint", Fraction(1, 20)], pair.catalog.n_active)[1] / 2.0
+    assert round(s, 1) == 21.9
+    sol = pair.program.solve(s)
+    assert (sol.status, sol.qp_start, sol.qp_solution.iterations) == ("infeasible", "certificate", 0)
+    walked = bare.solve(s)
+    assert (walked.status, walked.qp_start) == ("infeasible", "segment") and walked.qp_solution.iterations > 0
+    for s in np.linspace(0.0, 50.0, 51):
+        with_ray, without = pair.program.solve(s), bare.solve(s)
+        assert with_ray.qp_start != "cold" or s == 0.0
+        assert (with_ray.status, with_ray.p_g.tobytes()) == (without.status, without.p_g.tobytes()), s
+        assert with_ray.objective == without.objective
 
 
 def test_zero_replications_header_only():

@@ -497,6 +497,46 @@ def test_an_infeasible_s0_solution_decides_every_s(monkeypatch):
         assert (sol.status, start) == ("infeasible", "certificate")
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0.25, 4.0), st.lists(st.floats(0.0, 6.0), min_size=1, max_size=8))
+def test_a_handed_ray_changes_no_status(seed, scale, steps):
+    # The ray where one program's path ends is rechecked at the other
+    # program's h(s), so a program that takes it answers as one handed
+    # the s = 0 solution alone.
+    p, q, a, b, g, h0, dh = parametric_instance(seed)
+    arrays, s0, ray = ParametricProgram(p, q, a, b, g, h0, dh).s0()
+    other = scale * dh
+    with_ray, without = (ParametricProgram(p, q, a, b, g, h0, other) for _ in range(2))
+    assert with_ray.start_from((arrays, s0, ray)) and without.start_from((arrays, s0, None))
+    for s in steps:
+        (sol, start), (ref, _) = with_ray.solve(s), without.solve(s)
+        assert sol.status == ref.status, (s, start)
+        if sol.optimal:
+            assert sol.objective == pytest.approx(ref.objective, rel=1e-9, abs=1e-9)
+
+
+def test_a_path_without_an_end_or_a_stopped_walk_hands_off_no_ray(monkeypatch):
+    p, q, a, b, g, h0, dh = parametric_instance(1)
+    arrays, s0, ray = ParametricProgram(p, q, a, b, g, h0, dh).s0()
+    assert s0.optimal and ray is not None
+    assert not any(v.flags.writeable for v in ray.values())
+    # Where the path ends a program that takes the ray decides by it.
+    program = ParametricProgram(p, q, a, b, g, h0, dh)
+    assert program.start_from((arrays, s0, ray)) and program.solve(50.0)[1] == "certificate"
+    # With dh = 0 nothing tightens, so the path has no end.
+    assert ParametricProgram(p, q, a, b, g, h0, np.zeros_like(dh)).s0()[2] is None
+    # A walk that stops at its first swap (here every step ties) finds no
+    # ray, and the program that takes that hand-off walks on its own.
+    with monkeypatch.context() as m:
+        m.setattr(qp, "_first", lambda steps: -2)
+        stopped = ParametricProgram(p, q, a, b, g, h0, dh).s0()
+    assert stopped[1].optimal and stopped[2] is None
+    program = ParametricProgram(p, q, a, b, g, h0, dh)
+    assert program.start_from(stopped)
+    sol, start = program.solve(50.0)
+    assert (sol.status, start) == ("infeasible", "segment") and sol.iterations > 0
+
+
 def test_certificate_is_rechecked_at_the_new_right_hand_side():
     # A certificate found at h proves every tighter h' <= h infeasible,
     # since its z >= 0; at a looser h' its gap may no longer be negative.

@@ -466,7 +466,8 @@ def test_a_program_walks_from_the_s0_solution_of_another_catalog(rts, rts_catalo
     # The s = 0 program has no sigmas in it, so a catalog of the same
     # case under another spec solves the s = 0 solution this one starts
     # from: no solve of this program is cold, and each agrees with a
-    # cold solve at its s, at s = 0 bit for bit.
+    # cold solve at its s, at s = 0 bit for bit. The ray where the other
+    # catalog's path ends also separates this one's h(25).
     spec = gaussian_from_std_corr([20.0, 5.0], -0.5)
     other = build_catalog(rts, compute_ptdf(rts), participation_factors(rts), spec_moments(spec, rts))
     assert not np.array_equal(other.sigmas, rts_catalog.sigmas)
@@ -479,7 +480,7 @@ def test_a_program_walks_from_the_s0_solution_of_another_catalog(rts, rts_catalo
     steps = (2.0, 0.0, 19.5, 25.0, 12.0, 0.7, 0.0)
     sols = [program.solve(s) for s in steps]
     assert not cold_solves
-    assert [sol.qp_start for sol in sols] == ["segment", "cold", "segment", "segment", "segment", "segment", "cold"]
+    assert [sol.qp_start for sol in sols] == ["segment", "cold", "segment", "certificate", "segment", "segment", "cold"]
     for s, sol in zip(steps, sols):
         ref = cold_dispatch(rts, rts_catalog, s)
         assert sol.status == ref.status, s

@@ -253,6 +253,17 @@ def test_a_catalog_without_sigma_is_tuned_in_one_iterate(mode, gamma, terminated
     assert result.config == config and result.p_g is not None
 
 
+def test_a_case_with_no_uncertain_bus_hands_off_no_ray():
+    # Nothing tightens, so the s = 0 solution holds at every s and its
+    # path has no end to find a ray at.
+    case = parse_case(CERTAIN)
+    catalog = build_catalog(
+        case, compute_ptdf(case), participation_factors(case), spec_moments(gaussian_from_std_corr([], 0.0), case)
+    )
+    arrays, s0, ray = DispatchProgram(case, catalog).s0()
+    assert s0.optimal and ray is None
+
+
 def test_a_catalog_without_sigma_fails_after_one_iterate_that_violates():
     # Zero tightening moments against a wide draw: the one dispatch every
     # s gives violates more often than eps, so no s can help.
@@ -319,14 +330,19 @@ def rts_tuning_set():
     return case, catalog, sample(spec, 2000, seed=5, case=case)
 
 
-def test_trace_records_each_qp_solve(rts_tuning_set):
+def test_trace_records_each_qp_solve(rts_tuning_set, monkeypatch):
     case, catalog, samples = rts_tuning_set
+    # With no s = 0 solution to start from, tune's program finds its own
+    # and walks its path to the end once, before the first iterate.
+    monkeypatch.setattr(tuner, "_last_s0", None)
     result = tune(case, catalog, samples, TuningConfig(eps_des=0.05, gamma=1e-3, mode="joint"))
-    # The joint bracket starts far out, so the first midpoint is infeasible.
+    # The joint bracket starts far out, so the first midpoint is
+    # infeasible, decided by the ray where the path ends.
     assert [it.qp_status for it in result.trace[:2]] == ["infeasible", "optimal"]
+    assert (result.trace[0].qp_start, result.trace[0].qp_iterations) == ("certificate", 0)
     # Replay the tuner's solves through a fresh program of the catalog
-    # that starts from its s = 0 solution, as tune's own program does:
-    # it keeps what each solve found, as that program did.
+    # that finds its own s = 0 solution and ray, as tune's own program
+    # did: it keeps what each solve found, as that program did.
     program = DispatchProgram(case, catalog)
     program.s0()
     for it in result.trace:
@@ -336,6 +352,14 @@ def test_trace_records_each_qp_solve(rts_tuning_set):
         assert it.kkt_max == max(solved.kkt_residuals)
         assert it.qp_status == cold_dispatch(case, catalog, it.s).qp_solution.status
         assert it.feasible == (it.qp_status == "optimal")
+
+
+def answers(result):
+    """What a tune found at each iterate, bit for bit, without how its
+    solves were started."""
+    p_g = None if result.p_g is None else result.p_g.tobytes()
+    trace = [(it.s, it.bracket, it.qp_status, it.eps_single, it.eps_joint, it.cost) for it in result.trace]
+    return result.s, p_g, result.chosen_iteration, result.terminated_by, trace
 
 
 def test_tune_solves_the_s0_program_of_a_case_once(rts_tuning_set, monkeypatch):
@@ -354,11 +378,40 @@ def test_tune_solves_the_s0_program_of_a_case_once(rts_tuning_set, monkeypatch):
     spec = gaussian_from_std_corr([20.0, 5.0], -0.5)
     other = build_catalog(case, compute_ptdf(case), participation_factors(case), spec_moments(spec, case))
     assert tune(case, other, samples, config).iterations > 0 and len(cold_solves) == 1
+    # Answers do not depend on which program found the s = 0 solution;
+    # how they were reached (qp_start, qp_iterations, kkt_max) may: the
+    # first tune's program walked its own path to the end in s0().
     again = tune(case, catalog, samples, config)
-    assert again.trace == first.trace and len(cold_solves) == 1
+    assert answers(again) == answers(first) and len(cold_solves) == 1
     looser = replace(catalog, pair_limits=catalog.pair_limits + 0.01)
     tune(case, looser, samples, config)
     assert len(cold_solves) == 2
+
+
+@pytest.mark.parametrize("creator", [None, "gaussian", "mixture"])
+def test_no_tune_answer_depends_on_which_catalog_filled_the_slot(creator, monkeypatch):
+    # tune's fresh program starts from the s = 0 solution and path-end
+    # ray of the last program it built for want of one, whatever its
+    # catalog (None: the tuned catalog's own, left by the tune before);
+    # each answer must be the one it gives with no such slot.
+    config = ExperimentConfig.from_mapping(parse_config_file(files("cctuner.data") / "rts24_sweep.cfg"))
+    case = load_case(config.case)
+    sweep = Sweep(config, case)
+    pairs = {dist: sweep.replication(dist, 1) for dist in ("gaussian", "mixture")}
+    cells = [config.cells[mode, Fraction(1, 20)] for mode in ("single", "joint")]
+    found = []
+    for pair in pairs.values():
+        for tuning in cells:
+            monkeypatch.setattr(tuner, "_last_s0", None)
+            alone = tune(case, pair.catalog, pair.tuning_samples, tuning)
+            if creator is not None:
+                monkeypatch.setattr(tuner, "_last_s0", None)
+                tuner._fresh_program(case, pairs[creator].catalog)
+            result = tune(case, pair.catalog, pair.tuning_samples, tuning)
+            assert answers(result) == answers(alone)
+            found.append(result.trace[0].qp_start)
+    # The joint cells' first midpoints lie beyond the path end.
+    assert found.count("certificate") == 2
 
 
 def test_tune_times_each_iterate(rts_tuning_set):
@@ -460,11 +513,12 @@ def test_a_pairs_shared_program_keeps_every_tune(distribution, monkeypatch):
         assert [it.qp_status for it in shared.trace] == [it.qp_status for it in fresh.trace]
         assert shared.objective == pytest.approx(fresh.objective, rel=1e-12)
     # The pair's path starts at the sweep's s = 0 solution, so every
-    # solve is a lookup, a walk along the path or a recheck of the
-    # certificate found where the path ends: none calls qp.solve.
+    # solve is a lookup, a walk along the path or a recheck of a
+    # certificate: none calls qp.solve. The ray where the sweep's
+    # unit-moment path ends decides every infeasible solve.
     assert all(sol.qp_start != "cold" for sol in solutions)
-    assert any(sol.qp_start == "segment" and not sol.feasible for sol in solutions)
-    assert any(sol.qp_start == "certificate" for sol in solutions)
+    assert any(not sol.feasible for sol in solutions)
+    assert all(sol.qp_start == "certificate" for sol in solutions if not sol.feasible)
 
 
 def test_trace_csv_layout():

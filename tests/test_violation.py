@@ -560,21 +560,35 @@ def test_envelope_matches_naive_loop_on_any_dispatch(rts, rts_catalog, s, bus, s
     assert report.seed == seed
 
 
-# --- Dispatch terms: a unit row's term is read from p, any other row's
-# is its dot product, as in the oracle ---
+# --- Dispatch terms: every pair's term is its per-row dot product, as
+# in the oracle ---
 
 
-def test_unit_rows_are_found_by_value(rts_catalog):
-    bus = rts_catalog.unit_bus
-    eye = np.eye(rts_catalog.pair_dispatch.shape[1])
-    for c, (g, b) in enumerate(zip(rts_catalog.pair_dispatch, bus)):
-        assert (b >= 0) == any(np.array_equal(g, e) for e in eye)
-        if b >= 0:
-            assert np.array_equal(g, eye[b])
-        if rts_catalog.pair_kinds[c] == "gen":
-            assert b == rts_catalog.pair_subjects[c] - 1
-    # A line whose flow is one bus's injection has a unit row too.
-    assert any(kind == "line" for kind, b in zip(rts_catalog.pair_kinds, bus) if b >= 0)
+@_BOUND_SETTINGS
+@given(buses=st.integers(1, 80), n_pairs=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+@example(buses=24, n_pairs=62, seed=0)
+def test_each_pairs_dispatch_term_is_its_per_row_dot_product(buses, n_pairs, seed):
+    # The one sample column has zero sensitivity, so each pair's sum is
+    # its dispatch term. An upper limit at the per-row np.dot of
+    # tests/oracles.py, or one ulp above or below it, and a lower limit
+    # at its negation tell a term that is off by a single ulp.
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(n_pairs, buses)) * 10.0 ** rng.uniform(-3, 3, (n_pairs, buses))
+    g[rng.random(g.shape) < 0.3] = 0.0
+    g[0] = np.eye(buses)[rng.integers(buses)]
+    p = rng.normal(size=buses) * 10.0 ** rng.uniform(-3, 3, buses)
+    terms = np.array([float(np.dot(row, p)) for row in g])
+    shift = rng.integers(-1, 2, n_pairs)
+    upper = np.array([ulps_from(t, int(k)) for t, k in zip(terms, shift)])
+    sens = rng.normal(size=(n_pairs, buses))
+    sens[:, 0] = 0.0
+    xi = np.zeros((3, buses))
+    xi[:, 0] = rng.normal(size=3)
+    catalog = paired_catalog(sens, np.column_stack([upper, -terms]), g)
+    report = evaluate(p, sample_set(xi), catalog)
+    assert report.counts[:n_pairs].tolist() == [3 * (k < 0) for k in shift]
+    assert not report.counts[n_pairs:].any()
+    assert_envelope_exact(p, xi, catalog)
 
 
 @_BOUND_SETTINGS
@@ -599,7 +613,6 @@ def test_dispatch_rows_that_are_not_unit_vectors_match_the_oracle(m, n, seed):
     xi[:, :m] = rng.normal(size=(n, m))
     limits = limits_at_sums(p, sens, xi, rng, 2, g)
     catalog = paired_catalog(sens, limits, g)
-    assert catalog.unit_bus.tolist() == [at[0], -1, -1, -1, -1]
     assert_envelope_exact(p, xi, catalog)
 
 
