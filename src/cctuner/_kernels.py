@@ -79,10 +79,12 @@ others.
 
 Counting. count_violations makes one transposed copy of the samples,
 bounds them, and sums every sample of each candidate pair from b
-through _sum_and_tally, in chunks of _BLOCK_SAMPLES that are slices of
-that copy. Pairs that are not candidates have no hits, so per-row
-counts and the joint count are bit-identical to a sum over every
-(sample, pair) cell.
+through _sum_and_tally, in chunks that are slices of that copy: each
+chunk holds at most _BLOCK_CELLS (pair, sample) cells and _MAX_WIDTH
+samples. A chunk's sums are compared with every upper and every lower
+limit in two whole-chunk compares, strict ones, which a NaN sum fails.
+Pairs that are not candidates have no hits, so per-row counts and the
+joint count are bit-identical to a sum over every (sample, pair) cell.
 
 Reused sample sets
 ------------------
@@ -108,9 +110,12 @@ from __future__ import annotations
 
 import numpy as np
 
-# Samples per chunk: keeps the accumulator a few megabytes, and a
-# chunk's per-row counts within uint16.
-_BLOCK_SAMPLES = 4096
+# Cells (pairs x samples) per chunk. acc and prod then take about 1 MB
+# together, inside one core's 2 MB L2 on the Xeon the score benchmark
+# was tuned on; ROADMAP records the scan that chose 2^16.
+_BLOCK_CELLS = 2**16
+# Widest chunk: a row's count in one chunk must fit in uint16.
+_MAX_WIDTH = 2**16 - 1
 
 _UNIT_ROUNDOFF = 2.0**-53
 # Largest scale whose sums cannot overflow (see the module docstring).
@@ -137,10 +142,11 @@ def _accumulate(acc, prod, start, sens_cols, columns):
     The products sens_cols[j] * columns[j] are added one column at a
     time in ascending order: the summation order every count relies on.
     """
-    acc[...] = start
-    for s_j, x_j in zip(sens_cols, columns):
+    if len(columns) == 0:
+        acc[...] = start
+    for j, (s_j, x_j) in enumerate(zip(sens_cols, columns)):
         np.multiply(s_j, x_j, out=prod)
-        acc += prod
+        np.add(acc if j else start, prod, out=acc)
     return acc
 
 
@@ -180,45 +186,37 @@ def _sure_miss_limits(base, upper, lower, m, bound):
     return band, ~((hi <= band[:, 0]) & (lo >= band[:, 1]))
 
 
-def _tally(acc, rows, upper, lower, active, counts):
-    """Add to counts the hits in acc, whose row i holds the sums of pair
-    rows[i], and return the number of samples that hit a row of an
-    active pair.
-
-    Only the rows whose extreme sum crosses the limit are compared; most
-    pairs never hit. fmax and fmin skip NaN, which compares false anyway.
-    acc has at most _BLOCK_SAMPLES columns, so a row's count fits in
-    uint16, whose sum numpy runs fastest.
-    """
-    upper_rows, lower_rows = upper[rows], lower[rows]
-    at_up = np.flatnonzero(np.fmax.reduce(acc, axis=1) > upper_rows)
-    at_lo = np.flatnonzero(np.fmin.reduce(acc, axis=1) < lower_rows)
-    up, lo = rows[at_up], rows[at_lo]
-    hits_upper = acc[at_up] > upper_rows[at_up, None]
-    hits_lower = acc[at_lo] < lower_rows[at_lo, None]
-    counts[up, 0] += hits_upper.sum(axis=1, dtype=np.uint16)
-    counts[lo, 1] += hits_lower.sum(axis=1, dtype=np.uint16)
-    hit = hits_upper[active[up]].any(axis=0) | hits_lower[active[lo]].any(axis=0)
-    return int(np.count_nonzero(hit))
+def _width(n_rows):
+    """Samples per chunk when n_rows pairs are summed."""
+    return min(max(_BLOCK_CELLS // n_rows, 1), _MAX_WIDTH)
 
 
 def _sum_and_tally(chunks, rows, base, sens_t, upper, lower, active, work):
     """(counts, joint) of the pairs rows over the samples of chunks.
 
     Each chunk is (m, width) samples of the active columns, at most
-    _BLOCK_SAMPLES wide. Its sums start at base and add the products in
-    _accumulate's order; work is (2, >= len(rows) * width) scratch.
+    _width(len(rows)) wide. Its sums start at base and add the products
+    in _accumulate's order; work is (2, >= len(rows) * width) scratch.
+    Every sum is compared with both limits of its pair, and a row's
+    count in a chunk is summed in uint16, whose sum numpy runs fastest.
     """
     counts = np.zeros((base.shape[0], 2), dtype=np.int64)
     joint = 0
     start, sens_cols = base[rows, None], sens_t[:, rows, None]
+    upper_rows, lower_rows, active_rows = upper[rows, None], lower[rows, None], active[rows]
+    hits = np.empty(work.shape, dtype=bool)
     for columns in chunks:
         shape = (rows.size, columns.shape[1])
         size = shape[0] * shape[1]
         acc = _accumulate(
             work[0, :size].reshape(shape), work[1, :size].reshape(shape), start, sens_cols, columns
         )
-        joint += _tally(acc, rows, upper, lower, active, counts)
+        over = np.greater(acc, upper_rows, out=hits[0, :size].reshape(shape))
+        under = np.less(acc, lower_rows, out=hits[1, :size].reshape(shape))
+        counts[rows, 0] += over.sum(axis=1, dtype=np.uint16)
+        counts[rows, 1] += under.sum(axis=1, dtype=np.uint16)
+        hit = np.logical_or(over, under, out=over)
+        joint += int(np.count_nonzero(np.logical_or.reduce(hit[active_rows], axis=0)))
     return counts, joint
 
 
@@ -264,7 +262,8 @@ class CountStore:
         self._sums = sums
         self._miss = np.empty((rows, n), dtype=bool)
         self._over_lower = np.empty((rows, n), dtype=bool)
-        self._work = np.empty((2, rows * min(n, _BLOCK_SAMPLES)))
+        # The largest chunk _width gives for up to rows pairs.
+        self._work = np.empty((2, min(rows * n, max(_BLOCK_CELLS, rows))))
 
     def _fill(self, pair):
         row = self._n_filled
@@ -291,9 +290,10 @@ class CountStore:
             miss = np.less_equal(sums, band[rows, :1], out=self._miss[:f])
             miss &= np.greater_equal(sums, band[rows, 1:], out=self._over_lower[:f])
             near = np.flatnonzero(~np.logical_and.reduce(miss, axis=0))
+            width = _width(f)
             chunks = (
-                np.take(self._columns, near[start : start + _BLOCK_SAMPLES], axis=1)
-                for start in range(0, near.size, _BLOCK_SAMPLES)
+                np.take(self._columns, near[start : start + width], axis=1)
+                for start in range(0, near.size, width)
             )
             return _sum_and_tally(chunks, rows, base, self._sens_t, upper, lower, active, self._work)
 
@@ -318,10 +318,9 @@ def count_violations(base, sens, limits, xi, cols, active):
     and the number of samples violating a row of an active pair. The
     samples are copied once, transposed, as (columns x samples), and
     bounded as a whole. Only the pairs whose bound leaves their sure-miss
-    band are accumulated, 4,096 samples at a time, into a (pairs x
-    samples) buffer, column by column in ascending order. Only rows whose
-    largest (upper) or smallest (lower) sum in a chunk crosses the limit
-    are compared sample by sample.
+    band are accumulated, about _BLOCK_CELLS cells at a time, into a
+    (pairs x samples) buffer, column by column in ascending order, and
+    each chunk's sums are compared with both limits of their pairs.
     """
     upper, lower = limits[:, 0], -limits[:, 1]
     if isinstance(xi, CountStore):
@@ -335,7 +334,7 @@ def count_violations(base, sens, limits, xi, cols, active):
         rows = np.flatnonzero(candidate)
         if rows.size == 0:
             return np.zeros((base.shape[0], 2), dtype=np.int64), 0
-        n = columns.shape[1]
-        chunks = (columns[:, start : start + _BLOCK_SAMPLES] for start in range(0, n, _BLOCK_SAMPLES))
-        work = np.empty((2, rows.size * min(n, _BLOCK_SAMPLES)))
+        n, width = columns.shape[1], _width(rows.size)
+        chunks = (columns[:, start : start + width] for start in range(0, n, width))
+        work = np.empty((2, rows.size * min(n, width)))
         return _sum_and_tally(chunks, rows, base, sens_t, upper, lower, active, work)

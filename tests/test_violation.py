@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from cctuner import apply_rts_modifications, load_rts_case, parse_case
 from cctuner import _kernels
-from cctuner._kernels import _BLOCK_SAMPLES
 from cctuner.ptdf import compute_ptdf
 from cctuner.reformulation import (
     ConstraintCatalog,
@@ -60,6 +59,36 @@ def catalog_for(case, std=(9.4, 13.1), corr=0.2):
     if len(case.uncertain_buses) == 1:
         spec = gaussian_from_std_corr([std[0]], 0.0)
     return build_catalog(case, ptdf, alpha, spec_moments(spec, case))
+
+
+# The kernel sums r pairs in chunks of _BLOCK_CELLS // r samples. Tests
+# patch _BLOCK_CELLS small, so that chunk edges fall at sample counts
+# the oracle loop can afford.
+EDGE_WIDTH = 64
+EDGE_SAMPLES = [1, 37, EDGE_WIDTH - 1, EDGE_WIDTH, EDGE_WIDTH + 1, 3 * EDGE_WIDTH + 13]
+# Cells per chunk for the few-pair catalogs below: SEVERAL_CHUNKS samples
+# take at least three chunks for any number of summed pairs.
+SMALL_CELLS = 48
+SEVERAL_CHUNKS = 2 * SMALL_CELLS + 5
+
+
+def evaluate_in_chunks(p_g, samples, catalog, width=EDGE_WIDTH):
+    """evaluate's one-shot count of samples, in chunks of width samples.
+
+    A first count finds how many pairs the count sums; _BLOCK_CELLS is
+    then patched to width times that, and the chunks checked.
+    """
+    with mock.patch.object(_kernels, "_sum_and_tally", wraps=_kernels._sum_and_tally) as spy:
+        evaluate(p_g, samples, catalog)
+    rows = spy.call_args.args[1].size if spy.called else 0
+    with mock.patch.object(_kernels, "_BLOCK_CELLS", max(rows, 1) * width), mock.patch.object(
+        _kernels, "_accumulate", wraps=_kernels._accumulate
+    ) as chunks:
+        report = evaluate(p_g, samples, catalog)
+    n = samples.n_samples
+    widths = [call.args[4].shape[1] for call in chunks.call_args_list]
+    assert widths == [min(width, n - k) for k in range(0, n, width) if rows]
+    return report
 
 
 @pytest.fixture(scope="module")
@@ -117,16 +146,18 @@ def test_kernel_counts_degenerate_pairs_when_every_pair_is_active(rts, rts_catal
     # degenerate upper row fire on every sample.
     p_g = solve_dispatch(rts, rts_catalog, 1.0).p_g
     p_g[2] += 0.1
-    samples = sample(gaussian_from_std_corr([9.4, 13.1], 0.2), _BLOCK_SAMPLES + 613, seed=4, case=rts)
+    samples = sample(gaussian_from_std_corr([9.4, 13.1], 0.2), 613, seed=4, case=rts)
     counts, joint = naive_violation_counts(p_g, rts_catalog, samples.samples, include_degenerate=True)
     assert joint == samples.n_samples
     base = np.array([float(np.dot(g, p_g)) for g in rts_catalog.pair_dispatch])
     active = np.ones(len(rts_catalog.pair_kinds), dtype=bool)
     args = (rts_catalog.pair_sensitivity, rts_catalog.pair_limits)
     cols = samples.uncertain_columns
-    store = count_store(samples, rts_catalog)
-    for xi in (samples.draw, store):
-        pair_counts, pair_joint = _kernels.count_violations(base, *args, xi, cols, active)
+    # Chunks of at most 100 samples for any number of summed pairs.
+    with mock.patch.object(_kernels, "_BLOCK_CELLS", 100):
+        store = count_store(samples, rts_catalog)
+        results = [_kernels.count_violations(base, *args, xi, cols, active) for xi in (samples.draw, store)]
+    for pair_counts, pair_joint in results:
         assert np.array_equal(pair_counts[rts_catalog.row_map], counts)
         assert pair_joint == joint
 
@@ -137,16 +168,21 @@ def test_kernel_counts_degenerate_pairs_when_every_pair_is_active(rts, rts_catal
     s=st.floats(0.0, 2.5),
     bus=st.integers(0, 23),
     shift=st.floats(-0.1, 0.1),
-    n=st.sampled_from([1, 97, _BLOCK_SAMPLES - 1, _BLOCK_SAMPLES, _BLOCK_SAMPLES + 1, _BLOCK_SAMPLES + 613]),
+    n=st.sampled_from(EDGE_SAMPLES),
     seed=st.integers(0, 2**32 - 1),
 )
+# Every run counts one sample short of a chunk, a full chunk and one
+# sample past it.
+@example(s=1.3, bus=2, shift=0.1, n=EDGE_WIDTH - 1, seed=1)
+@example(s=1.3, bus=2, shift=0.1, n=EDGE_WIDTH, seed=2)
+@example(s=1.3, bus=2, shift=0.1, n=EDGE_WIDTH + 1, seed=3)
 def test_kernel_matches_naive_loop_on_any_dispatch(rts, rts_catalog, s, bus, shift, n, seed):
     # Shifting a bus without a generator makes its degenerate rows fire on
     # every sample, which the joint count leaves out.
     p_g = solve_dispatch(rts, rts_catalog, s).p_g
     p_g[bus] += shift
     samples = sample(gaussian_from_std_corr([9.4, 13.1], 0.2), n, seed=seed, case=rts)
-    report = evaluate(p_g, samples, rts_catalog)
+    report = evaluate_in_chunks(p_g, samples, rts_catalog)
     counts, joint = naive_violation_counts(p_g, rts_catalog, samples.samples)
     assert np.array_equal(report.counts, counts)
     assert report.joint_count == joint
@@ -341,11 +377,11 @@ def limits_at_sums(p, sens, xi, rng, spread, g=None):
     return limits
 
 
-def assert_envelope_exact(p, xi, catalog):
+def assert_envelope_exact(p, xi, catalog, cells=SMALL_CELLS):
     """evaluate, which skips the cells its bounds clear, == oracle loop,
     with no numpy warning, counting from the samples and from a fresh
-    count store of them."""
-    with warnings.catch_warnings():
+    count store of them, in chunks of cells cells. Returns the report."""
+    with warnings.catch_warnings(), mock.patch.object(_kernels, "_BLOCK_CELLS", cells):
         warnings.simplefilter("error")
         samples = sample_set(xi)
         reports = [evaluate(p, samples, catalog), evaluate(p, count_store(samples, catalog), catalog)]
@@ -353,6 +389,7 @@ def assert_envelope_exact(p, xi, catalog):
         counts, joint = naive_violation_counts(p, catalog, xi)
     for report in reports:
         assert np.array_equal(report.counts, counts) and report.joint_count == joint
+    return reports[0]
 
 
 _BOUND_SETTINGS = settings(
@@ -363,7 +400,7 @@ _BOUND_SETTINGS = settings(
 @_BOUND_SETTINGS
 @given(
     m=st.integers(1, 24),
-    n=st.sampled_from([1, 5, 64, _BLOCK_SAMPLES + 5]),
+    n=st.sampled_from([1, 5, 64, SEVERAL_CHUNKS]),
     coherent=st.booleans(),
     spread=st.integers(0, 3),
     seed=st.integers(0, 2**32 - 1),
@@ -372,7 +409,7 @@ _BOUND_SETTINGS = settings(
 # additions up, so the sum exceeds start + hi by about m ulps: a delta
 # sized for two columns would miss it.
 @example(m=24, n=64, coherent=True, spread=1, seed=8)
-@example(m=2, n=_BLOCK_SAMPLES + 5, coherent=True, spread=1, seed=4)
+@example(m=2, n=SEVERAL_CHUNKS, coherent=True, spread=1, seed=4)
 def test_envelope_exact_at_a_few_ulps_from_the_limit(m, n, coherent, spread, seed):
     rng = np.random.default_rng(seed)
     n_pairs = min(m, 3)
@@ -449,7 +486,7 @@ def set_sums(base, sens, xi):
 @_BOUND_SETTINGS
 @given(
     m=st.integers(0, 6),
-    n=st.one_of(st.integers(1, 80), st.just(_BLOCK_SAMPLES + 5)),
+    n=st.one_of(st.integers(1, 80), st.just(SEVERAL_CHUNKS)),
     coherent=st.booleans(),
     special=st.booleans(),
     spread=st.integers(0, 3),
@@ -546,18 +583,55 @@ def test_no_degenerate_pair_is_a_candidate_at_solved_dispatches(rts, rts_catalog
     s=st.floats(0.0, 2.5),
     bus=st.integers(0, 23),
     shift=st.floats(-0.1, 0.1),
-    n=st.sampled_from([1, 97, _BLOCK_SAMPLES, _BLOCK_SAMPLES + 613]),
+    n=st.sampled_from(EDGE_SAMPLES),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_envelope_matches_naive_loop_on_any_dispatch(rts, rts_catalog, s, bus, shift, n, seed):
     p_g = solve_dispatch(rts, rts_catalog, s).p_g
     p_g[bus] += shift
     samples = sample(gaussian_from_std_corr([9.4, 13.1], 0.2), n, seed=seed, case=rts)
-    report = evaluate(p_g, samples, rts_catalog)
+    report = evaluate_in_chunks(p_g, samples, rts_catalog)
     counts, joint = naive_violation_counts(p_g, rts_catalog, samples.samples)
     assert np.array_equal(report.counts, counts)
     assert report.joint_count == joint
     assert report.seed == seed
+
+
+# --- Chunks: each is tallied with one compare per limit over all its
+# cells ---
+
+
+def test_a_row_hit_by_every_sample_counts_past_a_uint16_chunk():
+    # One summed pair gets the widest chunk, 65,535 samples, the most a
+    # uint16 row count holds; 65,536 samples take a second chunk.
+    n = 2**16
+    assert _kernels._width(1) == n - 1
+    catalog = paired_catalog(np.ones((1, 1)), np.array([[0.5, 10.0]]))
+    report = assert_envelope_exact(np.zeros(1), np.ones((n, 1)), catalog, _kernels._BLOCK_CELLS)
+    assert report.counts.tolist() == [n, 0] and report.joint_count == n
+
+
+def test_a_chunk_that_hits_both_rows_of_a_pair():
+    # Samples -1, -0.95, ..., 1 in one chunk: ten lie above 0.51 and ten
+    # below -0.51.
+    xi = np.linspace(-1.0, 1.0, 41)[:, None]
+    catalog = paired_catalog(np.ones((1, 1)), np.array([[0.51, 0.51]]))
+    report = assert_envelope_exact(np.zeros(1), xi, catalog)
+    assert report.counts.tolist() == [10, 10] and report.joint_count == 20
+
+
+def test_chunks_in_which_no_candidate_row_is_hit():
+    # Every sum is 1.0, exactly at the upper limit and so no hit, but the
+    # bound of the set reaches 2.0 and the store cannot clear a sum at the
+    # limit: both paths sum every sample. Only the last sample, in the
+    # last chunk, sums to 2.0 and hits.
+    xi = np.zeros((SEVERAL_CHUNKS, 2))
+    xi[0::2, 0] = 1.0
+    xi[1::2, 1] = 1.0
+    xi[-1] = 1.0
+    catalog = paired_catalog(np.ones((1, 2)), np.array([[1.0, 10.0]]))
+    report = assert_envelope_exact(np.zeros(2), xi, catalog)
+    assert report.counts.tolist() == [1, 0] and report.joint_count == 1
 
 
 # --- Dispatch terms: every pair's term is its per-row dot product, as
@@ -628,7 +702,7 @@ def resummed(spy):
 @_BOUND_SETTINGS
 @given(
     m=st.integers(0, 6),
-    n=st.one_of(st.integers(1, 80), st.just(_BLOCK_SAMPLES + 5)),
+    n=st.one_of(st.integers(1, 80), st.just(SEVERAL_CHUNKS)),
     coherent=st.booleans(),
     special=st.booleans(),
     at_max=st.booleans(),
@@ -645,7 +719,7 @@ def resummed(spy):
 @example(m=6, n=64, coherent=True, special=False, at_max=True, spread=2, seed=8)
 # An infinite sample makes a pair's tails infinite: none of its sums is
 # a sure miss, so every sample of the pair is re-summed.
-@example(m=1, n=_BLOCK_SAMPLES + 5, coherent=False, special=True, at_max=False, spread=1, seed=2456391)
+@example(m=1, n=SEVERAL_CHUNKS, coherent=False, special=True, at_max=False, spread=1, seed=2456391)
 def test_store_counts_a_sequence_of_dispatches_exactly(m, n, coherent, special, at_max, spread, seed):
     rng = np.random.default_rng(seed)
     n_pairs = 3
@@ -684,11 +758,13 @@ def test_store_counts_a_sequence_of_dispatches_exactly(m, n, coherent, special, 
         p - ulp,
     ]
     # Buffers sized for one pair grow, keeping the sums, as pairs fill.
-    with warnings.catch_warnings(), mock.patch.object(_kernels, "_STORE_ROWS", 1):
+    # The store re-sums in chunks of SMALL_CELLS cells.
+    small_chunks = mock.patch.object(_kernels, "_BLOCK_CELLS", SMALL_CELLS)
+    with warnings.catch_warnings(), small_chunks, mock.patch.object(_kernels, "_STORE_ROWS", 1):
         warnings.simplefilter("error")
         store = count_store(sample_set(xi), catalog)
     for k, p_k in enumerate(dispatches):
-        with warnings.catch_warnings(), mock.patch.object(
+        with warnings.catch_warnings(), small_chunks, mock.patch.object(
             _kernels, "_accumulate", wraps=_kernels._accumulate
         ) as spy:
             warnings.simplefilter("error")
