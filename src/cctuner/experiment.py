@@ -22,15 +22,12 @@ from fractions import Fraction
 from statistics import NormalDist
 from typing import Dict, Optional, Tuple, Union
 
-import numpy as np
-
 from .grid import GridCase, apply_rts_modifications, parse_case_file, parse_integer, parse_number
 from .ptdf import compute_ptdf
-from .reformulation import ConstraintCatalog, DispatchProgram, build_catalog, participation_factors
+from .reformulation import ConstraintCatalog, DispatchProgram, build_catalog, case_start, participation_factors
 from .tuner import TuningConfig, TuningError, tune
 from .uncertainty import (
     MixtureSpec,
-    MomentEstimate,
     SampleSet,
     UniformBoxSpec,
     derive_seed,
@@ -338,9 +335,7 @@ class ExperimentReport:
 class Sweep:
     """What the pairs of one run share, each built once: the case, its
     PTDF and participation factors, every configured distribution's spec
-    and, where the moments come from the spec, its catalog; and, once
-    asked for, the s = 0 solution and path-end ray every pair's program
-    starts from.
+    and, where the moments come from the spec, its catalog.
 
     The one home of the seed streams and of the moment_source policy:
     auto tightens with the exact spec moments for the Gaussian and with
@@ -361,24 +356,6 @@ class Sweep:
                 self.catalogs[dist_name] = build_catalog(case, self.ptdf, self.alpha, spec_moments(spec, case))
             elif config.n_tuning < 2:
                 raise ConfigError(f"key 'tuning.samples' must be at least 2 for the empirical moments of {dist_name}")
-        self._s0 = None
-
-    def s0(self):
-        """The cold s = 0 solution, and the dual ray where its path ends,
-        that every pair's program starts from (see
-        DispatchProgram.start_from), found on the first call. No sigma
-        enters the s = 0 program, so any catalog of the case has it; the
-        one of unit moments (zero mean, identity covariance over the
-        uncertain buses) also has a path with an end, whose ray a pair's
-        program rechecks at its own sigmas."""
-        if self._s0 is None:
-            n = self.case.n_buses
-            unit = np.zeros((n, n))
-            cols = np.array(self.case.uncertain_buses, dtype=np.int64) - 1
-            unit[cols, cols] = 1.0
-            catalog = build_catalog(self.case, self.ptdf, self.alpha, MomentEstimate(np.zeros(n), unit, unit))
-            self._s0 = DispatchProgram(self.case, catalog).s0()
-        return self._s0
 
     def draw(self, dist_name: str, stream: int, rep: int, n: int) -> SampleSet:
         """n samples of a distribution from a replication's seed stream."""
@@ -397,10 +374,10 @@ class Sweep:
         """Tune every (mode, eps) cell of one pair and score it out of
         sample; returns the rows keyed by (mode, eps). The out-of-sample
         set is drawn once, after the pair's first successful tune. The
-        pair's program starts from s0(), which the run solves once, not
-        once per pair."""
+        pair's program starts from case_start(case), which the process
+        solves once per case, not once per pair or run."""
         pair = self.replication(dist_name, rep)
-        pair.program.start_from(self.s0())
+        pair.program.start_from(case_start(self.case))
         oos_samples = None
         rows = {}
         for (mode, eps), tuning in self.config.cells.items():
@@ -481,18 +458,20 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1, case: Optional[GridC
 
     Work is split by (distribution, replication) pair; jobs > 1 runs the
     pairs in worker processes. The reduction is keyed by cell
-    coordinates, so scheduling order never changes the report. jobs
-    below 1 raises ValueError, and a configuration the Sweep rejects
-    raises ConfigError, before any pair runs.
+    coordinates, so scheduling order never changes the report. Every
+    pair's program starts from case_start(case), solved once per case
+    and process: before the pool where one runs, so that forked workers
+    inherit it, and otherwise by the first pair; a run with no pairs
+    solves nothing. jobs below 1 raises ValueError, and a configuration
+    the Sweep rejects raises ConfigError, before any pair runs.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     sweep = Sweep(config, case)
-    # Solved here, so that workers receive it with the sweep.
-    sweep.s0()
     reps = range(1, config.replications + 1)
     pairs = [(dist_name, rep) for dist_name in config.distributions for rep in reps]
     if jobs > 1 and len(pairs) > 1:
+        case_start(sweep.case)
         # Each worker receives the sweep once, not once per pair.
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=min(jobs, len(pairs)), initializer=_set_worker_sweep, initargs=(sweep,)

@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import qp
 from .grid import GridCase
+from .ptdf import compute_ptdf
 from .uncertainty import MomentEstimate, sensitivity_norm
 
 __all__ = [
@@ -36,6 +37,7 @@ __all__ = [
     "participation_factors",
     "constraint_deltas",
     "build_catalog",
+    "case_start",
     "solve_dispatch",
 ]
 
@@ -269,14 +271,15 @@ class DispatchProgram:
     program holds one qp.ParametricProgram with dh = -sigmas <= 0, which
     keeps the segments of the optimal path and the certificate its
     solves found. The first solve of a fresh program is cold at its own
-    s. But the s = 0 program does not depend on the sigmas, so a caller
-    that builds several programs of one case and limits can solve it
-    once (s0) and start each from it (start_from), as the experiment's
-    pairs and repeated tune calls do. The hand-off also carries the dual
-    ray where the giving program's path ends, which a receiving program
-    rechecks at its own sigmas: where it separates, a solve beyond the
-    path end is a 'certificate' with no walk. One caller uses a program
-    at a time: an experiment pair's cells share one, inside one worker.
+    s. But the s = 0 program does not depend on the sigmas, so
+    case_start solves it once per case and process (s0), and the
+    experiment's pairs and tune without a program start each program
+    of the case from it (start_from). The hand-off also carries the
+    dual ray where the giving program's path ends, which a receiving
+    program rechecks at its own sigmas: where it separates, a solve
+    beyond the path end is a 'certificate' with no walk. One caller
+    uses a program at a time: an experiment pair's cells share one,
+    inside one worker.
     """
 
     def __init__(self, case: GridCase, catalog: ConstraintCatalog):
@@ -345,6 +348,26 @@ class DispatchProgram:
         objective = sol.objective if sol.optimal else np.inf
         full = replace(sol, x=p_g, objective=objective, y=y, z=z, active=active, certificate=certificate)
         return DispatchSolution(sol.status, p_g, objective, full, qp_start)
+
+
+# One slot: a process works on one case at a time. A GridCase is frozen
+# and compares by content, so an equal case, however it was built, hits it.
+@lru_cache(maxsize=1)
+def case_start(case: GridCase):
+    """The s0() hand-off that fresh programs of case start from (see
+    DispatchProgram.start_from): the cold s = 0 solution, and the dual
+    ray where the path ends, of the case's program under unit moments
+    (zero mean, identity covariance over the uncertain buses). No sigma
+    enters the s = 0 program, so every catalog built from the case's
+    PTDF has it; unit moments also give a path with an end, whose ray a
+    receiving program rechecks at its own sigmas."""
+    n = case.n_buses
+    unit = np.zeros((n, n))
+    cols = np.array(case.uncertain_buses, dtype=np.int64) - 1
+    unit[cols, cols] = 1.0
+    moments = MomentEstimate(np.zeros(n), unit, unit)
+    catalog = build_catalog(case, compute_ptdf(case), participation_factors(case), moments)
+    return DispatchProgram(case, catalog).s0()
 
 
 def solve_dispatch(

@@ -25,7 +25,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .grid import parse_integer, parse_number
-from .reformulation import ConstraintCatalog, DispatchProgram, solve_dispatch
+from .reformulation import ConstraintCatalog, DispatchProgram, case_start, solve_dispatch
 from .violation import count_store, evaluate
 
 logger = logging.getLogger(__name__)
@@ -103,15 +103,15 @@ class TuningIterate:
     along the path for a segment (0 for a lookup), and 0 for a
     certificate recheck. A program that starts from an s = 0 solution
     walks from its first solve on; that s = 0 solve, and the walk that
-    found the ray handed over with it, belong to no iterate (see tune).
-    So qp_start, qp_iterations and kkt_max may depend on which program
-    the s = 0 solution came from; status, eps and cost do not. kkt_max
-    is the largest of the solve's four KKT residuals: its optimality
-    certificate when optimal, when infeasible the worst violation its
-    certificate proves (phase 1's optimum on a cold solve). solve_s and
-    count_s are the wall-clock seconds of the iterate's QP solve and of
-    its tuning-set count (0.0 when infeasible, since nothing is
-    counted); they do not take part in comparisons.
+    found the ray handed over with it, belong to no iterate (see tune
+    and reformulation.case_start). So qp_start, qp_iterations and
+    kkt_max depend on where the program started; status, eps and cost
+    do not. kkt_max is the largest of the solve's four KKT residuals:
+    its optimality certificate when optimal, when infeasible the worst
+    violation its certificate proves (phase 1's optimum on a cold
+    solve). solve_s and count_s are the wall-clock seconds of the
+    iterate's QP solve and of its tuning-set count (0.0 when infeasible,
+    since nothing is counted); they do not take part in comparisons.
     """
 
     iteration: int
@@ -286,26 +286,6 @@ def _select_result(config, trace, solutions, terminated_by) -> TuningResult:
     )
 
 
-# The s0() of the last program tune built for want of one: its s = 0
-# solution and the ray where its path ends. A caller that tunes fresh
-# catalogs of one case again and again, as perfbench's tune workload
-# does, thus solves their s = 0 program, and walks a path to its end,
-# once; the CLI and the experiment pass programs of their own. One slot
-# serves, as such a caller meets one case. It is read and replaced
-# whole, and start_from compares content and rechecks the ray, so a
-# tune's answer never depends on what ran before; threads that race on
-# it cost each other at most one more s = 0 solve and walk.
-_last_s0 = None
-
-
-def _fresh_program(case, catalog: ConstraintCatalog) -> DispatchProgram:
-    global _last_s0
-    program = DispatchProgram(case, catalog)
-    if not program.start_from(_last_s0):
-        _last_s0 = program.s0()
-    return program
-
-
 def tune(
     case,
     catalog: ConstraintCatalog,
@@ -320,11 +300,10 @@ def tune(
     fixed (noisy but frozen) response curve. Each QP solve goes through
     program, a DispatchProgram of (case, catalog), to reuse what
     earlier solves found. Without one, tune builds a fresh program and
-    starts it from the s = 0 solution and path-end ray of the last such
-    program if that had the same s = 0 arrays, else from its own, solved
-    cold and walked to its path end before the first iterate: a process
-    that tunes catalogs of one case in turn solves their common s = 0
-    program once. Every count reads one count_store of the samples,
+    starts it from case_start(case), the s = 0 solution and path-end
+    ray that the process solves once per case; a catalog whose s = 0
+    program is not the case's (other limits or PTDF) solves cold at its
+    first iterate. Every count reads one count_store of the samples,
     built here and dropped on return, so only the dispatch-dependent
     work repeats (see _kernels).
 
@@ -344,7 +323,8 @@ def tune(
         )
     bounds = initial_bounds(config, catalog.n_active)
     if program is None:
-        program = _fresh_program(case, catalog)
+        program = DispatchProgram(case, catalog)
+        program.start_from(case_start(case))
 
     def solve_at(s: float):
         return solve_dispatch(case, catalog, s, program)

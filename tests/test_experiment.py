@@ -27,8 +27,8 @@ from cctuner.experiment import (
     run_experiment,
     write_report,
 )
-from cctuner.reformulation import DispatchProgram, solve_dispatch
-from cctuner.tuner import TuningError, initial_bounds
+from cctuner.reformulation import DispatchProgram, case_start, solve_dispatch
+from cctuner.tuner import TuningError, initial_bounds, tune
 from cctuner.uncertainty import GaussianSpec, MixtureSpec, UniformBoxSpec
 
 SMALL_GAUSSIAN = """
@@ -153,6 +153,15 @@ def test_build_distribution_shapes():
         build_distribution("laplace", raw, case)
 
 
+@pytest.fixture
+def cold_solves(monkeypatch):
+    """The qp.solve calls a test makes, counted from an empty case_start slot."""
+    case_start.cache_clear()
+    calls, cold_solve = [], qp.solve
+    monkeypatch.setattr(qp, "solve", lambda *arrays: calls.append(arrays) or cold_solve(*arrays))
+    return calls
+
+
 @pytest.fixture(scope="module")
 def small_report():
     import warnings
@@ -195,14 +204,13 @@ def test_jobs_do_not_change_the_report(small_report):
     assert report_to_csv(parallel) == report_to_csv(small_report)
 
 
-def test_a_run_solves_cold_once_and_jobs_do_not_change_the_json_report(small_report, monkeypatch):
-    # Every pair's program starts from the s = 0 solution the run solves
-    # once, before any pair: a serial run makes that one cold solve and
-    # no other, and workers, which receive it with the sweep, report the
-    # same, qp_starts included.
+def test_a_run_solves_cold_once_and_jobs_do_not_change_the_json_report(small_report, cold_solves):
+    # Every pair's program starts from case_start(case), which the
+    # process solves once per case: from an empty slot, a serial run
+    # makes that one cold solve and no other, and workers, which inherit
+    # the slot or solve the same start, report the same, qp_starts
+    # included.
     config = ExperimentConfig.from_text(SMALL_GAUSSIAN)
-    cold_solve, cold_solves = qp.solve, []
-    monkeypatch.setattr(qp, "solve", lambda *arrays: cold_solves.append(arrays) or cold_solve(*arrays))
     serial = report_to_json(run_experiment(config))
     assert len(cold_solves) == 1
     assert report_to_json(run_experiment(config, jobs=2)) == serial == report_to_json(small_report)
@@ -244,14 +252,15 @@ def test_jobs_start_no_more_workers_than_pairs(small_report, monkeypatch):
 
 @pytest.mark.parametrize("distribution", ["gaussian", "mixture"])
 def test_a_pairs_program_decides_beyond_its_path_end_by_the_sweeps_ray(distribution):
-    # The sweep's s = 0 hand-off carries the dual ray where the path of
-    # its unit-moment catalog ends. A pair's program rechecks it at its
-    # own sigmas, so its first joint midpoint at eps 0.05 is decided
-    # with no swap, and it answers, bit for bit, as a program handed the
-    # s = 0 solution alone, which walks its path there.
+    # The case's s = 0 hand-off, which every pair of the sweep starts
+    # from, carries the dual ray where the path of its unit-moment
+    # catalog ends. A pair's program rechecks it at its own sigmas, so
+    # its first joint midpoint at eps 0.05 is decided with no swap, and
+    # it answers, bit for bit, as a program handed the s = 0 solution
+    # alone, which walks its path there.
     config = ExperimentConfig.from_mapping(parse_config_file(files("cctuner.data") / "rts24_sweep.cfg"))
     sweep = Sweep(config)
-    arrays, s0, ray = sweep.s0()
+    arrays, s0, ray = case_start(sweep.case)
     assert s0.optimal and ray is not None
     pair = sweep.replication(distribution, 1)
     bare = DispatchProgram(sweep.case, pair.catalog)
@@ -269,11 +278,13 @@ def test_a_pairs_program_decides_beyond_its_path_end_by_the_sweeps_ray(distribut
         assert with_ray.objective == without.objective
 
 
-def test_zero_replications_header_only():
+def test_zero_replications_header_only(cold_solves):
     config = ExperimentConfig.from_text(
         SMALL_GAUSSIAN.replace("replications = 2", "replications = 0")
     )
+    # A run with no pairs has no program to start, so it solves nothing.
     report = run_experiment(config)
+    assert cold_solves == []
     assert report.rows == ()
     assert report.averages == ()
     text = report_to_csv(report)
@@ -390,7 +401,7 @@ def test_sweep_axis_must_list_distinct_entries(line):
         ExperimentConfig.from_text(line)
 
 
-def test_replication_draws_and_catalogs_once_per_distribution(monkeypatch):
+def test_replication_draws_and_catalogs_once_per_distribution(monkeypatch, cold_solves):
     names = ("compute_ptdf", "build_distribution", "spec_moments", "empirical_moments", "build_catalog", "sample", "evaluate")
     counts = dict.fromkeys(names, 0)
     for name in counts:
@@ -419,16 +430,33 @@ gaussian.std_mw = 9.4, 13.1
     # Gaussian's pairs share one catalog from its spec moments, and each
     # mixture pair builds its own from its tuning draw. Each pair draws
     # one tuning and one out-of-sample set, and each cell counts once.
-    # The catalog of zero moments gives the run its s = 0 solution.
+    # The run's one cold solve is the s = 0 solve of case_start, whose
+    # unit-moment catalog is built outside this module.
     assert counts == {
         "compute_ptdf": 1,
         "build_distribution": 2,
         "spec_moments": 1,
         "empirical_moments": 2,
-        "build_catalog": 4,
+        "build_catalog": 3,
         "sample": 8,
         "evaluate": 24,
     }
+    assert len(cold_solves) == 1
+
+
+def test_equal_cases_share_one_s0_solve_across_runs_and_tunes(cold_solves):
+    # case_start keeps its slot for an equal case, not only the same
+    # object: two runs on two loads of the case, and a tune without a
+    # program on the second, solve the s = 0 program once in all.
+    config = ExperimentConfig.from_text(SMALL_GAUSSIAN.replace("replications = 2", "replications = 1"))
+    first, second = load_case("rts24"), load_case("rts24")
+    assert first == second and first is not second
+    runs = [report_to_json(run_experiment(config, case=case)) for case in (first, second)]
+    assert runs[0] == runs[1]
+    pair = Sweep(config, second).replication("gaussian", 1)
+    result = tune(second, pair.catalog, pair.tuning_samples, config.cells["single", Fraction(1, 10)])
+    assert all(it.qp_start != "cold" for it in result.trace)
+    assert len(cold_solves) == 1
 
 
 def test_a_distribution_that_cannot_be_built_fails_before_any_pair_runs(monkeypatch):

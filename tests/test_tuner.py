@@ -11,10 +11,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cctuner import apply_rts_modifications, load_rts_case, parse_case, qp, tuner
+from cctuner import apply_rts_modifications, load_rts_case, parse_case, qp
 from cctuner.experiment import ExperimentConfig, Sweep, load_case, parse_config_file
 from cctuner.ptdf import compute_ptdf
-from cctuner.reformulation import DispatchProgram, build_catalog, participation_factors
+from cctuner.reformulation import DispatchProgram, build_catalog, case_start, participation_factors
 from cctuner.tuner import (
     TERMINATED_CAP,
     TERMINATED_COLLAPSE,
@@ -330,21 +330,20 @@ def rts_tuning_set():
     return case, catalog, sample(spec, 2000, seed=5, case=case)
 
 
-def test_trace_records_each_qp_solve(rts_tuning_set, monkeypatch):
+def test_trace_records_each_qp_solve(rts_tuning_set):
     case, catalog, samples = rts_tuning_set
-    # With no s = 0 solution to start from, tune's program finds its own
-    # and walks its path to the end once, before the first iterate.
-    monkeypatch.setattr(tuner, "_last_s0", None)
+    # tune's program starts from case_start(case): the case's s = 0
+    # solution and the ray where its unit-moment path ends.
     result = tune(case, catalog, samples, TuningConfig(eps_des=0.05, gamma=1e-3, mode="joint"))
     # The joint bracket starts far out, so the first midpoint is
     # infeasible, decided by the ray where the path ends.
     assert [it.qp_status for it in result.trace[:2]] == ["infeasible", "optimal"]
     assert (result.trace[0].qp_start, result.trace[0].qp_iterations) == ("certificate", 0)
     # Replay the tuner's solves through a fresh program of the catalog
-    # that finds its own s = 0 solution and ray, as tune's own program
-    # did: it keeps what each solve found, as that program did.
+    # that starts from the same hand-off, as tune's own program did: it
+    # keeps what each solve found, as that program did.
     program = DispatchProgram(case, catalog)
-    program.s0()
+    assert program.start_from(case_start(case))
     for it in result.trace:
         replayed = program.solve(it.s)
         solved = replayed.qp_solution
@@ -363,13 +362,14 @@ def answers(result):
 
 
 def test_tune_solves_the_s0_program_of_a_case_once(rts_tuning_set, monkeypatch):
-    # Without a program, tune starts a fresh one from the s = 0 solution
-    # of the last tune whose s = 0 program was the same: tuning another
-    # catalog of the case makes no cold solve, and a catalog with other
-    # limits solves its own s = 0 program once more.
+    # Without a program, tune starts a fresh one from case_start(case),
+    # which the process solves once per case: tuning another catalog of
+    # the case, or the same one again, makes no cold solve. A catalog
+    # with other limits has another s = 0 program, so its tune solves
+    # cold at its first iterate, and the case's slot stays as it was.
     case, catalog, samples = rts_tuning_set
     config = TuningConfig(eps_des=0.05, gamma=1e-3, mode="joint")
-    monkeypatch.setattr(tuner, "_last_s0", None)
+    case_start.cache_clear()
     cold_solve, cold_solves = qp.solve, []
     monkeypatch.setattr(qp, "solve", lambda *arrays: cold_solves.append(arrays) or cold_solve(*arrays))
     first = tune(case, catalog, samples, config)
@@ -378,22 +378,24 @@ def test_tune_solves_the_s0_program_of_a_case_once(rts_tuning_set, monkeypatch):
     spec = gaussian_from_std_corr([20.0, 5.0], -0.5)
     other = build_catalog(case, compute_ptdf(case), participation_factors(case), spec_moments(spec, case))
     assert tune(case, other, samples, config).iterations > 0 and len(cold_solves) == 1
-    # Answers do not depend on which program found the s = 0 solution;
-    # how they were reached (qp_start, qp_iterations, kkt_max) may: the
-    # first tune's program walked its own path to the end in s0().
+    # Both tunes start from the one hand-off, so they match iterate for
+    # iterate, qp_start, qp_iterations and kkt_max included.
     again = tune(case, catalog, samples, config)
-    assert answers(again) == answers(first) and len(cold_solves) == 1
+    assert answers(again) == answers(first) and again.trace == first.trace and len(cold_solves) == 1
     looser = replace(catalog, pair_limits=catalog.pair_limits + 0.01)
-    tune(case, looser, samples, config)
-    assert len(cold_solves) == 2
+    loose = tune(case, looser, samples, config)
+    assert loose.trace[0].qp_start == "cold"
+    assert tune(case, catalog, samples, config).trace == first.trace
+    assert len(cold_solves) == 1 + sum(it.qp_start == "cold" for it in loose.trace)
 
 
 @pytest.mark.parametrize("creator", [None, "gaussian", "mixture"])
-def test_no_tune_answer_depends_on_which_catalog_filled_the_slot(creator, monkeypatch):
-    # tune's fresh program starts from the s = 0 solution and path-end
-    # ray of the last program it built for want of one, whatever its
-    # catalog (None: the tuned catalog's own, left by the tune before);
-    # each answer must be the one it gives with no such slot.
+def test_no_tune_answer_depends_on_which_catalog_filled_the_slot(creator):
+    # tune's fresh program starts from case_start(case), the s = 0
+    # solution and path-end ray of the case's unit-moment catalog. Each
+    # answer must be the one tune gives through a program that starts
+    # from the s = 0 hand-off of the creator pair's catalog instead
+    # (None: the tuned catalog's own).
     config = ExperimentConfig.from_mapping(parse_config_file(files("cctuner.data") / "rts24_sweep.cfg"))
     case = load_case(config.case)
     sweep = Sweep(config, case)
@@ -401,12 +403,11 @@ def test_no_tune_answer_depends_on_which_catalog_filled_the_slot(creator, monkey
     cells = [config.cells[mode, Fraction(1, 20)] for mode in ("single", "joint")]
     found = []
     for pair in pairs.values():
+        s0 = DispatchProgram(case, (pair if creator is None else pairs[creator]).catalog).s0()
         for tuning in cells:
-            monkeypatch.setattr(tuner, "_last_s0", None)
-            alone = tune(case, pair.catalog, pair.tuning_samples, tuning)
-            if creator is not None:
-                monkeypatch.setattr(tuner, "_last_s0", None)
-                tuner._fresh_program(case, pairs[creator].catalog)
+            program = DispatchProgram(case, pair.catalog)
+            assert program.start_from(s0)
+            alone = tune(case, pair.catalog, pair.tuning_samples, tuning, program)
             result = tune(case, pair.catalog, pair.tuning_samples, tuning)
             assert answers(result) == answers(alone)
             found.append(result.trace[0].qp_start)
@@ -474,15 +475,15 @@ def test_each_iterate_bisects_a_nested_bracket(rts_tuning_set, mode):
 @pytest.mark.parametrize("mode", ["single", "joint"])
 def test_store_counts_equal_one_shot_counts_along_a_tune(distribution, mode):
     # tune counts every iterate from one count store of its tuning set;
-    # replaying its solves through a fresh program that starts from its
-    # s = 0 solution, as tune's does, and counting each dispatch from
-    # the samples themselves must give the trace's frequencies.
+    # replaying its solves through a fresh program that starts from the
+    # case's s = 0 hand-off, as tune's does, and counting each dispatch
+    # from the samples themselves must give the trace's frequencies.
     config = ExperimentConfig.from_mapping(parse_config_file(files("cctuner.data") / "rts24_sweep.cfg"))
     case = load_case(config.case)
     pair = Sweep(config, case).replication(distribution, 1)
     result = tune(case, pair.catalog, pair.tuning_samples, config.cells[mode, Fraction(1, 20)])
     program = DispatchProgram(case, pair.catalog)
-    program.s0()
+    assert program.start_from(case_start(case))
     for it in result.trace:
         solution = program.solve(it.s)
         assert (solution.feasible, solution.qp_start) == (it.feasible, it.qp_start)
@@ -495,13 +496,12 @@ def test_store_counts_equal_one_shot_counts_along_a_tune(distribution, mode):
 @pytest.mark.parametrize("distribution", ["gaussian", "mixture"])
 def test_a_pairs_shared_program_keeps_every_tune(distribution, monkeypatch):
     # The six cells of a pair tune through one program that starts from
-    # the sweep's s = 0 solution, as the experiment runs them; each must
+    # the case's s = 0 solution, as the experiment runs them; each must
     # end as it does with a fresh one.
     config = ExperimentConfig.from_mapping(parse_config_file(files("cctuner.data") / "rts24_sweep.cfg"))
     case = load_case(config.case)
-    sweep = Sweep(config, case)
-    pair = sweep.replication(distribution, 1)
-    assert pair.program.start_from(sweep.s0())
+    pair = Sweep(config, case).replication(distribution, 1)
+    assert pair.program.start_from(case_start(case))
     solutions = []
     solve = pair.program.solve
     monkeypatch.setattr(pair.program, "solve", lambda s: solutions.append(solve(s)) or solutions[-1])
@@ -512,9 +512,9 @@ def test_a_pairs_shared_program_keeps_every_tune(distribution, monkeypatch):
         assert shared.iterations == fresh.iterations
         assert [it.qp_status for it in shared.trace] == [it.qp_status for it in fresh.trace]
         assert shared.objective == pytest.approx(fresh.objective, rel=1e-12)
-    # The pair's path starts at the sweep's s = 0 solution, so every
+    # The pair's path starts at the case's s = 0 solution, so every
     # solve is a lookup, a walk along the path or a recheck of a
-    # certificate: none calls qp.solve. The ray where the sweep's
+    # certificate: none calls qp.solve. The ray where the case's
     # unit-moment path ends decides every infeasible solve.
     assert all(sol.qp_start != "cold" for sol in solutions)
     assert any(not sol.feasible for sol in solutions)
