@@ -75,16 +75,98 @@ monotone-sum lemma, and misses both rows; no sample is infinite, since
 one would leave the band NaN; and a NaN sample's acc is NaN, which no
 strict comparison counts. A NaN hi or lo makes a candidate too, and the
 NaN-skipping extremes keep a NaN sample from opening the bound for the
-others.
+others. A candidate's live rows are those whose side of [lo, hi] leaves
+the band (hi > t_up, lo < t_lo, or NaN); by the same argument its other
+row has no hit.
 
-Counting. count_violations makes one transposed copy of the samples,
-bounds them, and sums every sample of each candidate pair from b
-through _sum_and_tally, in chunks that are slices of that copy: each
-chunk holds at most _BLOCK_CELLS (pair, sample) cells and _MAX_WIDTH
-samples. A chunk's sums are compared with every upper and every lower
-limit in two whole-chunk compares, strict ones, which a NaN sum fails.
-Pairs that are not candidates have no hits, so per-row counts and the
-joint count are bit-identical to a sum over every (sample, pair) cell.
+Uniform pairs
+-------------
+In the paper's model every generator balances a share alpha_i of the
+total imbalance, so a generator pair's sensitivity is one coefficient a
+= alpha_i on every column, and the pair sees a sample only through its
+total
+
+    Omega = fl(...fl(fl(0 + x_1) + x_2) ... + x_m),
+
+its active columns added from 0.0 in _accumulate's order (_total; a
+sum that starts at x_1 differs only in the sign of a zero). A
+candidate is uniform when m >= 1, its coefficients on the active
+columns are all one nonzero a, fl(tails / |a|) <= 2^1000, and on each
+live row both quotients below are finite and larger than 2^-1022 in
+magnitude. It is decided from Omega, one vector for all uniform pairs.
+
+The bound. Let S = sum_j x_j exactly, X_j = max(|xmax_j|, |xmin_j|),
+tau_j = fl(|a| X_j) the terms of tails, T = |a| sum_j X_j, and eta =
+2^-1075, the largest error of a product that underflows. Each product
+is p_j = a x_j (1 + e_j) + h_j with |e_j| <= u and |h_j| <= eta, so
+
+    |acc - (b + a Omega)| <= |acc - (b + sum p_j)| + |sum p_j - a S| + |a| |S - Omega|
+                          <= gamma_m (|b| + sum |p_j|) + u T + m eta + gamma_(m-1) T.
+
+Here |p_j| <= tau_j, T <= (sum tau_j + m eta) / (1 - u), and the
+computed tails is at least (1 - gamma_m) sum tau_j, since it adds m
+nonnegative terms. As u + gamma_(m-1) <= gamma_m,
+
+    |acc - (b + a Omega)| <= E_U = 2 gamma_m (|b| + tails) / (1 - gamma_m)^2 + 2 m eta.
+
+No sum overflows: acc's by the scale cap, and every partial sum of
+Omega is at most (1 + gamma_m) sum_j X_j, which fl(tails / |a|) <=
+2^1000 and |a| >= 2^-1074 keep below 2^1002.
+
+The thresholds. Take a > 0 and the upper row, with c and delta those of
+the band. The miss threshold is q = fl(y / a) with y = fl(c - delta) =
+t_up, and the hit threshold r = fl(y' / a) with y' = fl(c + delta). A
+quotient larger than 2^-1022 in magnitude rounds an exact quotient in
+the normal range, so fl(y / a) = (y / a)(1 + e) with |e| <= u; a
+finite one did not overflow. So Omega <= q gives
+
+    a Omega <= y + u |y| <= c - delta + u (2 + u) (|c| + delta),
+
+and, with upper - b >= c - u |c| / (1 - u),
+
+    acc <= b + a Omega + E_U <= upper - delta (1 - 3u) + 4u |c| + E_U.
+
+Likewise Omega >= r gives a Omega >= c + delta - u (2 + u) (|c| +
+delta) and acc >= upper + delta (1 - 3u) - 4u |c| - E_U. Both decide
+the row once delta (1 - 3u) > E_U + 4u |c|. A zero y has zero
+quotients, so a uniform pair has 2^-960 <= scale <= 2^1000 on its live
+rows, and delta (1 - 3u) is at least 4 (m + 2) u (|b| + tails + |c|)
+(1 - u)^3 (1 - 3u). For m far below 1/u that exceeds 2 gamma_m (|b| +
+tails) / (1 - gamma_m)^2 + 4u |c| by at least 7u (|b| + tails + |c|)
+>= 6u scale >= 2^-1011, and 2 m eta is far smaller. So a sample with
+Omega <= q misses the upper row (acc < upper) and one with Omega >= r
+hits it (acc > upper), strictly, and r > q, as a (r - q) >= 2 delta
+(1 - 3u) - 6u |c| > 0. Only the samples in the sliver q < Omega < r
+are summed from b, in _accumulate's order, and compared with the
+limit. The lower row is the same argument negated: fl(t_lo / a) is its
+miss threshold, fl(fl(fl(lower - b) - delta) / a) its hit threshold,
+and smaller Omega lies toward the limit. For a < 0 the argument is
+that for -a on the negated samples: fl((-a) (-x)) = fl(a x), the total
+of the negated samples is -Omega, and fl(y / a) = -fl(y / (-a)), so
+each comparison turns round.
+
+Samples that are not finite. A NaN sample has a NaN Omega, which no
+comparison puts past a miss threshold, so it is never counted, nor
+re-summed; its acc is NaN too, which no strict comparison counts. An
+infinite sample makes tau_j infinite for the column it lies in, since a
+!= 0 there, so tails and scale are infinite and both rows' band is NaN:
+the quotients are NaN, and the pair is summed densely like any
+non-uniform candidate.
+
+Counting. count_violations makes one transposed copy of the samples
+and bounds them. Each live row of a uniform pair takes two compares of
+Omega, with its hit and its miss threshold. The samples past the hit
+threshold are hits; only if more lie past the miss threshold is that
+sliver listed and re-summed. The samples that hit a row of an active
+uniform pair are flagged. Every other candidate has every sample
+summed from b through _sum_and_tally, in chunks that are slices of the
+copy: each chunk holds at most _BLOCK_CELLS (pair, sample) cells and
+_MAX_WIDTH samples. A
+chunk's sums are compared with every upper and every lower limit in two
+whole-chunk compares, strict ones, which a NaN sum fails, and the
+chunk's flags are ORed into its joint reduce. Pairs that are not
+candidates have no hits, so per-row counts and the joint count are
+bit-identical to a sum over every (sample, pair) cell.
 
 Reused sample sets
 ------------------
@@ -97,8 +179,8 @@ each candidate not yet filled, and re-sums through _sum_and_tally only
 the samples whose v lies outside the band of some filled pair, for all
 filled pairs. The band holds for any pair, so a filled pair that is no
 candidate at this dispatch is tested like the others, and pairs never
-filled are no candidates now. So the counts are those of the one-shot
-count, bit for bit.
+filled are no candidates now. A store sums uniform pairs like any
+other. So the counts are those of the one-shot count, bit for bit.
 
 The sums cost 8 bytes per sample for each pair that was ever a
 candidate. They are filled once per store, and each later count reads
@@ -122,6 +204,9 @@ _UNIT_ROUNDOFF = 2.0**-53
 _SCALE_CAP = 2.0**1000
 # Smallest positive scale the band is used at.
 _SCALE_FLOOR = 2.0**-960
+# Smallest normal float: a quotient larger in magnitude erred by at most
+# u relative.
+_NORMAL_MIN = 2.0**-1022
 # Sign that moves each (upper, lower) limit toward the pair's inside.
 _TOWARD_INSIDE = np.array([-1.0, 1.0])
 # Pairs a count store sizes its buffers for at first. About 10 of the
@@ -169,6 +254,16 @@ def _bound(sens_t, columns):
     return hi, lo, tails
 
 
+def _margins(base, upper, lower, m, tails):
+    """(c, delta), each (n_pairs, 2): every (upper, lower) limit less the
+    dispatch term, and the band's margin, NaN where the band proves
+    nothing (module docstring)."""
+    c = np.stack([upper - base, lower - base], axis=1)
+    scale = (np.abs(base) + tails)[:, None] + np.abs(c)
+    exact = (scale <= _SCALE_CAP) & ((scale >= _SCALE_FLOOR) | (scale == 0.0))
+    return c, np.where(exact, (4 * (m + 2) * _UNIT_ROUNDOFF) * scale, np.nan)
+
+
 def _sure_miss_limits(base, upper, lower, m, bound):
     """(band, candidate) of each pair, from its bound (module docstring).
 
@@ -178,12 +273,79 @@ def _sure_miss_limits(base, upper, lower, m, bound):
     does not lie in their band.
     """
     hi, lo, tails = bound
-    c = np.stack([upper - base, lower - base], axis=1)
-    scale = (np.abs(base) + tails)[:, None] + np.abs(c)
-    exact = (scale <= _SCALE_CAP) & ((scale >= _SCALE_FLOOR) | (scale == 0.0))
-    delta = (4 * (m + 2) * _UNIT_ROUNDOFF) * scale
-    band = np.where(exact, c + _TOWARD_INSIDE * delta, np.nan)
+    c, delta = _margins(base, upper, lower, m, tails)
+    band = c + _TOWARD_INSIDE * delta
     return band, ~((hi <= band[:, 0]) & (lo >= band[:, 1]))
+
+
+def _uniform_pairs(base, upper, lower, sens_t, bound, band, candidate):
+    """(pairs, live, thresholds): the uniform candidates, decided from
+    the sample totals ("Uniform pairs" in the module docstring).
+
+    live is (n_pairs, 2): the rows whose side of [lo, hi] leaves the
+    band. thresholds is (2, n_pairs, 2): the band, then each limit moved
+    outward by delta, over each pair's first coefficient; the miss and
+    the hit threshold of each row, in units of the total.
+    """
+    if len(sens_t) == 0:
+        return np.empty(0, dtype=np.int64), None, None
+    hi, lo, tails = bound
+    a = sens_t[0]
+    live = np.stack([~(hi <= band[:, 0]), ~(lo >= band[:, 1])], axis=1)
+    c, delta = _margins(base, upper, lower, len(sens_t), tails)
+    thresholds = np.stack([band, c - _TOWARD_INSIDE * delta]) / a[:, None]
+    size = np.abs(thresholds)
+    safe = np.all((size > _NORMAL_MIN) & (size < np.inf), axis=0)
+    uniform = (
+        candidate
+        & (a != 0.0)
+        & np.all(sens_t == a, axis=0)
+        & (tails / np.abs(a) <= _SCALE_CAP)
+        & np.all(safe | ~live, axis=1)
+    )
+    return np.flatnonzero(uniform), live, thresholds
+
+
+def _total(columns):
+    """Omega of every sample: its columns added from 0.0 in _accumulate's
+    order, up to the sign of a zero."""
+    if len(columns) == 1:
+        return columns[0]
+    omega = np.add(columns[0], columns[1])
+    for x_j in columns[2:]:
+        np.add(omega, x_j, out=omega)
+    return omega
+
+
+def _tally_uniform(pairs, live, thresholds, columns, base, sens_t, upper, lower, active):
+    """(counts, flagged) of the uniform pairs: each row's hits, and which
+    samples hit a row of an active one (module docstring)."""
+    omega = _total(columns)
+    counts = np.zeros((base.shape[0], 2), dtype=np.int64)
+    flagged = np.zeros(omega.shape, dtype=bool)
+    beyond, hits = np.empty((2, omega.size), dtype=bool)
+    for c in pairs:
+        for side in np.flatnonzero(live[c]):
+            miss_at, hit_at = thresholds[:, c, side]
+            # a * Omega grows toward the upper limit and shrinks toward
+            # the lower one. The hit threshold lies past the miss one.
+            if (side == 0) == (sens_t[0, c] > 0.0):
+                np.greater(omega, miss_at, out=beyond)
+                np.greater_equal(omega, hit_at, out=hits)
+            else:
+                np.less(omega, miss_at, out=beyond)
+                np.less_equal(omega, hit_at, out=hits)
+            count = np.count_nonzero(hits)
+            if np.count_nonzero(beyond) > count:
+                sliver = np.flatnonzero(beyond & ~hits)
+                acc, prod = np.empty((2, sliver.size))
+                _accumulate(acc, prod, base[c], sens_t[:, c], columns[:, sliver])
+                hits[sliver] = acc > upper[c] if side == 0 else acc < lower[c]
+                count = np.count_nonzero(hits)
+            counts[c, side] = count
+            if active[c]:
+                flagged |= hits
+    return counts, flagged
 
 
 def _width(n_rows):
@@ -191,7 +353,7 @@ def _width(n_rows):
     return min(max(_BLOCK_CELLS // n_rows, 1), _MAX_WIDTH)
 
 
-def _sum_and_tally(chunks, rows, base, sens_t, upper, lower, active, work):
+def _sum_and_tally(chunks, rows, base, sens_t, upper, lower, active, work, flagged=None):
     """(counts, joint) of the pairs rows over the samples of chunks.
 
     Each chunk is (m, width) samples of the active columns, at most
@@ -199,9 +361,11 @@ def _sum_and_tally(chunks, rows, base, sens_t, upper, lower, active, work):
     in _accumulate's order; work is (2, >= len(rows) * width) scratch.
     Every sum is compared with both limits of its pair, and a row's
     count in a chunk is summed in uint16, whose sum numpy runs fastest.
+    flagged, if given, marks the samples already hit, in chunk order;
+    they count toward joint.
     """
     counts = np.zeros((base.shape[0], 2), dtype=np.int64)
-    joint = 0
+    joint = done = 0
     start, sens_cols = base[rows, None], sens_t[:, rows, None]
     upper_rows, lower_rows, active_rows = upper[rows, None], lower[rows, None], active[rows]
     hits = np.empty(work.shape, dtype=bool)
@@ -216,7 +380,11 @@ def _sum_and_tally(chunks, rows, base, sens_t, upper, lower, active, work):
         counts[rows, 0] += over.sum(axis=1, dtype=np.uint16)
         counts[rows, 1] += under.sum(axis=1, dtype=np.uint16)
         hit = np.logical_or(over, under, out=over)
-        joint += int(np.count_nonzero(np.logical_or.reduce(hit[active_rows], axis=0)))
+        joint_hit = np.logical_or.reduce(hit[active_rows], axis=0)
+        if flagged is not None:
+            joint_hit |= flagged[done : done + shape[1]]
+            done += shape[1]
+        joint += int(np.count_nonzero(joint_hit))
     return counts, joint
 
 
@@ -318,23 +486,39 @@ def count_violations(base, sens, limits, xi, cols, active):
     and the number of samples violating a row of an active pair. The
     samples are copied once, transposed, as (columns x samples), and
     bounded as a whole. Only the pairs whose bound leaves their sure-miss
-    band are accumulated, about _BLOCK_CELLS cells at a time, into a
-    (pairs x samples) buffer, column by column in ascending order, and
-    each chunk's sums are compared with both limits of their pairs.
+    band are counted. Those with one coefficient on every column are
+    decided from each sample's total, and only the samples too near a
+    limit for the total to decide are summed. The others are
+    accumulated, about _BLOCK_CELLS cells at a time, into a (pairs x
+    samples) buffer, column by column in ascending order, and each
+    chunk's sums are compared with both limits of their pairs.
     """
     upper, lower = limits[:, 0], -limits[:, 1]
     if isinstance(xi, CountStore):
         return xi.count(base, sens, upper, lower, active)
     sens_t = np.ascontiguousarray(sens[:, cols].T)
     columns = np.ascontiguousarray(xi.T)
-    # 0 * inf and overflow follow IEEE rules: a NaN or inf sum is compared
-    # like any other, so numpy need not warn about them.
-    with np.errstate(invalid="ignore", over="ignore"):
-        _, candidate = _sure_miss_limits(base, upper, lower, len(cols), _bound(sens_t, columns))
+    # 0 * inf, overflow and the thresholds of pairs with a zero coefficient
+    # follow IEEE rules: a NaN or inf is compared like any other number,
+    # so numpy need not warn about them.
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        bound = _bound(sens_t, columns)
+        band, candidate = _sure_miss_limits(base, upper, lower, len(cols), bound)
+        if not candidate.any():
+            return np.zeros((base.shape[0], 2), dtype=np.int64), 0
+        pairs, live, thresholds = _uniform_pairs(base, upper, lower, sens_t, bound, band, candidate)
+        if pairs.size:
+            counts, flagged = _tally_uniform(
+                pairs, live, thresholds, columns, base, sens_t, upper, lower, active
+            )
+            candidate[pairs] = False
+        else:
+            counts, flagged = np.zeros((base.shape[0], 2), dtype=np.int64), None
         rows = np.flatnonzero(candidate)
         if rows.size == 0:
-            return np.zeros((base.shape[0], 2), dtype=np.int64), 0
+            return counts, int(np.count_nonzero(flagged))
         n, width = columns.shape[1], _width(rows.size)
         chunks = (columns[:, start : start + width] for start in range(0, n, width))
         work = np.empty((2, rows.size * min(n, width)))
-        return _sum_and_tally(chunks, rows, base, sens_t, upper, lower, active, work)
+        tallied, joint = _sum_and_tally(chunks, rows, base, sens_t, upper, lower, active, work, flagged)
+        return counts + tallied, joint

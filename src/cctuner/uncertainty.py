@@ -81,7 +81,15 @@ class GaussianSpec:
         return self.mean_mw.size
 
     def _draw_mw(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return self.mean_mw + rng.standard_normal((n, self.dim)) @ self._factor_mw.T
+        draw = rng.standard_normal((n, self.dim)) @ self._factor_mw.T
+        # mean + draw one column at a time: numpy's inner loop then runs
+        # down the n samples, not across the few buses. Into a new array,
+        # as the broadcast did: adding in place measured 0.9 MB more peak
+        # RSS on the score benchmark, from how the allocator reuses memory.
+        out = np.empty_like(draw)
+        for j in range(self.dim):
+            np.add(self.mean_mw[j], draw[:, j], out=out[:, j])
+        return out
 
     def _moments_mw(self) -> tuple[np.ndarray, np.ndarray]:
         return self.mean_mw, self.covariance_mw2
@@ -108,7 +116,12 @@ class UniformBoxSpec:
         return self.lower_mw.size
 
     def _draw_mw(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return self.lower_mw + rng.random((n, self.dim)) * (self.upper_mw - self.lower_mw)
+        draw = rng.random((n, self.dim))
+        # lower + u * (upper - lower), a column at a time (see GaussianSpec).
+        for j, column in enumerate(draw.T):
+            np.multiply(column, self.upper_mw[j] - self.lower_mw[j], out=column)
+            np.add(self.lower_mw[j], column, out=column)
+        return draw
 
     def _moments_mw(self) -> tuple[np.ndarray, np.ndarray]:
         return 0.5 * (self.lower_mw + self.upper_mw), np.diag((self.upper_mw - self.lower_mw) ** 2 / 12.0)
@@ -139,10 +152,14 @@ class MixtureSpec:
         return self.components[0][1].dim
 
     def _draw_mw(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        # Multinomial component assignment via one uniform per sample.
+        # Multinomial component assignment via one uniform per sample:
+        # its label counts the cumulative weights at or below it, all but
+        # the last, which stands for 1.0, above every uniform.
         edges = np.cumsum([w for w, _ in self.components])
-        edges[-1] = 1.0
-        labels = np.searchsorted(edges, rng.random(n), side="right")
+        u = rng.random(n)
+        labels = np.zeros(n, dtype=np.intp)
+        for e in edges[:-1]:
+            labels += e <= u
         out = np.empty((n, self.dim))
         for k, (_, comp) in enumerate(self.components):
             idx = np.flatnonzero(labels == k)

@@ -106,6 +106,42 @@ def test_mixture_multinomial_assignment():
         assert abs(c - n / 3) <= 3 * sigma
 
 
+def broadcast_draw(spec, n, rng):
+    """A spec's draw by whole-array expressions: the mean or lower bound
+    broadcast across each row, mixture labels by np.searchsorted."""
+    if isinstance(spec, GaussianSpec):
+        return spec.mean_mw + rng.standard_normal((n, spec.dim)) @ spec._factor_mw.T
+    if isinstance(spec, UniformBoxSpec):
+        return spec.lower_mw + rng.random((n, spec.dim)) * (spec.upper_mw - spec.lower_mw)
+    edges = np.cumsum([w for w, _ in spec.components])
+    edges[-1] = 1.0
+    labels = np.searchsorted(edges, rng.random(n), side="right")
+    out = np.empty((n, spec.dim))
+    for k, (_, comp) in enumerate(spec.components):
+        idx = np.flatnonzero(labels == k)
+        if idx.size:
+            out[idx] = broadcast_draw(comp, idx.size, rng)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 7, 10_000])
+def test_each_spec_draws_bit_for_bit_what_whole_array_expressions_draw(n):
+    # The specs add and scale one column at a time; each element must
+    # come out as the broadcast expression computes it, in the same
+    # row-major layout.
+    gauss = GaussianSpec(mean_mw=[3.5, -1.25, 0.1], covariance_mw2=[[4.0, 1.0, 0.0], [1.0, 9.0, 2.0], [0.0, 2.0, 1.0]])
+    box = UniformBoxSpec(lower_mw=[-30.0, -7.3, 0.0], upper_mw=[30.0, 11.9, 1e-3])
+    # An unrounded weight and one of zero put equal and uneven edges in
+    # the label search.
+    mixture = MixtureSpec(components=((0.1, gauss), (0.0, box), (0.2, box), (0.7, gauss)))
+    for spec in (gauss, box, mixture, mixture_vc()):
+        for seed in (0, 1, 20_201, 2**63):
+            draw = spec._draw_mw(n, uncertainty._rng(seed))
+            expected = broadcast_draw(spec, n, uncertainty._rng(seed))
+            assert draw.shape == expected.shape and draw.flags.c_contiguous
+            assert draw.tobytes() == expected.tobytes()
+
+
 def test_mixture_moments_match_empirical(rts):
     spec = mixture_vc()
     true = spec_moments(spec, rts)

@@ -76,17 +76,25 @@ def evaluate_in_chunks(p_g, samples, catalog, width=EDGE_WIDTH):
     """evaluate's one-shot count of samples, in chunks of width samples.
 
     A first count finds how many pairs the count sums; _BLOCK_CELLS is
-    then patched to width times that, and the chunks checked.
+    then patched to width times that, and the chunks checked. Pairs
+    decided from the sample totals are not summed in chunks.
     """
-    with mock.patch.object(_kernels, "_sum_and_tally", wraps=_kernels._sum_and_tally) as spy:
+    sum_and_tally = _kernels._sum_and_tally
+    with mock.patch.object(_kernels, "_sum_and_tally", wraps=sum_and_tally) as spy:
         evaluate(p_g, samples, catalog)
     rows = spy.call_args.args[1].size if spy.called else 0
+    widths = []
+
+    def tally(chunks, *args):
+        chunks = list(chunks)
+        widths.extend(columns.shape[1] for columns in chunks)
+        return sum_and_tally(chunks, *args)
+
     with mock.patch.object(_kernels, "_BLOCK_CELLS", max(rows, 1) * width), mock.patch.object(
-        _kernels, "_accumulate", wraps=_kernels._accumulate
-    ) as chunks:
+        _kernels, "_sum_and_tally", tally
+    ):
         report = evaluate(p_g, samples, catalog)
     n = samples.n_samples
-    widths = [call.args[4].shape[1] for call in chunks.call_args_list]
     assert widths == [min(width, n - k) for k in range(0, n, width) if rows]
     return report
 
@@ -286,7 +294,7 @@ def test_input_validation(rts, rts_catalog):
     for samples in (sample_set(np.ones((5, 24))), store):
         with pytest.raises(ValueError, match="shape"):
             evaluate(np.zeros(23), samples, rts_catalog)
-        # g.p of a unit row is read from p: 0 * inf elsewhere would be NaN.
+        # Not finite: the stacked dot products would carry NaN or inf.
         for bad in (np.inf, -np.inf, np.nan):
             p_bad = np.zeros(24)
             p_bad[0] = bad
@@ -562,20 +570,26 @@ def test_dispatch_free_sums_lie_within_the_bound(m, n, coherent, special, seed):
 
 def test_no_degenerate_pair_is_a_candidate_at_solved_dispatches(rts, rts_catalog):
     # A degenerate generator pair has b = 0, limits 0 and no sensitivity,
-    # so its scale is 0. Were those 14 pairs summed, a one-shot count on
-    # the RTS case would sum about twice the pairs it needs.
+    # so its scale is 0. Were those 14 pairs candidates, a one-shot count
+    # on the RTS case would sum about twice the pairs it needs.
     degenerate = np.flatnonzero(rts_catalog.pair_degenerate)
     assert degenerate.size == 14
     samples = sample(gaussian_from_std_corr([9.4, 13.1], 0.2), 5000, seed=5, case=rts)
     store = count_store(samples, rts_catalog)
-    with mock.patch.object(_kernels, "_sum_and_tally", wraps=_kernels._sum_and_tally) as spy:
+    sure_miss_limits, candidates = _kernels._sure_miss_limits, []
+
+    def limits(*args):
+        band, candidate = sure_miss_limits(*args)
+        candidates.append(np.flatnonzero(candidate))
+        return band, candidate
+
+    with mock.patch.object(_kernels, "_sure_miss_limits", limits):
         for s in (0.0, 0.5, 1.5, 2.5):
             p_g = solve_dispatch(rts, rts_catalog, s).p_g
             evaluate(p_g, samples, rts_catalog)
             evaluate(p_g, store, rts_catalog)
-    summed = [call.args[1] for call in spy.call_args_list]
-    assert len(summed) == 8
-    assert not any(np.isin(degenerate, rows).any() for rows in summed)
+    assert len(candidates) == 8 and all(rows.size for rows in candidates)
+    assert not any(np.isin(degenerate, rows).any() for rows in candidates)
 
 
 @settings(max_examples=6, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
@@ -595,6 +609,151 @@ def test_envelope_matches_naive_loop_on_any_dispatch(rts, rts_catalog, s, bus, s
     assert np.array_equal(report.counts, counts)
     assert report.joint_count == joint
     assert report.seed == seed
+
+
+# --- Uniform pairs: one coefficient on every column, decided from each
+# sample's total ---
+
+
+def count_paths(p, samples, catalog):
+    """(uniform, summed): the pairs a one-shot count of samples decides
+    from the sample totals, and those it sums in chunks."""
+    with mock.patch.object(_kernels, "_tally_uniform", wraps=_kernels._tally_uniform) as uniform, mock.patch.object(
+        _kernels, "_sum_and_tally", wraps=_kernels._sum_and_tally
+    ) as summed:
+        evaluate(p, samples, catalog)
+    return (
+        uniform.call_args.args[0].tolist() if uniform.called else [],
+        summed.call_args.args[1].tolist() if summed.called else [],
+    )
+
+
+def test_one_uncertain_column_decides_every_pair_from_the_totals(rts, rts_catalog):
+    # With one column every pair has one coefficient on it, so no pair is
+    # summed in chunks.
+    draw = sample(gaussian_from_std_corr([9.4, 13.1], 0.2), 3000, seed=41, case=rts).draw
+    samples = SampleSet(draw[:, :1] * 3.0, [7], 24)
+    for s in (0.0, 0.8, 2.0):
+        p_g = solve_dispatch(rts, rts_catalog, s).p_g
+        uniform, summed = count_paths(p_g, samples, rts_catalog)
+        assert uniform and not summed
+        report = evaluate(p_g, samples, rts_catalog)
+        counts, joint = naive_violation_counts(p_g, rts_catalog, samples.samples)
+        assert counts.sum() > 0
+        assert np.array_equal(report.counts, counts) and report.joint_count == joint
+
+
+def test_generator_pairs_are_decided_from_the_totals_on_the_rts_case(rts, rts_catalog):
+    # Each generator pair's sensitivity is alpha_i on every bus; line
+    # pairs differ from column to column.
+    samples = sample(gaussian_from_std_corr([9.4, 13.1], 0.2), 4000, seed=8, case=rts)
+    p_g = solve_dispatch(rts, rts_catalog, 0.5).p_g
+    uniform, summed = count_paths(p_g, samples, rts_catalog)
+    kinds = np.array(rts_catalog.pair_kinds)
+    assert uniform and set(kinds[uniform]) == {"gen"} and set(kinds[summed]) == {"line"}
+    report = evaluate(p_g, samples, rts_catalog)
+    counts, joint = naive_violation_counts(p_g, rts_catalog, samples.samples)
+    assert np.array_equal(report.counts, counts) and report.joint_count == joint
+
+
+@_BOUND_SETTINGS
+@given(
+    m=st.integers(1, 6),
+    n=st.one_of(st.integers(2, 80), st.just(SEVERAL_CHUNKS)),
+    special=st.sampled_from(["", "nan", "inf"]),
+    spread=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(m=3, n=SEVERAL_CHUNKS, special="nan", spread=1, seed=1)
+@example(m=2, n=40, special="inf", spread=0, seed=2)
+def test_uniform_pairs_match_the_oracle(m, n, special, spread, seed):
+    # Pairs 0-2 have one coefficient on every column, pair 1 a negative
+    # one; pair 3 has random ones. Some pairs are degenerate: their rows
+    # are counted, but stay out of the joint count.
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.1, 2.0, 3) * np.array([1.0, -1.0, rng.choice([-1.0, 1.0])])
+    sens = np.vstack([np.repeat(a[:, None], m, axis=1), rng.normal(size=(1, m))])
+    g = rng.normal(size=(4, m))
+    p = rng.normal(size=m)
+    xi = rng.normal(scale=rng.choice([1e-6, 1.0, 1e3]), size=(n, m))
+    if special:
+        # In every sample's row but the last: the limits need one finite
+        # sample to sit next to.
+        xi[rng.integers(n - 1), rng.integers(m)] = np.nan if special == "nan" else np.inf
+    limits = limits_at_sums(p, sens, xi, rng, spread, g)
+    catalog = replace(paired_catalog(sens, limits, g), pair_degenerate=rng.random(4) < 0.3)
+    assert_envelope_exact(p, xi, catalog)
+    with np.errstate(all="ignore"):
+        uniform, summed = count_paths(p, sample_set(xi), catalog)
+    if special == "inf":
+        # Every pair sees the infinite column: its band is NaN, so every
+        # pair is a candidate, and each is summed in chunks.
+        assert not uniform and summed == [0, 1, 2, 3]
+    else:
+        # A NaN sample leaves the bound finite, so it keeps no pair from
+        # the totals.
+        assert set(summed) <= {3}
+
+
+def test_a_degenerate_uniform_pair_counts_its_rows_but_not_the_joint():
+    # Pair 1's upper row fires on every sample; pair 0's on those above 0.5.
+    xi = np.linspace(-1.0, 1.0, 41)[:, None] * np.ones((1, 2))
+    catalog = paired_catalog(np.full((2, 2), 0.5), np.array([[0.5, 10.0], [-5.0, 10.0]]))
+    catalog = replace(catalog, pair_degenerate=[False, True])
+    uniform, summed = count_paths(np.zeros(2), sample_set(xi), catalog)
+    assert uniform == [0, 1] and not summed
+    report = assert_envelope_exact(np.zeros(2), xi, catalog)
+    assert report.counts.tolist() == [10, 41, 0, 0] and report.joint_count == 10
+
+
+def test_a_total_that_could_overflow_keeps_a_pair_summed():
+    # The products of sample 0 cancel to 0.0, below the limit, but its
+    # total overflows to inf on the way. Pair 0's sums stay far from
+    # overflow, so only the bound of the total, tails / |a|, tells.
+    xi = np.array([[1.5e308, 1.5e308, -1.5e308, -1.5e308], [1e308, 1e308, 1e308, 1e308]])
+    catalog = paired_catalog(np.full((1, 4), 1e-300), np.array([[1.0, 1e9]]))
+    with np.errstate(over="ignore"):
+        uniform, summed = count_paths(np.zeros(4), sample_set(xi), catalog)
+    assert not uniform and summed == [0]
+    report = assert_envelope_exact(np.zeros(4), xi, catalog)
+    assert report.counts.tolist() == [1, 0]
+
+
+def test_a_subnormal_threshold_keeps_a_pair_summed():
+    # Totals k * 2^-1074 for k = 1..20 against an upper limit at the sum
+    # of k = 10: both thresholds round to 10 * 2^-1074, which cannot tell
+    # the sum at the limit from those past it.
+    xi = np.arange(1.0, 21.0)[:, None] * 2.0**-1074
+    limit = float(1e300 * xi[9, 0])
+    catalog = paired_catalog(np.full((1, 1), 1e300), np.array([[limit, 1e9]]))
+    uniform, summed = count_paths(np.zeros(1), sample_set(xi), catalog)
+    assert not uniform and summed == [0]
+    report = assert_envelope_exact(np.zeros(1), xi, catalog)
+    assert report.counts.tolist() == [10, 0]
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("side", [0, 1])
+@pytest.mark.parametrize("steps", [-1, 0, 1])
+def test_a_sum_on_a_limit_or_an_ulp_from_it_is_resummed(sign, side, steps):
+    # Sample 17's sum sits on the limit of one row, or an ulp to either
+    # side: its total lies between the miss and hit thresholds, so only
+    # its re-sum from the dispatch term decides it.
+    rng = np.random.default_rng(5)
+    xi = rng.normal(size=(50, 3))
+    sens = np.full((1, 3), sign * 0.37)
+    p = np.array([0.6, 0.0, 0.0])
+    acc = pair_sums(p, sens, xi, 17)[0]
+    limits = np.array([[1e3, 1e3]])
+    limits[0, side] = ulps_from(acc if side == 0 else -acc, steps)
+    catalog = paired_catalog(sens, limits)
+    with mock.patch.object(_kernels, "_accumulate", wraps=_kernels._accumulate) as resum, mock.patch.object(
+        _kernels, "_sum_and_tally", wraps=_kernels._sum_and_tally
+    ) as summed:
+        report = evaluate(p, sample_set(xi), catalog)
+    assert not summed.called
+    assert any(acc in call.args[0] for call in resum.call_args_list)
+    assert report.counts.tolist() == assert_envelope_exact(p, xi, catalog).counts.tolist()
 
 
 # --- Chunks: each is tallied with one compare per limit over all its
