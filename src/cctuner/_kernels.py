@@ -56,6 +56,18 @@ is positive for a positive scale, so the margin is strict and the sample
 does not violate the upper row. The lower row is the same argument
 negated: t_lo = fl(fl(lower - b) + delta), and v >= t_lo gives acc >
 lower. A sample with t_lo <= v <= t_up is a sure miss of both rows.
+Rounding is symmetric under negation, so _sure_miss_limits keeps both
+rows in the upper row's form, each a bound on its own sum (acc, and -acc
+for the lower row): c = (fl(upper - b), fl(b - lower)) and band = c -
+delta = (t_up, -t_lo), exactly.
+
+Why c + delta decides a sure hit. The same margin works on the other
+side of the limit: t_hit = fl(c + delta) >= c + delta - u (|c| + delta),
+so a sample with v > t_hit has b + v > upper + delta (1 - u) - 2 u |c| /
+(1 - u), and acc >= b + v - E > upper under the same condition on delta.
+For the lower row, negated, v < fl(fl(lower - b) - delta) gives acc <
+lower. At scale == 0 delta is 0 and the condition fails, but no such
+row is live: b, tails and c are zeros, so hi = lo = 0 lies in the band.
 
 The band is used where 2^-960 <= scale <= 2^1000. Above, a sum could
 overflow; below, delta could underflow and lose its relative bound.
@@ -153,18 +165,23 @@ infinite sample makes tau_j infinite for the column it lies in, since a
 the quotients are NaN, and the pair is summed densely like any
 non-uniform candidate.
 
-Counting. count_violations makes one transposed copy of the samples
-and bounds them. Each live row of a uniform pair takes two compares of
-Omega, with its hit and its miss threshold. The samples past the hit
-threshold are hits; only if more lie past the miss threshold is that
-sliver listed and re-summed. The samples that hit a row of an active
-uniform pair are flagged. Every other candidate has every sample
-summed from b through _sum_and_tally, in chunks that are slices of the
-copy: each chunk holds at most _BLOCK_CELLS (pair, sample) cells and
-_MAX_WIDTH samples. A
-chunk's sums are compared with every upper and every lower limit in two
-whole-chunk compares, strict ones, which a NaN sum fails, and the
-chunk's flags are ORed into its joint reduce. Pairs that are not
+Counting. count_violations reads the samples as (columns x samples):
+for a column-major xi, as a SampleSet keeps its draw, that is xi.T
+itself, not a copy. It bounds them. Each live row of a uniform pair
+takes two compares of Omega, with its hit and its miss threshold. The
+samples past the hit threshold are hits; only if more lie past the miss
+threshold is that sliver listed and re-summed. The samples that hit a
+row of an active uniform pair are flagged. Every other candidate has
+every sample summed from b through _sum_and_tally, in chunks that are
+slices of the columns: each chunk holds at most _BLOCK_CELLS (pair,
+sample) cells and _MAX_WIDTH samples. A chunk's sums are compared with
+the upper limits in one whole-chunk compare if some candidate's upper
+row is live, and with the lower limits in another if some lower row
+is: strict compares, which a NaN sum fails. A row that is not live has
+no hit, so comparing it with the others changes no count, and a side
+no candidate has live is not compared at all (every dense candidate of
+64 score benchmark ops had only its lower row live). The chunk's flags
+are ORed into its joint reduce. Pairs that are not
 candidates have no hits, so per-row counts and the joint count are
 bit-identical to a sum over every (sample, pair) cell.
 
@@ -172,20 +189,29 @@ Reused sample sets
 ------------------
 A tuner counts one sample set against one catalog at every iterate, and
 only the dispatch term b changes between those counts. A CountStore
-holds what does not: the transposed copy of the whole set, its bound,
-and, for each pair that has ever been a candidate, the v of every
-sample. A count takes the band and the candidates as above, fills v for
-each candidate not yet filled, and re-sums through _sum_and_tally only
-the samples whose v lies outside the band of some filled pair, for all
-filled pairs. The band holds for any pair, so a filled pair that is no
-candidate at this dispatch is tested like the others, and pairs never
-filled are no candidates now. A store sums uniform pairs like any
-other. So the counts are those of the one-shot count, bit for bit.
+holds what does not: the columns of the whole set (a view of a
+column-major draw), their bound, and, for each pair that has ever been
+a candidate, the v of every sample, filled for all of a count's new
+candidates in one _accumulate. Each pair's sums are kept toward the row
+that was live when they were filled, negated where its lower row alone
+was, so that one compare of the stored sums tests that row.
+
+A count takes the band and the candidates as above. Each filled pair
+then decides, from its stored sums, every sample that lies in its band
+on a live row (a sure miss) or beyond c + delta (a sure hit); a row
+that is not live has no hit, and a pair that is no candidate has no
+live row. The sure hits give the per-row and the joint counts. Only the
+samples that some row leaves undecided, a sum within about delta of a limit
+or a NaN sum, are summed again from b through _sum_and_tally, for
+every candidate, in place of their sure hits. A store sums
+uniform pairs like any other. So the counts are those of the one-shot
+count, bit for bit.
 
 The sums cost 8 bytes per sample for each pair that was ever a
 candidate. They are filled once per store, and each later count reads
-them with two comparisons and re-sums only the samples it cannot clear:
-those near or beyond a limit.
+them with two compares per row side it tests, and re-sums only the
+samples those leave undecided: in none of the 2,344 store counts of 240
+tune benchmark ops (seeds 71 and 5).
 """
 
 from __future__ import annotations
@@ -207,8 +233,9 @@ _SCALE_FLOOR = 2.0**-960
 # Smallest normal float: a quotient larger in magnitude erred by at most
 # u relative.
 _NORMAL_MIN = 2.0**-1022
-# Sign that moves each (upper, lower) limit toward the pair's inside.
-_TOWARD_INSIDE = np.array([-1.0, 1.0])
+# Sign that reads each (upper, lower) limit as a bound on the pair's sum:
+# acc <= limits[c, 0] and -acc <= limits[c, 1].
+_SIGN = np.array([1.0, -1.0])
 # Pairs a count store sizes its buffers for at first. About 10 of the
 # RTS case's 62 pairs ever become candidates in a tune, and buffers
 # sized once kept the tune benchmark's peak RSS lower than buffers
@@ -236,7 +263,8 @@ def _accumulate(acc, prod, start, sens_cols, columns):
 
 
 def _bound(sens_t, columns):
-    """(hi, lo, tails) of each pair over a sample set (module docstring).
+    """(reach, tails) of each pair over a sample set (module docstring):
+    reach is (n_pairs, 2), each pair's (hi, -lo).
 
     sens_t: (m, n_pairs) sensitivities, one row per active column.
     columns: (m, n) the samples of those columns.
@@ -251,49 +279,48 @@ def _bound(sens_t, columns):
         lo += s_j
     largest = np.maximum(np.abs(xmax), np.abs(xmin))
     tails = np.sum(np.abs(sens_t) * largest, axis=0)
-    return hi, lo, tails
+    return np.stack([hi, -lo], axis=1), tails
 
 
-def _margins(base, upper, lower, m, tails):
-    """(c, delta), each (n_pairs, 2): every (upper, lower) limit less the
-    dispatch term, and the band's margin, NaN where the band proves
-    nothing (module docstring)."""
-    c = np.stack([upper - base, lower - base], axis=1)
-    scale = (np.abs(base) + tails)[:, None] + np.abs(c)
-    exact = (scale <= _SCALE_CAP) & ((scale >= _SCALE_FLOOR) | (scale == 0.0))
-    return c, np.where(exact, (4 * (m + 2) * _UNIT_ROUNDOFF) * scale, np.nan)
+def _sure_miss_limits(base, limits, m, bound):
+    """(c, delta, band, live), each (n_pairs, 2), of the upper and the
+    lower row of each pair, each row read as a bound on its own sum, acc
+    for the upper row and -acc for the lower (module docstring).
 
-
-def _sure_miss_limits(base, upper, lower, m, bound):
-    """(band, candidate) of each pair, from its bound (module docstring).
-
-    band is (n_pairs, 2): a sample whose dispatch-free sum v has
-    band[c, 1] <= v <= band[c, 0] violates neither row of pair c, and a
-    NaN band clears nothing. candidate marks the pairs whose [lo, hi]
-    does not lie in their band.
+    c is each limit less the row's dispatch term, (upper - b, b - lower).
+    delta is the band's margin, NaN where the band proves nothing. band
+    is c - delta, that is (t_up, -t_lo): a sample whose dispatch-free
+    sum v has v <= band[c, 0] and -v <= band[c, 1] violates neither row
+    of pair c, and a NaN band clears nothing. live marks the rows whose
+    side of [lo, hi] leaves the band; a pair with a live row is a
+    candidate.
     """
-    hi, lo, tails = bound
-    c, delta = _margins(base, upper, lower, m, tails)
-    band = c + _TOWARD_INSIDE * delta
-    return band, ~((hi <= band[:, 0]) & (lo >= band[:, 1]))
+    reach, tails = bound
+    c = limits - np.multiply.outer(base, _SIGN)
+    scale = np.abs(c)
+    scale += (np.abs(base) + tails)[:, None]
+    exact = (scale <= _SCALE_CAP) & ((scale >= _SCALE_FLOOR) | (scale == 0.0))
+    delta = np.where(exact, (4 * (m + 2) * _UNIT_ROUNDOFF) * scale, np.nan)
+    band = c - delta
+    return c, delta, band, ~(reach <= band)
 
 
-def _uniform_pairs(base, upper, lower, sens_t, bound, band, candidate):
-    """(pairs, live, thresholds): the uniform candidates, decided from
-    the sample totals ("Uniform pairs" in the module docstring).
+def _uniform_pairs(c, delta, band, live, sens_t, tails, candidate):
+    """(pairs, thresholds): the uniform candidates, decided from the
+    sample totals ("Uniform pairs" in the module docstring), from
+    _sure_miss_limits' (c, delta, band, live).
 
-    live is (n_pairs, 2): the rows whose side of [lo, hi] leaves the
-    band. thresholds is (2, n_pairs, 2): the band, then each limit moved
+    thresholds is (2, n_pairs, 2): the band, then each limit moved
     outward by delta, over each pair's first coefficient; the miss and
-    the hit threshold of each row, in units of the total.
+    the hit threshold of each row, in units of the total, as bounds on
+    acc itself: (t_up, t_lo) and (c_up + delta, c_lo - delta) over a,
+    where the lower row's numerators are those of band and c + delta
+    negated, and so divided by -a.
     """
     if len(sens_t) == 0:
-        return np.empty(0, dtype=np.int64), None, None
-    hi, lo, tails = bound
+        return np.empty(0, dtype=np.int64), None
     a = sens_t[0]
-    live = np.stack([~(hi <= band[:, 0]), ~(lo >= band[:, 1])], axis=1)
-    c, delta = _margins(base, upper, lower, len(sens_t), tails)
-    thresholds = np.stack([band, c - _TOWARD_INSIDE * delta]) / a[:, None]
+    thresholds = np.stack([band, c + delta]) / np.multiply.outer(a, _SIGN)
     size = np.abs(thresholds)
     safe = np.all((size > _NORMAL_MIN) & (size < np.inf), axis=0)
     uniform = (
@@ -303,7 +330,7 @@ def _uniform_pairs(base, upper, lower, sens_t, bound, band, candidate):
         & (tails / np.abs(a) <= _SCALE_CAP)
         & np.all(safe | ~live, axis=1)
     )
-    return np.flatnonzero(uniform), live, thresholds
+    return np.flatnonzero(uniform), thresholds
 
 
 def _total(columns):
@@ -317,7 +344,7 @@ def _total(columns):
     return omega
 
 
-def _tally_uniform(pairs, live, thresholds, columns, base, sens_t, upper, lower, active):
+def _tally_uniform(pairs, live, thresholds, columns, base, sens_t, limits, active):
     """(counts, flagged) of the uniform pairs: each row's hits, and which
     samples hit a row of an active one (module docstring)."""
     omega = _total(columns)
@@ -340,7 +367,7 @@ def _tally_uniform(pairs, live, thresholds, columns, base, sens_t, upper, lower,
                 sliver = np.flatnonzero(beyond & ~hits)
                 acc, prod = np.empty((2, sliver.size))
                 _accumulate(acc, prod, base[c], sens_t[:, c], columns[:, sliver])
-                hits[sliver] = acc > upper[c] if side == 0 else acc < lower[c]
+                hits[sliver] = acc > limits[c, 0] if side == 0 else acc < -limits[c, 1]
                 count = np.count_nonzero(hits)
             counts[c, side] = count
             if active[c]:
@@ -353,21 +380,27 @@ def _width(n_rows):
     return min(max(_BLOCK_CELLS // n_rows, 1), _MAX_WIDTH)
 
 
-def _sum_and_tally(chunks, rows, base, sens_t, upper, lower, active, work, flagged=None):
+def _sum_and_tally(chunks, rows, live, base, sens_t, limits, active, work, flagged=None):
     """(counts, joint) of the pairs rows over the samples of chunks.
 
     Each chunk is (m, width) samples of the active columns, at most
     _width(len(rows)) wide. Its sums start at base and add the products
     in _accumulate's order; work is (2, >= len(rows) * width) scratch.
-    Every sum is compared with both limits of its pair, and a row's
-    count in a chunk is summed in uint16, whose sum numpy runs fastest.
-    flagged, if given, marks the samples already hit, in chunk order;
-    they count toward joint.
+    Every sum is compared with its pair's limit on each side that some
+    of rows has live, in one whole-chunk compare per side; a side no
+    row has live is not compared, as a row that is not live has no hit.
+    A row's count in a chunk is summed in uint16, whose sum numpy runs
+    fastest. flagged, if given, marks the samples already hit, in chunk
+    order; they count toward joint.
     """
     counts = np.zeros((base.shape[0], 2), dtype=np.int64)
     joint = done = 0
-    start, sens_cols = base[rows, None], sens_t[:, rows, None]
-    upper_rows, lower_rows, active_rows = upper[rows, None], lower[rows, None], active[rows]
+    start, sens_cols, active_rows = base[rows, None], sens_t[:, rows, None], active[rows]
+    compares = [
+        (side, compare, limit)
+        for side, compare, limit in ((0, np.greater, limits[rows, :1]), (1, np.less, -limits[rows, 1:]))
+        if live[rows, side].any()
+    ]
     hits = np.empty(work.shape, dtype=bool)
     for columns in chunks:
         shape = (rows.size, columns.shape[1])
@@ -375,11 +408,11 @@ def _sum_and_tally(chunks, rows, base, sens_t, upper, lower, active, work, flagg
         acc = _accumulate(
             work[0, :size].reshape(shape), work[1, :size].reshape(shape), start, sens_cols, columns
         )
-        over = np.greater(acc, upper_rows, out=hits[0, :size].reshape(shape))
-        under = np.less(acc, lower_rows, out=hits[1, :size].reshape(shape))
-        counts[rows, 0] += over.sum(axis=1, dtype=np.uint16)
-        counts[rows, 1] += under.sum(axis=1, dtype=np.uint16)
-        hit = np.logical_or(over, under, out=over)
+        for side, compare, limit in compares:
+            hit = compare(acc, limit, out=hits[side, :size].reshape(shape))
+            counts[rows, side] += hit.sum(axis=1, dtype=np.uint16)
+        if len(compares) == 2:
+            hit = np.logical_or(hits[0, :size], hits[1, :size], out=hits[0, :size]).reshape(shape)
         joint_hit = np.logical_or.reduce(hit[active_rows], axis=0)
         if flagged is not None:
             joint_hit |= flagged[done : done + shape[1]]
@@ -392,78 +425,131 @@ class CountStore:
     """One sample set's dispatch-free counting state for one catalog.
 
     count_violations accepts a store in place of the samples, with the
-    very sens array it was built from, and counts bit for bit as from
-    the samples (see "Reused sample sets"). Building it copies the
-    samples, transposed, and bounds the whole set once; each pair's sums
-    are kept from the first count in which the pair is a candidate.
+    very sens and limits arrays it was built from, and counts bit for
+    bit as from the samples (see "Reused sample sets"). Building it
+    takes the sample columns, transposed (a view of a column-major
+    draw, not a copy), and bounds the whole set once; each pair's sums
+    are kept from the first count in which the pair is a candidate, and
+    a count decides its samples from them, compared on live rows only.
 
     sens: (n_pairs, n_buses) sensitivity of each upper row to each bus.
+    limits: (n_pairs, 2) right-hand sides of the upper and lower rows.
     xi: (n_samples, k) samples of the columns cols.
     cols: k ascending int64 indices of the columns of sens to accumulate.
     seed: the seed of the sample set, carried for reports.
     """
 
-    def __init__(self, sens, xi, cols, seed=None):
-        self.sens = sens
-        self.cols = cols
-        self.seed = seed
-        self.shape = xi.shape
-        n_pairs, n = sens.shape[0], xi.shape[0]
+    def __init__(self, sens, limits, xi, cols, seed=None):
+        self.sens, self.limits, self.cols, self.seed = sens, limits, cols, seed
+        self.n_samples = xi.shape[0]
         self._sens_t = np.ascontiguousarray(sens[:, cols].T)
         self._columns = np.ascontiguousarray(xi.T)
         with np.errstate(invalid="ignore", over="ignore"):
             self._bound = _bound(self._sens_t, self._columns)
-        # Row r of _sums holds the sums of pair _slot_pair[r]; rows are
-        # taken in the order pairs first become candidates.
-        self._slot_pair = np.empty(n_pairs, dtype=np.int64)
-        self._filled = np.zeros(n_pairs, dtype=bool)
+        # Row _slot[c] of _sums holds the sums of pair c, -1 until it is
+        # filled; rows are taken in the order pairs first become
+        # candidates. _slot_sides[r] holds the flat indices, into an
+        # (n_pairs, 2) array, of the side row r's sums are kept toward
+        # and of the other side.
+        n_pairs = sens.shape[0]
+        self._slot = np.full(n_pairs, -1)
+        self._slot_sides = np.empty((n_pairs, 2), dtype=np.int64)
         self._n_filled = 0
-        self._prod = np.empty(n)
         self._grow(min(n_pairs, _STORE_ROWS))
 
     def _grow(self, rows):
         """Size every buffer for rows filled pairs, keeping the sums."""
-        n = self._prod.shape[0]
+        n = self.n_samples
         sums = np.empty((rows, n))
         if self._n_filled:
             sums[: self._n_filled] = self._sums[: self._n_filled]
         self._sums = sums
-        self._miss = np.empty((rows, n), dtype=bool)
-        self._over_lower = np.empty((rows, n), dtype=bool)
-        # The largest chunk _width gives for up to rows pairs.
-        self._work = np.empty((2, min(rows * n, max(_BLOCK_CELLS, rows))))
+        # Per side: decided samples, then sure hits.
+        self._masks = np.empty((2, 2, rows, n), dtype=bool)
 
-    def _fill(self, pair):
-        row = self._n_filled
-        if row == self._sums.shape[0]:
-            self._grow(min(2 * row, len(self._filled)))
-        _accumulate(self._sums[row], self._prod, 0.0, self._sens_t[:, pair], self._columns)
-        self._slot_pair[row] = pair
-        self._filled[pair] = True
-        self._n_filled += 1
+    def _fill(self, pairs, live):
+        """Sum the samples of every pair of pairs, in one _accumulate, and
+        keep each pair's sums toward the side that is live: negated where
+        its lower row alone is."""
+        f, k = self._n_filled, pairs.size
+        if f + k > self._sums.shape[0]:
+            self._grow(min(max(2 * self._sums.shape[0], f + k), self._slot.size))
+        sums = self._sums[f : f + k]
+        _accumulate(sums, np.empty((k, self.n_samples)), 0.0, self._sens_t[:, pairs, None], self._columns)
+        lower = live[pairs, 1] & ~live[pairs, 0]
+        np.negative(sums, out=sums, where=lower[:, None])
+        self._slot[pairs] = np.arange(f, f + k)
+        self._slot_sides[f : f + k] = 2 * pairs[:, None] + np.where(lower[:, None], [1, 0], [0, 1])
+        self._n_filled = f + k
 
-    def count(self, base, sens, upper, lower, active):
-        """count_violations of the stored samples; lower is -limits[:, 1]."""
+    def _decide(self, c, delta, band, live, active):
+        """(counts, joint, undecided): the hits that the stored sums decide,
+        and the samples they leave undecided, which hold no counted hit.
+
+        A row decides a sample that lies in its band (a sure miss) or
+        beyond c + delta (a sure hit), or that it cannot hit, on a side
+        that is not live. Every filled pair is tested on both its sides,
+        as the sums are kept (toward the stored side, then, negated,
+        toward the other); a pair that is no candidate has no live side.
+        """
+        f = self._n_filled
+        sums, masks = self._sums[:f], self._masks[:, :, :f]
+        sides = self._slot_sides[:f]
+        # Each row's miss and hit threshold per side, inf where the side
+        # is not live, which no sum but NaN fails and none exceeds.
+        miss_at = np.where(live, band, np.inf).take(sides)
+        hit_at = np.where(live, c + delta, np.inf).take(sides)
+        decided, hits = masks[0]
+        np.less_equal(sums, miss_at[:, :1], out=decided)
+        decided |= np.greater(sums, hit_at[:, :1], out=hits)
+        # The other side of some row is live: -sum <= band, -sum > c + delta.
+        other = bool(np.not_equal(miss_at[:, 1], np.inf).any())
+        if other:
+            decided_other, hits_other = masks[1]
+            np.greater_equal(sums, -miss_at[:, 1:], out=decided_other)
+            decided_other |= np.less(sums, -hit_at[:, 1:], out=hits_other)
+            decided &= decided_other
+        undecided = np.flatnonzero(~np.logical_and.reduce(decided, axis=0))
+        hit_sides = masks[: 1 + other, 1]
+        if undecided.size:
+            hit_sides[:, :, undecided] = False
+        counts = np.zeros(2 * self.sens.shape[0], dtype=np.int64)
+        dtype = np.uint16 if self.n_samples <= _MAX_WIDTH else np.int64
+        for side, side_hits in zip(sides.T, hit_sides):
+            counts[side] = np.add.reduce(side_hits, axis=1, dtype=dtype)
+        slot_active = active[sides[:, 0] // 2]
+        if not np.logical_and.reduce(slot_active):
+            hit_sides = hit_sides[:, slot_active]
+        joint_hit = np.logical_or.reduce(hit_sides, axis=(0, 1))
+        return counts.reshape(-1, 2), int(np.count_nonzero(joint_hit)), undecided
+
+    def count(self, base, sens, limits, active):
+        """count_violations of the stored samples."""
         if sens is not self.sens:
             raise ValueError("count store was built for other sensitivities")
+        if limits is not self.limits:
+            raise ValueError("count store was built for other limits")
         with np.errstate(invalid="ignore", over="ignore"):
-            band, candidate = _sure_miss_limits(base, upper, lower, len(self.cols), self._bound)
-            if not candidate.any():
+            c, delta, band, live = _sure_miss_limits(base, limits, len(self.cols), self._bound)
+            pairs = np.flatnonzero(np.logical_or.reduce(live, axis=1))
+            if pairs.size == 0:
                 return np.zeros((base.shape[0], 2), dtype=np.int64), 0
-            for pair in np.flatnonzero(candidate & ~self._filled):
-                self._fill(pair)
-            f = self._n_filled
-            rows = self._slot_pair[:f]
-            sums = self._sums[:f]
-            miss = np.less_equal(sums, band[rows, :1], out=self._miss[:f])
-            miss &= np.greater_equal(sums, band[rows, 1:], out=self._over_lower[:f])
-            near = np.flatnonzero(~np.logical_and.reduce(miss, axis=0))
-            width = _width(f)
+            new = pairs[self._slot[pairs] < 0]
+            if new.size:
+                self._fill(new, live)
+            counts, joint, undecided = self._decide(c, delta, band, live, active)
+            if undecided.size == 0:
+                return counts, joint
+            # Every live row of every candidate is summed again on the
+            # undecided samples, from the dispatch term.
+            width = _width(pairs.size)
             chunks = (
-                np.take(self._columns, near[start : start + width], axis=1)
-                for start in range(0, near.size, width)
+                np.take(self._columns, undecided[start : start + width], axis=1)
+                for start in range(0, undecided.size, width)
             )
-            return _sum_and_tally(chunks, rows, base, self._sens_t, upper, lower, active, self._work)
+            work = np.empty((2, pairs.size * min(undecided.size, width)))
+            tallied, tallied_joint = _sum_and_tally(chunks, pairs, live, base, self._sens_t, limits, active, work)
+            return counts + tallied, joint + tallied_joint
 
 
 def count_violations(base, sens, limits, xi, cols, active):
@@ -477,25 +563,27 @@ def count_violations(base, sens, limits, xi, cols, active):
     sens: (n_pairs, m) sensitivity of each upper row to each bus.
     limits: (n_pairs, 2) right-hand sides of the upper and lower rows.
     xi: (n_samples, k) samples of the columns cols, or a CountStore built
-        from this very sens array, which then uses its own samples.
+        from these very sens and limits arrays, which then uses its own
+        samples.
     cols: k ascending int64 indices of the columns of sens to accumulate.
     active: (n_pairs,) bool mask of pairs whose rows count toward the
         joint hit.
 
     Returns (counts, joint): int64 violation counts of shape (n_pairs, 2),
     and the number of samples violating a row of an active pair. The
-    samples are copied once, transposed, as (columns x samples), and
+    samples are read as (columns x samples), which for a column-major xi,
+    as a SampleSet keeps its draw, is xi.T itself and not a copy, and
     bounded as a whole. Only the pairs whose bound leaves their sure-miss
-    band are counted. Those with one coefficient on every column are
-    decided from each sample's total, and only the samples too near a
-    limit for the total to decide are summed. The others are
-    accumulated, about _BLOCK_CELLS cells at a time, into a (pairs x
-    samples) buffer, column by column in ascending order, and each
-    chunk's sums are compared with both limits of their pairs.
+    band are counted, and of those only the live rows. Pairs with one
+    coefficient on every column are decided from each sample's total,
+    and only the samples too near a limit for the total to decide are
+    summed. The others are accumulated, about _BLOCK_CELLS cells at a
+    time, into a (pairs x samples) buffer, column by column in ascending
+    order, and each chunk's sums are compared with the live limits of
+    their pairs.
     """
-    upper, lower = limits[:, 0], -limits[:, 1]
     if isinstance(xi, CountStore):
-        return xi.count(base, sens, upper, lower, active)
+        return xi.count(base, sens, limits, active)
     sens_t = np.ascontiguousarray(sens[:, cols].T)
     columns = np.ascontiguousarray(xi.T)
     # 0 * inf, overflow and the thresholds of pairs with a zero coefficient
@@ -503,22 +591,21 @@ def count_violations(base, sens, limits, xi, cols, active):
     # so numpy need not warn about them.
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         bound = _bound(sens_t, columns)
-        band, candidate = _sure_miss_limits(base, upper, lower, len(cols), bound)
+        c, delta, band, live = _sure_miss_limits(base, limits, len(cols), bound)
+        candidate = np.logical_or.reduce(live, axis=1)
         if not candidate.any():
             return np.zeros((base.shape[0], 2), dtype=np.int64), 0
-        pairs, live, thresholds = _uniform_pairs(base, upper, lower, sens_t, bound, band, candidate)
+        pairs, thresholds = _uniform_pairs(c, delta, band, live, sens_t, bound[1], candidate)
         if pairs.size:
-            counts, flagged = _tally_uniform(
-                pairs, live, thresholds, columns, base, sens_t, upper, lower, active
-            )
+            counts, flagged = _tally_uniform(pairs, live, thresholds, columns, base, sens_t, limits, active)
             candidate[pairs] = False
         else:
             counts, flagged = np.zeros((base.shape[0], 2), dtype=np.int64), None
-        rows = np.flatnonzero(candidate)
-        if rows.size == 0:
+        if not candidate.any():
             return counts, int(np.count_nonzero(flagged))
+        rows = np.flatnonzero(candidate)
         n, width = columns.shape[1], _width(rows.size)
         chunks = (columns[:, start : start + width] for start in range(0, n, width))
         work = np.empty((2, rows.size * min(n, width)))
-        tallied, joint = _sum_and_tally(chunks, rows, base, sens_t, upper, lower, active, work, flagged)
+        tallied, joint = _sum_and_tally(chunks, rows, live, base, sens_t, limits, active, work, flagged)
         return counts + tallied, joint

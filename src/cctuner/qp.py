@@ -394,7 +394,7 @@ class ParametricProgram:
         if sol is None and self._segments:
             # The segment holding s, else the one whose edge is nearest.
             nearest = min(self._segments.values(), key=lambda seg: max(seg.lo - s, s - seg.hi))
-            sol, start = self.walk(nearest, s), "segment"
+            sol, start = self.walk(nearest, s, h), "segment"
         if sol is None:
             sol, start = solve(p, q, a, b, g, h), "cold"
         if start == "cold" or sol.status == "infeasible":
@@ -495,14 +495,13 @@ class ParametricProgram:
             (lo, lo_row), (hi, hi_row) = _ends(f, s)
         return Segment(on.copy(), float(s), x, y, z, lo, hi, (lo_row, hi_row))
 
-    def walk(self, seg, s) -> QpSolution | None:
+    def walk(self, seg, s, h) -> QpSolution | None:
         """The certified solution at s, walked to from seg (see _walk):
         the point at s of the segment that holds s, or 'infeasible' if
-        the ray where the path ends separates at h(s). Its iterations
+        the ray where the path ends separates at h = h(s). Its iterations
         count the swaps. None where the walk stops or the point fails
         the test: the caller then solves cold."""
         p, q, a, b, g = self.arrays
-        h = self.h0 + s * self.dh
         end, swaps = self._walk(seg, s)
         if isinstance(end, Segment):
             x, y, z = end.at(s)

@@ -19,7 +19,7 @@ rescaling the MW-based coefficients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -228,28 +228,41 @@ class DispatchSolution:
     p_g is the full-length nodal dispatch (pu, exact zeros at pinned
     buses); objective is the dispatch-dependent cost in $ (quadratic
     plus linear terms; the constant no-load offsets cannot influence the
-    argmin and stay out of reported costs). The attached QpSolution
-    holds the duals, the working set (active) and any infeasibility
-    certificate in full catalog indexing, and the KKT residuals that
-    certified the program qp.solve was given, without the pinned buses.
-    qp_start says how the status was decided: "segment" (a segment of
-    the parametric path, looked up or walked to; the solution's
-    iterations count the swaps walked, 0 for a lookup), "certificate"
-    (an earlier Farkas certificate, or the ray handed over with the
-    s = 0 solution, rechecked at this s) or "cold"
-    (qp.solve; at s = 0 the program's cold solution there, whether it
-    solved it or started from it).
+    argmin and stay out of reported costs). iterations and kkt_residuals
+    are those of the program qp solved, without the pinned buses: the
+    residuals certified it. qp_solution holds the duals, the working set
+    (active) and any infeasibility certificate in full catalog indexing;
+    it is built on its first read and kept. qp_start says how the status
+    was decided: "segment" (a segment of the parametric path, looked up
+    or walked to; iterations counts the swaps walked, 0 for a lookup),
+    "certificate" (an earlier Farkas certificate, or the ray handed over
+    with the s = 0 solution, rechecked at this s) or "cold" (qp.solve;
+    at s = 0 the program's cold solution there, whether it solved it or
+    started from it).
     """
 
     status: str
     p_g: np.ndarray
     objective: float
-    qp_solution: qp.QpSolution
     qp_start: str
+    _solved: qp.QpSolution = field(repr=False)
+    _program: DispatchProgram = field(repr=False)
 
     @property
     def feasible(self) -> bool:
         return self.status == "optimal"
+
+    @property
+    def iterations(self) -> int:
+        return self._solved.iterations
+
+    @property
+    def kkt_residuals(self) -> tuple[float, float, float, float]:
+        return self._solved.kkt_residuals
+
+    @cached_property
+    def qp_solution(self) -> qp.QpSolution:
+        return self._program._inflate(self._solved, self.p_g, self.objective)
 
 
 class DispatchProgram:
@@ -313,7 +326,7 @@ class DispatchProgram:
         stationarity, and their rows are never in the working set."""
         if not (s >= 0.0 and math.isfinite(s)):
             raise ValueError(f"safety parameter must be finite and nonnegative, got {s}")
-        return self._inflate(*self._path.solve(s))
+        return self._dispatch(*self._path.solve(s))
 
     def s0(self):
         """See qp.ParametricProgram.s0."""
@@ -323,13 +336,20 @@ class DispatchProgram:
         """See qp.ParametricProgram.start_from."""
         return self._path.start_from(s0)
 
-    def _inflate(self, sol: qp.QpSolution, qp_start: str) -> DispatchSolution:
+    def _dispatch(self, sol: qp.QpSolution, qp_start: str) -> DispatchSolution:
+        p_g = np.zeros(self.case.n_buses)
+        if sol.optimal:
+            p_g[self._free] = sol.x
+        return DispatchSolution(sol.status, p_g, sol.objective if sol.optimal else np.inf, qp_start, sol, self)
+
+    def _inflate(self, sol: qp.QpSolution, p_g: np.ndarray, objective: float) -> qp.QpSolution:
+        """sol, solved without the pinned buses, in full length and
+        catalog indexing, at p_g and objective."""
         n, pinned, live = self.case.n_buses, self._pinned, self._live
-        p_g, y, z, active = np.zeros(n), np.zeros(1), np.zeros(len(self.catalog)), live.copy()
+        y, z, active = np.zeros(1), np.zeros(len(self.catalog)), live.copy()
         active[live] = sol.active
         certificate = sol.certificate
         if sol.optimal:
-            p_g[self._free] = sol.x
             y = sol.y
             z[live] = sol.z
             # Stationarity at a pinned bus i must close over everything
@@ -345,9 +365,7 @@ class DispatchProgram:
             inequality_dual = np.zeros(len(self.catalog))
             inequality_dual[live] = certificate["inequality_dual"]
             certificate = {**certificate, "inequality_dual": inequality_dual}
-        objective = sol.objective if sol.optimal else np.inf
-        full = replace(sol, x=p_g, objective=objective, y=y, z=z, active=active, certificate=certificate)
-        return DispatchSolution(sol.status, p_g, objective, full, qp_start)
+        return replace(sol, x=p_g, objective=objective, y=y, z=z, active=active, certificate=certificate)
 
 
 # One slot: a process works on one case at a time. A GridCase is frozen

@@ -183,8 +183,9 @@ def bisect_tune(
 ) -> TuningResult:
     """Bisect s on [bounds] against the empirical violation probability.
 
-    solve_at(s) must return an object with status, objective, p_g, qp_start
-    and qp_solution (with status, iterations and kkt_residuals) attributes.
+    solve_at(s) must return an object with status, objective, p_g,
+    qp_start, iterations and kkt_residuals attributes, as a
+    DispatchSolution has.
     evaluate_at(s, solution) must return the pair of exact observed
     frequencies (eps_single, eps_joint). A midpoint whose solve
     is certified infeasible contracts the upper end of the bracket, since
@@ -213,8 +214,7 @@ def bisect_tune(
         solve_s = time.perf_counter() - started
         if solution.status not in ("optimal", "infeasible"):
             raise TuningError(f"QP solve at s={s_k:.6g} ended with status {solution.status!r}")
-        qp_sol = solution.qp_solution
-        qp_run = (qp_sol.status, solution.qp_start, qp_sol.iterations, max(qp_sol.kkt_residuals))
+        qp_run = (solution.status, solution.qp_start, solution.iterations, max(solution.kkt_residuals))
         if solution.status == "infeasible":
             trace.append(
                 TuningIterate(iteration, s_k, bracket, False, None, None, None, *qp_run, solve_s, 0.0)
@@ -313,7 +313,7 @@ def tune(
     raises TuningError if it is not conservative.
     """
     store = count_store(samples, catalog)
-    n = store.shape[0]
+    n = store.n_samples
     if config.gamma > 0 and config.gamma < Fraction(1, int(n)):
         warnings.warn(
             f"gamma={float(config.gamma):g} is below the sample resolution 1/{n}; "

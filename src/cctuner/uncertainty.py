@@ -82,11 +82,12 @@ class GaussianSpec:
 
     def _draw_mw(self, n: int, rng: np.random.Generator) -> np.ndarray:
         draw = rng.standard_normal((n, self.dim)) @ self._factor_mw.T
-        # mean + draw one column at a time: numpy's inner loop then runs
-        # down the n samples, not across the few buses. Into a new array,
-        # as the broadcast did: adding in place measured 0.9 MB more peak
-        # RSS on the score benchmark, from how the allocator reuses memory.
-        out = np.empty_like(draw)
+        # mean + draw one column at a time, into a column-major array (see
+        # SampleSet): numpy's inner loop then runs down the n samples, not
+        # across the few buses. Into a new array, as the broadcast did:
+        # adding in place measured 0.9 MB more peak RSS on the score
+        # benchmark, from how the allocator reuses memory.
+        out = np.empty(draw.shape, order="F")
         for j in range(self.dim):
             np.add(self.mean_mw[j], draw[:, j], out=out[:, j])
         return out
@@ -118,10 +119,11 @@ class UniformBoxSpec:
     def _draw_mw(self, n: int, rng: np.random.Generator) -> np.ndarray:
         draw = rng.random((n, self.dim))
         # lower + u * (upper - lower), a column at a time (see GaussianSpec).
-        for j, column in enumerate(draw.T):
-            np.multiply(column, self.upper_mw[j] - self.lower_mw[j], out=column)
+        out = np.empty(draw.shape, order="F")
+        for j, column in enumerate(out.T):
+            np.multiply(draw[:, j], self.upper_mw[j] - self.lower_mw[j], out=column)
             np.add(self.lower_mw[j], column, out=column)
-        return draw
+        return out
 
     def _moments_mw(self) -> tuple[np.ndarray, np.ndarray]:
         return 0.5 * (self.lower_mw + self.upper_mw), np.diag((self.upper_mw - self.lower_mw) ** 2 / 12.0)
@@ -160,7 +162,7 @@ class MixtureSpec:
         labels = np.zeros(n, dtype=np.intp)
         for e in edges[:-1]:
             labels += e <= u
-        out = np.empty((n, self.dim))
+        out = np.empty((n, self.dim), order="F")
         for k, (_, comp) in enumerate(self.components):
             idx = np.flatnonzero(labels == k)
             if idx.size:
@@ -194,9 +196,12 @@ class SampleSet:
 
     Column j of the (n, k) draw is nodal column uncertain_columns[j];
     every other of the n_buses columns is exactly zero, and samples
-    builds that nodal matrix on request. The columns must be strictly
-    ascending integers below n_buses, one per draw column (ValueError
-    otherwise). seed is None for a set not drawn by sample().
+    builds that nodal matrix on request. The draw is kept column-major
+    (a draw given in another layout is copied), so each column's samples
+    are contiguous, as the counting kernel reads them; the random
+    numbers are still generated sample by sample. The columns must be
+    strictly ascending integers below n_buses, one per draw column
+    (ValueError otherwise). seed is None for a set not drawn by sample().
     """
 
     draw: np.ndarray
@@ -209,7 +214,7 @@ class SampleSet:
         # A cast that changes a value (7.9 -> 7, NaN) is caught below.
         with np.errstate(invalid="ignore"):
             cols = columns.astype(np.int64)
-        for name, arr in (("draw", np.asarray(self.draw, dtype=float)), ("uncertain_columns", cols)):
+        for name, arr in (("draw", np.asarray(self.draw, dtype=float, order="F")), ("uncertain_columns", cols)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if self.draw.ndim != 2 or self.draw.shape[1] != cols.size:
@@ -342,7 +347,9 @@ def sample(spec, n: int, seed: int, case) -> SampleSet:
 
 def empirical_moments(s: SampleSet) -> MomentEstimate:
     """Sample mean and unbiased (N-1) covariance of a sample set, in pu."""
-    x = s.draw
+    # Reduced in row-major order, in which the mean and the covariance
+    # product sum their terms in the order they always have.
+    x = np.ascontiguousarray(s.draw)
     if x.shape[0] < 2:
         raise ValueError("need at least two samples for an unbiased covariance")
     mean = x.mean(axis=0)

@@ -61,13 +61,13 @@ def count_store(samples: SampleSet, catalog: ConstraintCatalog) -> _kernels.Coun
 
     evaluate accepts the store in place of samples, for this catalog
     only, and counts bit for bit as it would from samples. The store
-    keeps a transposed copy of the sample columns, their bound, and, for
-    each of the catalog's pairs that some dispatch brings near a limit,
-    8 bytes per sample (see _kernels). Raises TypeError unless samples
-    is a SampleSet.
+    keeps the sample columns, their bound, and, for each of the
+    catalog's pairs that some dispatch brings near a limit, 8 bytes per
+    sample (see _kernels). Raises TypeError unless samples is a
+    SampleSet.
     """
     xi, cols, seed = _sample_arrays(samples, catalog, "a SampleSet")
-    return _kernels.CountStore(catalog.pair_sensitivity, xi, cols, seed)
+    return _kernels.CountStore(catalog.pair_sensitivity, catalog.pair_limits, xi, cols, seed)
 
 
 def evaluate(p_g, samples, catalog: ConstraintCatalog) -> ViolationReport:
@@ -88,7 +88,7 @@ def evaluate(p_g, samples, catalog: ConstraintCatalog) -> ViolationReport:
         xi, cols, seed = samples, samples.cols, samples.seed
     else:
         xi, cols, seed = _sample_arrays(samples, catalog, "a SampleSet or a count_store")
-    n, m = xi.shape[0], catalog.pair_dispatch.shape[1]
+    n, m = samples.n_samples, catalog.pair_dispatch.shape[1]
     p = np.asarray(p_g, dtype=np.float64)
     if p.shape != (m,):
         raise ValueError(f"dispatch must have shape ({m},), got {p.shape}")

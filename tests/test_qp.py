@@ -296,7 +296,7 @@ def on_segment(program, on, s):
     """The walk's answer at s from the segment of working set on through
     s, or None where no segment is built or its point fails the test."""
     seg = program.segment(on, s)
-    return None if seg is None else program.walk(seg, s)
+    return None if seg is None else program.walk(seg, s, program.h0 + s * program.dh)
 
 
 @pytest.mark.parametrize("make", GENERATORS)
@@ -312,7 +312,7 @@ def test_warm_start_on_own_active_set_is_certified(make):
         program = ParametricProgram(p, q, a, b, g, h, -rng.uniform(0.0, 1.0, h.size))
         seg = program.segment(cold.active, 0.0)
         assert seg.lo <= 0.0 <= seg.hi
-        warm = program.walk(seg, 0.0)
+        warm = program.walk(seg, 0.0, program.h0)
         assert warm.status == "optimal" and warm.iterations == 0
         assert np.array_equal(warm.active, cold.active)
         assert max(warm.kkt_residuals) <= 1e-8
@@ -322,9 +322,9 @@ def test_warm_start_on_own_active_set_is_certified(make):
         assert warm.objective == pytest.approx(ref_obj, abs=1e-6)
         # Anywhere on its interval the segment is the optimum there.
         s = min(seg.hi, 1.0) / 2.0
-        inside = program.walk(seg, s)
+        tighter = program.h0 + s * program.dh
+        inside = program.walk(seg, s, tighter)
         if inside is not None:
-            tighter = h + s * program.dh
             assert inside.objective == pytest.approx(brute_force_qp(p, q, a, b, g, tighter)[0], abs=1e-6)
     assert optimal >= 30
 

@@ -14,6 +14,7 @@ from cctuner.ptdf import compute_ptdf
 from cctuner.reformulation import (
     DispatchProgram,
     build_catalog,
+    case_start,
     constraint_deltas,
     participation_factors,
     solve_dispatch,
@@ -65,7 +66,7 @@ def cold_dispatch(case, catalog, s):
     reused answers are checked against."""
     program = DispatchProgram(case, catalog)
     path = program._path
-    return program._inflate(qp.solve(*path.arrays, path.h0 + s * path.dh), "cold")
+    return program._dispatch(qp.solve(*path.arrays, path.h0 + s * path.dh), "cold")
 
 
 def test_participation_proportional_split():
@@ -423,6 +424,62 @@ def test_program_reuses_a_certificate_only_at_or_above_its_s(rts, rts_catalog):
     assert solve(10.0, "optimal", "segment").qp_solution.iterations == 0
 
 
+def eager_qp_solution(program, solved):
+    """solved, a QpSolution of program's QP without the pinned buses, in
+    full length and catalog indexing, built in one pass from the rules
+    DispatchSolution states: the reference for its lazy qp_solution."""
+    n, pinned, live = program.case.n_buses, program._pinned, program._live
+    p_g, y, z, active = np.zeros(n), np.zeros(1), np.zeros(len(program.catalog)), live.copy()
+    active[live] = solved.active
+    certificate = solved.certificate
+    if solved.optimal:
+        p_g[program._free] = solved.x
+        y = solved.y
+        z[live] = solved.z
+        resid = program._lin[pinned] + y[0] + program._pinned_columns @ z
+        z[pinned] = np.maximum(-resid, 0.0)
+        z[n + pinned] = np.maximum(resid, 0.0)
+    elif certificate is not None:
+        inequality_dual = np.zeros(len(program.catalog))
+        inequality_dual[live] = certificate["inequality_dual"]
+        certificate = {**certificate, "inequality_dual": inequality_dual}
+    objective = solved.objective if solved.optimal else np.inf
+    return replace(solved, x=p_g, objective=objective, y=y, z=z, active=active, certificate=certificate)
+
+
+def test_qp_solution_is_built_on_first_read_as_an_eager_build_would(rts, rts_catalog):
+    program = DispatchProgram(rts, rts_catalog)
+    kinds = set()
+    for s in (30.0, 25.0, 10.0, 10.0, 19.0, 19.6):
+        sol = program.solve(s)
+        kinds.add((sol.status, sol.qp_start, sol.iterations > 0))
+        # The tuner reads these without building qp_solution.
+        assert sol.iterations == sol._solved.iterations and sol.kkt_residuals == sol._solved.kkt_residuals
+        assert "qp_solution" not in vars(sol)
+        lazy = sol.qp_solution
+        assert sol.qp_solution is lazy
+        eager = eager_qp_solution(program, sol._solved)
+        assert (lazy.status, lazy.objective, lazy.iterations) == (eager.status, eager.objective, eager.iterations)
+        assert lazy.kkt_residuals == eager.kkt_residuals and lazy.x is sol.p_g
+        for name in ("x", "y", "z", "active"):
+            assert np.array_equal(getattr(lazy, name), getattr(eager, name)), (s, name)
+        assert (lazy.certificate is None) == (eager.certificate is None)
+        if eager.certificate is not None:
+            assert lazy.certificate.keys() == eager.certificate.keys()
+            for key, value in eager.certificate.items():
+                assert np.array_equal(lazy.certificate[key], value), (s, key)
+    # Cold infeasible, certificate, cold optimal, a 0-swap lookup, a
+    # walk, and a walk past the end of the path.
+    assert kinds == {
+        ("infeasible", "cold", True),
+        ("infeasible", "certificate", False),
+        ("optimal", "cold", True),
+        ("optimal", "segment", False),
+        ("optimal", "segment", True),
+        ("infeasible", "segment", True),
+    }
+
+
 def check_certified(case, catalog, s, sol):
     """An optimal answer passes the four-residual test at s; an
     infeasible one carries duals that separate at h(s)."""
@@ -524,3 +581,12 @@ def test_scan_across_the_threshold_certifies_every_status(rts, rts_catalog):
             assert s <= s_star + 1e-9
         assert sol.status != "infeasible" or s > s_star
     assert {"optimal", "infeasible"} <= statuses
+
+
+def test_equal_cases_built_apart_share_one_case_start_slot():
+    first, second = (apply_rts_modifications(load_rts_case()) for _ in range(2))
+    assert first is not second and first == second and hash(first) == hash(second)
+    case_start.cache_clear()
+    start = case_start(first)
+    assert case_start(second) is start
+    assert (case_start.cache_info().hits, case_start.cache_info().misses) == (1, 1)

@@ -51,7 +51,8 @@ def stub_solver(feasible=lambda s: True):
             objective=(100.0 + s) if ok else None,
             p_g=None,
             qp_start="cold",
-            qp_solution=SimpleNamespace(status=status, iterations=7, kkt_residuals=(0.0,) * 4),
+            iterations=7,
+            kkt_residuals=(0.0,) * 4,
         )
 
     return solve_at

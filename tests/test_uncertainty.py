@@ -127,8 +127,8 @@ def broadcast_draw(spec, n, rng):
 @pytest.mark.parametrize("n", [1, 7, 10_000])
 def test_each_spec_draws_bit_for_bit_what_whole_array_expressions_draw(n):
     # The specs add and scale one column at a time; each element must
-    # come out as the broadcast expression computes it, in the same
-    # row-major layout.
+    # come out as the broadcast expression computes it, laid out
+    # column-major, as a SampleSet keeps its draw.
     gauss = GaussianSpec(mean_mw=[3.5, -1.25, 0.1], covariance_mw2=[[4.0, 1.0, 0.0], [1.0, 9.0, 2.0], [0.0, 2.0, 1.0]])
     box = UniformBoxSpec(lower_mw=[-30.0, -7.3, 0.0], upper_mw=[30.0, 11.9, 1e-3])
     # An unrounded weight and one of zero put equal and uneven edges in
@@ -138,7 +138,7 @@ def test_each_spec_draws_bit_for_bit_what_whole_array_expressions_draw(n):
         for seed in (0, 1, 20_201, 2**63):
             draw = spec._draw_mw(n, uncertainty._rng(seed))
             expected = broadcast_draw(spec, n, uncertainty._rng(seed))
-            assert draw.shape == expected.shape and draw.flags.c_contiguous
+            assert draw.shape == expected.shape and draw.flags.f_contiguous
             assert draw.tobytes() == expected.tobytes()
 
 

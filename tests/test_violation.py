@@ -525,7 +525,7 @@ def test_every_cell_with_a_hit_is_a_candidate(m, n, coherent, special, spread, s
     upper, lower = limits[:, 0], -limits[:, 1]
     with np.errstate(all="ignore"):
         bound = _kernels._bound(np.ascontiguousarray(sens.T), np.ascontiguousarray(xi.T))
-        _, candidate = _kernels._sure_miss_limits(base, upper, lower, m, bound)
+        candidate = _kernels._sure_miss_limits(base, limits, m, bound)[3].any(axis=1)
         sums = set_sums(base, sens, xi)
     hit = np.any(sums > upper[:, None], axis=1) | np.any(sums < lower[:, None], axis=1)
     assert not np.any(hit & ~candidate)
@@ -558,7 +558,8 @@ def test_dispatch_free_sums_lie_within_the_bound(m, n, coherent, special, seed):
         xi[at] = [np.nan, np.inf, -np.inf]
         sens[0, at[1][1:]] = 0.0
     with np.errstate(all="ignore"):
-        hi, lo, _ = _kernels._bound(np.ascontiguousarray(sens.T), np.ascontiguousarray(xi.T))
+        reach, _ = _kernels._bound(np.ascontiguousarray(sens.T), np.ascontiguousarray(xi.T))
+    hi, lo = reach[:, 0], -reach[:, 1]
     for k in np.flatnonzero(np.all(np.isfinite(xi), axis=1)):
         for c in range(n_pairs):
             v = 0.0
@@ -579,9 +580,9 @@ def test_no_degenerate_pair_is_a_candidate_at_solved_dispatches(rts, rts_catalog
     sure_miss_limits, candidates = _kernels._sure_miss_limits, []
 
     def limits(*args):
-        band, candidate = sure_miss_limits(*args)
-        candidates.append(np.flatnonzero(candidate))
-        return band, candidate
+        margins = sure_miss_limits(*args)
+        candidates.append(np.flatnonzero(margins[3].any(axis=1)))
+        return margins
 
     with mock.patch.object(_kernels, "_sure_miss_limits", limits):
         for s in (0.0, 0.5, 1.5, 2.5):
@@ -952,3 +953,54 @@ def test_store_refuses_another_catalog(rts, rts_catalog):
             np.zeros(n_pairs), rts_catalog.pair_sensitivity.copy(),
             rts_catalog.pair_limits, store, store.cols, np.ones(n_pairs, dtype=bool),
         )
+    with pytest.raises(ValueError, match="other limits"):
+        _kernels.count_violations(
+            np.zeros(n_pairs), rts_catalog.pair_sensitivity,
+            rts_catalog.pair_limits.copy(), store, store.cols, np.ones(n_pairs, dtype=bool),
+        )
+
+
+def test_counts_pairs_with_both_rows_live_and_filled_pairs_that_are_no_candidate():
+    # Pair 0's limits lie inside its sums' range on both sides, and its
+    # upper limit equals one sample's sum exactly, which only a re-sum
+    # from the dispatch term decides. Pair 1's upper row alone is live at
+    # the first dispatch and its lower row alone at the second. Pair 2 is
+    # a candidate at the first dispatch only: at the second the store
+    # keeps its sums but must leave it out.
+    rng = np.random.default_rng(11)
+    xi = rng.normal(size=(500, 3))
+    sens = rng.normal(size=(3, 3)) * np.array([[1.0], [0.1], [0.1]])
+    limits = np.array([[0.5, 0.5], [2.1, 2.1], [2.1, 2.1]])
+    first, second = np.array([0.0, 2.0, 2.0]), np.array([0.0, -2.0, 0.0])
+    limits[0, 0] = pair_sums(first, sens, xi, 7)[0]
+    catalog = paired_catalog(sens, limits)
+    samples = sample_set(xi)
+    store = count_store(samples, catalog)
+    live, resummed = [], []
+    sure_miss_limits, sum_and_tally = _kernels._sure_miss_limits, _kernels._sum_and_tally
+
+    def margins(*args):
+        found = sure_miss_limits(*args)
+        live.append(found[3])
+        return found
+
+    def tally(chunks, rows, *args):
+        resummed.append(rows.tolist())
+        return sum_and_tally(chunks, rows, *args)
+
+    for p in (first, second):
+        counts, joint = naive_violation_counts(p, catalog, xi)
+        with mock.patch.object(_kernels, "_sure_miss_limits", margins), mock.patch.object(
+            _kernels, "_sum_and_tally", tally
+        ):
+            reports = [evaluate(p, samples, catalog), evaluate(p, store, catalog)]
+        for report in reports:
+            assert np.array_equal(report.counts, counts) and report.joint_count == joint
+    # One-shot then store, at each dispatch.
+    assert [rows.tolist() for rows in live] == [
+        [[True, True], [True, False], [True, False]],
+    ] * 2 + [[[True, True], [False, True], [False, False]]] * 2
+    assert store._slot[2] >= 0
+    # The store re-sums the tied sample for every candidate, and only for
+    # the candidates.
+    assert resummed[1] == [0, 1, 2] and resummed[3] == [0, 1]
