@@ -277,8 +277,10 @@ class DispatchProgram:
     pair of rows, whose right-hand side is 0 at every s: on the RTS case
     a cold solve then takes 13-15 pivots, not 59-69, and the s = 0
     dispatch is bit-identical to the deterministic OPF over the
-    generator buses alone. Line rows that touch only pinned buses reach
-    qp as constant rows.
+    generator buses alone. A pinned bus's rows are those of its gen pair,
+    found by kind and subject, so the catalog may list its kinds in any
+    order; a pinned bus without a gen pair is a ValueError. Line rows
+    that touch only pinned buses reach qp as constant rows.
 
     Only h(s) = limits - s·sigmas changes between solves, so the
     program holds one qp.ParametricProgram with dh = -sigmas <= 0, which
@@ -307,8 +309,17 @@ class DispatchProgram:
         free[self._pinned] = False
         if not np.any(free):
             raise ValueError("every bus is pinned; nothing to dispatch")
+        kinds, subjects = catalog.pair_kinds, catalog.pair_subjects
+        gen_pairs = {subjects[c]: c for c in range(len(kinds)) if kinds[c] == "gen"}
+        unbounded = [int(i) + 1 for i in self._pinned if i + 1 not in gen_pairs]
+        if unbounded:
+            raise ValueError(f"pinned buses {unbounded} have no gen pair in the catalog to eliminate")
+        pair_rows = np.empty((len(kinds), 2), dtype=np.int64)
+        pair_rows[catalog.row_map] = np.arange(len(catalog))
+        # (upper, lower) rows of each pinned bus's gen pair.
+        self._pinned_rows = pair_rows[[gen_pairs[i + 1] for i in self._pinned]].T
         self._live = live = np.ones(len(catalog), dtype=bool)
-        live[self._pinned] = live[n + self._pinned] = False
+        live[self._pinned_rows] = False
         self._pinned_columns = catalog.dispatch_matrix[:, self._pinned].T.copy()
         self._path = qp.ParametricProgram(
             q_diag[free],
@@ -345,7 +356,7 @@ class DispatchProgram:
     def _inflate(self, sol: qp.QpSolution, p_g: np.ndarray, objective: float) -> qp.QpSolution:
         """sol, solved without the pinned buses, in full length and
         catalog indexing, at p_g and objective."""
-        n, pinned, live = self.case.n_buses, self._pinned, self._live
+        pinned, live = self._pinned, self._live
         y, z, active = np.zeros(1), np.zeros(len(self.catalog)), live.copy()
         active[live] = sol.active
         certificate = sol.certificate
@@ -359,8 +370,7 @@ class DispatchProgram:
             # complementarity (their slack is zero), so split the residual
             # by sign to keep both nonnegative.
             resid = self._lin[pinned] + y[0] + self._pinned_columns @ z
-            z[pinned] = np.maximum(-resid, 0.0)
-            z[n + pinned] = np.maximum(resid, 0.0)
+            z[self._pinned_rows] = np.maximum([-resid, resid], 0.0)
         elif certificate is not None:
             inequality_dual = np.zeros(len(self.catalog))
             inequality_dual[live] = certificate["inequality_dual"]

@@ -192,6 +192,14 @@ def bisect_tune(
     the tightened feasible set only shrinks as s grows. Any other
     non-optimal status is a solver failure, not evidence about s, and
     raises TuningError.
+
+    The answer is the latest conservative iterate (feasible, eps_obs <=
+    eps_des), else TuningError. It is also the cheapest: one that does
+    not stop the loop becomes s_max, so later midpoints lie at or below
+    it. Earlier feasible iterates below s_k moved s_min and those above
+    moved s_max, so a warning says eps_obs is not monotone in s when it
+    exceeds the lowest eps of the first or falls below the highest of
+    the second.
     """
     s_min, s_max = float(bounds[0]), float(bounds[1])
     if not s_min < s_max:
@@ -199,8 +207,9 @@ def bisect_tune(
 
     target = config.eps_des
     trace: list[TuningIterate] = []
-    solutions: list[object] = []
-    feasible_history: list[Tuple[float, Fraction]] = []
+    anchor = None
+    # (s, eps) of the lowest eps that moved s_min and the highest that moved s_max.
+    cap, floor = (math.nan, math.inf), (math.nan, -math.inf)
     terminated_by = TERMINATED_CAP
 
     for iteration in range(1, config.max_iterations + 1):
@@ -214,75 +223,49 @@ def bisect_tune(
         solve_s = time.perf_counter() - started
         if solution.status not in ("optimal", "infeasible"):
             raise TuningError(f"QP solve at s={s_k:.6g} ended with status {solution.status!r}")
-        qp_run = (solution.status, solution.qp_start, solution.iterations, max(solution.kkt_residuals))
-        if solution.status == "infeasible":
-            trace.append(
-                TuningIterate(iteration, s_k, bracket, False, None, None, None, *qp_run, solve_s, 0.0)
-            )
-            solutions.append(solution)
+        feasible = solution.status == "optimal"
+        eps_single = eps_joint = cost = None
+        count_s = 0.0
+        if feasible:
+            started = time.perf_counter()
+            eps_single, eps_joint = evaluate_at(s_k, solution)
+            count_s = time.perf_counter() - started
+            cost = solution.objective
+        it = TuningIterate(
+            iteration, s_k, bracket, feasible, eps_single, eps_joint, cost, solution.status,
+            solution.qp_start, solution.iterations, max(solution.kkt_residuals), solve_s, count_s,
+        )
+        trace.append(it)
+        if not feasible:
             logger.info("s=%.6g infeasible, contracting upper bound", s_k)
             s_max = s_k
             continue
-        started = time.perf_counter()
-        eps_single, eps_joint = evaluate_at(s_k, solution)
-        count_s = time.perf_counter() - started
         eps_obs = config.observed(eps_single, eps_joint)
-        trace.append(
-            TuningIterate(
-                iteration, s_k, bracket, True, eps_single, eps_joint, solution.objective,
-                *qp_run, solve_s, count_s,
+        over = eps_obs > cap[1]
+        if over or eps_obs < floor[1]:
+            logger.warning(
+                "observed violation probability is not monotone in s: eps(%.6g)=%s vs eps(%.6g)=%s",
+                *(cap if over else floor), s_k, eps_obs,
             )
-        )
-        solutions.append(solution)
-        for s_prev, eps_prev in feasible_history:
-            if (s_prev < s_k and eps_prev < eps_obs) or (s_prev > s_k and eps_prev > eps_obs):
-                logger.warning(
-                    "observed violation probability is not monotone in s: "
-                    "eps(%.6g)=%s vs eps(%.6g)=%s",
-                    s_prev,
-                    eps_prev,
-                    s_k,
-                    eps_obs,
-                )
-                break
-        feasible_history.append((s_k, eps_obs))
+        if eps_obs <= target:
+            anchor = (it, solution)
         if abs(eps_obs - target) <= config.gamma:
             terminated_by = TERMINATED_EPS
             break
         if eps_obs < target:
             s_max = s_k
+            if eps_obs > floor[1]:
+                floor = (s_k, eps_obs)
         else:
             s_min = s_k
+            if eps_obs < cap[1]:
+                cap = (s_k, eps_obs)
 
-    return _select_result(config, trace, solutions, terminated_by)
-
-
-def _select_result(config, trace, solutions, terminated_by) -> TuningResult:
-    """Return the final iterate when it is conservative, otherwise the
-    cheapest (smallest-s) conservative iterate seen along the way."""
-    conservative = [
-        i for i, it in enumerate(trace)
-        if it.feasible and config.observed(it.eps_single, it.eps_joint) <= config.eps_des
-    ]
-    if not conservative:
-        raise TuningError(
-            "no feasible conservative anchor: no iterate met the target violation level"
-        )
-    chosen = conservative[-1]
-    if chosen != len(trace) - 1:
-        chosen = min(conservative, key=lambda i: trace[i].s)
-    it = trace[chosen]
-    solution = solutions[chosen]
+    if anchor is None:
+        raise TuningError("no feasible conservative anchor: no iterate met the target violation level")
+    it, solution = anchor
     return TuningResult(
-        config=config,
-        s=it.s,
-        objective=it.cost,
-        p_g=getattr(solution, "p_g", None),
-        eps_single=it.eps_single,
-        eps_joint=it.eps_joint,
-        chosen_iteration=it.iteration,
-        terminated_by=terminated_by,
-        trace=tuple(trace),
+        config, it.s, it.cost, solution.p_g, it.eps_single, it.eps_joint, it.iteration, terminated_by, tuple(trace)
     )
 
 

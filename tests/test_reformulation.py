@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from cctuner import apply_rts_modifications, load_rts_case, parse_case, qp
 from cctuner.ptdf import compute_ptdf
 from cctuner.reformulation import (
+    ConstraintCatalog,
     DispatchProgram,
     build_catalog,
     case_start,
@@ -428,8 +429,8 @@ def eager_qp_solution(program, solved):
     """solved, a QpSolution of program's QP without the pinned buses, in
     full length and catalog indexing, built in one pass from the rules
     DispatchSolution states: the reference for its lazy qp_solution."""
-    n, pinned, live = program.case.n_buses, program._pinned, program._live
-    p_g, y, z, active = np.zeros(n), np.zeros(1), np.zeros(len(program.catalog)), live.copy()
+    pinned, live = program._pinned, program._live
+    p_g, y, z, active = np.zeros(program.case.n_buses), np.zeros(1), np.zeros(len(program.catalog)), live.copy()
     active[live] = solved.active
     certificate = solved.certificate
     if solved.optimal:
@@ -437,8 +438,9 @@ def eager_qp_solution(program, solved):
         y = solved.y
         z[live] = solved.z
         resid = program._lin[pinned] + y[0] + program._pinned_columns @ z
-        z[pinned] = np.maximum(-resid, 0.0)
-        z[n + pinned] = np.maximum(resid, 0.0)
+        upper, lower = program._pinned_rows
+        z[upper] = np.maximum(-resid, 0.0)
+        z[lower] = np.maximum(resid, 0.0)
     elif certificate is not None:
         inequality_dual = np.zeros(len(program.catalog))
         inequality_dual[live] = certificate["inequality_dual"]
@@ -581,6 +583,52 @@ def test_scan_across_the_threshold_certifies_every_status(rts, rts_catalog):
             assert s <= s_star + 1e-9
         assert sol.status != "infeasible" or s > s_star
     assert {"optimal", "infeasible"} <= statuses
+
+
+def select_pairs(catalog, order):
+    """The catalog of catalog's pairs listed in order."""
+    return ConstraintCatalog(
+        tuple(catalog.pair_kinds[c] for c in order), tuple(catalog.pair_subjects[c] for c in order),
+        catalog.pair_dispatch[order], catalog.pair_sensitivity[order], catalog.pair_limits[order],
+        catalog.pair_sigmas[order], catalog.pair_degenerate[order],
+    )
+
+
+def test_pinned_rows_are_found_by_kind_and_subject_not_position(rts, rts_catalog):
+    # A catalog that lists its line pairs first eliminates the same rows
+    # as the gen-first one: on both sides of the infeasibility threshold
+    # its statuses match, its dispatches meet its own rows, and the
+    # pinned buses' multipliers land on their gen rows.
+    kinds = np.array(rts_catalog.pair_kinds)
+    reordered = select_pairs(rts_catalog, np.r_[np.flatnonzero(kinds == "line"), np.flatnonzero(kinds == "gen")])
+    ours, ref = DispatchProgram(rts, reordered), DispatchProgram(rts, rts_catalog)
+    pinned_rows = [
+        r for r, row in enumerate(reordered.rows)
+        if row.kind.startswith("gen") and rts.p_max_mw()[row.subject - 1] == 0.0
+    ]
+    assert min(pinned_rows) >= 2 * 38
+    statuses = set()
+    for s in [1.0, 10.0, 19.5, *np.arange(19.75, 25.0 + 1e-9, 0.25)]:
+        sol, expected = ours.solve(float(s)), ref.solve(float(s))
+        assert sol.status == expected.status, s
+        statuses.add(sol.status)
+        check_certified(rts, reordered, float(s), sol)
+        if sol.feasible:
+            h = reordered.limits - float(s) * reordered.sigmas
+            assert (reordered.dispatch_matrix @ sol.p_g - h).max() <= 1e-9
+            assert np.any(sol.qp_solution.z[pinned_rows] > 0.0)
+            assert not np.any(sol.qp_solution.active[pinned_rows])
+    assert statuses == {"optimal", "infeasible"}
+
+
+def test_a_pinned_bus_without_a_gen_pair_is_rejected(rts, rts_catalog):
+    p_max = rts.p_max_mw()
+    keep = [
+        c for c, (kind, subject) in enumerate(zip(rts_catalog.pair_kinds, rts_catalog.pair_subjects))
+        if kind == "line" or p_max[subject - 1] > 0.0
+    ]
+    with pytest.raises(ValueError, match="no gen pair"):
+        DispatchProgram(rts, select_pairs(rts_catalog, keep))
 
 
 def test_equal_cases_built_apart_share_one_case_start_slot():

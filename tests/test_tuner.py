@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import bisect
 import logging
+import math
 from dataclasses import replace
 from fractions import Fraction
 from importlib.resources import files
@@ -10,12 +12,15 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cctuner import apply_rts_modifications, load_rts_case, parse_case, qp
 from cctuner.experiment import ExperimentConfig, Sweep, load_case, parse_config_file
 from cctuner.ptdf import compute_ptdf
 from cctuner.reformulation import DispatchProgram, build_catalog, case_start, participation_factors
 from cctuner.tuner import (
+    MODES,
     TERMINATED_CAP,
     TERMINATED_COLLAPSE,
     TERMINATED_EPS,
@@ -189,6 +194,129 @@ def test_non_monotone_response_logged_not_fatal(caplog):
         )
     assert "not monotone" in caplog.text
     assert result.eps_obs == Fraction(1, 10)
+
+
+def select_after_the_loop(config, solve_at, evaluate_at, bounds):
+    """bisect_tune's bracket moves under the rules it once had: the
+    answer picked from the whole trace after the loop (the final iterate
+    if conservative, else the smallest-s conservative one), and each
+    feasible eps compared with every earlier one. Returns the s of each
+    iterate, the chosen iteration and its s (None, None without a
+    conservative iterate), terminated_by, and the iterations found not
+    monotone."""
+    s_min, s_max = bounds
+    target = config.eps_des
+    trace, history, not_monotone = [], [], set()
+    terminated_by = TERMINATED_CAP
+    for iteration in range(1, config.max_iterations + 1):
+        if (s_max - s_min) / 2.0 < config.width_tol:
+            terminated_by = TERMINATED_COLLAPSE
+            break
+        s_k = (s_max - s_min) / 2.0 + s_min
+        if solve_at(s_k).status == "infeasible":
+            trace.append((iteration, s_k, None))
+            s_max = s_k
+            continue
+        eps_obs = config.observed(*evaluate_at(s_k, None))
+        trace.append((iteration, s_k, eps_obs))
+        if any((s_prev < s_k and eps_prev < eps_obs) or (s_prev > s_k and eps_prev > eps_obs) for s_prev, eps_prev in history):
+            not_monotone.add(iteration)
+        history.append((s_k, eps_obs))
+        if abs(eps_obs - target) <= config.gamma:
+            terminated_by = TERMINATED_EPS
+            break
+        if eps_obs < target:
+            s_max = s_k
+        else:
+            s_min = s_k
+    s_trace = [s for _, s, _ in trace]
+    conservative = [i for i, (_, _, eps) in enumerate(trace) if eps is not None and eps <= target]
+    if not conservative:
+        return s_trace, None, None, terminated_by, not_monotone
+    chosen = conservative[-1]
+    if chosen != len(trace) - 1:
+        chosen = min(conservative, key=lambda i: trace[i][1])
+    return s_trace, trace[chosen][0], trace[chosen][1], terminated_by, not_monotone
+
+
+class IterationLog(logging.Handler):
+    """Records, for each warning, how many solves had run."""
+
+    def __init__(self, solves):
+        super().__init__(logging.WARNING)
+        self.solves, self.iterations = solves, set()
+
+    def emit(self, record):
+        if "not monotone" in record.getMessage():
+            self.iterations.add(self.solves[0])
+
+
+twentieths = st.integers(0, 20).map(lambda k: Fraction(k, 20))
+step_curve = st.tuples(
+    st.lists(st.floats(0.0, 10.0), max_size=12).map(sorted),
+    st.lists(twentieths, min_size=1, max_size=13),
+    st.integers(0, 50),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    single=step_curve,
+    joint=step_curve,
+    blocked=st.lists(st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 3.0)), max_size=2),
+    eps_des=twentieths.filter(lambda eps: 0 < eps < 1),
+    gamma=st.one_of(st.just(Fraction(0)), st.fractions(Fraction(1, 1000), Fraction(1, 5), max_denominator=1000)),
+    mode=st.sampled_from(MODES),
+    width_tol=st.sampled_from([1e-300, 1e-9, 1e-3, 0.1]),
+    max_iterations=st.integers(1, 80),
+    s_hi=st.floats(0.5, 10.0),
+)
+def test_the_answer_kept_in_the_loop_is_the_one_picked_after_it(
+    single, joint, blocked, eps_des, gamma, mode, width_tol, max_iterations, s_hi
+):
+    # Responses are functions of s: step curves (non-monotone where their
+    # values are), optionally jagged at a frequency, with infeasible
+    # intervals. eps_des and the curves' values are twentieths, so some
+    # iterates meet eps_des exactly. A width_tol of 1e-300 lets midpoints
+    # round onto a bracket end, so the bracket stops moving.
+    def curve(breaks, values, freq):
+        return lambda s: values[(bisect.bisect_right(breaks, s) + math.floor(s * freq)) % len(values)]
+
+    def feasible(s):
+        return not any(a <= s <= a + width for a, width in blocked)
+
+    eps_single, eps_joint = curve(*single), curve(*joint)
+
+    def evaluate_at(s, solution):
+        return eps_single(s), eps_joint(s)
+
+    config = TuningConfig(eps_des, gamma, mode, width_tol, max_iterations)
+    bounds = (0.0, s_hi)
+    s_trace, chosen, s, terminated_by, not_monotone = select_after_the_loop(
+        config, stub_solver(feasible), evaluate_at, bounds
+    )
+
+    solves = [0]
+    solve = stub_solver(feasible)
+
+    def counted(s):
+        solves[0] += 1
+        return solve(s)
+
+    log, logger = IterationLog(solves), logging.getLogger("cctuner.tuner")
+    logger.addHandler(log)
+    try:
+        result = bisect_tune(config, counted, evaluate_at, bounds)
+    except TuningError:
+        result = None
+    finally:
+        logger.removeHandler(log)
+    assert log.iterations == not_monotone
+    if chosen is None:
+        assert result is None and solves[0] == len(s_trace)
+        return
+    assert result is not None and [it.s for it in result.trace] == s_trace
+    assert (result.chosen_iteration, result.s, result.terminated_by) == (chosen, s, terminated_by)
 
 
 def test_degenerate_bracket_has_no_anchor():
