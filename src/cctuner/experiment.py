@@ -249,7 +249,11 @@ def build_distribution(name: str, config, case: GridCase):
         std = floats(f"{prefix}.std_mw")
         if len(std) != n_unc:
             raise ConfigError(f"{prefix}.std_mw has {len(std)} entries for {n_unc} uncertain buses")
-        return gaussian_from_std_corr(std, floats(f"{prefix}.correlation"))
+        correlation = floats(f"{prefix}.correlation")
+        try:
+            return gaussian_from_std_corr(std, correlation)
+        except ValueError as exc:
+            raise ConfigError(f"{prefix}.std_mw, {prefix}.correlation: {exc}") from exc
 
     if name == "gaussian":
         return gaussian("gaussian")
@@ -374,10 +378,10 @@ class Sweep:
         """Tune every (mode, eps) cell of one pair and score it out of
         sample; returns the rows keyed by (mode, eps). The out-of-sample
         set is drawn once, after the pair's first successful tune. The
-        pair's program starts from case_start(case), which the process
-        solves once per case, not once per pair or run."""
+        pair's program starts from the case start, which the process
+        solves once per case, not once per pair or run (see
+        DispatchProgram)."""
         pair = self.replication(dist_name, rep)
-        pair.program.start_from(case_start(self.case))
         oos_samples = None
         rows = {}
         for (mode, eps), tuning in self.config.cells.items():
@@ -426,17 +430,11 @@ def _average(group) -> AverageRow:
         )
         return AverageRow(**cell, replications=0)
 
-    def mean(column):
-        values = [getattr(r, column) for r in ok]
-        if any(v is None for v in values):
-            return None
-        return sum(values) / len(values)
-
     return AverageRow(
         **cell,
         replications=len(ok),
         s_true=ok[0].s_true,
-        **{column: mean(column) for column in _MEAN_COLUMNS},
+        **{column: sum(getattr(r, column) for r in ok) / len(ok) for column in _MEAN_COLUMNS},
     )
 
 
@@ -460,10 +458,11 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1, case: Optional[GridC
     pairs in worker processes. The reduction is keyed by cell
     coordinates, so scheduling order never changes the report. Every
     pair's program starts from case_start(case), solved once per case
-    and process: before the pool where one runs, so that forked workers
-    inherit it, and otherwise by the first pair; a run with no pairs
-    solves nothing. jobs below 1 raises ValueError, and a configuration
-    the Sweep rejects raises ConfigError, before any pair runs.
+    and process: here, before the pool where one runs, so that forked
+    workers inherit it, and otherwise at the first pair's first solve;
+    a run with no pairs solves nothing. jobs below 1 raises ValueError,
+    and a configuration the Sweep rejects raises ConfigError, before any
+    pair runs.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")

@@ -235,10 +235,9 @@ class DispatchSolution:
     it is built on its first read and kept. qp_start says how the status
     was decided: "segment" (a segment of the parametric path, looked up
     or walked to; iterations counts the swaps walked, 0 for a lookup),
-    "certificate" (an earlier Farkas certificate, or the ray handed over
-    with the s = 0 solution, rechecked at this s) or "cold" (qp.solve;
-    at s = 0 the program's cold solution there, whether it solved it or
-    started from it).
+    "certificate" (an earlier Farkas certificate, or the ray of the case
+    start, rechecked at this s) or "cold" (qp.solve; at s = 0 the cold
+    solution there, whether the program solved it or started from it).
     """
 
     status: str
@@ -285,16 +284,16 @@ class DispatchProgram:
     Only h(s) = limits - s·sigmas changes between solves, so the
     program holds one qp.ParametricProgram with dh = -sigmas <= 0, which
     keeps the segments of the optimal path and the certificate its
-    solves found. The first solve of a fresh program is cold at its own
-    s. But the s = 0 program does not depend on the sigmas, so
-    case_start solves it once per case and process (s0), and the
-    experiment's pairs and tune without a program start each program
-    of the case from it (start_from). The hand-off also carries the
-    dual ray where the giving program's path ends, which a receiving
-    program rechecks at its own sigmas: where it separates, a solve
-    beyond the path end is a 'certificate' with no walk. One caller
-    uses a program at a time: an experiment pair's cells share one,
-    inside one worker.
+    solves found. The s = 0 program does not depend on the sigmas, so
+    the first solve starts the path from case_start(case), solved once
+    per case and process, and walks from there. That start also carries
+    the dual ray where the unit-moment path ends, which the program
+    rechecks at its own sigmas: where it separates, a solve beyond the
+    path end is a 'certificate' with no walk. A catalog whose s = 0
+    program is not the case's (other limits or PTDF) takes nothing from
+    the start, so its first solve is cold at its own s. One caller uses
+    a program at a time: an experiment pair's cells share one, inside
+    one worker.
     """
 
     def __init__(self, case: GridCase, catalog: ConstraintCatalog):
@@ -330,6 +329,7 @@ class DispatchProgram:
             catalog.limits[live],
             -catalog.sigmas[live],
         )
+        self._started = False
 
     def solve(self, s: float) -> DispatchSolution:
         """The certified solution at s, in full length and catalog
@@ -337,15 +337,10 @@ class DispatchProgram:
         stationarity, and their rows are never in the working set."""
         if not (s >= 0.0 and math.isfinite(s)):
             raise ValueError(f"safety parameter must be finite and nonnegative, got {s}")
+        if not self._started:
+            self._path.start_from(case_start(self.case))
+            self._started = True
         return self._dispatch(*self._path.solve(s))
-
-    def s0(self):
-        """See qp.ParametricProgram.s0."""
-        return self._path.s0()
-
-    def start_from(self, s0) -> bool:
-        """See qp.ParametricProgram.start_from."""
-        return self._path.start_from(s0)
 
     def _dispatch(self, sol: qp.QpSolution, qp_start: str) -> DispatchSolution:
         p_g = np.zeros(self.case.n_buses)
@@ -382,20 +377,22 @@ class DispatchProgram:
 # and compares by content, so an equal case, however it was built, hits it.
 @lru_cache(maxsize=1)
 def case_start(case: GridCase):
-    """The s0() hand-off that fresh programs of case start from (see
-    DispatchProgram.start_from): the cold s = 0 solution, and the dual
-    ray where the path ends, of the case's program under unit moments
-    (zero mean, identity covariance over the uncertain buses). No sigma
-    enters the s = 0 program, so every catalog built from the case's
-    PTDF has it; unit moments also give a path with an end, whose ray a
-    receiving program rechecks at its own sigmas."""
+    """What every DispatchProgram of case starts its path from on its
+    first solve (see qp.ParametricProgram.s0 and start_from): the cold
+    s = 0 solution, and the dual ray where the path ends, of the case's
+    program under unit moments (zero mean, identity covariance over the
+    uncertain buses). No sigma enters the s = 0 program, so every
+    catalog built from the case's PTDF has it; unit moments also give a
+    path with an end, whose ray a starting program rechecks at its own
+    sigmas. Its own program is never solved, only asked for s0(), so
+    building it starts nothing."""
     n = case.n_buses
     unit = np.zeros((n, n))
     cols = np.array(case.uncertain_buses, dtype=np.int64) - 1
     unit[cols, cols] = 1.0
     moments = MomentEstimate(np.zeros(n), unit, unit)
     catalog = build_catalog(case, compute_ptdf(case), participation_factors(case), moments)
-    return DispatchProgram(case, catalog).s0()
+    return DispatchProgram(case, catalog)._path.s0()
 
 
 def solve_dispatch(
@@ -403,7 +400,8 @@ def solve_dispatch(
 ) -> DispatchSolution:
     """The tightened dispatch at s (see DispatchProgram): through program,
     a DispatchProgram of this case and catalog whose state the solve
-    reuses and extends, or one-shot through a fresh one."""
+    reuses and extends, or one-shot through a fresh one, which walks
+    from the case start like any other."""
     if program is None:
         program = DispatchProgram(case, catalog)
     elif program.case is not case or program.catalog is not catalog:

@@ -25,7 +25,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .grid import parse_integer, parse_number
-from .reformulation import ConstraintCatalog, DispatchProgram, case_start, solve_dispatch
+from .reformulation import ConstraintCatalog, DispatchProgram, solve_dispatch
 from .violation import count_store, evaluate
 
 logger = logging.getLogger(__name__)
@@ -101,10 +101,10 @@ class TuningIterate:
     decided (see DispatchSolution). qp_iterations counts the active-set
     pivots (phase 1 plus phase 2) of a cold solve, the swaps walked
     along the path for a segment (0 for a lookup), and 0 for a
-    certificate recheck. A program that starts from an s = 0 solution
-    walks from its first solve on; that s = 0 solve, and the walk that
-    found the ray handed over with it, belong to no iterate (see tune
-    and reformulation.case_start). So qp_start, qp_iterations and
+    certificate recheck. A program starts from its case's s = 0
+    solution and walks from its first solve on; that s = 0 solve, and
+    the walk that found the ray that comes with it, belong to no iterate
+    (see reformulation.case_start). So qp_start, qp_iterations and
     kkt_max depend on where the program started; status, eps and cost
     do not. kkt_max is the largest of the solve's four KKT residuals:
     its optimality certificate when optimal, when infeasible the worst
@@ -282,13 +282,10 @@ def tune(
     probabilities are a deterministic function of s and bisection sees a
     fixed (noisy but frozen) response curve. Each QP solve goes through
     program, a DispatchProgram of (case, catalog), to reuse what
-    earlier solves found. Without one, tune builds a fresh program and
-    starts it from case_start(case), the s = 0 solution and path-end
-    ray that the process solves once per case; a catalog whose s = 0
-    program is not the case's (other limits or PTDF) solves cold at its
-    first iterate. Every count reads one count_store of the samples,
-    built here and dropped on return, so only the dispatch-dependent
-    work repeats (see _kernels).
+    earlier solves found, or through a fresh one; either starts from
+    the case's s = 0 solution (see DispatchProgram). Every count reads
+    one count_store of the samples, built here and dropped on return,
+    so only the dispatch-dependent work repeats (see _kernels).
 
     A catalog whose sigmas are all 0 tightens nothing, so every s gives
     the first iterate's dispatch and counts: the tune stops there, as
@@ -307,7 +304,6 @@ def tune(
     bounds = initial_bounds(config, catalog.n_active)
     if program is None:
         program = DispatchProgram(case, catalog)
-        program.start_from(case_start(case))
 
     def solve_at(s: float):
         return solve_dispatch(case, catalog, s, program)

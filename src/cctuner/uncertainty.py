@@ -181,8 +181,11 @@ class MixtureSpec:
 
 def gaussian_from_std_corr(std_mw, correlation: float) -> GaussianSpec:
     """Zero-mean Gaussian from per-bus standard deviations and one common
-    pairwise correlation coefficient."""
+    pairwise correlation coefficient. A negative deviation is a
+    ValueError: it would flip the sign of its bus's correlations."""
     std = np.asarray(std_mw, dtype=float)
+    if np.any(std < 0.0):
+        raise ValueError(f"standard deviations must be nonnegative, got {', '.join(map(str, std))}")
     # An overflow leaves an inf, which GaussianSpec rejects.
     with np.errstate(over="ignore"):
         cov = correlation * np.outer(std, std)

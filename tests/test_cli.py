@@ -248,8 +248,9 @@ def test_tune_json_trace_records_qp_solves(cfg_path, tmp_path):
     ) == 0
     payload = json.loads(trace_json.read_text())
     assert payload["trace"][payload["chosen_iteration"] - 1]["feasible"]
-    # The command builds its own program, so its first solve is cold.
-    assert payload["trace"][0]["qp_start"] == "cold"
+    # The command's program starts from the case start, so no solve is
+    # cold.
+    assert all(it["qp_start"] != "cold" for it in payload["trace"])
     assert any(it["qp_start"] == "segment" for it in payload["trace"])
     for it in payload["trace"]:
         # The bracket the iterate bisected, as a JSON list.
@@ -486,6 +487,32 @@ def test_spec_with_moments_beyond_floats_exits_1(tmp_path, capsys, key, value, d
         assert "not finite" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "key, value, distribution, cause",
+    [
+        # A negative deviation would run as the opposite correlation.
+        ("gaussian.std_mw", "-9.4, 13.1", "gaussian", "gaussian.std_mw"),
+        ("mixture.g1.std_mw", "-7, 14", "mixture", "mixture.g1.std_mw"),
+        ("mixture.weights", "1/2, 1/2", "mixture", "mixture.weights must have three entries"),
+        ("oos.samples", "0", "gaussian", "sample counts must be positive"),
+    ],
+)
+def test_config_a_command_cannot_run_exits_1_naming_its_cause(tmp_path, capsys, key, value, distribution, cause):
+    from importlib.resources import files
+
+    text = (files("cctuner.data") / "rts24_sweep.cfg").read_text(encoding="utf-8")
+    lines = [f"{key} = {value}" if line.startswith(f"{key} =") else line for line in text.splitlines()]
+    path = tmp_path / "bad.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    for command in (["tune"], ["solve", "--s", "1"], ["experiment"]):
+        argv = [*command, "--config", str(path)]
+        if command[0] != "experiment":
+            argv += ["--distribution", distribution]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"error: {cause}" in err and "Traceback" not in err
+
+
 def test_repeated_eps_exits_1(tmp_path, capsys):
     path = tmp_path / "dup.cfg"
     path.write_text(SMALL_CFG.replace("eps = 0.1", "eps = 0.1, 0.10"))
@@ -509,15 +536,43 @@ def test_solve_reproduces_tuned_mixture_cost(cfg_path, tmp_path, capsys):
     assert f"cost={tuned['cost']:.12g}\n" in capsys.readouterr().out
 
 
+def test_tune_reproduces_the_sweeps_rows_bit_for_bit(tmp_path, capsys):
+    # The command's pair is the experiment's replication 1, and its
+    # program starts from the case start as each of the sweep's does: so
+    # it walks the same path, and its answers are the experiment's rows,
+    # cost to the last bit, with no solve cold.
+    from importlib.resources import files
+
+    from cctuner.experiment import ExperimentConfig, parse_config_file, run_experiment
+
+    text = (files("cctuner.data") / "rts24_sweep.cfg").read_text(encoding="utf-8")
+    path = tmp_path / "one.cfg"
+    path.write_text(text.replace("replications = 20", "replications = 1"))
+    report = run_experiment(ExperimentConfig.from_mapping(parse_config_file(str(path))))
+    rows = {(row.mode, row.distribution, row.eps_des): row for row in report.rows}
+    for mode in ("single", "joint"):
+        out = tmp_path / f"{mode}.json"
+        argv = ["tune", "--config", str(path), "--mode", mode, "--eps", "0.1", "--format", "json", "--out", str(out)]
+        assert main(argv) == 0
+        tuned = json.loads(out.read_text())
+        row = rows[mode, "gaussian", 0.1]
+        assert (tuned["s"], tuned["cost"]) == (row.s, row.cost), mode
+        assert (tuned["eps_single"], tuned["eps_joint"]) == (row.eps_obs_single, row.eps_obs_joint), mode
+        assert all(it["qp_start"] != "cold" for it in tuned["trace"])
+    capsys.readouterr()
+
+
 def test_qp_failure_exits_2(cfg_path, monkeypatch, capsys):
     import cctuner.qp as qp
+    import cctuner.reformulation as reformulation
 
     real_solve = qp.solve
 
     def stalled(*args, **kwargs):
         return replace(real_solve(*args, **kwargs), status="max_iterations")
 
-    # A fresh program has nothing to reuse, so the first solve is cold.
+    # With no case start, the program's first solve is cold.
+    monkeypatch.setattr(reformulation, "case_start", lambda case: None)
     monkeypatch.setattr(qp, "solve", stalled)
     assert main(["tune", "--config", cfg_path]) == 2
     assert "max_iterations" in capsys.readouterr().err

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import cctuner.experiment as experiment
-from cctuner import qp
+from cctuner import qp, reformulation
 from cctuner.experiment import (
     REPORT_COLUMNS,
     ConfigError,
@@ -117,6 +117,7 @@ def test_unknown_keys_are_named_not_ignored(text, keys):
         ("max_iterations = 0", "max_iterations"),
         ("width_tol = 0", "width_tol"),
         ("gamma = -1", "gamma"),
+        ("oos.samples = 0", "sample counts must be positive"),
     ],
 )
 def test_tuning_settings_rejected_at_parse_time(line, message):
@@ -149,6 +150,10 @@ def test_build_distribution_shapes():
         build_distribution("gaussian", {"gaussian.std_mw": "5"}, case)
     with pytest.raises(ConfigError, match="mixture.g1.std_mw has 3 entries for 2 uncertain buses"):
         build_distribution("mixture", {"mixture.g1.std_mw": "7, 14, 1"}, case)
+    with pytest.raises(ConfigError, match="^gaussian.std_mw, gaussian.correlation: .* nonnegative"):
+        build_distribution("gaussian", {**raw, "gaussian.std_mw": "-9.4, 13.1"}, case)
+    with pytest.raises(ConfigError, match="^mixture.g1.std_mw, mixture.g1.correlation: .* nonnegative"):
+        build_distribution("mixture", {**raw, "mixture.g1.std_mw": "7, -14"}, case)
     with pytest.raises(ConfigError, match="unknown distribution"):
         build_distribution("laplace", raw, case)
 
@@ -251,25 +256,26 @@ def test_jobs_start_no_more_workers_than_pairs(small_report, monkeypatch):
 
 
 @pytest.mark.parametrize("distribution", ["gaussian", "mixture"])
-def test_a_pairs_program_decides_beyond_its_path_end_by_the_sweeps_ray(distribution):
-    # The case's s = 0 hand-off, which every pair of the sweep starts
-    # from, carries the dual ray where the path of its unit-moment
-    # catalog ends. A pair's program rechecks it at its own sigmas, so
-    # its first joint midpoint at eps 0.05 is decided with no swap, and
-    # it answers, bit for bit, as a program handed the s = 0 solution
-    # alone, which walks its path there.
+def test_a_pairs_program_decides_beyond_its_path_end_by_the_sweeps_ray(distribution, monkeypatch):
+    # The case start, which every pair's program of the sweep starts
+    # from, carries the dual ray where the path of the case's
+    # unit-moment catalog ends. A pair's program rechecks it at its own
+    # sigmas, so its first joint midpoint at eps 0.05 is decided with no
+    # swap, and it answers, bit for bit, as a program whose case start
+    # is the s = 0 solution alone, which walks its path there.
     config = ExperimentConfig.from_mapping(parse_config_file(files("cctuner.data") / "rts24_sweep.cfg"))
     sweep = Sweep(config)
     arrays, s0, ray = case_start(sweep.case)
     assert s0.optimal and ray is not None
     pair = sweep.replication(distribution, 1)
     bare = DispatchProgram(sweep.case, pair.catalog)
-    assert pair.program.start_from((arrays, s0, ray)) and bare.start_from((arrays, s0, None))
     s = initial_bounds(config.cells["joint", Fraction(1, 20)], pair.catalog.n_active)[1] / 2.0
     assert round(s, 1) == 21.9
     sol = pair.program.solve(s)
     assert (sol.status, sol.qp_start, sol.qp_solution.iterations) == ("infeasible", "certificate", 0)
-    walked = bare.solve(s)
+    with monkeypatch.context() as patch:
+        patch.setattr(reformulation, "case_start", lambda case: (arrays, s0, None))
+        walked = bare.solve(s)
     assert (walked.status, walked.qp_start) == ("infeasible", "segment") and walked.qp_solution.iterations > 0
     for s in np.linspace(0.0, 50.0, 51):
         with_ray, without = pair.program.solve(s), bare.solve(s)

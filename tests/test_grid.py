@@ -14,6 +14,7 @@ from cctuner import (
     load_rts_case,
     parse_case,
 )
+from cctuner.cli import main
 from cctuner.grid import parse_integer, parse_number
 
 TWO_BUS = """
@@ -88,11 +89,21 @@ def test_uncertain_flag_parsed():
         ("base 100\nbus 1 0\nbus 2 1\nline 1 2 0.1 5\ngen 1 0 5 0 1 -inf\n", "line 5: malformed number in 'gen' record: '-inf' is not a number"),
         ("base 100\nbus 1 0\nbus 2 1\nline 1 2 0.1 1e999\ngen 1 0 5 0 1 0\n", "line 4: malformed number in 'line' record: '1e999' is beyond the float range"),
         ("base 100\nbus 1 0\nbus 2 1\nline 1 2 0.1 5\nfrob 1\n", "unknown record"),
+        ("base 100\n", "case defines no buses"),
+        ("base 100\nbus 1 0\nbus 2 1\nline 1 2 0.1 5\nline 2 2 0.1 5\ngen 1 0 5 0 1 0\n", "line 5: line connects bus 2 to itself"),
+        ("base 100\nbus 1 0\nbus 2 1\nline 1 2 0.1 5\ngen 1 0 5 -0.01 1 0\n", "line 5: gen quadratic cost must be nonnegative"),
+        ("base 100\nbus 1 0\nbus 2 1\ngen 1 0 5 0 1 0\n", "grid is disconnected; no lines"),
     ],
 )
-def test_parse_errors(text, fragment):
+def test_parse_errors(text, fragment, tmp_path, capsys):
     with pytest.raises(CaseError, match=fragment):
         parse_case(text)
+    # The command line names the same cause and exits 1.
+    path = tmp_path / "bad.case"
+    path.write_text(text)
+    assert main(["parse", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert re.search(fragment, err) and "Traceback" not in err
 
 
 def test_disconnected_grid_rejected_and_named():

@@ -374,14 +374,18 @@ def test_guess_on_a_dropped_zero_row_is_ignored():
     assert warm.objective == pytest.approx(cold.objective, abs=1e-6)
 
 
-def test_walk_crosses_a_breakpoint_and_ends_at_the_path_end():
-    # min (x1 - 2)^2 + x2^2 s.t. x1 + x2 = 2, x1 <= 3 - s, x2 <= 2 - s:
-    # x1 <= 3 - s binds from s = 1, and x1 + x2 <= 5 - 2s leaves no
-    # point from s = 1.5, where the dependent pair ends the path.
-    program = ParametricProgram(
+def breakpoint_program():
+    """min (x1 - 2)^2 + x2^2 s.t. x1 + x2 = 2, x1 <= 3 - s, x2 <= 2 - s:
+    x1 <= 3 - s binds from s = 1, and x1 + x2 <= 5 - 2s leaves no point
+    from s = 1.5, where the dependent pair ends the path."""
+    return ParametricProgram(
         np.array([2.0, 2.0]), np.array([-4.0, 0.0]), np.ones((1, 2)), np.array([2.0]),
         np.eye(2), np.array([3.0, 2.0]), np.array([-1.0, -1.0]),
     )
+
+
+def test_walk_crosses_a_breakpoint_and_ends_at_the_path_end():
+    program = breakpoint_program()
     first, start = program.solve(0.5)
     assert (first.status, start) == ("optimal", "cold")
     np.testing.assert_allclose(first.x, [2.0, 0.0], atol=1e-12)
@@ -396,6 +400,61 @@ def test_walk_crosses_a_breakpoint_and_ends_at_the_path_end():
     assert (again.status, start, again.iterations) == ("optimal", "segment", 0)
     # Above the path end, the kept certificate decides.
     assert program.solve(3.0)[1] == "certificate"
+
+
+def fresh_cold(program, s):
+    """A cold solve of program's QP at s, sharing nothing with program."""
+    return solve(*program.arrays, program.h0 + s * program.dh)
+
+
+def test_a_walked_point_that_fails_the_test_falls_back_to_cold(monkeypatch):
+    # The segment holds s, but its point there is moved off the path: the
+    # walk rejects it, and the solve is cold, as a fresh one would be.
+    program = breakpoint_program()
+    assert program.solve(0.5)[1] == "cold"
+    at = qp.Segment.at
+    monkeypatch.setattr(qp.Segment, "at", lambda seg, s: (at(seg, s)[0] + 1.0, *at(seg, s)[1:]))
+    sol, start = program.solve(0.25)
+    ref = fresh_cold(program, 0.25)
+    assert (sol.status, start) == (ref.status, "cold") == ("optimal", "cold")
+    assert np.array_equal(sol.x, ref.x) and sol.iterations == ref.iterations > 0
+
+
+@pytest.mark.parametrize("stop", ["failed", "stalled", "cap"])
+def test_a_walk_that_stops_falls_back_to_cold(monkeypatch, stop):
+    # From the first segment, on [0, 1], s = 1.25 is one swap away. The
+    # walk stops at that swap where the next segment fails the test,
+    # makes no progress past the edge, or the pivot cap allows no swap;
+    # each time the solve is cold, with a fresh cold solve's status.
+    # Under a cap of 0 that cold solve stalls in phase 1: max_iterations.
+    program = breakpoint_program()
+    assert program.solve(0.5)[1] == "cold"
+    segment = ParametricProgram.segment
+    if stop == "failed":
+        monkeypatch.setattr(ParametricProgram, "segment", lambda self, on, s: None)
+    elif stop == "stalled":
+        monkeypatch.setattr(ParametricProgram, "segment", lambda self, on, s: replace(segment(self, on, s), hi=s))
+    else:
+        monkeypatch.setattr(qp, "DEFAULT_MAX_ITERS", 0)
+    sol, start = program.solve(1.25)
+    ref = fresh_cold(program, 1.25)
+    assert (sol.status, start) == (ref.status, "cold")
+    assert sol.status == ("max_iterations" if stop == "cap" else "optimal")
+    assert np.array_equal(sol.x, ref.x) and sol.iterations == ref.iterations
+
+
+@pytest.mark.parametrize("s", [1.25, 1.75])
+def test_a_stalled_phase_1_is_max_iterations_never_infeasible(monkeypatch, s):
+    # The anchor x = (1, 1) violates x2 <= 2 - s at both s, and phase 1
+    # gets no pivot: at s = 1.75, where the program is infeasible, as at
+    # s = 1.25, where it is not, the solve ends max_iterations, with no
+    # point and no certificate.
+    program = breakpoint_program()
+    assert fresh_cold(program, s).status == ("optimal" if s < 1.5 else "infeasible")
+    monkeypatch.setattr(qp, "DEFAULT_MAX_ITERS", 0)
+    sol = fresh_cold(program, s)
+    assert (sol.status, sol.iterations, sol.certificate) == ("max_iterations", 0, None)
+    assert not sol.active.any() and sol.kkt_residuals[1] == np.inf
 
 
 def parametric_instance(seed):

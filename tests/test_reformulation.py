@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cctuner import apply_rts_modifications, load_rts_case, parse_case, qp
+from cctuner import apply_rts_modifications, load_rts_case, parse_case, qp, reformulation
 from cctuner.ptdf import compute_ptdf
 from cctuner.reformulation import (
     ConstraintCatalog,
@@ -68,6 +68,14 @@ def cold_dispatch(case, catalog, s):
     program = DispatchProgram(case, catalog)
     path = program._path
     return program._dispatch(qp.solve(*path.arrays, path.h0 + s * path.dh), "cold")
+
+
+@pytest.fixture
+def unstarted(monkeypatch):
+    """Programs solved in the test find no case start, as for a catalog
+    whose s = 0 program is not the case's: each one's first solve is
+    cold at its own s, and its path grows from there alone."""
+    monkeypatch.setattr(reformulation, "case_start", lambda case: None)
 
 
 def test_participation_proportional_split():
@@ -365,7 +373,7 @@ def test_catalog_pairs_mirror_each_upper_row(rts_catalog):
         assert cat.degenerate[up] == cat.degenerate[lo] == cat.pair_degenerate[c]
 
 
-def test_warm_start_reuses_the_returned_working_set(rts, rts_catalog):
+def test_warm_start_reuses_the_returned_working_set(rts, rts_catalog, unstarted):
     n = rts.n_buses
     pinned = np.flatnonzero((rts.p_max_mw() == 0.0) & (rts.p_min_mw() == 0.0))
     assert pinned.size
@@ -386,7 +394,7 @@ def test_warm_start_reuses_the_returned_working_set(rts, rts_catalog):
         assert warm.objective == pytest.approx(cold.objective, rel=1e-12)
 
 
-def test_program_reuses_a_certificate_only_at_or_above_its_s(rts, rts_catalog):
+def test_program_reuses_a_certificate_only_at_or_above_its_s(rts, rts_catalog, unstarted):
     # The RTS catalog turns infeasible near s = 19.56.
     program = DispatchProgram(rts, rts_catalog)
     d_total = rts.loads_mw().sum() / rts.base_mva
@@ -449,7 +457,7 @@ def eager_qp_solution(program, solved):
     return replace(solved, x=p_g, objective=objective, y=y, z=z, active=active, certificate=certificate)
 
 
-def test_qp_solution_is_built_on_first_read_as_an_eager_build_would(rts, rts_catalog):
+def test_qp_solution_is_built_on_first_read_as_an_eager_build_would(rts, rts_catalog, unstarted):
     program = DispatchProgram(rts, rts_catalog)
     kinds = set()
     for s in (30.0, 25.0, 10.0, 10.0, 19.0, 19.6):
@@ -524,18 +532,19 @@ def test_walked_program_agrees_with_a_cold_solve_at_every_s(rts, rts_catalog, st
 def test_a_program_walks_from_the_s0_solution_of_another_catalog(rts, rts_catalog, monkeypatch):
     # The s = 0 program has no sigmas in it, so a catalog of the same
     # case under another spec solves the s = 0 solution this one starts
-    # from: no solve of this program is cold, and each agrees with a
-    # cold solve at its s, at s = 0 bit for bit. The ray where the other
-    # catalog's path ends also separates this one's h(25).
+    # from: with it as the case start, no solve of this program is cold,
+    # and each agrees with a cold solve at its s, at s = 0 bit for bit.
+    # The ray where the other catalog's path ends also separates this
+    # one's h(25).
     spec = gaussian_from_std_corr([20.0, 5.0], -0.5)
     other = build_catalog(rts, compute_ptdf(rts), participation_factors(rts), spec_moments(spec, rts))
     assert not np.array_equal(other.sigmas, rts_catalog.sigmas)
-    s0 = DispatchProgram(rts, other).s0()
+    s0 = DispatchProgram(rts, other)._path.s0()
     cold_solves = []
     cold_solve = qp.solve
     monkeypatch.setattr(qp, "solve", lambda *arrays: cold_solves.append(arrays) or cold_solve(*arrays))
+    monkeypatch.setattr(reformulation, "case_start", lambda case: s0)
     program = DispatchProgram(rts, rts_catalog)
-    assert program.start_from(s0)
     steps = (2.0, 0.0, 19.5, 25.0, 12.0, 0.7, 0.0)
     sols = [program.solve(s) for s in steps]
     assert not cold_solves
@@ -551,7 +560,7 @@ def test_a_program_walks_from_the_s0_solution_of_another_catalog(rts, rts_catalo
     assert sols[3].status == "infeasible"
     # A catalog with other limits is another s = 0 program.
     looser = replace(rts_catalog, pair_limits=rts_catalog.pair_limits + 0.01)
-    assert not DispatchProgram(rts, looser).start_from(s0)
+    assert not DispatchProgram(rts, looser)._path.start_from(s0)
 
 
 def threshold(case, catalog):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cctuner import apply_rts_modifications, load_rts_case, parse_case, qp
+from cctuner import apply_rts_modifications, load_rts_case, parse_case, qp, reformulation
 from cctuner.experiment import ExperimentConfig, Sweep, load_case, parse_config_file
 from cctuner.ptdf import compute_ptdf
 from cctuner.reformulation import DispatchProgram, build_catalog, case_start, participation_factors
@@ -389,7 +389,7 @@ def test_a_case_with_no_uncertain_bus_hands_off_no_ray():
     catalog = build_catalog(
         case, compute_ptdf(case), participation_factors(case), spec_moments(gaussian_from_std_corr([], 0.0), case)
     )
-    arrays, s0, ray = DispatchProgram(case, catalog).s0()
+    arrays, s0, ray = DispatchProgram(case, catalog)._path.s0()
     assert s0.optimal and ray is None
 
 
@@ -468,11 +468,10 @@ def test_trace_records_each_qp_solve(rts_tuning_set):
     # infeasible, decided by the ray where the path ends.
     assert [it.qp_status for it in result.trace[:2]] == ["infeasible", "optimal"]
     assert (result.trace[0].qp_start, result.trace[0].qp_iterations) == ("certificate", 0)
-    # Replay the tuner's solves through a fresh program of the catalog
-    # that starts from the same hand-off, as tune's own program did: it
-    # keeps what each solve found, as that program did.
+    # Replay the tuner's solves through a fresh program of the catalog,
+    # which starts from the same case start, as tune's own program did:
+    # it keeps what each solve found, as that program did.
     program = DispatchProgram(case, catalog)
-    assert program.start_from(case_start(case))
     for it in result.trace:
         replayed = program.solve(it.s)
         solved = replayed.qp_solution
@@ -519,12 +518,12 @@ def test_tune_solves_the_s0_program_of_a_case_once(rts_tuning_set, monkeypatch):
 
 
 @pytest.mark.parametrize("creator", [None, "gaussian", "mixture"])
-def test_no_tune_answer_depends_on_which_catalog_filled_the_slot(creator):
+def test_no_tune_answer_depends_on_which_catalog_filled_the_slot(creator, monkeypatch):
     # tune's fresh program starts from case_start(case), the s = 0
     # solution and path-end ray of the case's unit-moment catalog. Each
-    # answer must be the one tune gives through a program that starts
-    # from the s = 0 hand-off of the creator pair's catalog instead
-    # (None: the tuned catalog's own).
+    # answer must be the one tune gives when the case start is the s = 0
+    # hand-off of the creator pair's catalog instead (None: the tuned
+    # catalog's own).
     config = ExperimentConfig.from_mapping(parse_config_file(files("cctuner.data") / "rts24_sweep.cfg"))
     case = load_case(config.case)
     sweep = Sweep(config, case)
@@ -532,11 +531,12 @@ def test_no_tune_answer_depends_on_which_catalog_filled_the_slot(creator):
     cells = [config.cells[mode, Fraction(1, 20)] for mode in ("single", "joint")]
     found = []
     for pair in pairs.values():
-        s0 = DispatchProgram(case, (pair if creator is None else pairs[creator]).catalog).s0()
+        s0 = DispatchProgram(case, (pair if creator is None else pairs[creator]).catalog)._path.s0()
         for tuning in cells:
-            program = DispatchProgram(case, pair.catalog)
-            assert program.start_from(s0)
-            alone = tune(case, pair.catalog, pair.tuning_samples, tuning, program)
+            with monkeypatch.context() as patch:
+                patch.setattr(reformulation, "case_start", lambda case: s0)
+                alone = tune(case, pair.catalog, pair.tuning_samples, tuning)
+            assert alone.trace[0].qp_start != "cold"
             result = tune(case, pair.catalog, pair.tuning_samples, tuning)
             assert answers(result) == answers(alone)
             found.append(result.trace[0].qp_start)
@@ -604,15 +604,14 @@ def test_each_iterate_bisects_a_nested_bracket(rts_tuning_set, mode):
 @pytest.mark.parametrize("mode", ["single", "joint"])
 def test_store_counts_equal_one_shot_counts_along_a_tune(distribution, mode):
     # tune counts every iterate from one count store of its tuning set;
-    # replaying its solves through a fresh program that starts from the
-    # case's s = 0 hand-off, as tune's does, and counting each dispatch
-    # from the samples themselves must give the trace's frequencies.
+    # replaying its solves through a fresh program, which starts from
+    # the case start as tune's does, and counting each dispatch from the
+    # samples themselves must give the trace's frequencies.
     config = ExperimentConfig.from_mapping(parse_config_file(files("cctuner.data") / "rts24_sweep.cfg"))
     case = load_case(config.case)
     pair = Sweep(config, case).replication(distribution, 1)
     result = tune(case, pair.catalog, pair.tuning_samples, config.cells[mode, Fraction(1, 20)])
     program = DispatchProgram(case, pair.catalog)
-    assert program.start_from(case_start(case))
     for it in result.trace:
         solution = program.solve(it.s)
         assert (solution.feasible, solution.qp_start) == (it.feasible, it.qp_start)
@@ -624,13 +623,12 @@ def test_store_counts_equal_one_shot_counts_along_a_tune(distribution, mode):
 
 @pytest.mark.parametrize("distribution", ["gaussian", "mixture"])
 def test_a_pairs_shared_program_keeps_every_tune(distribution, monkeypatch):
-    # The six cells of a pair tune through one program that starts from
-    # the case's s = 0 solution, as the experiment runs them; each must
-    # end as it does with a fresh one.
+    # The six cells of a pair tune through one program, which starts
+    # from the case's s = 0 solution, as the experiment runs them; each
+    # must end as it does with a fresh one.
     config = ExperimentConfig.from_mapping(parse_config_file(files("cctuner.data") / "rts24_sweep.cfg"))
     case = load_case(config.case)
     pair = Sweep(config, case).replication(distribution, 1)
-    assert pair.program.start_from(case_start(case))
     solutions = []
     solve = pair.program.solve
     monkeypatch.setattr(pair.program, "solve", lambda s: solutions.append(solve(s)) or solutions[-1])

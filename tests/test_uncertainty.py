@@ -259,6 +259,12 @@ def test_spec_validation_errors(rts):
         sample(gaussian_from_std_corr([1.0], 0.0), 10, 0, rts)
     with pytest.raises(ValueError, match="at least one sample"):
         sample(gaussian_from_std_corr([1.0, 1.0], 0.0), 0, 0, rts)
+    # A negative deviation would run as the opposite correlation: -9.4
+    # with 0.2 gives the covariance of 9.4 with -0.2.
+    with pytest.raises(ValueError, match="standard deviations must be nonnegative, got -9.4, 13.1"):
+        gaussian_from_std_corr([-9.4, 13.1], 0.2)
+    signed_zero = gaussian_from_std_corr([-0.0, 13.1], 0.2).covariance_mw2
+    assert np.array_equal(signed_zero, gaussian_from_std_corr([0.0, 13.1], 0.2).covariance_mw2)
 
 
 def test_specs_whose_exact_moments_overflow_are_rejected():

@@ -215,6 +215,20 @@ def test_point_mass_bus_counts_match_naive_loop(rts, rts_catalog):
     assert np.array_equal(evaluate(p_g, nonzero, rts_catalog).counts, counts)
 
 
+def test_a_set_with_no_uncertain_column_counts_the_dispatch_term_alone(rts, rts_catalog):
+    # With no column every sum is its dispatch term, so a row is hit by
+    # every sample or by none: here bus 3's degenerate upper row and the
+    # rows that bus 1's extra 0.5 pu pushes past their limits.
+    p_g = solve_dispatch(rts, rts_catalog, 0.0).p_g
+    p_g[[0, 2]] += [0.5, 0.1]
+    samples = SampleSet(np.zeros((50, 0)), [], 24)
+    counts, joint = naive_violation_counts(p_g, rts_catalog, samples.samples)
+    assert set(counts) == {0, 50} and joint == 50
+    for source in (samples, count_store(samples, rts_catalog)):
+        report = evaluate(p_g, source, rts_catalog)
+        assert np.array_equal(report.counts, counts) and report.joint_count == joint
+
+
 def test_ordering_and_boole_bounds(rts, rts_catalog):
     spec = gaussian_from_std_corr([9.4, 13.1], 0.2)
     for seed, s in [(1, 0.3), (2, 0.8), (3, 1.5)]:
